@@ -8,9 +8,12 @@ verification suite quantifies over (boolean, reduced, abelian, local,
 regular, semi-potent, potent, semi-boolean, quasi-duo, and the
 radical-related equalities).
 
-Lattice-bounded predicates are tri-state: True, False, or None when
-the one-sided ideal enumeration exceeded its limits ("skipped" in
-reports); an unverified boolean is never reported.
+Every predicate is decided exactly, with no search bound.  Quasi-duo
+comes from the radical quotient: a finite ring is left quasi-duo iff it
+is right quasi-duo iff R/J is commutative (quasi-duo passes between R
+and R/J, R/J is a product of rings M_n(F_q), and M_n(F) with n >= 2 is
+not quasi-duo).  The suite's ``crosschecks`` compares this with the
+maximal one-sided ideals of the lattice.
 """
 
 from __future__ import annotations
@@ -23,12 +26,8 @@ import numpy as np
 from .construct import quotient_ring
 from .core import ElementSet, FiniteRing
 from .elements import decomposition_counts, element_profile, ElementProfile
-from .errors import LatticeLimitError, SizeOverflowError
-from .invariants import (
-    get_cache,
-    idempotents_lift_mod,
-    maximal_one_sided_ideals,
-)
+from .errors import SizeOverflowError
+from .invariants import get_cache, idempotents_lift_mod
 
 #: JSON field names of the classification vector, in canonical order.
 CLASSIFICATION_FIELDS = (
@@ -45,10 +44,8 @@ CLASSIFICATION_FIELDS = (
 class Classification:
     """The full boolean predicate vector of one ring.
 
-    Quasi-duo fields are ``None`` when the ideal-lattice scan was
-    skipped.  ``witnesses`` maps predicate names to serializable
-    payloads justifying a failure (or, for existence-flavored fields,
-    a success).
+    ``witnesses`` maps predicate names to serializable payloads
+    justifying a failure (or, for existence-flavored fields, a success).
     """
 
     is_clean: bool
@@ -68,8 +65,8 @@ class Classification:
     is_semi_potent: bool
     is_potent: bool
     is_semi_boolean: bool
-    is_quasi_duo_left: Optional[bool]
-    is_quasi_duo_right: Optional[bool]
+    is_quasi_duo_left: bool
+    is_quasi_duo_right: bool
     one_is_two_good: bool
     two_in_J: bool
     R_equals_ucn0: bool
@@ -78,10 +75,7 @@ class Classification:
     witnesses: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {}
-        for name in CLASSIFICATION_FIELDS:
-            value = getattr(self, name)
-            out[name] = "skipped" if value is None else value
+        out = {name: getattr(self, name) for name in CLASSIFICATION_FIELDS}
         if self.witnesses:
             out["witnesses"] = self.witnesses
         return out
@@ -133,8 +127,6 @@ def classify(
     ring: FiniteRing,
     *,
     usc_reading: str = "exact-one",
-    quasi_duo_order_limit: int = 256,
-    quasi_duo_count_limit: int = 100_000,
 ) -> Classification:
     """Compute the full classification vector of a ring."""
     cache = get_cache(ring)
@@ -230,6 +222,15 @@ def classify(
         bad = int(np.flatnonzero(quotient.mul_table[q_idx, q_idx] != q_idx)[0])
         witnesses["RmodJ_boolean"] = {"quotient_element": quotient.label_of(bad)}
 
+    # Quasi-duo (both sides): R/J is commutative.
+    q_center = qcache.center_mask
+    is_quasi_duo = bool(q_center.all())
+    if not is_quasi_duo:
+        a = int(np.flatnonzero(~q_center)[0])
+        b = int(np.flatnonzero(quotient.mul_row(a) != quotient.mul_table[:, a])[0])
+        pair = {"quotient_pair": [quotient.label_of(a), quotient.label_of(b)]}
+        witnesses["is_quasi_duo_left"] = witnesses["is_quasi_duo_right"] = pair
+
     regular = _regular_mask(ring)
     is_regular = bool(regular.all())
     if not is_regular:
@@ -247,33 +248,6 @@ def classify(
         witnesses["is_potent"] = {"element": ring.label_of(lift.failure)}
 
     is_semi_boolean = is_potent and RmodJ_boolean
-
-    def quasi_duo(side):
-        try:
-            maximal = maximal_one_sided_ideals(
-                ring, side,
-                count_limit=quasi_duo_count_limit,
-                order_limit=quasi_duo_order_limit,
-            )
-        except (SizeOverflowError, LatticeLimitError) as exc:
-            witnesses[f"is_quasi_duo_{side}"] = {"skipped": str(exc)}
-            return None
-        mul = ring.mul_table
-        for m in maximal:
-            ids = sorted(m)
-            mask = np.zeros(n, dtype=bool)
-            mask[ids] = True
-            two_sided = bool(mask[mul[np.ix_(ids, range(n))]].all()
-                             and mask[mul[np.ix_(range(n), ids)]].all())
-            if not two_sided:
-                witnesses[f"is_quasi_duo_{side}"] = {
-                    "maximal_ideal": [ring.label_of(i) for i in ids]
-                }
-                return False
-        return True
-
-    is_quasi_duo_left = quasi_duo("left")
-    is_quasi_duo_right = quasi_duo("right")
 
     two_good_mask = cache.two_good_mask
     one_is_two_good = bool(two_good_mask[ring.one])
@@ -324,8 +298,8 @@ def classify(
         is_semi_potent=is_semi_potent,
         is_potent=is_potent,
         is_semi_boolean=is_semi_boolean,
-        is_quasi_duo_left=is_quasi_duo_left,
-        is_quasi_duo_right=is_quasi_duo_right,
+        is_quasi_duo_left=is_quasi_duo,
+        is_quasi_duo_right=is_quasi_duo,
         one_is_two_good=one_is_two_good,
         two_in_J=two_in_J,
         R_equals_ucn0=R_equals_ucn0,

@@ -53,10 +53,6 @@ def _add_common(parser: argparse.ArgumentParser, spec_required: bool = False):
         "--usc-reading", choices=_READING_CHOICES, default="exact-one",
         help="uniqueness reading for strongly clean decompositions",
     )
-    parser.add_argument(
-        "--lattice-limit", type=int, default=100_000,
-        help="one-sided ideal enumeration bound for quasi-duo checks",
-    )
 
 
 def _load_spec(path: str) -> dict:
@@ -111,11 +107,7 @@ def cmd_build(args) -> int:
 def cmd_classify(args) -> int:
     spec = _load_spec(args.spec)
     ring = build(spec, threshold=args.threshold, validate=False)
-    cls = classify(
-        ring,
-        usc_reading=args.usc_reading,
-        quasi_duo_count_limit=args.lattice_limit,
-    )
+    cls = classify(ring, usc_reading=args.usc_reading)
     payload = {
         "name": ring.name,
         "order": ring.order,
@@ -281,7 +273,11 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1,
-        help="classification workers (1 = fully serial reference run)",
+        help="accepted for compatibility; does not affect output or scheduling",
+    )
+    p_verify.add_argument(
+        "--lattice-limit", type=int, default=100_000,
+        help="one-sided ideal enumeration bound for the quasi-duo cross-check",
     )
     p_verify.set_defaults(fn=cmd_verify)
     return parser

@@ -16,7 +16,6 @@ byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,8 +29,10 @@ from .errors import LatticeLimitError, SizeOverflowError, SpecError
 from .invariants import (
     get_cache,
     idempotents_lift_mod,
+    is_two_sided_ideal,
     jacobson_radical,
     maximal_left_ideals,
+    maximal_right_ideals,
     one_sided_ideals,
 )
 from .polyring import poly_is_clean, poly_is_cusc, poly_view
@@ -84,7 +85,12 @@ class TheoremReport:
 
 
 class SuiteContext:
-    """Catalog plus per-ring caches shared by all checks."""
+    """Catalog plus per-ring caches shared by all checks.
+
+    ``quasi_duo_order_limit`` and ``quasi_duo_count_limit`` bound the
+    ideal-lattice route of the quasi-duo cross-check.  ``jobs`` is
+    accepted for compatibility and changes neither output nor scheduling.
+    """
 
     def __init__(
         self,
@@ -113,20 +119,12 @@ class SuiteContext:
         for entry in self.entries:
             self._rings.setdefault(_spec_key(entry.spec), entry.ring)
 
-    def _classify(self, ring: FiniteRing) -> Classification:
-        return classify(
-            ring,
-            usc_reading=self.usc_reading,
-            quasi_duo_order_limit=self.quasi_duo_order_limit,
-            quasi_duo_count_limit=self.quasi_duo_count_limit,
-        )
-
     def classification(self, ring: FiniteRing) -> Classification:
         # Cached on the handle itself so discarded derived rings can
         # never alias a later ring's cache slot.
         got = ring._classification_cache.get(self.usc_reading)
         if got is None:
-            got = self._classify(ring)
+            got = classify(ring, usc_reading=self.usc_reading)
             ring._classification_cache[self.usc_reading] = got
         return got
 
@@ -164,23 +162,9 @@ class SuiteContext:
         return self.derived(spec)
 
     def precompute(self):
-        """Classify all catalog rings, optionally in parallel.
-
-        Each ring is touched by exactly one worker, so the write-once
-        caches see no contention; assembly order is fixed afterwards.
-        """
-        pending = [
-            e.ring for e in self.entries
-            if self.usc_reading not in e.ring._classification_cache
-        ]
-        if self.jobs == 1 or len(pending) <= 1:
-            for ring in pending:
-                self.classification(ring)
-            return
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            results = list(pool.map(self._classify, pending))
-        for ring, cls in zip(pending, results):
-            ring._classification_cache[self.usc_reading] = cls
+        """Classify all catalog rings, in catalog order."""
+        for entry in self.entries:
+            self.classification(entry.ring)
 
 
 def _spec_key(spec: dict) -> str:
@@ -691,9 +675,6 @@ def _check_quasiduo(ctx: SuiteContext) -> TheoremReport:
         if not (c.is_potent and c.is_UUSC):
             rep.add(entry.name, NA, "not potent UUSC")
             continue
-        if c.is_quasi_duo_left is None or c.is_quasi_duo_right is None:
-            rep.add(entry.name, SKIP, "ideal lattice above bounds")
-            continue
         rep.require(entry.name, c.is_quasi_duo_left and c.is_quasi_duo_right, {
             "left": c.is_quasi_duo_left, "right": c.is_quasi_duo_right,
         })
@@ -965,8 +946,9 @@ def _check_thm4_3(ctx: SuiteContext) -> TheoremReport:
 def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport(
         "crosschecks",
-        "dual-route verification: radical vs maximal left ideals, unit lifting, "
-        "augmentation kernel, lattice semi-potence, axiom validation",
+        "dual-route verification: radical vs maximal left ideals, quasi-duo vs "
+        "maximal one-sided ideals, unit lifting, augmentation kernel, lattice "
+        "semi-potence, axiom validation",
     )
     for entry in ctx.entries:
         ring = entry.ring
@@ -992,6 +974,27 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
             except (SizeOverflowError, LatticeLimitError) as exc:
                 rep.add(entry.name, SKIP, str(exc))
                 continue
+        if ring.order <= ctx.quasi_duo_order_limit:
+            # Quasi-duo by definition: every maximal one-sided ideal is
+            # two-sided.  classify decides it from R/J instead.
+            c = ctx.classification(ring)
+            closed_form = {"left": c.is_quasi_duo_left, "right": c.is_quasi_duo_right}
+            try:
+                by_lattice = {
+                    side: all(is_two_sided_ideal(ring, m) for m in maximal_ideals(
+                        ring, order_limit=ctx.quasi_duo_order_limit,
+                        count_limit=ctx.quasi_duo_count_limit,
+                    ))
+                    for side, maximal_ideals in (("left", maximal_left_ideals),
+                                                 ("right", maximal_right_ideals))
+                }
+            except (SizeOverflowError, LatticeLimitError) as exc:
+                rep.add(entry.name, SKIP, str(exc))
+                continue
+            if by_lattice != closed_form:
+                problems.append({"quasi_duo_mismatch": {
+                    "closed_form": closed_form, "lattice": by_lattice,
+                }})
         if ring.order <= 32:
             lattice = one_sided_ideals(ring, "left")
             jac_set = set(int(i) for i in np.flatnonzero(cache.jacobson_mask))
@@ -1129,6 +1132,10 @@ def suite_to_json(ctx: SuiteContext, reports: list[TheoremReport]) -> dict:
             "usc_reading": ctx.usc_reading,
             "threshold": ctx.threshold,
             "derived_order_limit": ctx.derived_order_limit,
+            "iso_order_limit": ctx.iso_order_limit,
+            "oracle_order_limit": ctx.oracle_order_limit,
+            "quasi_duo_order_limit": ctx.quasi_duo_order_limit,
+            "quasi_duo_count_limit": ctx.quasi_duo_count_limit,
         },
         "checks": [r.to_json() for r in reports],
         "all_pass": all(r.aggregate == PASS for r in reports),

@@ -8,11 +8,17 @@ from ringlab import (
     classify_element_summary,
     cyclic,
     group_ring,
+    jacobson_radical,
+    maximal_left_ideals,
+    maximal_right_ideals,
+    opposite_ring,
     product_ring,
+    quotient_ring,
     trivial_extension,
     trunc_poly,
     zn,
 )
+from ringlab.invariants import is_two_sided_ideal
 from oracles import diagram_implications
 
 
@@ -75,11 +81,27 @@ def test_zero_ring_by_the_letter():
     assert c.one_is_two_good  # 1 = 0 = 0 + 0 with 0 a unit
 
 
-def test_quasi_duo_tristate():
-    c = classify(zn(4), quasi_duo_order_limit=2)
-    assert c.is_quasi_duo_left is None
-    assert c.to_json()["is_quasi_duo_left"] == "skipped"
-    assert "skipped" in c.witnesses["is_quasi_duo_left"]
+def _quasi_duo_by_lattice(ring, maximal_ideals):
+    return all(is_two_sided_ideal(ring, m) for m in maximal_ideals(ring))
+
+
+def test_quasi_duo_closed_form_matches_lattice(small_catalog):
+    rings = [e.ring for e in small_catalog] + [
+        build({"product": [{"matrix": {"n": 2, "base": {"zn": 2}}}, {"zn": 2}]}),
+        build({"matrix": {"n": 2, "base": {"zn": 4}}}),
+        build({"opposite": {"triangular": {"n": 2, "base": {"zn": 4}}}}),
+    ]
+    for ring in rings:
+        c = classify(ring)
+        assert c.is_quasi_duo_left == _quasi_duo_by_lattice(ring, maximal_left_ideals), ring.name
+        assert c.is_quasi_duo_right == _quasi_duo_by_lattice(ring, maximal_right_ideals), ring.name
+        # Metamorphic: left ideals of R are the right ideals of op(R).
+        assert classify(opposite_ring(ring)).is_quasi_duo_right == c.is_quasi_duo_left, ring.name
+        if not c.is_quasi_duo_left:
+            # The witness is a non-commuting pair of R/J.
+            quotient = quotient_ring(ring, jacobson_radical(ring).sorted_ids())
+            a, b = (quotient.id_of(x) for x in c.witnesses["is_quasi_duo_left"]["quotient_pair"])
+            assert quotient.mul(a, b) != quotient.mul(b, a), ring.name
 
 
 def test_json_stable_fields(z4):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ringlab.cli import main
 
 T2Z2 = {"triangular": {"n": 2, "base": {"zn": 2}}}
@@ -165,10 +167,20 @@ def test_usc_reading_flag_accepted(spec_file, capsys):
     assert code == 0
 
 
-def test_lattice_limit_flag_forces_skip(spec_file, capsys):
-    path = spec_file({"product": [{"zn": 2}] * 4})
-    code, out, _ = run(capsys, "classify", "--spec", path, "--json",
-                       "--lattice-limit", "5")
+def test_lattice_limit_flag_bounds_the_quasi_duo_oracle(spec_file, capsys, tmp_path):
+    spec = {"product": [{"zn": 2}] * 4}
+    manifest = tmp_path / "cat.json"
+    manifest.write_text(json.dumps([{"name": "Z2^4", "spec": spec}]))
+    code, out, _ = run(capsys, "verify", "--catalog", str(manifest), "--theorem",
+                       "crosschecks", "--lattice-limit", "5", "--json")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["classification"]["is_quasi_duo_left"] == "skipped"
+    rows = json.loads(out)["checks"][0]["rows"]
+    assert [r["verdict"] for r in rows] == ["skipped"]
+    assert rows[0]["detail"] == "ideal lattice exceeds 5 members"
+    # classify decides quasi-duo without the lattice, so it has no such bound.
+    code, out, _ = run(capsys, "classify", "--spec", spec_file(spec), "--json")
+    assert code == 0
+    cls = json.loads(out)["classification"]
+    assert cls["is_quasi_duo_left"] is True and cls["is_quasi_duo_right"] is True
+    with pytest.raises(SystemExit):
+        main(["classify", "--spec", spec_file(spec), "--lattice-limit", "5"])

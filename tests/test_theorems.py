@@ -56,6 +56,13 @@ def test_thm311_skips_oversized_triangulars(suite_ctx):
     assert "Z4:T3" in passed
 
 
+def test_quasiduo_decided_on_every_catalog_ring(suite_ctx):
+    report = run_suite(suite_ctx, ["quasiduo"])[0]
+    rows = {r.ring: r.verdict for r in report.rows}
+    assert "skipped" not in rows.values()
+    assert rows["T3(Z4)"] == "pass"
+
+
 def test_unknown_check_id_rejected(suite_ctx):
     with pytest.raises(SpecError):
         run_suite(suite_ctx, ["thm9.99"])
