@@ -11,8 +11,12 @@ additive structure is always componentwise, so only the multiplication
 formula varies per family.  Tables materialize fully up to ``threshold``
 elements (default 4096) and become row-memoized :class:`LazyRing`
 handles above it; the hard cap :data:`ringlab.core.MAX_ORDER` is never
-crossed.  Constructor outputs are validated at build time (full cubic
-axiom check up to order 256, fixed-seed sampling above).
+crossed.  Constructor outputs are validated at build time: up to order
+256 the cubic laws are decided for all n^3 triples from the additive
+generators (Light's test for associativity of +, bilinearity for the
+distributive laws and for associativity of the product); above it, by
+fixed-seed sampling.  Module add tables go through the same generator
+test for associativity.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .core import (
     FiniteRing,
     LazyRing,
     TableRing,
+    additive_associativity_witness,
+    additive_generators,
     dtype_for,
     spec_name,
     table_ring,
@@ -78,10 +84,8 @@ def _axis_of_module(add_table: np.ndarray) -> tuple["_Axis", int]:
     zero = zeros[0]
     if not (add == add.T).all():
         raise RingConstructionError("module addition is not commutative")
-    for a in range(n):
-        lhs = add[add[a], :]
-        if not (lhs == add[a][add]).all():
-            raise RingConstructionError("module addition is not associative")
+    if additive_associativity_witness(add, additive_generators(add, zero)) is not None:
+        raise RingConstructionError("module addition is not associative")
     neg = np.full(n, -1, dtype=np.int64)
     rows, cols = np.nonzero(add == zero)
     neg[rows] = cols

@@ -304,7 +304,9 @@ class ValidationReport:
     """Outcome of :func:`validate_axioms`.
 
     ``ok`` is the verdict; on failure ``axiom`` names the first violated
-    law and ``witness`` carries the offending element tuple.  ``mode``
+    law and ``witness`` carries the offending element tuple, in the
+    order the law is written: ``(a, b, c)`` for ``(a+b)+c``,
+    ``(ab)c``, ``a(b+c) = ab+ac`` and ``(a+b)c = ac+bc``.  ``mode``
     records whether the cubic laws were checked in full or on sampled
     triples.
     """
@@ -330,10 +332,53 @@ def _derive_neg(add_table: np.ndarray, zero: int) -> np.ndarray:
     return neg.astype(dtype_for(n))
 
 
-def _first_mismatch(a_fixed: int, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
-    bad = np.argwhere(lhs != rhs)
-    b, c = (int(x) for x in bad[0])
-    return (a_fixed, b, c)
+def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> Optional[tuple]:
+    """Index of the first entry where ``lhs`` and ``rhs`` differ, or None."""
+    bad = lhs != rhs
+    if not bad.any():
+        return None
+    return tuple(int(v) for v in np.argwhere(bad)[0])
+
+
+def additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
+    """Greedy additive generators: every id is reached from ``zero``.
+
+    Takes the least unreached id as the next generator, then closes the
+    reached set under ``add[reached, gens]`` until it covers every
+    element.  Each generator at least doubles the reached subgroup of a
+    group, so a group of order n needs at most log2(n) of them.
+    """
+    n = len(add)
+    reached = np.zeros(n, dtype=bool)
+    reached[zero] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            hit = np.zeros(n, dtype=bool)
+            hit[add[frontier[:, None], gens]] = True
+            hit &= ~reached
+            reached |= hit
+            frontier = np.flatnonzero(hit)
+    return np.asarray(gens, dtype=np.int64)
+
+
+def additive_associativity_witness(add: np.ndarray, gens: np.ndarray) -> Optional[tuple]:
+    """A triple (a, b, c) with (a+b)+c != a+(b+c), or None if there is none.
+
+    Light's test: the b with (a+b)+c = a+(b+c) for all a, c are closed
+    under + and contain a two-sided zero, so checking b on ``gens``
+    (from :func:`additive_generators`) decides all n^3 triples in
+    k n^2 steps.  Callers check first that ``zero``'s row is the
+    identity and that the table is commutative.
+    """
+    for g in gens:
+        at = _first_mismatch(add[add[:, g], :], add[:, add[g, :]])
+        if at is not None:
+            return (at[0], int(g), at[1])
+    return None
 
 
 def validate_axioms(
@@ -343,14 +388,20 @@ def validate_axioms(
     force: bool = False,
     samples: int = _SAMPLE_TRIPLES,
 ) -> ValidationReport:
-    """Check the ring axioms exhaustively, or by seeded sampling when big.
+    """Check the ring axioms exactly, or by seeded sampling when big.
 
     Quadratic laws (closure, additive commutativity/inverses, the two
     identities) are always checked in full.  The cubic laws (both
-    associativities, both distributivities) are checked over all
-    ``order^3`` triples when ``order <= limit``; above the limit the
-    call raises :class:`AxiomCheckLimitError` unless ``force`` is set,
-    in which case a fixed-seed sample of triples is used instead.
+    associativities, both distributivities) are decided for all
+    ``order^3`` triples when ``order <= limit`` ("full" mode), from k
+    additive generators (k <= log2(order)) in O(k * order^2) steps:
+    Light's test for additive associativity, each distributive law on
+    generators (a map additive on generators is additive everywhere),
+    and multiplicative associativity on generator triples (both sides
+    are trilinear).  A failure carries a real violating triple.  Above
+    the limit the call raises :class:`AxiomCheckLimitError` unless
+    ``force`` is set, in which case a fixed-seed sample of triples is
+    used instead.
     """
     n = ring.order
     if n > limit and not force:
@@ -398,26 +449,30 @@ def validate_axioms(
         return fail("mul-right-identity", (a, one))
 
     if mode == "full":
+        # Every law is checked on additive generators only; each check
+        # still decides all n^3 triples.
         checked = n * n * n
-        for a in range(n):
-            lhs = add[add[a], :]
-            rhs = add[a][add]
-            if not (lhs == rhs).all():
-                return fail("add-associativity", _first_mismatch(a, lhs, rhs), checked)
-            lhs = mul[mul[a], :]
-            rhs = mul[a][mul]
-            if not (lhs == rhs).all():
-                return fail("mul-associativity", _first_mismatch(a, lhs, rhs), checked)
-            row = mul[a]
-            lhs = row[add]
-            rhs = add[row[:, None], row[None, :]]
-            if not (lhs == rhs).all():
-                return fail("left-distributivity", _first_mismatch(a, lhs, rhs), checked)
-            col = mul[:, a]
-            lhs = mul[add, a]
-            rhs = add[col[:, None], col[None, :]]
-            if not (lhs == rhs).all():
-                return fail("right-distributivity", _first_mismatch(a, lhs, rhs), checked)
+        gens = additive_generators(add, zero)
+        witness = additive_associativity_witness(add, gens)
+        if witness is not None:
+            return fail("add-associativity", witness, checked)
+        # In the group (A, +), the g with a(x+g) = ax+ag for all a, x are
+        # closed under + and so contain 0; likewise for (x+g)c = xc+gc.
+        for g in gens:
+            at = _first_mismatch(mul[:, add[:, g]], add[mul, mul[:, g][:, None]])
+            if at is not None:
+                return fail("left-distributivity", (at[0], at[1], g), checked)
+            at = _first_mismatch(mul[add[:, g], :], add[mul, mul[g][None, :]])
+            if at is not None:
+                return fail("right-distributivity", (at[0], g, at[1]), checked)
+        # Both sides of (ab)c = a(bc) are trilinear: generator triples suffice.
+        ab = mul[np.ix_(gens, gens)]
+        at = _first_mismatch(
+            mul[ab[:, :, None], gens[None, None, :]],
+            mul[gens[:, None, None], ab[None, :, :]],
+        )
+        if at is not None:
+            return fail("mul-associativity", gens[list(at)], checked)
         return ValidationReport(True, mode, checked)
 
     # Sampled cubic laws with a fixed seed: deterministic across runs.
@@ -463,8 +518,9 @@ def _validate_sampled_rows(ring: FiniteRing, samples: int) -> ValidationReport:
         row = ring.add_row(a)
         if int(row.max()) >= n:
             return fail("add-closure", (a, int(np.flatnonzero(row >= n)[0])))
-        if int(ring.mul_row(a).max()) >= n:
-            return fail("mul-closure", (a, 0))
+        row = ring.mul_row(a)
+        if int(row.max()) >= n:
+            return fail("mul-closure", (a, int(np.flatnonzero(row >= n)[0])))
         if ring.add(a, int(ring.neg_table[a])) != zero:
             return fail("add-inverse", (a,))
         if ring.mul(a, one) != a:

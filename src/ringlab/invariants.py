@@ -211,34 +211,26 @@ def ucn0(ring: FiniteRing) -> ElementSet:
 
 
 def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> ElementSet:
-    """Least two-sided ideal containing ``generators`` (worklist closure).
+    """Least two-sided ideal containing ``generators`` (mask closure).
 
-    Closed under addition, negation, and multiplication by arbitrary
-    ring elements on both sides.  Empty generators give {0}; a unit
-    generator gives the whole ring.
+    Adds left and right multiples, negatives and pairwise sums of the
+    members until the mask stops growing.  Empty generators give {0}; a
+    unit generator gives the whole ring.
     """
-    n = ring.order
-    mask = np.zeros(n, dtype=bool)
+    add, mul = ring.add_table, ring.mul_table
+    mask = np.zeros(ring.order, dtype=bool)
     mask[ring.zero] = True
-    members: list[int] = [ring.zero]
-    queue = sorted({int(g) for g in generators} - {ring.zero})
-    while queue:
-        x = queue.pop()
-        if mask[x]:
-            continue
-        mask[x] = True
-        candidates = set()
-        candidates.add(int(ring.neg_table[x]))
-        candidates.update(int(v) for v in np.unique(ring.mul_row(x)))
-        mul = ring.mul_table
-        candidates.update(int(v) for v in np.unique(mul[:, x]))
-        row = ring.add_row(x)
-        candidates.update(int(row[m]) for m in members)
-        members.append(x)
-        for c in candidates:
-            if not mask[c]:
-                queue.append(c)
-    return ElementSet.from_mask(ring, mask)
+    mask[np.fromiter(generators, dtype=np.int64)] = True
+    size = 0
+    while True:
+        ids = np.flatnonzero(mask)
+        if ids.size == size:
+            return ElementSet.from_mask(ring, mask)
+        size = ids.size
+        mask[mul[:, ids]] = True
+        mask[mul[ids, :]] = True
+        mask[ring.neg_table[ids]] = True
+        mask[add[np.ix_(ids, ids)]] = True
 
 
 def is_two_sided_ideal(ring: FiniteRing, subset: ElementSet | Iterable[int]) -> bool:
@@ -266,29 +258,35 @@ class LiftReport:
 
 
 def idempotents_lift_mod(ring: FiniteRing, ideal: ElementSet | Iterable[int]) -> LiftReport:
-    """Whether every x with x^2 - x in I lifts to an idempotent e, e - x in I."""
+    """Whether every x with x^2 - x in I lifts to an idempotent e, e - x in I.
+
+    ``witnesses[x]`` is the least such e: the least idempotent of the
+    coset x + I.  On failure ``failure`` is the least x without a lift
+    and ``witnesses`` holds the x below it.
+    """
     ids = sorted(ideal.members if isinstance(ideal, ElementSet) else set(ideal))
     if not is_two_sided_ideal(ring, ids):
         raise IdealError(f"subset {ids} is not a two-sided ideal of {ring.name}")
-    imask = np.zeros(ring.order, dtype=bool)
+    n = ring.order
+    imask = np.zeros(n, dtype=bool)
     imask[ids] = True
-    cache = get_cache(ring)
-    idem = np.flatnonzero(cache.idempotent_mask)
-    neg = ring.neg_table
-    witnesses: dict[int, int] = {}
-    for x in range(ring.order):
-        defect = ring.add(ring.mul(x, x), int(neg[x]))
-        if not imask[defect]:
-            continue
-        lifted = None
-        negx = int(neg[x])
-        for e in idem:
-            if imask[ring.add(int(e), negx)]:
-                lifted = int(e)
-                break
-        if lifted is None:
-            return LiftReport(False, witnesses, failure=x)
-        witnesses[x] = lifted
+    add = ring.add_table
+    idx = np.arange(n)
+    need = np.flatnonzero(imask[add[ring.mul_table[idx, idx], ring.neg_table]])
+    # x and y share a coset of I iff they share its least element.
+    rep = np.full(n, -1, dtype=np.int64)
+    rep[need] = add[np.ix_(need, ids)].min(axis=1)
+    # Every idempotent is in ``need`` (e^2 - e = 0), so has a rep.
+    idem = np.flatnonzero(get_cache(ring).idempotent_mask)
+    lift_of = np.full(n, -1, dtype=np.int64)
+    reps, first = np.unique(rep[idem], return_index=True)
+    lift_of[reps] = idem[first]
+    lift = lift_of[rep[need]]
+    missing = np.flatnonzero(lift < 0)
+    stop = int(missing[0]) if missing.size else need.size
+    witnesses = dict(zip(need[:stop].tolist(), lift[:stop].tolist()))
+    if missing.size:
+        return LiftReport(False, witnesses, failure=int(need[stop]))
     return LiftReport(True, witnesses)
 
 

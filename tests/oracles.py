@@ -3,10 +3,18 @@
 Everything here is written as plain double/triple loops over the ring's
 scalar arithmetic, deliberately sharing no code with the vectorized
 kernels it cross-checks.  Expected values frozen into tests were
-computed with these functions.
+computed with these functions.  ``scalar_ideal_generated`` and
+``scalar_idempotents_lift_mod`` are the scalar worklist and double loop
+that ``ideal_generated`` and ``idempotents_lift_mod`` replaced, kept as
+their reference routes.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from ringlab import ElementSet
+from ringlab.invariants import LiftReport
 
 
 def naive_idempotents(ring) -> set[int]:
@@ -79,6 +87,91 @@ def naive_ucn0(ring) -> set[int]:
         if e in zc
         for j in jac
     }
+
+
+def naive_axioms(ring) -> bool:
+    """Every ring law on every pair and triple, by plain loops.
+
+    The tables are read once through ``ring.add``/``ring.mul`` into
+    nested lists; the laws are then checked triple by triple against
+    ``ring.zero`` and ``ring.one``.
+    """
+    n = ring.order
+    els = list(ring.elements())
+    add = [[ring.add(a, b) for b in els] for a in els]
+    mul = [[ring.mul(a, b) for b in els] for a in els]
+    if any(not 0 <= v < n for row in add + mul for v in row):
+        return False
+    zero, one = ring.zero, ring.one
+    for a in els:
+        if add[zero][a] != a or mul[one][a] != a or mul[a][one] != a:
+            return False
+        if zero not in add[a]:
+            return False
+        for b in els:
+            if add[a][b] != add[b][a]:
+                return False
+            s, p = add[a][b], mul[a][b]
+            for c in els:
+                if add[s][c] != add[a][add[b][c]]:
+                    return False
+                if mul[p][c] != mul[a][mul[b][c]]:
+                    return False
+                if mul[a][add[b][c]] != add[p][mul[a][c]]:
+                    return False
+                if mul[s][c] != add[mul[a][c]][mul[b][c]]:
+                    return False
+    return True
+
+
+def scalar_ideal_generated(ring, generators) -> ElementSet:
+    """The worklist closure: least two-sided ideal containing ``generators``."""
+    n = ring.order
+    mask = np.zeros(n, dtype=bool)
+    mask[ring.zero] = True
+    members: list[int] = [ring.zero]
+    queue = sorted({int(g) for g in generators} - {ring.zero})
+    while queue:
+        x = queue.pop()
+        if mask[x]:
+            continue
+        mask[x] = True
+        candidates = set()
+        candidates.add(ring.neg(x))
+        for r in ring.elements():
+            candidates.add(ring.mul(x, r))
+            candidates.add(ring.mul(r, x))
+        candidates.update(ring.add(x, m) for m in members)
+        members.append(x)
+        for c in candidates:
+            if not mask[c]:
+                queue.append(c)
+    return ElementSet.from_mask(ring, mask)
+
+
+def scalar_idempotents_lift_mod(ring, ideal) -> LiftReport:
+    """The double loop: each x with x^2 - x in I against each idempotent.
+
+    ``ideal`` must already be a two-sided ideal; nothing checks it here.
+    """
+    imask = np.zeros(ring.order, dtype=bool)
+    imask[sorted(ideal)] = True
+    idem = sorted(naive_idempotents(ring))
+    witnesses: dict[int, int] = {}
+    for x in ring.elements():
+        defect = ring.add(ring.mul(x, x), ring.neg(x))
+        if not imask[defect]:
+            continue
+        lifted = None
+        negx = ring.neg(x)
+        for e in idem:
+            if imask[ring.add(e, negx)]:
+                lifted = e
+                break
+        if lifted is None:
+            return LiftReport(False, witnesses, failure=x)
+        witnesses[x] = lifted
+    return LiftReport(True, witnesses)
 
 
 def is_left_ideal(ring, subset: set[int]) -> bool:

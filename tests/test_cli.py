@@ -92,7 +92,13 @@ def test_build_command(spec_file, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["order"] == 4
-    assert doc["validation"]["ok"] is True
+    assert doc["validation"] == {"ok": True, "mode": "full", "triples_checked": 64}
+    # Above the 512-element limit the cubic laws are sampled.
+    path = spec_file({"matrix": {"n": 2, "base": {"zn": 5}}})
+    code, out, _ = run(capsys, "build", "--spec", path, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["validation"] == {"ok": True, "mode": "sampled", "triples_checked": 512}
 
 
 def test_catalog_command_with_manifest(capsys, tmp_path):

@@ -312,3 +312,21 @@ def test_provenance_spec_attached():
 def test_every_constructor_output_validates(small_catalog):
     for entry in small_catalog:
         assert validate_axioms(entry.ring, force=True).ok, entry.name
+
+
+# A commutative loop of order 6: a Latin square with zero 0 and inverses,
+# yet (2+2)+4 = 3 while 2+(2+4) = 2.
+_LOOP6 = [
+    [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+    [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3],
+]
+
+
+@pytest.mark.parametrize("m_add", [_LOOP6, [[0, 1, 2], [1, 2, 0], [2, 0, 0]]])
+def test_non_associative_module_addition_rejected(z2, m_add):
+    n = len(m_add)
+    act = [list(range(n)) for _ in range(2)]
+    with pytest.raises(RingConstructionError, match="^module addition is not associative$"):
+        formal_triangular(z2, z2, {"add": m_add}, act, [list(r) for r in zip(*act)])
+    with pytest.raises(RingConstructionError, match="^module addition is not associative$"):
+        ideal_extension(z2, {"add": m_add}, act, [list(r) for r in zip(*act)])

@@ -9,7 +9,8 @@ from ringlab import (
     validate_axioms,
     zn,
 )
-from oracles import naive_units
+from ringlab.core import TableRing, additive_generators
+from oracles import naive_axioms, naive_units
 
 
 def zn_tables(n):
@@ -133,3 +134,141 @@ def test_elementset_mask_roundtrip(z4):
     assert len(s) == 2 and list(s) == [1, 3]
     with pytest.raises(ValueError):
         ElementSet(z4, frozenset({9}))
+
+
+class _Tables:
+    """Bare add/mul tables with a zero and a one, for the naive oracle."""
+
+    def __init__(self, add, mul, zero, one):
+        self.order = len(add)
+        self._add, self._mul = add.tolist(), mul.tolist()
+        self.zero, self.one = zero, one
+
+    def elements(self):
+        return range(self.order)
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+
+def _violates(t: _Tables, axiom: str, w: tuple) -> bool:
+    """Whether witness ``w`` really breaks ``axiom`` in tables ``t``."""
+    add, mul = t.add, t.mul
+    if axiom == "add-commutativity":
+        return add(*w) != add(w[1], w[0])
+    if axiom == "add-zero":
+        return w[0] == t.zero and add(*w) != w[1]
+    if axiom == "add-inverse":
+        return all(add(w[0], b) != t.zero for b in t.elements())
+    if axiom == "mul-left-identity":
+        return w[0] == t.one and mul(*w) != w[1]
+    if axiom == "mul-right-identity":
+        return w[1] == t.one and mul(*w) != w[0]
+    a, b, c = w
+    if axiom == "add-associativity":
+        return add(add(a, b), c) != add(a, add(b, c))
+    if axiom == "mul-associativity":
+        return mul(mul(a, b), c) != mul(a, mul(b, c))
+    if axiom == "left-distributivity":
+        return mul(a, add(b, c)) != add(mul(a, b), mul(a, c))
+    if axiom == "right-distributivity":
+        return mul(add(a, b), c) != add(mul(a, c), mul(b, c))
+    raise AssertionError(f"unknown axiom {axiom}")
+
+
+def _check_against_oracle(add, mul, zero, one) -> str:
+    """validate_axioms and naive_axioms agree; returns the failed law."""
+    tables = _Tables(add, mul, zero, one)
+    expected = naive_axioms(tables)
+    try:
+        ring = TableRing(add, mul, zero, one)
+    except RingConstructionError:
+        # A row of + without zero: no additive inverse.
+        assert not expected
+        return "no-inverse"
+    report = validate_axioms(ring)
+    assert report.ok == expected
+    assert report.mode == "full"
+    if report.ok:
+        return "ok"
+    assert _violates(tables, report.axiom, report.witness), report
+    return report.axiom
+
+
+def test_full_validation_matches_naive_oracle(small_catalog):
+    for entry in small_catalog:
+        ring = entry.ring
+        assert naive_axioms(ring), entry.name
+        report = validate_axioms(ring)
+        assert report.ok and report.triples_checked == ring.order ** 3, entry.name
+
+
+def test_additive_generators_are_few(small_catalog):
+    for entry in small_catalog:
+        ring = entry.ring
+        gens = additive_generators(ring.add_table, ring.zero)
+        assert len(gens) <= max(1, (ring.order - 1).bit_length()), entry.name
+    assert additive_generators(zn(8).add_table, 0).tolist() == [1]
+
+
+def test_seeded_corruptions_match_naive_oracle(small_catalog):
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for entry in small_catalog:
+        ring = entry.ring
+        n, zero, one = ring.order, ring.zero, ring.one
+        add0 = ring.add_table.astype(np.int64)
+        mul0 = ring.mul_table.astype(np.int64)
+        for _ in range(12):
+            # One product cell changed.
+            a, b = (int(v) for v in rng.integers(0, n, size=2))
+            mul = mul0.copy()
+            mul[a, b] = (mul[a, b] + int(rng.integers(1, n))) % n
+            seen.add(_check_against_oracle(add0, mul, zero, one))
+            # One sum changed in both cells, so + stays commutative and
+            # the check has to reach associativity.
+            a, b = (int(v) for v in rng.integers(0, n, size=2))
+            add = add0.copy()
+            add[a, b] = add[b, a] = (add[a, b] + int(rng.integers(1, n))) % n
+            seen.add(_check_against_oracle(add, mul0, zero, one))
+    assert {"add-associativity", "left-distributivity"} <= seen
+
+
+def test_distributive_but_not_associative_product_rejected():
+    # F2-algebra on 1, x, y with xx = y, xy = yy = 0, yx = x: bilinear
+    # and unital, but (xx)x = x while x(xx) = 0.  Ids are bit vectors.
+    basis = [[1, 2, 4], [2, 4, 0], [4, 2, 0]]
+    ids = range(8)
+    add = np.array([[a ^ b for b in ids] for a in ids])
+    mul = np.zeros((8, 8), dtype=np.int64)
+    for a in ids:
+        for b in ids:
+            for i in range(3):
+                for j in range(3):
+                    if a >> i & 1 and b >> j & 1:
+                        mul[a, b] ^= basis[i][j]
+    assert _check_against_oracle(add, mul, 0, 1) == "mul-associativity"
+
+
+def test_left_but_not_right_distributive_product_rejected():
+    # On F2^2 every row a -> ab is additive, but (2+1)*2 = 0 != 2*2 + 1*2.
+    add = np.array([[a ^ b for b in range(4)] for a in range(4)])
+    mul = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 0, 3]])
+    assert _check_against_oracle(add, mul, 0, 1) == "right-distributivity"
+
+
+def test_sampled_rows_report_the_bad_mul_column():
+    base = zn(30)
+
+    def mul_row(a):
+        row = base.mul_row(a).copy()
+        if a == 5:
+            row[7] = 99
+        return row
+
+    lazy = LazyRing(30, 0, 1, base.add_row, mul_row, base.neg_table)
+    report = validate_axioms(lazy, limit=8, force=True)
+    assert (report.ok, report.axiom, report.witness) == (False, "mul-closure", (5, 7))

@@ -36,6 +36,8 @@ from oracles import (
     naive_two_good,
     naive_ucn0,
     naive_units,
+    scalar_ideal_generated,
+    scalar_idempotents_lift_mod,
 )
 
 
@@ -107,6 +109,41 @@ def test_lifting(z4):
         idempotents_lift_mod(z4, [0, 1])  # not an ideal (absorbs to everything)
 
 
+def _principal_ideals(ring) -> list[list[int]]:
+    """Every ideal generated by one element, each once, checked on the way."""
+    out = {}
+    for x in ring.elements():
+        ideal = ideal_generated(ring, [x])
+        assert ideal == scalar_ideal_generated(ring, [x]), (ring.name, x)
+        out.setdefault(frozenset(ideal.members), ideal.sorted_ids())
+    return list(out.values())
+
+
+def _assert_kernels_match_scalar_routes(ring):
+    ideals = [jacobson_radical(ring).sorted_ids()] + _principal_ideals(ring)
+    for ideal in ideals:
+        report = idempotents_lift_mod(ring, ideal)
+        assert report == scalar_idempotents_lift_mod(ring, ideal), (ring.name, ideal)
+        assert report.lifts  # finite rings are exchange rings
+
+
+def test_ideal_and_lifting_kernels_match_scalar_routes(small_catalog):
+    for entry in small_catalog:
+        _assert_kernels_match_scalar_routes(entry.ring)
+
+
+def test_lifting_failure_branch(monkeypatch):
+    # No ideal of a finite ring blocks lifting, so hide the idempotent 3
+    # of Z6 from the kernel: x = 3 (3^2 - 3 = 0) then has no lift.
+    from ringlab.invariants import InvariantCache, LiftReport
+
+    ring = zn(6)
+    hidden = np.array([True, True, False, False, True, False])
+    monkeypatch.setattr(InvariantCache, "idempotent_mask", property(lambda self: hidden))
+    report = idempotents_lift_mod(ring, [0])
+    assert report == LiftReport(False, {0: 0, 1: 1}, failure=3)
+
+
 def test_left_ideal_examples(z4, f4, t2z2):
     lattice = left_ideals(z4)
     assert sorted(sorted(i) for i in lattice) == [[0], [0, 1, 2, 3], [0, 2]]
@@ -173,7 +210,7 @@ def test_radical_of_radical_quotient_vanishes(small_catalog):
         assert jacobson_radical(quotient).sorted_ids() == [quotient.zero], entry.name
 
 
-_SMALL_SPECS = st.sampled_from([
+_SMALL_SPEC_LIST = [
     {"zn": 2}, {"zn": 3}, {"zn": 4}, {"zn": 5}, {"zn": 6}, {"zn": 8},
     {"zn": 9}, {"zn": 12}, {"gf": {"p": 2, "k": 2}}, {"gf": {"p": 3, "k": 1}},
     {"product": [{"zn": 2}, {"zn": 2}]},
@@ -187,7 +224,8 @@ _SMALL_SPECS = st.sampled_from([
     {"group_ring": {"base": {"zn": 2}, "group": {"cyclic": 4}}},
     {"group_ring": {"base": {"zn": 3}, "group": {"cyclic": 2}}},
     {"opposite": {"triangular": {"n": 2, "base": {"zn": 2}}}},
-])
+]
+_SMALL_SPECS = st.sampled_from(_SMALL_SPEC_LIST)
 
 
 @settings(max_examples=20, deadline=None)
@@ -200,3 +238,8 @@ def test_property_invariant_coherence(spec):
     assert naive_jacobson(ring) == jac
     assert idem & jac == {ring.zero}
     assert {ring.add(ring.one, j) for j in jac} <= inv
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST)
+def test_kernels_match_scalar_routes_on_small_specs(spec):
+    _assert_kernels_match_scalar_routes(build(spec))
