@@ -24,10 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .construct import quotient_ring
-from .core import ElementSet, FiniteRing
+from .core import FiniteRing
 from .elements import decomposition_counts, element_profile, ElementProfile
 from .errors import SizeOverflowError
-from .invariants import get_cache, idempotents_lift_mod
+from .invariants import _lift_mod_mask, get_cache
 
 #: JSON field names of the classification vector, in canonical order.
 CLASSIFICATION_FIELDS = (
@@ -242,7 +242,8 @@ def classify(
     if w is not None:
         witnesses["is_semi_potent"] = {"element": ring.label_of(w)}
 
-    lift = idempotents_lift_mod(ring, ElementSet.from_mask(ring, jac_mask))
+    # J is asserted to be an ideal when the cache computes it.
+    lift = _lift_mod_mask(ring, jac_mask)
     is_potent = is_semi_potent and lift.lifts
     if not lift.lifts:
         witnesses["is_potent"] = {"element": ring.label_of(lift.failure)}

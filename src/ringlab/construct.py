@@ -8,10 +8,16 @@ opposite rings.
 
 Composite rings are assembled from mixed-radix element coordinates: the
 additive structure is always componentwise, so only the multiplication
-formula varies per family.  Tables materialize fully up to ``threshold``
-elements (default 4096) and become row-memoized :class:`LazyRing`
-handles above it; the hard cap :data:`ringlab.core.MAX_ORDER` is never
-crossed.  Constructor outputs are validated at build time: up to order
+formula varies per family.  ``_assemble_ring`` evaluates each family's
+digit formula on an open digit grid in the style of ``np.ix_``, one
+dimension per axis of size > 1 and side, so a gather touches only the
+digits it depends on (4^6 cells for entry (0,2) of T3(Z4), not 4096^2);
+axes of size 1 take no dimension.  Only the final mixed-radix encode,
+in ``dtype_for(order)``, writes all order^2 cells.  Tables materialize
+fully up to ``threshold`` elements (default 4096) and become
+row-memoized :class:`LazyRing` handles above it, whose rows go through
+the same evaluator; the hard cap :data:`ringlab.core.MAX_ORDER` is
+never crossed.  Constructor outputs are validated at build time: up to order
 256 the cubic laws are decided for all n^3 triples from the additive
 generators (Light's test for associativity of +, bilinearity for the
 distributive laws and for associativity of the product); above it, by
@@ -21,6 +27,7 @@ test for associativity.
 
 from __future__ import annotations
 
+import itertools
 import json
 from importlib import resources
 from typing import Callable, Iterable, Optional, Sequence
@@ -95,7 +102,12 @@ def _axis_of_module(add_table: np.ndarray) -> tuple["_Axis", int]:
 
 
 class _Assembly:
-    """Mixed-radix coordinates plus a multiplication formula."""
+    """Mixed-radix coordinates over the axes' additive groups.
+
+    Axis 0 is the most significant digit.  Axes of size 1 carry only
+    the digit 0; they take no dimension of the digit grid and add
+    nothing to an encoded id.
+    """
 
     def __init__(self, axes: Sequence[_Axis]):
         self.axes = list(axes)
@@ -110,16 +122,48 @@ class _Assembly:
             w //= s
             weights.append(w)
         self.weights = weights
+        self.open_axes = [p for p, s in enumerate(self.sizes) if s > 1]
+        #: Shape of one side of the grid: the sizes of the open axes.
+        self.shape = tuple(self.sizes[p] for p in self.open_axes)
 
-    def decode(self, ids: np.ndarray) -> list[np.ndarray]:
-        return [
-            (ids // w) % s for w, s in zip(self.weights, self.sizes)
-        ]
+    def grid(self, offset: int, ndim: int) -> list:
+        """Digits of every element on an open grid, as ``np.ix_`` gives.
 
-    def encode(self, digits: Sequence[np.ndarray], dtype) -> np.ndarray:
-        acc = np.zeros(np.broadcast(*digits).shape if len(digits) > 1 else np.shape(digits[0]), dtype=dtype)
-        for w, d in zip(self.weights, digits):
-            acc += np.asarray(d, dtype=dtype) * dtype.type(w)
+        Open axis q varies along dimension ``offset + q`` of an
+        ``ndim``-dimensional grid; an axis of size 1 is the 0-d digit 0.
+        """
+        digits: list = [0] * len(self.sizes)
+        for q, p in enumerate(self.open_axes):
+            shape = [1] * ndim
+            shape[offset + q] = self.sizes[p]
+            digits[p] = np.arange(self.sizes[p]).reshape(shape)
+        return digits
+
+    def digits_of(self, i: int) -> list[int]:
+        return [(i // w) % s for w, s in zip(self.weights, self.sizes)]
+
+    def encode(self, digits: Sequence, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        """Ids of ``shape`` from per-axis digits that broadcast to it.
+
+        Weighted digits are summed on the grid dimensions they span for
+        as long as that stays below the full size; only then is the
+        partial sum added into the result in place.
+        """
+        acc = np.zeros(shape, dtype=dtype)
+        part = None
+        for p in self.open_axes:
+            digit = np.asarray(digits[p])
+            if part is not None and np.broadcast(part, digit).size == acc.size:
+                acc += part
+                part = None
+            weight = dtype.type(self.weights[p])
+            if part is None:
+                part = digit.astype(dtype)
+                part *= weight
+            else:
+                part = part + digit.astype(dtype) * weight
+        if part is not None:
+            acc += part
         return acc
 
     def encode_one(self, digits: Sequence[int]) -> int:
@@ -130,52 +174,57 @@ def _assemble_ring(
     assembly: _Assembly,
     mul_digits: Callable[[list, list], list],
     one_digits: Sequence[int],
-    label_fn: Callable[[list[int]], str],
+    label_fn: Callable[[Sequence[int]], str],
     spec: Optional[dict],
     name: Optional[str],
     threshold: int,
 ) -> FiniteRing:
-    """Build a table or lazy ring from coordinates and a product formula."""
+    """Build a table or lazy ring from coordinates and a product formula.
+
+    ``mul_digits(da, db)`` maps the digits of a and b, one entry per
+    axis, to the digits of ab; the per-axis add tables give a + b.  Both
+    are evaluated on an open digit grid: with k open axes (size > 1),
+    row axis q varies along dimension q and column axis q along
+    dimension k + q, so each gather touches only the digits its entry
+    depends on.  A table ring evaluates the whole grid, 2k dimensions;
+    a lazy row passes the row's digits as Python ints and the columns as
+    a k-dimensional grid.  Size-1 axes enter as the 0-d digit 0, so
+    degenerate rings such as M6(Z1) need no dimensions at all.  Only the
+    mixed-radix encode writes all cells, as broadcast in-place adds in
+    ``dtype_for(order)``.  ``label_fn`` gets the digits as a sequence of
+    ints; table rings label eagerly, in mixed-radix order.
+    """
     n = assembly.order
     if n > MAX_ORDER:
         raise SizeOverflowError(n, MAX_ORDER)
     dt = dtype_for(n)
     zero = assembly.encode_one([ax.zero for ax in assembly.axes])
     one = assembly.encode_one(one_digits)
-    all_ids = np.arange(n)
-    X = [np.asarray(d) for d in assembly.decode(all_ids)]
+    k = len(assembly.open_axes)
 
-    def labels_for(i: int) -> str:
-        return label_fn([int(x[i]) for x in X])
-
-    neg = assembly.encode([ax.neg[x] for ax, x in zip(assembly.axes, X)], dt)
+    def add_digits(da, db):
+        return [ax.add[x, y] for ax, x, y in zip(assembly.axes, da, db)]
 
     if n <= threshold:
-        da = [x[:, None] for x in X]
-        db = [x[None, :] for x in X]
-        add_tab = assembly.encode(
-            [ax.add[d1, d2] for ax, d1, d2 in zip(assembly.axes, da, db)], dt
-        )
-        mul_tab = assembly.encode(mul_digits(da, db), dt)
-        labels = [labels_for(i) for i in range(n)]
+        rows, cols = assembly.grid(0, 2 * k), assembly.grid(k, 2 * k)
+        shape = assembly.shape * 2
+        add_tab = assembly.encode(add_digits(rows, cols), shape, dt).reshape(n, n)
+        mul_tab = assembly.encode(mul_digits(rows, cols), shape, dt).reshape(n, n)
+        labels = [label_fn(d) for d in itertools.product(*map(range, assembly.sizes))]
         ring = TableRing(add_tab, mul_tab, zero, one, labels=labels, spec=spec, name=name)
     else:
+        cols, shape = assembly.grid(0, k), assembly.shape
+        neg = assembly.encode([ax.neg[x] for ax, x in zip(assembly.axes, cols)], shape, dt)
+
         def add_row(a):
-            da = [np.asarray([x[a]])[:, None] for x in X]
-            db = [x[None, :] for x in X]
-            row = assembly.encode(
-                [ax.add[d1, d2] for ax, d1, d2 in zip(assembly.axes, da, db)], dt
-            )
-            return row[0]
+            return assembly.encode(add_digits(assembly.digits_of(a), cols), shape, dt).reshape(n)
 
         def mul_row(a):
-            da = [np.asarray([x[a]])[:, None] for x in X]
-            db = [x[None, :] for x in X]
-            return assembly.encode(mul_digits(da, db), dt)[0]
+            return assembly.encode(mul_digits(assembly.digits_of(a), cols), shape, dt).reshape(n)
 
         ring = LazyRing(
-            n, zero, one, add_row, mul_row, neg,
-            spec=spec, name=name, label_fn=labels_for,
+            n, zero, one, add_row, mul_row, neg.reshape(n),
+            spec=spec, name=name, label_fn=lambda i: label_fn(assembly.digits_of(i)),
         )
     _validate_built(ring)
     ring.meta["axis_sizes"] = tuple(assembly.sizes)
@@ -627,11 +676,10 @@ def group_ring(
     ring = _assemble_ring(assembly, mul_digits, one_digits, label_fn,
                           spec, spec_name(spec), threshold)
 
-    X = assembly.decode(np.arange(order))
     eps = None
-    for digits in X:
+    for digits in assembly.grid(0, len(assembly.open_axes)):
         eps = digits if eps is None else aadd[eps, digits]
-    ring.meta["augmentation"] = np.asarray(eps)
+    ring.meta["augmentation"] = np.broadcast_to(eps, assembly.shape).reshape(order)
     embed = np.zeros(base.order, dtype=np.int64)
     for r in range(base.order):
         digits = [base.zero] * g

@@ -267,9 +267,15 @@ def idempotents_lift_mod(ring: FiniteRing, ideal: ElementSet | Iterable[int]) ->
     ids = sorted(ideal.members if isinstance(ideal, ElementSet) else set(ideal))
     if not is_two_sided_ideal(ring, ids):
         raise IdealError(f"subset {ids} is not a two-sided ideal of {ring.name}")
-    n = ring.order
-    imask = np.zeros(n, dtype=bool)
+    imask = np.zeros(ring.order, dtype=bool)
     imask[ids] = True
+    return _lift_mod_mask(ring, imask)
+
+
+def _lift_mod_mask(ring: FiniteRing, imask: np.ndarray) -> LiftReport:
+    """:func:`idempotents_lift_mod` for an ideal the caller has verified."""
+    n = ring.order
+    ids = np.flatnonzero(imask)
     add = ring.add_table
     idx = np.arange(n)
     need = np.flatnonzero(imask[add[ring.mul_table[idx, idx], ring.neg_table]])

@@ -6,7 +6,9 @@ kernels it cross-checks.  Expected values frozen into tests were
 computed with these functions.  ``scalar_ideal_generated`` and
 ``scalar_idempotents_lift_mod`` are the scalar worklist and double loop
 that ``ideal_generated`` and ``idempotents_lift_mod`` replaced, kept as
-their reference routes.
+their reference routes; ``reference_assembly`` is the per-element
+assembly that the open digit grid of ``construct._assemble_ring``
+replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ringlab import ElementSet
+from ringlab.core import LazyRing, TableRing, dtype_for
 from ringlab.invariants import LiftReport
 
 
@@ -204,3 +207,53 @@ def diagram_implications(c) -> list[tuple[str, bool]]:
         ("strongly_clean=>clean", implies(c.is_strongly_clean, c.is_clean)),
         ("boolean=>UC", implies(c.is_boolean, c.is_UC)),
     ]
+
+
+def reference_assembly(assembly, mul_digits, one_digits, label_fn, threshold):
+    """The per-element route for ``construct._assemble_ring``'s arguments.
+
+    Every element's digits are decoded into full-length vectors X;
+    tables are evaluated on (n, 1) x (1, n) grids of them, lazy rows on
+    (1, 1) x (1, n) grids, and labels read back through numpy scalars.
+    The ring is returned unvalidated, with ``meta['axis_sizes']``.
+    """
+    n = assembly.order
+    dt = dtype_for(n)
+    axes, sizes, weights = assembly.axes, assembly.sizes, assembly.weights
+
+    def encode(digits):
+        shape = np.broadcast(*digits).shape if len(digits) > 1 else np.shape(digits[0])
+        acc = np.zeros(shape, dtype=dt)
+        for w, d in zip(weights, digits):
+            acc += np.asarray(d, dtype=dt) * dt.type(w)
+        return acc
+
+    zero = sum(w * int(ax.zero) for w, ax in zip(weights, axes))
+    one = sum(w * int(d) for w, d in zip(weights, one_digits))
+    all_ids = np.arange(n)
+    X = [np.asarray((all_ids // w) % s) for w, s in zip(weights, sizes)]
+
+    def labels_for(i):
+        return label_fn([int(x[i]) for x in X])
+
+    neg = encode([ax.neg[x] for ax, x in zip(axes, X)])
+    if n <= threshold:
+        da = [x[:, None] for x in X]
+        db = [x[None, :] for x in X]
+        add_tab = encode([ax.add[d1, d2] for ax, d1, d2 in zip(axes, da, db)])
+        mul_tab = encode(mul_digits(da, db))
+        ring = TableRing(add_tab, mul_tab, zero, one, labels=[labels_for(i) for i in range(n)])
+    else:
+        def add_row(a):
+            da = [np.asarray([x[a]])[:, None] for x in X]
+            db = [x[None, :] for x in X]
+            return encode([ax.add[d1, d2] for ax, d1, d2 in zip(axes, da, db)])[0]
+
+        def mul_row(a):
+            da = [np.asarray([x[a]])[:, None] for x in X]
+            db = [x[None, :] for x in X]
+            return encode(mul_digits(da, db))[0]
+
+        ring = LazyRing(n, zero, one, add_row, mul_row, neg, label_fn=labels_for)
+    ring.meta["axis_sizes"] = tuple(sizes)
+    return ring

@@ -149,3 +149,15 @@ def test_isomorphism_respects_size_limit(z4):
 
     with pytest.raises(SizeOverflowError):
         check_isomorphic(zn(300), zn(300), order_limit=64)
+
+
+def test_classify_lifts_over_j_without_rechecking_it(monkeypatch):
+    # The invariant cache asserts J is an ideal; lifting must not redo it.
+    import ringlab.invariants as invariants
+
+    def recheck(ring, subset):
+        raise AssertionError(f"J of {ring.name} re-checked")
+
+    monkeypatch.setattr(invariants, "is_two_sided_ideal", recheck)
+    c = classify(trunc_poly(zn(2), 3))
+    assert c.is_potent and c.is_local

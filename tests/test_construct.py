@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ringlab.catalog import DEFAULT_SPECS, default_catalog
+from ringlab.core import DEFAULT_THRESHOLD, LazyRing, TableRing, dtype_for
 from ringlab import (
     BimoduleError,
     EndomorphismError,
@@ -9,6 +13,7 @@ from ringlab import (
     SpecError,
     build,
     check_isomorphic,
+    construct,
     corner_ring,
     cyclic,
     formal_triangular,
@@ -32,7 +37,8 @@ from ringlab import (
     validate_spec,
     zn,
 )
-from oracles import naive_units
+from oracles import naive_units, reference_assembly
+from test_invariants import _SMALL_SPEC_LIST
 
 
 Z2 = {"zn": 2}
@@ -330,3 +336,119 @@ def test_non_associative_module_addition_rejected(z2, m_add):
         formal_triangular(z2, z2, {"add": m_add}, act, [list(r) for r in zip(*act)])
     with pytest.raises(RingConstructionError, match="^module addition is not associative$"):
         ideal_extension(z2, {"add": m_add}, act, [list(r) for r in zip(*act)])
+
+
+# ---------------------------------------------------------------------------
+# the open digit grid against the per-element reference route
+
+_FT_Z2_Z4 = {
+    "a": Z2, "b": Z4, "m": {"add": [[0, 1], [1, 0]]},
+    "left_action": [[0, 0], [0, 1]], "right_action": [[0, 0, 0, 0], [0, 1, 0, 1]],
+}
+
+#: One spec per family that goes through ``_assemble_ring``.
+_FAMILY_SPECS = {
+    "product": {"product": [Z2, {"zn": 3}, Z4]},
+    "matrix": {"matrix": {"n": 2, "base": {"zn": 3}}},
+    "triangular": {"triangular": {"n": 3, "base": Z2}},
+    "group_ring": {"group_ring": {"base": Z2, "group": "symmetric3"}},
+    "trivial_extension": {"trivial_extension": Z4},
+    "ideal_extension": dict(DEFAULT_SPECS)["IE(Z4,2Z8)"],
+    "formal_triangular": {"formal_triangular": _FT_Z2_Z4},
+    "trivial_morita": dict(DEFAULT_SPECS)["MC(Z2,Z2;Z2,Z2)"],
+    "skew_trunc_poly": dict(DEFAULT_SPECS)["F4[x;frob]/x^2"],
+}
+
+
+def _assert_same_ring(ring, ref):
+    assert type(ring) is type(ref), ring.name
+    assert (ring.order, ring.zero, ring.one) == (ref.order, ref.zero, ref.one), ring.name
+    for got, want in (
+        (ring.add_table, ref.add_table),
+        (ring.mul_table, ref.mul_table),
+        (ring.neg_table, ref.neg_table),
+    ):
+        assert got.dtype == want.dtype, ring.name
+        assert np.array_equal(got, want), ring.name
+    assert ring.labels == ref.labels, ring.name
+    assert ring.meta["axis_sizes"] == ref.meta["axis_sizes"], ring.name
+
+
+@pytest.fixture()
+def reference_checked(monkeypatch):
+    """Compare every ``_assemble_ring`` call with the reference route.
+
+    Returns the list of the names of the rings compared so far, inner
+    builds included.
+    """
+    checked = []
+    grid_route = construct._assemble_ring
+
+    def both_routes(assembly, mul_digits, one_digits, label_fn, spec, name, threshold):
+        ring = grid_route(assembly, mul_digits, one_digits, label_fn, spec, name, threshold)
+        ref = reference_assembly(assembly, mul_digits, one_digits, label_fn, threshold)
+        _assert_same_ring(ring, ref)
+        checked.append(ring.name)
+        return ring
+
+    monkeypatch.setattr(construct, "_assemble_ring", both_routes)
+    return checked
+
+
+def test_grid_assembly_matches_reference_on_catalog(reference_checked):
+    assembled = {e.ring.name for e in default_catalog() if "axis_sizes" in e.ring.meta}
+    assert len(assembled) == 24 and "T3(Z4)" in assembled
+    assert assembled <= set(reference_checked)
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST, ids=str)
+def test_grid_assembly_matches_reference_on_small_specs(reference_checked, spec):
+    build(spec)
+
+
+@pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 1])
+@pytest.mark.parametrize("family", sorted(_FAMILY_SPECS))
+def test_grid_assembly_matches_reference_per_family(reference_checked, family, threshold):
+    ring = build(_FAMILY_SPECS[family], threshold=threshold)
+    assert reference_checked[-1] == ring.name
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_SPECS))
+def test_lazy_rows_equal_table_rows(family):
+    spec = _FAMILY_SPECS[family]
+    dense = build(spec)
+    lazy = build(spec, threshold=dense.order - 1)
+    assert isinstance(lazy, LazyRing) and isinstance(dense, TableRing)
+    assert lazy.neg_table.dtype == dense.neg_table.dtype
+    assert np.array_equal(lazy.neg_table, dense.neg_table)
+    for a in dense.elements():
+        assert np.array_equal(lazy.add_row(a), dense.add_row(a)), (family, a)
+        assert np.array_equal(lazy.mul_row(a), dense.mul_row(a)), (family, a)
+        assert lazy.add_row(a).dtype == dense.add_table.dtype
+    assert lazy.labels == dense.labels
+
+
+@pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0])
+def test_size_one_axes_take_no_grid_dimension(threshold):
+    # 36 and 40 axes: a dimension per axis and side would pass numpy's cap.
+    m6 = matrix_ring(6, zn(1), threshold=threshold)
+    assert (m6.order, m6.meta["axis_sizes"]) == (1, (1,) * 36)
+    assert m6.labels == ["(" + ";".join([" ".join(["0"] * 6)] * 6) + ")"]
+    z1c40 = group_ring(zn(1), cyclic(40), threshold=threshold)
+    assert (z1c40.order, z1c40.meta["axis_sizes"]) == (1, (1,) * 40)
+    assert z1c40.labels == ["0"]
+    assert z1c40.meta["augmentation"].tolist() == [0]
+    for ring in (m6, z1c40):
+        assert ring.zero == ring.one == 0
+        assert ring.add_row(0).tolist() == ring.mul_row(0).tolist() == [0]
+
+
+def test_t3z4_build_allocates_at_most_two_tables_beyond_its_own():
+    tracemalloc.start()
+    try:
+        ring = triangular_ring(3, zn(4))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = ring.order
+    assert peak - kept <= 2 * n * n * dtype_for(n).itemsize, (peak, kept)
