@@ -14,6 +14,11 @@ is right quasi-duo iff R/J is commutative (quasi-duo passes between R
 and R/J, R/J is a product of rings M_n(F_q), and M_n(F) with n >= 2 is
 not quasi-duo).  The suite's ``crosschecks`` compares this with the
 maximal one-sided ideals of the lattice.
+
+The decomposition counts, R/J (:func:`radical_quotient`, shared with the
+suite) and each reading's vector are kept in the ring's own memo
+(:meth:`InvariantCache.memo`).  The readings of uniqueness differ only in
+how the strong counts are read, so the second one costs O(n).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .construct import quotient_ring
 from .core import FiniteRing
-from .elements import decomposition_counts, element_profile, ElementProfile
+from .elements import READINGS, ElementProfile, decomposition_counts, element_profile
 from .errors import SizeOverflowError
 from .invariants import _lift_mod_mask, get_cache
 
@@ -40,7 +45,7 @@ CLASSIFICATION_FIELDS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Classification:
     """The full boolean predicate vector of one ring.
 
@@ -81,20 +86,14 @@ class Classification:
         return out
 
 
-def _quantify(counts: np.ndarray, over: np.ndarray, want_exactly_one: bool,
+def _quantify(counts: np.ndarray, over: np.ndarray,
               at_most_one: bool = False) -> tuple[bool, Optional[int]]:
-    """All elements of ``over`` have exactly/at-most one decomposition."""
-    ids = np.flatnonzero(over)
-    if ids.size == 0:
-        return True, None
-    sub = counts[ids]
-    if want_exactly_one and not at_most_one:
-        bad = ids[np.flatnonzero(sub != 1)]
-    else:
-        bad = ids[np.flatnonzero(sub > 1)]
-    if bad.size:
-        return False, int(bad[0])
-    return True, None
+    """All elements of ``over`` have exactly (or at most) one decomposition.
+
+    On failure, also the least element of ``over`` that does not.
+    """
+    bad = np.flatnonzero(over & ((counts > 1) if at_most_one else (counts != 1)))
+    return (False, int(bad[0])) if bad.size else (True, None)
 
 
 def _regular_mask(ring: FiniteRing) -> np.ndarray:
@@ -123,60 +122,61 @@ def _semi_potent(ring: FiniteRing, jac_mask: np.ndarray, idem_mask: np.ndarray):
     return False, int(np.flatnonzero(~ok)[0])
 
 
+def radical_quotient(ring: FiniteRing) -> FiniteRing:
+    """R/J, built once per ring handle and kept in the ring's memo."""
+    cache = get_cache(ring)
+    return cache.memo("radical_quotient", lambda: quotient_ring(
+        ring, np.flatnonzero(cache.jacobson_mask).tolist()))
+
+
 def classify(
     ring: FiniteRing,
     *,
     usc_reading: str = "exact-one",
 ) -> Classification:
-    """Compute the full classification vector of a ring."""
+    """Compute the full classification vector of a ring, once per handle."""
+    if usc_reading not in READINGS:
+        raise ValueError(f"reading must be one of {READINGS}, got {usc_reading!r}")
+    return get_cache(ring).memo(f"classification:{usc_reading}", lambda: _classify(
+        ring, at_most_one=usc_reading == "at-most-one"))
+
+
+def _classify(ring: FiniteRing, at_most_one: bool) -> Classification:
+    """The decomposition fields under one reading, plus the memoized rest."""
+    cache = get_cache(ring)
+    clean_counts, strong_counts = cache.memo(
+        "decomposition_counts", lambda: decomposition_counts(ring))
+    fields, witnesses = {}, {}
+    for name, counts in (("is_clean", clean_counts), ("is_strongly_clean", strong_counts)):
+        fields[name] = bool((counts > 0).all())
+        if not fields[name]:
+            witnesses[name] = {"element": ring.label_of(int(np.flatnonzero(counts == 0)[0]))}
+    everything, clean_mask = np.ones(ring.order, dtype=bool), clean_counts > 0
+    # Only the strong counts are read differently under "at most one".
+    for name, strong, over in (
+        ("is_UC", False, everything), ("is_USC", True, everything),
+        ("is_CUC", False, clean_mask), ("is_CUSC", True, clean_mask),
+        ("is_UUC", False, cache.unit_mask), ("is_UUSC", True, cache.unit_mask),
+    ):
+        counts = strong_counts if strong else clean_counts
+        fields[name], w = _quantify(counts, over, at_most_one=strong and at_most_one)
+        if w is not None:
+            decomps = element_profile(ring, w).clean_decomps
+            witnesses[name] = {"element": ring.label_of(w),
+                               "clean_decompositions": [d.to_json(ring) for d in decomps]}
+    rest, rest_witnesses = cache.memo("structure", lambda: _structure(ring))
+    return Classification(**fields, **rest, witnesses={**witnesses, **rest_witnesses})
+
+
+def _structure(ring: FiniteRing) -> tuple[dict, dict]:
+    """The reading-independent fields and their witnesses."""
     cache = get_cache(ring)
     n = ring.order
-    at_most = usc_reading == "at-most-one"
-    clean_counts, strong_counts = decomposition_counts(ring)
-    everything = np.ones(n, dtype=bool)
-    clean_mask = clean_counts > 0
     unit_mask = cache.unit_mask
     idem_mask = cache.idempotent_mask
     jac_mask = cache.jacobson_mask
     witnesses: dict = {}
 
-    def note(name, element, with_decomps=True):
-        payload = {"element": ring.label_of(element)}
-        if with_decomps:
-            prof = element_profile(ring, element, usc_reading)
-            payload["clean_decompositions"] = [
-                d.to_json(ring) for d in prof.clean_decomps
-            ]
-        witnesses[name] = payload
-
-    is_clean = bool(clean_mask.all())
-    if not is_clean:
-        note("is_clean", int(np.flatnonzero(~clean_mask)[0]), with_decomps=False)
-    strongly_mask = strong_counts > 0
-    is_strongly_clean = bool(strongly_mask.all())
-    if not is_strongly_clean:
-        note("is_strongly_clean", int(np.flatnonzero(~strongly_mask)[0]), with_decomps=False)
-
-    is_UC, w = _quantify(clean_counts, everything, True)
-    if w is not None:
-        note("is_UC", w)
-    is_USC, w = _quantify(strong_counts, everything, True, at_most)
-    if w is not None:
-        note("is_USC", w)
-    is_CUC, w = _quantify(clean_counts, clean_mask, True)
-    if w is not None:
-        note("is_CUC", w)
-    is_CUSC, w = _quantify(strong_counts, clean_mask, True, at_most)
-    if w is not None:
-        note("is_CUSC", w)
-    is_UUC, w = _quantify(clean_counts, unit_mask, True)
-    if w is not None:
-        note("is_UUC", w)
-    is_UUSC, w = _quantify(strong_counts, unit_mask, True, at_most)
-    if w is not None:
-        note("is_UUSC", w)
-
-    idx = np.arange(n)
     boolean_bad = np.flatnonzero(~idem_mask)
     is_boolean = boolean_bad.size == 0
     if not is_boolean:
@@ -205,7 +205,7 @@ def classify(
         witnesses["is_commutative"] = {"pair": [ring.label_of(a), ring.label_of(b)]}
 
     # Local: the quotient by the radical is a division ring.
-    quotient = quotient_ring(ring, np.flatnonzero(jac_mask).tolist())
+    quotient = radical_quotient(ring)
     qcache = get_cache(quotient)
     q_bad = [
         int(i) for i in np.flatnonzero(~qcache.unit_mask) if i != quotient.zero
@@ -281,15 +281,7 @@ def classify(
         bad = int(np.flatnonzero(unit_mask != one_plus_j)[0])
         witnesses["U_equals_one_plus_J"] = {"element": ring.label_of(bad)}
 
-    return Classification(
-        is_clean=is_clean,
-        is_strongly_clean=is_strongly_clean,
-        is_UC=is_UC,
-        is_USC=is_USC,
-        is_CUC=is_CUC,
-        is_CUSC=is_CUSC,
-        is_UUC=is_UUC,
-        is_UUSC=is_UUSC,
+    return dict(
         is_boolean=is_boolean,
         is_reduced=is_reduced,
         is_abelian=is_abelian,
@@ -306,8 +298,7 @@ def classify(
         R_equals_ucn0=R_equals_ucn0,
         RmodJ_boolean=RmodJ_boolean,
         U_equals_one_plus_J=U_equals_one_plus_J,
-        witnesses=witnesses,
-    )
+    ), witnesses
 
 
 def classify_element_summary(

@@ -540,8 +540,7 @@ def quotient_ring(
     """
     gens = sorted({int(g) for g in generators})
     spec = spec or {"quotient": {"base": base.spec, "generators": gens}}
-    ideal = ideal_generated(base, gens)
-    ideal_ids = np.asarray(ideal.sorted_ids())
+    ideal_ids = np.asarray(ideal_generated(base, gens).sorted_ids())
     n = base.order
     if isinstance(base, TableRing):
         reps = base.add_table[:, ideal_ids].min(axis=1)
@@ -564,9 +563,6 @@ def quotient_ring(
     )
     _validate_built(ring)
     ring.meta["projection"] = proj
-    ring.meta["base_ring"] = base
-    ring.meta["ideal"] = ideal
-    ring.meta["representatives"] = rep_ids
     return ring
 
 

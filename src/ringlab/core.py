@@ -75,7 +75,6 @@ class FiniteRing:
         self._label_index: Optional[dict] = None
         self.meta: dict = {}
         self._invariant_cache = None
-        self._classification_cache: dict = {}
 
     # -- arithmetic ------------------------------------------------------
 

@@ -1,16 +1,21 @@
-"""Canonical element sets of a finite ring.
+"""Canonical element sets of a finite ring, and the ring's one memo.
 
 Idempotents, units, nilpotents, the Jacobson radical (by quasi-
 regularity), the center, sums of two units, central-idempotent-plus-
 radical elements, ideal closure, idempotent lifting, and the one-sided
 ideal lattice.  Everything is computed exhaustively from the ring's
-tables; results are memoized on the ring handle (write-once, lock-
-guarded, safe to share).
+tables.
+
+:class:`InvariantCache` is the one per-ring memo: these masks, and what
+:mod:`ringlab.classify` stores through :meth:`InvariantCache.memo`.  It
+is write-once, lock-guarded, safe to share, and refers to its ring only
+weakly, so a ring is freed as soon as its last outside reference goes.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -24,16 +29,23 @@ DEFAULT_IDEAL_COUNT_LIMIT = 100_000
 
 
 class InvariantCache:
-    """Per-ring memo of the canonical element sets and the inverse map."""
+    """The ring's one memo: element sets, the inverse map, classify's results."""
 
     def __init__(self, ring: FiniteRing):
-        self.ring = ring
+        # Weak: the ring owns its cache, and a strong reference back
+        # would keep every ring alive until a full garbage collection.
+        self._ring = weakref.ref(ring)
         # Reentrant: computing one invariant may nest into another
         # (the radical consults the unit set) on the same thread.
         self._lock = threading.RLock()
-        self._memo: dict[str, np.ndarray] = {}
+        self._memo: dict[str, object] = {}
 
-    def _get(self, key: str, compute) -> np.ndarray:
+    @property
+    def ring(self) -> FiniteRing:
+        return self._ring()
+
+    def memo(self, key: str, compute):
+        """``compute()`` once per ring; arrays are stored read-only."""
         value = self._memo.get(key)
         if value is None:
             with self._lock:
@@ -52,16 +64,16 @@ class InvariantCache:
             idx = np.arange(n)
             return self.ring.mul_table[idx, idx] == idx
 
-        return self._get("idempotent", compute)
+        return self.memo("idempotent", compute)
 
     @property
     def unit_mask(self) -> np.ndarray:
-        return self._get("unit", self._compute_units)[0]
+        return self.memo("unit", self._compute_units)[0]
 
     @property
     def inverse(self) -> np.ndarray:
         """inverse[u] for units, -1 elsewhere."""
-        return self._get("unit", self._compute_units)[1]
+        return self.memo("unit", self._compute_units)[1]
 
     def _compute_units(self):
         ring = self.ring
@@ -99,7 +111,7 @@ class InvariantCache:
                 v = mul[v, v]
             return v == ring.zero
 
-        return self._get("nilpotent", compute)
+        return self.memo("nilpotent", compute)
 
     @property
     def jacobson_mask(self) -> np.ndarray:
@@ -112,7 +124,7 @@ class InvariantCache:
             self._assert_two_sided_ideal(mask)
             return mask
 
-        return self._get("jacobson", compute)
+        return self.memo("jacobson", compute)
 
     def _assert_two_sided_ideal(self, mask: np.ndarray):
         ring = self.ring
@@ -132,7 +144,7 @@ class InvariantCache:
             mul = self.ring.mul_table
             return (mul == mul.T).all(axis=1)
 
-        return self._get("center", compute)
+        return self.memo("center", compute)
 
     @property
     def two_good_mask(self) -> np.ndarray:
@@ -145,7 +157,7 @@ class InvariantCache:
                 mask[np.unique(sums)] = True
             return mask
 
-        return self._get("two_good", compute)
+        return self.memo("two_good", compute)
 
     @property
     def ucn0_mask(self) -> np.ndarray:
@@ -158,7 +170,7 @@ class InvariantCache:
             mask[np.unique(sums)] = True
             return mask
 
-        return self._get("ucn0", compute)
+        return self.memo("ucn0", compute)
 
 
 def get_cache(ring: FiniteRing) -> InvariantCache:

@@ -7,10 +7,12 @@ witness), ``not-applicable`` (hypotheses unmet), or ``skipped`` (size
 bounds).  An aggregate failure anywhere signals an implementation bug,
 never new mathematics: every statement checked here is established.
 
-Checks share a :class:`SuiteContext` that caches classifications and
-derived rings (radical quotients, triangular extensions, corners), so
-expensive rings are classified once.  Reports are deterministic:
-byte-identical across runs and worker counts.
+Checks share a :class:`SuiteContext` that holds the catalog and the
+derived rings built by spec (triangular extensions, matrix rings,
+factors).  A ring's classifications and its radical quotient live in
+the ring's own memo (see :mod:`ringlab.invariants`), so every check
+that asks for them reuses one computation per ring handle.  Reports
+are deterministic: byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .catalog import CatalogEntry, default_catalog
-from .classify import Classification, check_isomorphic, classify
+from .classify import Classification, check_isomorphic, classify, radical_quotient
 from .construct import build, corner_ring, quotient_ring, subring_generated
 from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
 from .errors import LatticeLimitError, SizeOverflowError, SpecError
@@ -85,7 +87,10 @@ class TheoremReport:
 
 
 class SuiteContext:
-    """Catalog plus per-ring caches shared by all checks.
+    """Catalog plus the derived rings shared by all checks, by spec.
+
+    Classifications and radical quotients are memoized on each ring
+    handle, not here; :meth:`classification` only fixes the reading.
 
     ``quasi_duo_order_limit`` and ``quasi_duo_count_limit`` bound the
     ideal-lattice route of the quasi-duo cross-check.  ``jobs`` is
@@ -115,18 +120,11 @@ class SuiteContext:
         self.quasi_duo_count_limit = quasi_duo_count_limit
         self.jobs = max(1, jobs)
         self._rings: dict[str, FiniteRing] = {}
-        self._quotients: dict[int, FiniteRing] = {}
         for entry in self.entries:
             self._rings.setdefault(_spec_key(entry.spec), entry.ring)
 
     def classification(self, ring: FiniteRing) -> Classification:
-        # Cached on the handle itself so discarded derived rings can
-        # never alias a later ring's cache slot.
-        got = ring._classification_cache.get(self.usc_reading)
-        if got is None:
-            got = classify(ring, usc_reading=self.usc_reading)
-            ring._classification_cache[self.usc_reading] = got
-        return got
+        return classify(ring, usc_reading=self.usc_reading)
 
     def derived(self, spec: dict) -> FiniteRing:
         """Build (or reuse) a ring by spec; caller handles size errors."""
@@ -136,15 +134,6 @@ class SuiteContext:
             ring = build(spec, threshold=self.threshold, validate=False)
             self._rings[key] = ring
         return ring
-
-    def radical_quotient(self, ring: FiniteRing) -> FiniteRing:
-        # The value tuple keeps the base alive so its id stays unique.
-        got = self._quotients.get(id(ring))
-        if got is None or got[0] is not ring:
-            gens = jacobson_radical(ring).sorted_ids()
-            got = (ring, quotient_ring(ring, gens))
-            self._quotients[id(ring)] = got
-        return got[1]
 
     def triangular_if_permitted(self, base_spec: dict, base: FiniteRing, n: int) -> Optional[FiniteRing]:
         """T_n over the base, honoring the derived-size budget.
@@ -456,7 +445,8 @@ def _check_lemma2_8(ctx: SuiteContext) -> TheoremReport:
         bad = None
         checked = 0
         for ideal_name, ideal_ids in _radical_subideals(ctx, ring):
-            quot = quotient_ring(ring, ideal_ids) if ideal_ids else ring
+            quot = (radical_quotient(ring) if ideal_name == "J"
+                    else quotient_ring(ring, ideal_ids) if ideal_ids else ring)
             qc = ctx.classification(quot)
             lifts = idempotents_lift_mod(
                 ring, ideal_ids if ideal_ids else [ring.zero]
@@ -489,7 +479,7 @@ def _check_prop2_2(ctx: SuiteContext) -> TheoremReport:
             rep.add(entry.name, NA, "order 1")
             continue
         c = ctx.classification(ring)
-        quot = ctx.radical_quotient(ring)
+        quot = radical_quotient(ring)
         if quot.order == 2:
             rmodj_is_z2 = check_isomorphic(quot, z2).found
         else:
@@ -649,7 +639,7 @@ def _check_thm3_1(ctx: SuiteContext) -> TheoremReport:
             rep.add(entry.name, FAIL, "finite ring reported non-semi-potent (bug)")
             continue
         cache = get_cache(ring)
-        quot = ctx.radical_quotient(ring)
+        quot = radical_quotient(ring)
         qc = ctx.classification(quot)
         units = np.flatnonzero(cache.unit_mask)
         idem = np.flatnonzero(cache.idempotent_mask)
@@ -733,7 +723,7 @@ def _check_cor3_6(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport("cor3.6", "semi-boolean iff potent with UUSC radical quotient")
     for entry in ctx.entries:
         c = ctx.classification(entry.ring)
-        qc = ctx.classification(ctx.radical_quotient(entry.ring))
+        qc = ctx.classification(radical_quotient(entry.ring))
         rep.require(
             entry.name,
             c.is_semi_boolean == (c.is_potent and qc.is_UUSC),
@@ -810,7 +800,7 @@ def _check_thm3_10(ctx: SuiteContext) -> TheoremReport:
         problems = []
         if c.one_is_two_good:
             problems.append("identity is two-good")
-        quot = ctx.radical_quotient(ring)
+        quot = radical_quotient(ring)
         qc = ctx.classification(quot)
         if qc.one_is_two_good:
             problems.append("identity is two-good modulo the radical")
@@ -1011,7 +1001,7 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
         )
         if not lift.lifts:
             problems.append("idempotents fail to lift modulo the radical")
-        quot = ctx.radical_quotient(ring)
+        quot = radical_quotient(ring)
         proj = quot.meta["projection"]
         qunits = get_cache(quot).unit_mask
         if not (cache.unit_mask == qunits[proj]).all():

@@ -9,6 +9,7 @@ Criteria:
   6. byte-identical verify output across runs and worker counts
 """
 
+import hashlib
 import io
 import json
 import time
@@ -169,8 +170,14 @@ def test_criterion_5_spot_checks(z4, z6, t2z2, m2z2):
     _announce(5, "known-value spot checks", ok)
 
 
+#: sha256 of ``verify --json`` with default settings, pinned so that a
+#: refactor of the caches or kernels cannot change the report unnoticed.
+VERIFY_JSON_SHA256 = "a8d324b8dcb31c541374c4f70e11f42b92639feac1225b51ada72645e8be694e"
+
+
 def test_criterion_6_determinism(verify_runs):
     code2, out2, _ = verify_runs[2]
     code1, out1, _ = verify_runs[1]
     ok = code1 == code2 == 0 and out1 == out2 and len(out1) > 1000
+    ok = ok and hashlib.sha256(out1.encode()).hexdigest() == VERIFY_JSON_SHA256
     _announce(6, "byte-identical verify output", ok)

@@ -1,7 +1,12 @@
+import gc
+import importlib
+import weakref
+
 import pytest
 
 from ringlab import (
     CLASSIFICATION_FIELDS,
+    LazyRing,
     build,
     check_isomorphic,
     classify,
@@ -18,6 +23,7 @@ from ringlab import (
     trunc_poly,
     zn,
 )
+from ringlab.elements import READINGS
 from ringlab.invariants import is_two_sided_ideal
 from oracles import diagram_implications
 
@@ -161,3 +167,51 @@ def test_classify_lifts_over_j_without_rechecking_it(monkeypatch):
     monkeypatch.setattr(invariants, "is_two_sided_ideal", recheck)
     c = classify(trunc_poly(zn(2), 3))
     assert c.is_potent and c.is_local
+
+
+@pytest.mark.parametrize("spec, threshold, lazy", [
+    ({"triangular": {"n": 2, "base": {"zn": 4}}}, 4096, False),
+    ({"product": [{"zn": 2}, {"triangular": {"n": 3, "base": {"zn": 2}}}]}, 8, True),
+])
+def test_classified_ring_is_freed_without_a_collection(spec, threshold, lazy):
+    # The memo refers to its ring weakly, so dropping the last reference
+    # frees the ring at once, with the cyclic collector switched off.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ring = build(spec, threshold=threshold)
+        assert isinstance(ring, LazyRing) is lazy
+        classify(ring)
+        ref = weakref.ref(ring)
+        del ring
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_classify_memo_serves_both_readings(monkeypatch):
+    classify_module = importlib.import_module("ringlab.classify")
+    spec = {"matrix": {"n": 2, "base": {"zn": 2}}}
+    fresh = {r: classify(build(spec), usc_reading=r).to_json() for r in READINGS}
+    # Not UUSC: the witnesses of the projected fields are exercised.
+    assert not fresh["exact-one"]["is_UUSC"] and "is_UUSC" in fresh["at-most-one"]["witnesses"]
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("classify went past the memo")
+
+    for first, second in (READINGS, READINGS[::-1]):
+        ring = build(spec)
+        got_first = classify(ring, usc_reading=first).to_json()
+        with monkeypatch.context() as patched:
+            for name in ("decomposition_counts", "quotient_ring", "_lift_mod_mask"):
+                patched.setattr(classify_module, name, recompute)
+            assert classify(ring, usc_reading=first).to_json() == got_first
+            got_second = classify(ring, usc_reading=second).to_json()
+        assert got_first == fresh[first]
+        assert got_second == fresh[second]
+
+
+def test_classify_rejects_an_unknown_reading(z2):
+    with pytest.raises(ValueError, match="reading"):
+        classify(z2, usc_reading="at-least-one")

@@ -1,4 +1,6 @@
+import importlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -13,6 +15,7 @@ from ringlab import (
     check_thm_3_1,
     check_thm_3_4_and_3_9_3_10,
     check_thm_3_11,
+    jacobson_radical,
     run_suite,
     suite_to_json,
     zn,
@@ -147,12 +150,37 @@ def test_every_catalog_ring_is_strongly_clean(suite_ctx):
 
 
 def test_readings_coincide_on_catalog(suite_ctx):
+    # The second reading is a projection of the memoized strong counts,
+    # so the whole catalog, T3(Z4) included, is cheap to compare.
     from ringlab import classify
 
     for entry in suite_ctx.entries:
-        if entry.ring.order > 64:
-            continue
         strict = suite_ctx.classification(entry.ring)
         relaxed = classify(entry.ring, usc_reading="at-most-one")
         for name in ("is_USC", "is_CUSC", "is_UUSC"):
             assert getattr(strict, name) == getattr(relaxed, name), (entry.name, name)
+
+
+def test_radical_quotient_is_built_once_per_ring(monkeypatch):
+    # classify and the suite share one R/J per ring handle, lemma2.8's
+    # "J" sub-ideal included.
+    calls = []
+
+    def counting(original):
+        def quotient_ring(base, generators, **kwargs):
+            generators = sorted(int(g) for g in generators)
+            calls.append((base, generators))  # keeps each base (and id) alive
+            return original(base, generators, **kwargs)
+        return quotient_ring
+
+    for name in ("ringlab.classify", "ringlab.theorems"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "quotient_ring", counting(module.quotient_ring))
+    ctx = SuiteContext()
+    run_suite(ctx, ["prop2.2", "lemma2.8", "cor3.6", "thm3.10", "crosschecks"])
+    by_radical = Counter(
+        id(base) for base, generators in calls
+        if generators == jacobson_radical(base).sorted_ids()
+    )
+    assert len(by_radical) >= len(ctx.entries)
+    assert max(by_radical.values()) == 1
