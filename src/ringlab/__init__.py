@@ -10,7 +10,6 @@ from .core import (
     DEFAULT_THRESHOLD,
     ElementSet,
     FiniteRing,
-    LazyRing,
     TableRing,
     ValidationReport,
     table_ring,

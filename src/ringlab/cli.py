@@ -47,7 +47,8 @@ def _add_common(parser: argparse.ArgumentParser, spec_required: bool = False):
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument(
         "--threshold", type=int, default=None,
-        help="table materialization threshold (default 4096; env RINGLAB_THRESHOLD)",
+        help="largest ring order to build; larger rings are refused with exit 2 "
+             "(default 16384; env RINGLAB_THRESHOLD)",
     )
     parser.add_argument(
         "--usc-reading", choices=_READING_CHOICES, default="exact-one",

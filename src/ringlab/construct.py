@@ -13,16 +13,17 @@ digit formula on an open digit grid in the style of ``np.ix_``, one
 dimension per axis of size > 1 and side, so a gather touches only the
 digits it depends on (4^6 cells for entry (0,2) of T3(Z4), not 4096^2);
 axes of size 1 take no dimension.  Only the final mixed-radix encode,
-in ``dtype_for(order)``, writes all order^2 cells.  Tables materialize
-fully up to ``threshold`` elements (default 4096) and become
-row-memoized :class:`LazyRing` handles above it, whose rows go through
-the same evaluator; the hard cap :data:`ringlab.core.MAX_ORDER` is
-never crossed.  Constructor outputs are validated at build time: up to order
-256 the cubic laws are decided for all n^3 triples from the additive
-generators (Light's test for associativity of +, bilinearity for the
-distributive laws and for associativity of the product); above it, by
-fixed-seed sampling.  Module add tables go through the same generator
-test for associativity.
+in ``dtype_for(order)``, writes all order^2 cells.  Constructors build
+dense tables of at most ``threshold`` elements (default 16384; quotients,
+corners and opposite rings never outgrow their base) and refuse a larger
+ring with :class:`SizeOverflowError`, naming the order and the bytes of
+its tables, before allocating any of them (:func:`ringlab.core.check_order`).
+Constructor outputs are validated at build time: up to order 256 the
+cubic laws are decided for all n^3 triples from the additive generators
+(Light's test for associativity of +, bilinearity for the distributive
+laws and for associativity of the product); above it, by fixed-seed
+sampling.  Module add tables go through the same generator test for
+associativity.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ import numpy as np
 
 from .core import (
     DEFAULT_THRESHOLD,
-    MAX_ORDER,
     FiniteRing,
-    LazyRing,
     TableRing,
     additive_associativity_witness,
     additive_generators,
+    check_order,
     dtype_for,
     spec_name,
     table_ring,
@@ -51,7 +51,6 @@ from .errors import (
     BimoduleError,
     EndomorphismError,
     RingConstructionError,
-    SizeOverflowError,
     SpecError,
 )
 from .groups import Group, group_from_spec
@@ -139,9 +138,6 @@ class _Assembly:
             digits[p] = np.arange(self.sizes[p]).reshape(shape)
         return digits
 
-    def digits_of(self, i: int) -> list[int]:
-        return [(i // w) % s for w, s in zip(self.weights, self.sizes)]
-
     def encode(self, digits: Sequence, shape: tuple, dtype: np.dtype) -> np.ndarray:
         """Ids of ``shape`` from per-axis digits that broadcast to it.
 
@@ -179,53 +175,38 @@ def _assemble_ring(
     name: Optional[str],
     threshold: int,
 ) -> FiniteRing:
-    """Build a table or lazy ring from coordinates and a product formula.
+    """Build a table ring from coordinates and a product formula.
 
     ``mul_digits(da, db)`` maps the digits of a and b, one entry per
     axis, to the digits of ab; the per-axis add tables give a + b.  Both
     are evaluated on an open digit grid: with k open axes (size > 1),
     row axis q varies along dimension q and column axis q along
     dimension k + q, so each gather touches only the digits its entry
-    depends on.  A table ring evaluates the whole grid, 2k dimensions;
-    a lazy row passes the row's digits as Python ints and the columns as
-    a k-dimensional grid.  Size-1 axes enter as the 0-d digit 0, so
-    degenerate rings such as M6(Z1) need no dimensions at all.  Only the
+    depends on.  Size-1 axes enter as the 0-d digit 0, so degenerate
+    rings such as M6(Z1) need no dimensions at all.  Only the
     mixed-radix encode writes all cells, as broadcast in-place adds in
-    ``dtype_for(order)``.  ``label_fn`` gets the digits as a sequence of
-    ints; table rings label eagerly, in mixed-radix order.
+    ``dtype_for(order)``; neg is encoded from the per-axis negs on one
+    side of the grid.  ``label_fn`` gets the digits as a sequence of
+    ints; labels follow mixed-radix order.  Orders above ``threshold``
+    are refused before any table is allocated.
     """
     n = assembly.order
-    if n > MAX_ORDER:
-        raise SizeOverflowError(n, MAX_ORDER)
+    check_order(n, threshold)
     dt = dtype_for(n)
     zero = assembly.encode_one([ax.zero for ax in assembly.axes])
     one = assembly.encode_one(one_digits)
     k = len(assembly.open_axes)
-
-    def add_digits(da, db):
-        return [ax.add[x, y] for ax, x, y in zip(assembly.axes, da, db)]
-
-    if n <= threshold:
-        rows, cols = assembly.grid(0, 2 * k), assembly.grid(k, 2 * k)
-        shape = assembly.shape * 2
-        add_tab = assembly.encode(add_digits(rows, cols), shape, dt).reshape(n, n)
-        mul_tab = assembly.encode(mul_digits(rows, cols), shape, dt).reshape(n, n)
-        labels = [label_fn(d) for d in itertools.product(*map(range, assembly.sizes))]
-        ring = TableRing(add_tab, mul_tab, zero, one, labels=labels, spec=spec, name=name)
-    else:
-        cols, shape = assembly.grid(0, k), assembly.shape
-        neg = assembly.encode([ax.neg[x] for ax, x in zip(assembly.axes, cols)], shape, dt)
-
-        def add_row(a):
-            return assembly.encode(add_digits(assembly.digits_of(a), cols), shape, dt).reshape(n)
-
-        def mul_row(a):
-            return assembly.encode(mul_digits(assembly.digits_of(a), cols), shape, dt).reshape(n)
-
-        ring = LazyRing(
-            n, zero, one, add_row, mul_row, neg.reshape(n),
-            spec=spec, name=name, label_fn=lambda i: label_fn(assembly.digits_of(i)),
-        )
+    rows, cols = assembly.grid(0, 2 * k), assembly.grid(k, 2 * k)
+    shape = assembly.shape * 2
+    add_tab = assembly.encode(
+        [ax.add[x, y] for ax, x, y in zip(assembly.axes, rows, cols)], shape, dt
+    ).reshape(n, n)
+    mul_tab = assembly.encode(mul_digits(rows, cols), shape, dt).reshape(n, n)
+    neg = assembly.encode(
+        [ax.neg[x] for ax, x in zip(assembly.axes, assembly.grid(0, k))], assembly.shape, dt
+    ).reshape(n)
+    labels = [label_fn(d) for d in itertools.product(*map(range, assembly.sizes))]
+    ring = TableRing(add_tab, mul_tab, zero, one, labels=labels, spec=spec, name=name, neg=neg)
     _validate_built(ring)
     ring.meta["axis_sizes"] = tuple(assembly.sizes)
     ring.meta["axis_weights"] = tuple(assembly.weights)
@@ -262,7 +243,8 @@ def _restrict_to_subset(
     one = int(lookup[one_id])
     if labels is None:
         labels = [base.label_of(i) for i in ids]
-    ring = TableRing(sub_add, sub_mul, zero, one, labels=labels, spec=spec, name=name)
+    ring = TableRing(sub_add, sub_mul, zero, one, labels=labels, spec=spec, name=name,
+                     neg=lookup[base.neg_table[ids]])
     _validate_built(ring)
     return ring
 
@@ -275,23 +257,13 @@ def zn(n: int, *, threshold: int = DEFAULT_THRESHOLD, spec: Optional[dict] = Non
     """The ring of integers modulo n."""
     if n < 1:
         raise SpecError(f"zn parameter must be positive, got {n}")
-    if n > MAX_ORDER:
-        raise SizeOverflowError(n, MAX_ORDER)
+    check_order(n, threshold)
     spec = spec or {"zn": n}
     idx = np.arange(n, dtype=np.int64)
-    if n <= threshold:
-        add = (idx[:, None] + idx[None, :]) % n
-        mul = (idx[:, None] * idx[None, :]) % n
-        ring = TableRing(add, mul, 0, 1 % n, labels=[str(i) for i in range(n)],
-                         spec=spec, name=spec_name(spec))
-    else:
-        neg = (-idx) % n
-        ring = LazyRing(
-            n, 0, 1 % n,
-            lambda a: (a + idx) % n,
-            lambda a: (a * idx) % n,
-            neg, spec=spec, name=spec_name(spec),
-        )
+    add = (idx[:, None] + idx[None, :]) % n
+    mul = (idx[:, None] * idx[None, :]) % n
+    ring = TableRing(add, mul, 0, 1 % n, labels=[str(i) for i in range(n)],
+                     spec=spec, name=spec_name(spec), neg=(-idx) % n)
     _validate_built(ring)
     return ring
 
@@ -349,8 +321,7 @@ def gf(p: int, k: int, *, threshold: int = DEFAULT_THRESHOLD, spec: Optional[dic
         raise SpecError(f"gf degree must be positive, got {k}")
     spec = spec or {"gf": {"p": p, "k": k}}
     order = p ** k
-    if order > MAX_ORDER:
-        raise SizeOverflowError(order, MAX_ORDER)
+    check_order(order, threshold)
     if k == 1:
         base = zn(p, threshold=threshold, spec=spec)
         return base
@@ -446,9 +417,6 @@ def matrix_ring(
     if n < 1:
         raise SpecError(f"matrix dimension must be positive, got {n}")
     spec = spec or {"matrix": {"n": n, "base": base.spec}}
-    order = base.order ** (n * n)
-    if order > MAX_ORDER:
-        raise SizeOverflowError(order, MAX_ORDER)
     entries = [(i, j) for i in range(n) for j in range(n)]
     pos = {e: c for c, e in enumerate(entries)}
     assembly = _Assembly([_Axis.of_ring(base)] * len(entries))
@@ -488,9 +456,6 @@ def triangular_ring(
     if n < 1:
         raise SpecError(f"triangular dimension must be positive, got {n}")
     spec = spec or {"triangular": {"n": n, "base": base.spec}}
-    order = base.order ** (n * (n + 1) // 2)
-    if order > MAX_ORDER:
-        raise SizeOverflowError(order, MAX_ORDER)
     entries = [(i, j) for i in range(n) for j in range(i, n)]
     pos = {e: c for c, e in enumerate(entries)}
     assembly = _Assembly([_Axis.of_ring(base)] * len(entries))
@@ -541,25 +506,19 @@ def quotient_ring(
     gens = sorted({int(g) for g in generators})
     spec = spec or {"quotient": {"base": base.spec, "generators": gens}}
     ideal_ids = np.asarray(ideal_generated(base, gens).sorted_ids())
-    n = base.order
-    if isinstance(base, TableRing):
-        reps = base.add_table[:, ideal_ids].min(axis=1)
-    else:
-        reps = np.array([int(base.add_row(x)[ideal_ids].min()) for x in range(n)])
+    reps = base.add_table[:, ideal_ids].min(axis=1)
     rep_ids = np.unique(reps)
-    lookup = np.full(n, -1, dtype=np.int64)
-    lookup[rep_ids] = np.arange(len(rep_ids))
-    proj = lookup[reps]
     m = len(rep_ids)
-    q_add = np.zeros((m, m), dtype=np.int64)
-    q_mul = np.zeros((m, m), dtype=np.int64)
-    for qi, r in enumerate(rep_ids):
-        q_add[qi] = proj[base.add_row(int(r))[rep_ids]]
-        q_mul[qi] = proj[base.mul_row(int(r))[rep_ids]]
+    lookup = np.zeros(base.order, dtype=dtype_for(m))
+    lookup[rep_ids] = np.arange(m)
+    proj = lookup[reps]
+    # One gather per table through proj, in the quotient's own dtype.
+    block = np.ix_(rep_ids, rep_ids)
     labels = ["[" + base.label_of(int(r)) + "]" for r in rep_ids]
     ring = TableRing(
-        q_add, q_mul, int(proj[base.zero]), int(proj[base.one]),
-        labels=labels, spec=spec, name=spec_name(spec),
+        proj[base.add_table[block]], proj[base.mul_table[block]],
+        int(proj[base.zero]), int(proj[base.one]),
+        labels=labels, spec=spec, name=spec_name(spec), neg=proj[base.neg_table[rep_ids]],
     )
     _validate_built(ring)
     ring.meta["projection"] = proj
@@ -579,12 +538,7 @@ def corner_ring(
     if base.mul(e, e) != e:
         raise RingConstructionError(f"element {e} is not idempotent in {base.name}")
     spec = spec or {"corner": {"base": base.spec, "idempotent": int(e)}}
-    er = base.mul_row(e)
-    if isinstance(base, TableRing):
-        ere = base.mul_table[er, e]
-    else:
-        ere = np.array([base.mul(int(x), e) for x in er])
-    ids = np.unique(ere)
+    ids = np.unique(base.mul_table[base.mul_row(e), e])
     ring = _restrict_to_subset(base, ids, e, spec=spec, name=spec_name(spec))
     ring.meta["embedding"] = np.asarray(sorted(int(i) for i in ids))
     ring.meta["base_ring"] = base
@@ -628,13 +582,12 @@ def group_ring(
     """Group ring R[G] with convolution product.
 
     meta carries the augmentation map (``'augmentation'``: RG id ->
-    base id), its kernel (``'aug_kernel'``, equal to the ideal generated
-    by the elements 1 - g), and the base embedding r -> r*1_G.
+    base id), its kernel (``'aug_kernel'``, the frozenset of ids of the
+    ideal generated by the elements 1 - g), and the base embedding
+    r -> r*1_G.
     """
     g = group.order
     order = base.order ** g
-    if order > MAX_ORDER:
-        raise SizeOverflowError(order, MAX_ORDER)
     assembly = _Assembly([_Axis.of_ring(base)] * g)
     amul, aadd = base.mul_table, base.add_table
     gtab = group.table
@@ -691,7 +644,7 @@ def group_ring(
         digits2[h] = base.one
         hid = assembly.encode_one(digits2)
         gens.append(ring.sub(gid, hid))
-    ring.meta["aug_kernel"] = ideal_generated(ring, gens)
+    ring.meta["aug_kernel"] = ideal_generated(ring, gens).members
     ring.meta["group"] = group
     ring.meta["base_ring"] = base
     return ring
@@ -838,6 +791,8 @@ def ideal_extension(
     m_add = np.asarray(m_tables["add"], dtype=np.int64)
     axis, m_zero = _axis_of_module(m_add)
     nm = axis.size
+    # The action laws below gather order(base)^2 * |M| cells: refuse first.
+    check_order(base.order * nm, threshold)
     m_mul = np.asarray(m_tables.get("mul") or np.full((nm, nm), m_zero), dtype=np.int64)
     if m_mul.shape != (nm, nm) or (m_mul.size and (m_mul.min() < 0 or m_mul.max() >= nm)):
         raise RingConstructionError("module mul table malformed")
@@ -959,6 +914,7 @@ def formal_triangular(
     """
     m_add = np.asarray(m_tables["add"], dtype=np.int64)
     axis, m_zero = _axis_of_module(m_add)
+    check_order(a.order * axis.size * b.order, threshold)
     lam = np.asarray(left_action, dtype=np.int64)
     rho = np.asarray(right_action, dtype=np.int64)
     _validate_left_action(a, axis, lam, "left")
@@ -1022,6 +978,7 @@ def trivial_morita(
     """
     m_axis, _ = _axis_of_module(np.asarray(m["add"], dtype=np.int64))
     n_axis, _ = _axis_of_module(np.asarray(n["add"], dtype=np.int64))
+    check_order(a.order * b.order * m_axis.size * n_axis.size, threshold)
     lam_m = np.asarray(m_left, dtype=np.int64)
     rho_m = np.asarray(m_right, dtype=np.int64)
     lam_n = np.asarray(n_left, dtype=np.int64)
@@ -1031,7 +988,7 @@ def trivial_morita(
     _validate_left_action(b, n_axis, lam_n, "n-left")
     _validate_right_action(a, n_axis, rho_n, "n-right")
 
-    p = product_ring([a, b], threshold=max(threshold, a.order * b.order))
+    p = product_ring([a, b], threshold=threshold)
     sizes = (m_axis.size, n_axis.size)
     v_order = sizes[0] * sizes[1]
     v_add = np.zeros((v_order, v_order), dtype=np.int64)
@@ -1125,9 +1082,6 @@ def skew_trunc_poly(
     if n < 1:
         raise SpecError(f"truncation degree must be positive, got {n}")
     alpha_vec = resolve_endomorphism(base, alpha)
-    order = base.order ** n
-    if order > MAX_ORDER:
-        raise SizeOverflowError(order, MAX_ORDER)
     alpha_pows = [np.arange(base.order, dtype=np.int64)]
     for _ in range(1, n):
         alpha_pows.append(alpha_vec[alpha_pows[-1]])
@@ -1185,7 +1139,7 @@ def opposite_ring(base: FiniteRing, *, spec: Optional[dict] = None) -> FiniteRin
     spec = spec or {"opposite": base.spec}
     ring = TableRing(
         base.add_table, base.mul_table.T.copy(), base.zero, base.one,
-        labels=list(base.labels), spec=spec, name=spec_name(spec),
+        labels=list(base.labels), spec=spec, name=spec_name(spec), neg=base.neg_table,
     )
     _validate_built(ring)
     return ring

@@ -2,10 +2,12 @@
 
 Every ring in this package is a :class:`FiniteRing`: an immutable value
 whose elements are the integers ``0..order-1`` and whose arithmetic is
-answered from Cayley tables.  Table-backed rings hold full numpy add/mul
-tables; :class:`LazyRing` computes rows on demand (memoized) for orders
-above the materialization threshold, where the O(n^2) tables would
-dominate memory.
+answered from full numpy Cayley tables (:class:`TableRing`).  Deciding
+the paper's classes sweeps every element's decompositions over every
+idempotent, so every command that reads elements reads the whole
+multiplication table anyway.  Constructors therefore build dense tables
+up to ``threshold`` elements and refuse larger rings before allocating
+them (:func:`check_order`).
 
 All higher modules speak element ids only, never structural
 representations, so subsets can be plain masks and kernels can be
@@ -14,25 +16,24 @@ vectorized over the raw tables.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import AxiomCheckLimitError, RingConstructionError
+from .errors import AxiomCheckLimitError, RingConstructionError, SizeOverflowError
 
-#: Constructors materialize full tables up to this many elements.
-DEFAULT_THRESHOLD = 4096
-
-#: Hard cap on constructible orders; beyond it constructors refuse outright.
-MAX_ORDER = 1 << 20
+#: Constructors build rings of at most this many elements.
+DEFAULT_THRESHOLD = 16384
 
 #: Full cubic axiom validation runs up to this order; above it, sampling.
 DEFAULT_AXIOM_LIMIT = 512
 
 _SAMPLE_TRIPLES = 512
 _SEED = 0x51AB
+
+#: Side of the square tiles that additive commutativity is checked on.
+_TILE = 128
 
 
 def dtype_for(order: int) -> np.dtype:
@@ -44,13 +45,25 @@ def dtype_for(order: int) -> np.dtype:
     return np.dtype(np.uint32)
 
 
+def check_order(order: int, threshold: int) -> None:
+    """Refuse an order above ``threshold`` before its tables exist.
+
+    The error names the order and the bytes its add and mul tables
+    would take, 2 * order^2 * itemsize.
+    """
+    if order > threshold:
+        table_bytes = 2 * order * order * dtype_for(order).itemsize
+        raise SizeOverflowError(order, threshold, table_bytes)
+
+
 class FiniteRing:
     """A finite associative unital ring with elements ``0..order-1``.
 
     Instances are immutable after construction and safe to share across
-    threads.  ``spec`` records the construction tree that produced the
-    ring (``None`` for raw table rings), ``meta`` carries construction
-    byproducts such as projection or embedding maps.
+    threads; the one concrete type is :class:`TableRing`.  ``spec``
+    records the construction tree that produced the ring (``None`` for
+    raw table rings), ``meta`` carries construction byproducts such as
+    projection or embedding maps.
     """
 
     def __init__(
@@ -133,7 +146,12 @@ class FiniteRing:
 
 
 class TableRing(FiniteRing):
-    """Ring backed by fully materialized add/mul tables."""
+    """Ring backed by fully materialized add/mul tables.
+
+    ``neg`` is derived from the add table by an order^2 scan unless the
+    caller already knows it (constructors encode it per coordinate);
+    :func:`validate_axioms` checks it either way.
+    """
 
     def __init__(
         self,
@@ -144,6 +162,7 @@ class TableRing(FiniteRing):
         labels: Optional[Sequence[str]] = None,
         spec: Optional[dict] = None,
         name: Optional[str] = None,
+        neg: Optional[np.ndarray] = None,
     ):
         order = len(add_table)
         super().__init__(order, zero, one, labels, spec, name)
@@ -152,7 +171,10 @@ class TableRing(FiniteRing):
         self._mul = np.ascontiguousarray(mul_table, dtype=dt)
         self._add.setflags(write=False)
         self._mul.setflags(write=False)
-        self._neg = _derive_neg(self._add, zero)
+        if neg is None:
+            self._neg = _derive_neg(self._add, zero)
+        else:
+            self._neg = np.ascontiguousarray(neg, dtype=dt)
         self._neg.setflags(write=False)
 
     def add_row(self, a: int) -> np.ndarray:
@@ -172,93 +194,6 @@ class TableRing(FiniteRing):
     @property
     def mul_table(self) -> np.ndarray:
         return self._mul
-
-
-class LazyRing(FiniteRing):
-    """Ring whose table rows are computed on demand and memoized.
-
-    ``add_row_fn``/``mul_row_fn`` map an element id to the full row of
-    the corresponding table.  Row caches are lock-guarded so handles can
-    be shared across threads; accessing :attr:`add_table` or
-    :attr:`mul_table` materializes the whole table (documented cost:
-    O(order^2) memory).
-    """
-
-    def __init__(
-        self,
-        order: int,
-        zero: int,
-        one: int,
-        add_row_fn: Callable[[int], np.ndarray],
-        mul_row_fn: Callable[[int], np.ndarray],
-        neg_table: np.ndarray,
-        labels: Optional[Sequence[str]] = None,
-        spec: Optional[dict] = None,
-        name: Optional[str] = None,
-        label_fn: Optional[Callable[[int], str]] = None,
-    ):
-        super().__init__(order, zero, one, labels, spec, name)
-        self._add_row_fn = add_row_fn
-        self._mul_row_fn = mul_row_fn
-        self._neg = np.ascontiguousarray(neg_table, dtype=dtype_for(order))
-        self._neg.setflags(write=False)
-        self._label_fn = label_fn
-        self._add_rows: dict[int, np.ndarray] = {}
-        self._mul_rows: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
-        self._full_add: Optional[np.ndarray] = None
-        self._full_mul: Optional[np.ndarray] = None
-
-    def add_row(self, a: int) -> np.ndarray:
-        row = self._add_rows.get(a)
-        if row is None:
-            with self._lock:
-                row = self._add_rows.get(a)
-                if row is None:
-                    row = np.asarray(self._add_row_fn(a), dtype=dtype_for(self.order))
-                    row.setflags(write=False)
-                    self._add_rows[a] = row
-        return row
-
-    def mul_row(self, a: int) -> np.ndarray:
-        row = self._mul_rows.get(a)
-        if row is None:
-            with self._lock:
-                row = self._mul_rows.get(a)
-                if row is None:
-                    row = np.asarray(self._mul_row_fn(a), dtype=dtype_for(self.order))
-                    row.setflags(write=False)
-                    self._mul_rows[a] = row
-        return row
-
-    @property
-    def neg_table(self) -> np.ndarray:
-        return self._neg
-
-    @property
-    def add_table(self) -> np.ndarray:
-        if self._full_add is None:
-            full = np.vstack([self.add_row(a) for a in range(self.order)])
-            full.setflags(write=False)
-            self._full_add = full
-        return self._full_add
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        if self._full_mul is None:
-            full = np.vstack([self.mul_row(a) for a in range(self.order)])
-            full.setflags(write=False)
-            self._full_mul = full
-        return self._full_mul
-
-    @property
-    def labels(self) -> list[str]:
-        if self._labels is None:
-            if self._label_fn is not None:
-                self._labels = [self._label_fn(i) for i in range(self.order)]
-            else:
-                self._labels = [str(i) for i in range(self.order)]
-        return self._labels
 
 
 @dataclass(frozen=True)
@@ -329,6 +264,22 @@ def _derive_neg(add_table: np.ndarray, zero: int) -> np.ndarray:
         a = int(np.flatnonzero(neg < 0)[0])
         raise RingConstructionError(f"element {a} has no additive inverse")
     return neg.astype(dtype_for(n))
+
+
+def _is_symmetric(table: np.ndarray) -> bool:
+    """Whether ``table == table.T``, compared tile by tile.
+
+    A whole-table ``table.T`` reads memory with an order-sized stride;
+    square tiles of the upper triangle against their mirror images stay
+    in cache.
+    """
+    n = len(table)
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            if not np.array_equal(table[i:i + _TILE, j:j + _TILE],
+                                  table[j:j + _TILE, i:i + _TILE].T):
+                return False
+    return True
 
 
 def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> Optional[tuple]:
@@ -407,10 +358,6 @@ def validate_axioms(
         raise AxiomCheckLimitError(n, limit)
     mode = "full" if n <= limit else "sampled"
 
-    if mode == "sampled" and not isinstance(ring, TableRing):
-        # Row-memoized rings: avoid materializing the whole table.
-        return _validate_sampled_rows(ring, samples)
-
     add = ring.add_table
     mul = ring.mul_table
     neg = ring.neg_table
@@ -428,7 +375,7 @@ def validate_axioms(
             return fail(f"{what}-closure", (r, c))
 
     # Abelian-group laws for addition (quadratic parts).
-    if not (add == add.T).all():
+    if not _is_symmetric(add):
         r, c = np.argwhere(add != add.T)[0]
         return fail("add-commutativity", (r, c))
     idx = np.arange(n)
@@ -492,55 +439,6 @@ def validate_axioms(
             i = int(bad[0])
             return fail(axiom, (a[i], b[i], c[i]), count)
     return ValidationReport(True, mode, count)
-
-
-def _validate_sampled_rows(ring: FiniteRing, samples: int) -> ValidationReport:
-    """Sampled validation through row access only (lazy rings)."""
-    n = ring.order
-    rng = np.random.default_rng(_SEED + n)
-    zero, one = ring.zero, ring.one
-    idx = np.arange(n)
-
-    def fail(axiom, witness):
-        return ValidationReport(False, "sampled", samples, axiom, tuple(int(x) for x in witness))
-
-    if not (ring.add_row(zero) == idx).all():
-        b = int(np.flatnonzero(ring.add_row(zero) != idx)[0])
-        return fail("add-zero", (zero, b))
-    if not (ring.mul_row(one) == idx).all():
-        b = int(np.flatnonzero(ring.mul_row(one) != idx)[0])
-        return fail("mul-left-identity", (one, b))
-
-    picks = rng.integers(0, n, size=samples)
-    for a in np.unique(picks):
-        a = int(a)
-        row = ring.add_row(a)
-        if int(row.max()) >= n:
-            return fail("add-closure", (a, int(np.flatnonzero(row >= n)[0])))
-        row = ring.mul_row(a)
-        if int(row.max()) >= n:
-            return fail("mul-closure", (a, int(np.flatnonzero(row >= n)[0])))
-        if ring.add(a, int(ring.neg_table[a])) != zero:
-            return fail("add-inverse", (a,))
-        if ring.mul(a, one) != a:
-            return fail("mul-right-identity", (a, one))
-
-    a = rng.integers(0, n, size=samples)
-    b = rng.integers(0, n, size=samples)
-    c = rng.integers(0, n, size=samples)
-    for i in range(samples):
-        x, y, z = int(a[i]), int(b[i]), int(c[i])
-        if ring.add(x, y) != ring.add(y, x):
-            return fail("add-commutativity", (x, y))
-        if ring.add(ring.add(x, y), z) != ring.add(x, ring.add(y, z)):
-            return fail("add-associativity", (x, y, z))
-        if ring.mul(ring.mul(x, y), z) != ring.mul(x, ring.mul(y, z)):
-            return fail("mul-associativity", (x, y, z))
-        if ring.mul(x, ring.add(y, z)) != ring.add(ring.mul(x, y), ring.mul(x, z)):
-            return fail("left-distributivity", (x, y, z))
-        if ring.mul(ring.add(x, y), z) != ring.add(ring.mul(x, z), ring.mul(y, z)):
-            return fail("right-distributivity", (x, y, z))
-    return ValidationReport(True, "sampled", samples)
 
 
 def table_ring(

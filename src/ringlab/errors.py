@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class RinglabError(Exception):
     """Base class for all ringlab errors."""
@@ -34,14 +36,20 @@ class EndomorphismError(RingConstructionError):
 
 
 class SizeOverflowError(RinglabError):
-    """A construction would exceed the hard element-count cap."""
+    """A construction or search would exceed its order limit.
 
-    def __init__(self, required_order: int, cap: int):
+    A refused construction also carries ``table_bytes``, what its add
+    and mul tables would take.
+    """
+
+    def __init__(self, required_order: int, cap: int, table_bytes: Optional[int] = None):
         self.required_order = required_order
         self.cap = cap
-        super().__init__(
-            f"construction requires order {required_order}, above the cap {cap}"
-        )
+        self.table_bytes = table_bytes
+        message = f"construction requires order {required_order}, above the cap {cap}"
+        if table_bytes is not None:
+            message += f"; its add and mul tables would take {table_bytes} bytes"
+        super().__init__(message)
 
 
 class AxiomCheckLimitError(RinglabError):

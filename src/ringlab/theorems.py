@@ -92,6 +92,7 @@ class SuiteContext:
     Classifications and radical quotients are memoized on each ring
     handle, not here; :meth:`classification` only fixes the reading.
 
+    ``threshold`` is the largest order any build of the suite may have.
     ``quasi_duo_order_limit`` and ``quasi_duo_count_limit`` bound the
     ideal-lattice route of the quasi-duo cross-check.  ``jobs`` is
     accepted for compatibility and changes neither output nor scheduling.
@@ -1018,7 +1019,7 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
             if len(np.unique(eps)) != base.order:
                 problems.append("augmentation is not surjective")
             kernel = set(int(i) for i in np.flatnonzero(eps == base.zero))
-            if kernel != ring.meta["aug_kernel"].members:
+            if kernel != ring.meta["aug_kernel"]:
                 problems.append("augmentation kernel differs from the ideal <1-g>")
         rep.require(entry.name, not problems, problems)
     return rep

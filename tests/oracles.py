@@ -8,7 +8,8 @@ computed with these functions.  ``scalar_ideal_generated`` and
 that ``ideal_generated`` and ``idempotents_lift_mod`` replaced, kept as
 their reference routes; ``reference_assembly`` is the per-element
 assembly that the open digit grid of ``construct._assemble_ring``
-replaced.
+replaced, and ``reference_quotient`` the row loop that
+``construct.quotient_ring``'s gathers replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ringlab import ElementSet
-from ringlab.core import LazyRing, TableRing, dtype_for
+from ringlab.core import TableRing, dtype_for
 from ringlab.invariants import LiftReport
 
 
@@ -209,12 +210,12 @@ def diagram_implications(c) -> list[tuple[str, bool]]:
     ]
 
 
-def reference_assembly(assembly, mul_digits, one_digits, label_fn, threshold):
+def reference_assembly(assembly, mul_digits, one_digits, label_fn):
     """The per-element route for ``construct._assemble_ring``'s arguments.
 
     Every element's digits are decoded into full-length vectors X;
-    tables are evaluated on (n, 1) x (1, n) grids of them, lazy rows on
-    (1, 1) x (1, n) grids, and labels read back through numpy scalars.
+    tables are evaluated on (n, 1) x (1, n) grids of them, labels read
+    back through numpy scalars, and neg derived from the add table.
     The ring is returned unvalidated, with ``meta['axis_sizes']``.
     """
     n = assembly.order
@@ -236,24 +237,32 @@ def reference_assembly(assembly, mul_digits, one_digits, label_fn, threshold):
     def labels_for(i):
         return label_fn([int(x[i]) for x in X])
 
-    neg = encode([ax.neg[x] for ax, x in zip(axes, X)])
-    if n <= threshold:
-        da = [x[:, None] for x in X]
-        db = [x[None, :] for x in X]
-        add_tab = encode([ax.add[d1, d2] for ax, d1, d2 in zip(axes, da, db)])
-        mul_tab = encode(mul_digits(da, db))
-        ring = TableRing(add_tab, mul_tab, zero, one, labels=[labels_for(i) for i in range(n)])
-    else:
-        def add_row(a):
-            da = [np.asarray([x[a]])[:, None] for x in X]
-            db = [x[None, :] for x in X]
-            return encode([ax.add[d1, d2] for ax, d1, d2 in zip(axes, da, db)])[0]
-
-        def mul_row(a):
-            da = [np.asarray([x[a]])[:, None] for x in X]
-            db = [x[None, :] for x in X]
-            return encode(mul_digits(da, db))[0]
-
-        ring = LazyRing(n, zero, one, add_row, mul_row, neg, label_fn=labels_for)
+    da = [x[:, None] for x in X]
+    db = [x[None, :] for x in X]
+    add_tab = encode([ax.add[d1, d2] for ax, d1, d2 in zip(axes, da, db)])
+    mul_tab = encode(mul_digits(da, db))
+    ring = TableRing(add_tab, mul_tab, zero, one, labels=[labels_for(i) for i in range(n)])
     ring.meta["axis_sizes"] = tuple(sizes)
     return ring
+
+
+def reference_quotient(base, generators):
+    """R/I by a loop over coset representatives, one row at a time.
+
+    Cosets of the ideal I generated by ``generators`` are named by their
+    least element; returns the quotient's add and mul tables and the
+    projection from base ids, all as int64 arrays.
+    """
+    ideal_ids = np.asarray(scalar_ideal_generated(base, generators).sorted_ids())
+    reps = np.array([int(base.add_row(x)[ideal_ids].min()) for x in range(base.order)])
+    rep_ids = np.unique(reps)
+    lookup = np.full(base.order, -1, dtype=np.int64)
+    lookup[rep_ids] = np.arange(len(rep_ids))
+    proj = lookup[reps]
+    m = len(rep_ids)
+    q_add = np.zeros((m, m), dtype=np.int64)
+    q_mul = np.zeros((m, m), dtype=np.int64)
+    for qi, r in enumerate(rep_ids):
+        q_add[qi] = proj[base.add_row(int(r))[rep_ids]]
+        q_mul[qi] = proj[base.mul_row(int(r))[rep_ids]]
+    return q_add, q_mul, proj

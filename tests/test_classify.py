@@ -6,7 +6,6 @@ import pytest
 
 from ringlab import (
     CLASSIFICATION_FIELDS,
-    LazyRing,
     build,
     check_isomorphic,
     classify,
@@ -169,18 +168,18 @@ def test_classify_lifts_over_j_without_rechecking_it(monkeypatch):
     assert c.is_potent and c.is_local
 
 
-@pytest.mark.parametrize("spec, threshold, lazy", [
-    ({"triangular": {"n": 2, "base": {"zn": 4}}}, 4096, False),
-    ({"product": [{"zn": 2}, {"triangular": {"n": 3, "base": {"zn": 2}}}]}, 8, True),
+@pytest.mark.parametrize("spec", [
+    {"triangular": {"n": 2, "base": {"zn": 4}}},
+    {"group_ring": {"base": {"zn": 2}, "group": "quaternion8"}},
 ])
-def test_classified_ring_is_freed_without_a_collection(spec, threshold, lazy):
-    # The memo refers to its ring weakly, so dropping the last reference
-    # frees the ring at once, with the cyclic collector switched off.
+def test_classified_ring_is_freed_without_a_collection(spec):
+    # The memo refers to its ring weakly, and no construction byproduct
+    # in meta holds the ring, so dropping the last reference frees it at
+    # once, with the cyclic collector switched off.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        ring = build(spec, threshold=threshold)
-        assert isinstance(ring, LazyRing) is lazy
+        ring = build(spec)
         classify(ring)
         ref = weakref.ref(ring)
         del ring

@@ -156,14 +156,29 @@ def test_verify_jobs_determinism_small(capsys, tmp_path):
 
 
 def test_threshold_env_override(spec_file, capsys, monkeypatch):
-    monkeypatch.setenv("RINGLAB_THRESHOLD", "8")
     path = spec_file({"triangular": {"n": 2, "base": {"zn": 4}}})
+    monkeypatch.setenv("RINGLAB_THRESHOLD", "8")
+    code, out, err = run(capsys, "build", "--spec", path, "--json")
+    assert (code, out) == (2, "")
+    assert "order 64" in err and "above the cap 8" in err
+    monkeypatch.setenv("RINGLAB_THRESHOLD", "64")
     code, out, _ = run(capsys, "build", "--spec", path, "--json")
     assert code == 0
     assert json.loads(out)["order"] == 64
     monkeypatch.setenv("RINGLAB_THRESHOLD", "oops")
     code, _, err = run(capsys, "build", "--spec", path)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["build", "classify"])
+def test_oversized_ring_is_refused_with_its_order_and_table_bytes(spec_file, capsys, command):
+    # Z8 x T3(Z4) has order 32768: two uint16 tables of 32768^2 cells.
+    spec = {"product": [{"zn": 8}, {"triangular": {"n": 3, "base": {"zn": 4}}}]}
+    code, out, err = run(capsys, command, "--spec", spec_file(spec))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "32768" in lines[0] and "4294967296" in lines[0]
 
 
 def test_usc_reading_flag_accepted(spec_file, capsys):

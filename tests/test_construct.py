@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ringlab.catalog import DEFAULT_SPECS, default_catalog
-from ringlab.core import DEFAULT_THRESHOLD, LazyRing, TableRing, dtype_for
+from ringlab.core import _derive_neg, dtype_for
 from ringlab import (
     BimoduleError,
     EndomorphismError,
@@ -21,6 +21,7 @@ from ringlab import (
     group_ring,
     ideal_extension,
     idempotents,
+    ideal_generated,
     jacobson_radical,
     matrix_ring,
     opposite_ring,
@@ -37,7 +38,7 @@ from ringlab import (
     validate_spec,
     zn,
 )
-from oracles import naive_units, reference_assembly
+from oracles import naive_units, reference_assembly, reference_quotient
 from test_invariants import _SMALL_SPEC_LIST
 
 
@@ -113,8 +114,8 @@ def test_group_ring_augmentation(z2, z4):
     eps = rg.meta["augmentation"]
     assert int(eps[one_plus_g]) == 0  # 1 + 1 = 0 in Z2
     kernel = rg.meta["aug_kernel"]
-    assert len(kernel) == 4
-    assert kernel.members == {int(i) for i in np.flatnonzero(eps == z2.zero)}
+    assert isinstance(kernel, frozenset) and len(kernel) == 4
+    assert kernel == {int(i) for i in np.flatnonzero(eps == z2.zero)}
     assert group_ring(z2, cyclic(2)).order == 4
     assert group_ring(z4, cyclic(2)).order == 16
 
@@ -279,16 +280,45 @@ def test_size_overflow():
         group_ring(zn(4), cyclic(11))
 
 
-def test_lazy_constructor_path():
-    lazy = triangular_ring(2, zn(4), threshold=32)
-    dense = triangular_ring(2, zn(4))
-    assert lazy.order == dense.order == 64
-    assert type(lazy).__name__ == "LazyRing"
-    assert (lazy.mul_table == dense.mul_table).all()
-    assert (lazy.add_table == dense.add_table).all()
-    assert lazy.labels == dense.labels
-    q = quotient_ring(lazy, jacobson_radical(lazy).sorted_ids())
-    assert q.order == 4
+def test_oversized_build_is_refused_before_allocating():
+    # Order 32768 would need two 2 GiB tables; the factors (T3(Z4) is
+    # 64 MiB of tables) are all that may be built before the refusal.
+    spec = {"product": [{"zn": 8}, {"triangular": {"n": 3, "base": Z4}}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflowError) as info:
+            build(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (info.value.required_order, info.value.table_bytes) == (32768, 2 * 32768 ** 2 * 2)
+    assert "32768" in str(info.value) and "4294967296" in str(info.value)
+    assert peak < 160 * 2 ** 20, peak
+
+
+def test_threshold_is_the_largest_order_built():
+    spec = {"triangular": {"n": 2, "base": Z4}}
+    assert build(spec, threshold=64).order == 64
+    with pytest.raises(SizeOverflowError, match="order 64, above the cap 63"):
+        build(spec, threshold=63)
+    with pytest.raises(SizeOverflowError, match="order 5, above the cap 4"):
+        zn(5, threshold=4)
+    with pytest.raises(SizeOverflowError, match="order 8, above the cap 7"):
+        gf(2, 3, threshold=7)
+
+
+def test_bimodule_families_refuse_before_checking_their_actions(z2):
+    # The action laws gather order(base)^2 * |M| cells, so an oversized
+    # ring is refused first; these empty actions would fail those laws.
+    m, bad = {"add": [[0, 1], [1, 0]]}, [[]]
+    with pytest.raises(SizeOverflowError, match="order 4, above the cap 3"):
+        ideal_extension(z2, m, bad, bad, threshold=3)
+    with pytest.raises(SizeOverflowError, match="order 8, above the cap 3"):
+        formal_triangular(z2, z2, m, bad, bad, threshold=3)
+    with pytest.raises(SizeOverflowError, match="order 16, above the cap 3"):
+        trivial_morita(z2, z2, m, bad, bad, m, bad, bad, threshold=3)
+    with pytest.raises(BimoduleError):
+        ideal_extension(z2, m, bad, bad)
 
 
 def test_spec_validation_errors():
@@ -386,7 +416,7 @@ def reference_checked(monkeypatch):
 
     def both_routes(assembly, mul_digits, one_digits, label_fn, spec, name, threshold):
         ring = grid_route(assembly, mul_digits, one_digits, label_fn, spec, name, threshold)
-        ref = reference_assembly(assembly, mul_digits, one_digits, label_fn, threshold)
+        ref = reference_assembly(assembly, mul_digits, one_digits, label_fn)
         _assert_same_ring(ring, ref)
         checked.append(ring.name)
         return ring
@@ -406,31 +436,78 @@ def test_grid_assembly_matches_reference_on_small_specs(reference_checked, spec)
     build(spec)
 
 
-@pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 1])
+# 4096 lies above the order of every family spec, 1 below all of them.
+@pytest.mark.parametrize("threshold", [4096, 1])
 @pytest.mark.parametrize("family", sorted(_FAMILY_SPECS))
 def test_grid_assembly_matches_reference_per_family(reference_checked, family, threshold):
+    if threshold == 1:
+        # Refused at the first leaf: no table is ever assembled.
+        with pytest.raises(SizeOverflowError):
+            build(_FAMILY_SPECS[family], threshold=threshold)
+        assert reference_checked == []
+        return
     ring = build(_FAMILY_SPECS[family], threshold=threshold)
     assert reference_checked[-1] == ring.name
 
 
-@pytest.mark.parametrize("family", sorted(_FAMILY_SPECS))
-def test_lazy_rows_equal_table_rows(family):
-    spec = _FAMILY_SPECS[family]
-    dense = build(spec)
-    lazy = build(spec, threshold=dense.order - 1)
-    assert isinstance(lazy, LazyRing) and isinstance(dense, TableRing)
-    assert lazy.neg_table.dtype == dense.neg_table.dtype
-    assert np.array_equal(lazy.neg_table, dense.neg_table)
-    for a in dense.elements():
-        assert np.array_equal(lazy.add_row(a), dense.add_row(a)), (family, a)
-        assert np.array_equal(lazy.mul_row(a), dense.mul_row(a)), (family, a)
-        assert lazy.add_row(a).dtype == dense.add_table.dtype
-    assert lazy.labels == dense.labels
+def test_encoded_neg_equals_derived_neg(suite_ctx):
+    # Constructors hand TableRing the neg they encode; the order^2 scan
+    # they skip must agree with it on every ring.
+    rings = [(e.name, e.ring) for e in suite_ctx.entries]
+    rings += [(str(spec), build(spec)) for spec in _SMALL_SPEC_LIST]
+    for name, ring in rings:
+        derived = _derive_neg(ring.add_table, ring.zero)
+        assert ring.neg_table.dtype == derived.dtype, name
+        assert np.array_equal(ring.neg_table, derived), name
 
 
-@pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0])
+def _principal_ideal_generators(ring):
+    """One generator per distinct principal two-sided ideal."""
+    seen, gens = set(), []
+    for x in ring.elements():
+        members = ideal_generated(ring, [x]).members
+        if members not in seen:
+            seen.add(members)
+            gens.append([x])
+    return gens
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST, ids=str)
+def test_quotient_matches_the_row_loop(spec):
+    ring = build(spec)
+    for gens in [jacobson_radical(ring).sorted_ids()] + _principal_ideal_generators(ring):
+        q = quotient_ring(ring, gens)
+        q_add, q_mul, proj = reference_quotient(ring, gens)
+        assert np.array_equal(q.add_table, q_add), (spec, gens)
+        assert np.array_equal(q.mul_table, q_mul), (spec, gens)
+        assert np.array_equal(q.meta["projection"], proj), (spec, gens)
+        assert q.add_table.dtype == q.meta["projection"].dtype == dtype_for(q.order)
+
+
+def test_quotient_allocates_one_table_beyond_its_own():
+    # R/J of M2(F8) is the ring itself (J = 0): 4096^2 cells per table.
+    ring = matrix_ring(2, gf(2, 3))
+    tracemalloc.start()
+    try:
+        q = quotient_ring(ring, jacobson_radical(ring).sorted_ids())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = q.order
+    assert n == 4096
+    assert peak - kept <= n * n * dtype_for(n).itemsize + 2 ** 20, (peak, kept)
+
+
+@pytest.mark.parametrize("threshold", [4096, 0])
 def test_size_one_axes_take_no_grid_dimension(threshold):
     # 36 and 40 axes: a dimension per axis and side would pass numpy's cap.
+    if threshold == 0:
+        # A cap of 0 refuses even order 1, by its order, not by numpy's cap.
+        with pytest.raises(SizeOverflowError, match="order 1,"):
+            matrix_ring(6, zn(1), threshold=threshold)
+        with pytest.raises(SizeOverflowError, match="order 1,"):
+            group_ring(zn(1), cyclic(40), threshold=threshold)
+        return
     m6 = matrix_ring(6, zn(1), threshold=threshold)
     assert (m6.order, m6.meta["axis_sizes"]) == (1, (1,) * 36)
     assert m6.labels == ["(" + ";".join([" ".join(["0"] * 6)] * 6) + ")"]

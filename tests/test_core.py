@@ -3,7 +3,6 @@ import pytest
 
 from ringlab import (
     AxiomCheckLimitError,
-    LazyRing,
     RingConstructionError,
     table_ring,
     validate_axioms,
@@ -97,20 +96,6 @@ def test_one_sided_inverses_are_two_sided(small_catalog):
             for b in ring.elements():
                 if ring.mul(a, b) == ring.one:
                     assert ring.mul(b, a) == ring.one, (entry.name, a, b)
-
-
-def test_lazy_ring_matches_dense():
-    dense = zn(30)
-    lazy = zn(30, threshold=8)
-    assert isinstance(lazy, LazyRing)
-    assert lazy.order == 30
-    for a in (0, 1, 7, 29):
-        assert (lazy.add_row(a) == dense.add_row(a)).all()
-        assert (lazy.mul_row(a) == dense.mul_row(a)).all()
-    assert (lazy.neg_table == dense.neg_table).all()
-    report = validate_axioms(lazy, limit=8, force=True)
-    assert report.ok
-    assert report.mode == "sampled"
 
 
 def test_validate_limit_requires_force():
@@ -262,13 +247,33 @@ def test_left_but_not_right_distributive_product_rejected():
 
 def test_sampled_rows_report_the_bad_mul_column():
     base = zn(30)
-
-    def mul_row(a):
-        row = base.mul_row(a).copy()
-        if a == 5:
-            row[7] = 99
-        return row
-
-    lazy = LazyRing(30, 0, 1, base.add_row, mul_row, base.neg_table)
-    report = validate_axioms(lazy, limit=8, force=True)
+    mul = base.mul_table.copy()
+    mul[5, 7] = 99
+    ring = TableRing(base.add_table, mul, 0, 1)
+    report = validate_axioms(ring, limit=8, force=True)
+    assert report.mode == "sampled"
     assert (report.ok, report.axiom, report.witness) == (False, "mul-closure", (5, 7))
+
+
+def _tile_edge_cells(n):
+    edges = sorted({0, 1, 126, 127, 128, 129, 255, 256, n - 1} & set(range(n)))
+    return [(r, c) for r in edges for c in edges if r != c]
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_tiled_commutativity_witness_is_the_first_asymmetric_cell(n):
+    # One corrupted cell per table; the witness must be the first cell of
+    # add != add.T in row-major order, wherever the cell sits among the tiles.
+    base = zn(n)
+    rng = np.random.default_rng(n)
+    cells = _tile_edge_cells(n) + [tuple(rc) for rc in rng.integers(0, n, size=(40, 2))]
+    for r, c in cells:
+        if r == c:
+            continue
+        add = base.add_table.copy()
+        add[r, c] = (int(add[r, c]) + 1 + int(rng.integers(0, n - 1))) % n
+        # neg is passed in: a corrupted row may have lost its zero.
+        ring = TableRing(add, base.mul_table, 0, 1, neg=base.neg_table)
+        report = validate_axioms(ring, force=True)
+        expected = tuple(int(v) for v in np.argwhere(add != add.T)[0])
+        assert (report.axiom, report.witness) == ("add-commutativity", expected), (r, c)
