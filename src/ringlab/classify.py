@@ -15,6 +15,15 @@ and R/J, R/J is a product of rings M_n(F_q), and M_n(F) with n >= 2 is
 not quasi-duo).  The suite's ``crosschecks`` compares this with the
 maximal one-sided ideals of the lattice.
 
+Regular, semi-potent and potent are closed forms too, since a finite
+ring is Artinian with a nilpotent J: it is semi-potent (Brauer's lemma),
+potent (idempotents lift modulo a nil ideal), and regular iff J = 0 (a
+regular Artinian ring is semisimple).  When J != 0 the regular witness,
+the least a with no x such that axa = a, comes from a scan that stops
+at the first block of rows holding one.  Lifting over J, a witness when
+J != 0, and strong cleanness of every element (finite rings are
+strongly pi-regular; Nicholson 1999) are asserted as kernel-bug guards.
+
 The decomposition counts, R/J (:func:`radical_quotient`, shared with the
 suite) and each reading's vector are kept in the ring's own memo
 (:meth:`InvariantCache.memo`).  The readings of uniqueness differ only in
@@ -96,30 +105,28 @@ def _quantify(counts: np.ndarray, over: np.ndarray,
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
-def _regular_mask(ring: FiniteRing) -> np.ndarray:
-    mul = ring.mul_table
-    out = np.zeros(ring.order, dtype=bool)
-    for a in range(ring.order):
-        axa = mul[mul[a], a]
-        out[a] = bool((axa == a).any())
-    return out
+#: Cells of the multiplication table one step of the regular scan reads.
+_SCAN_CELLS = 1 << 20
 
 
-def _semi_potent(ring: FiniteRing, jac_mask: np.ndarray, idem_mask: np.ndarray):
-    """Every principal one-sided ideal outside J holds a nonzero idempotent.
+def _least_non_regular(ring: FiniteRing) -> Optional[int]:
+    """The least a with axa != a for every x, or None if the ring is regular.
 
-    Principal ideals suffice: a one-sided ideal not inside J contains
-    some a outside J, and Ra (resp. aR) sits inside it.
+    Reads blocks of rows of the multiplication table and stops at the
+    first block that holds such an a.
     """
-    nz_idem = idem_mask.copy()
-    nz_idem[ring.zero] = False
-    mul = ring.mul_table
-    ra_ok = nz_idem[mul].any(axis=0)
-    ar_ok = nz_idem[mul].any(axis=1)
-    ok = jac_mask | (ra_ok & ar_ok)
-    if ok.all():
-        return True, None
-    return False, int(np.flatnonzero(~ok)[0])
+    n, mul = ring.order, ring.mul_table
+    step = max(1, _SCAN_CELLS // n)
+    for start in range(0, n, step):
+        block = np.arange(start, min(start + step, n))
+        regular = (mul[mul[block], block[:, None]] == block[:, None]).any(axis=1)
+        if not regular.all():
+            return int(block[np.argmin(regular)])
+    return None
+
+
+def _decomposition_counts(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    return get_cache(ring).memo("decomposition_counts", lambda: decomposition_counts(ring))
 
 
 def radical_quotient(ring: FiniteRing) -> FiniteRing:
@@ -144,8 +151,7 @@ def classify(
 def _classify(ring: FiniteRing, at_most_one: bool) -> Classification:
     """The decomposition fields under one reading, plus the memoized rest."""
     cache = get_cache(ring)
-    clean_counts, strong_counts = cache.memo(
-        "decomposition_counts", lambda: decomposition_counts(ring))
+    clean_counts, strong_counts = _decomposition_counts(ring)
     fields, witnesses = {}, {}
     for name, counts in (("is_clean", clean_counts), ("is_strongly_clean", strong_counts)):
         fields[name] = bool((counts > 0).all())
@@ -231,22 +237,31 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
         pair = {"quotient_pair": [quotient.label_of(a), quotient.label_of(b)]}
         witnesses["is_quasi_duo_left"] = witnesses["is_quasi_duo_right"] = pair
 
-    regular = _regular_mask(ring)
-    is_regular = bool(regular.all())
+    # Regular Artinian rings are semisimple: regular iff J = {0}.
+    is_regular = bool(jac_mask.sum() == 1)
     if not is_regular:
-        witnesses["is_regular"] = {
-            "element": ring.label_of(int(np.flatnonzero(~regular)[0]))
-        }
+        bad = _least_non_regular(ring)
+        if bad is None:
+            raise AssertionError(f"{ring.name} has J != 0 but every element is regular")
+        witnesses["is_regular"] = {"element": ring.label_of(bad)}
 
-    is_semi_potent, w = _semi_potent(ring, jac_mask, idem_mask)
-    if w is not None:
-        witnesses["is_semi_potent"] = {"element": ring.label_of(w)}
-
-    # J is asserted to be an ideal when the cache computes it.
+    # J is asserted to be an ideal when the cache computes it.  It is
+    # nil, so idempotents lift over it: the ring is potent, and
+    # semi-potent by Brauer's lemma.
     lift = _lift_mod_mask(ring, jac_mask)
-    is_potent = is_semi_potent and lift.lifts
     if not lift.lifts:
-        witnesses["is_potent"] = {"element": ring.label_of(lift.failure)}
+        raise AssertionError(
+            f"idempotents of {ring.name} fail to lift modulo J at "
+            f"{ring.label_of(lift.failure)}")
+    is_semi_potent = True
+    is_potent = lift.lifts
+
+    # Finite rings are strongly pi-regular, hence strongly clean.
+    no_strong = np.flatnonzero(_decomposition_counts(ring)[1] == 0)
+    if no_strong.size:
+        raise AssertionError(
+            f"{ring.name} has no strongly clean decomposition of "
+            f"{ring.label_of(int(no_strong[0]))}")
 
     is_semi_boolean = is_potent and RmodJ_boolean
 

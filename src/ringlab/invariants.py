@@ -1,10 +1,17 @@
 """Canonical element sets of a finite ring, and the ring's one memo.
 
-Idempotents, units, nilpotents, the Jacobson radical (by quasi-
-regularity), the center, sums of two units, central-idempotent-plus-
-radical elements, ideal closure, idempotent lifting, and the one-sided
-ideal lattice.  Everything is computed exhaustively from the ring's
-tables.
+Idempotents, units, nilpotents, the Jacobson radical, the center, sums
+of two units, central-idempotent-plus-radical elements, ideal closure,
+idempotent lifting, and the one-sided ideal lattice.  Everything is
+exact, computed from the ring's tables with no search bound.  Two sets
+avoid a sweep of the whole multiplication table:
+
+* J is read by quasi-regularity (1 - r*a a unit for every r) on the
+  nilpotent columns only: J of a finite ring is nilpotent, so J is
+  inside Nil.
+* The product is biadditive, so x is central iff it commutes with each
+  of the ring's k <= log2(n) additive generators, and J's ideal guard
+  needs closure only under multiplication by those generators.
 
 :class:`InvariantCache` is the one per-ring memo: these masks, and what
 :mod:`ringlab.classify` stores through :meth:`InvariantCache.memo`.  It
@@ -21,7 +28,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import ElementSet, FiniteRing
+from .core import ElementSet, FiniteRing, additive_generators
 from .errors import IdealError, LatticeLimitError, SizeOverflowError
 
 DEFAULT_IDEAL_ORDER_LIMIT = 256
@@ -114,26 +121,38 @@ class InvariantCache:
         return self.memo("nilpotent", compute)
 
     @property
+    def additive_generators(self) -> np.ndarray:
+        """A few ids whose sums reach every element (at most log2(n))."""
+        return self.memo("additive_generators", lambda: additive_generators(
+            self.ring.add_table, self.ring.zero))
+
+    @property
     def jacobson_mask(self) -> np.ndarray:
         def compute():
-            # Quasi-regularity: a in J iff 1 - r*a is a unit for every r.
+            # Quasi-regularity: a in J iff 1 - r*a is a unit for every r,
+            # tested only on the nilpotent a, since J is inside Nil.
             ring = self.ring
-            mul = ring.mul_table
-            one_minus = ring.add_row(ring.one)[ring.neg_table[mul]]
-            mask = self.unit_mask[one_minus].all(axis=0)
+            cols = np.flatnonzero(self.nilpotent_mask)
+            # one_minus_unit[v]: whether 1 - v is a unit.
+            one_minus_unit = self.unit_mask[ring.add_row(ring.one)[ring.neg_table]]
+            mask = np.zeros(ring.order, dtype=bool)
+            mask[cols[one_minus_unit[ring.mul_table[:, cols]].all(axis=0)]] = True
             self._assert_two_sided_ideal(mask)
             return mask
 
         return self.memo("jacobson", compute)
 
     def _assert_two_sided_ideal(self, mask: np.ndarray):
+        # A finite subset closed under + is a subgroup.  By biadditivity,
+        # r*j for any r is a sum of the g*j over additive generators g.
         ring = self.ring
         ids = np.flatnonzero(mask)
+        gens = self.additive_generators
         add, mul = ring.add_table, ring.mul_table
         ok = (
             mask[add[np.ix_(ids, ids)]].all()
-            and mask[mul[:, ids]].all()
-            and mask[mul[ids, :]].all()
+            and mask[mul[np.ix_(gens, ids)]].all()
+            and mask[mul[np.ix_(ids, gens)]].all()
         )
         if not ok:
             raise AssertionError(f"J({ring.name}) closure violated: kernel bug")
@@ -141,8 +160,10 @@ class InvariantCache:
     @property
     def center_mask(self) -> np.ndarray:
         def compute():
+            # Biadditivity: x commutes with every r iff with each generator.
+            gens = self.additive_generators
             mul = self.ring.mul_table
-            return (mul == mul.T).all(axis=1)
+            return (mul[:, gens] == mul[gens, :].T).all(axis=1)
 
         return self.memo("center", compute)
 
@@ -153,8 +174,7 @@ class InvariantCache:
             units = np.flatnonzero(self.unit_mask)
             mask = np.zeros(ring.order, dtype=bool)
             if units.size:
-                sums = ring.add_table[np.ix_(units, units)]
-                mask[np.unique(sums)] = True
+                mask[ring.add_table[np.ix_(units, units)]] = True
             return mask
 
         return self.memo("two_good", compute)
@@ -165,9 +185,8 @@ class InvariantCache:
             ring = self.ring
             central_idem = np.flatnonzero(self.idempotent_mask & self.center_mask)
             radical = np.flatnonzero(self.jacobson_mask)
-            sums = ring.add_table[np.ix_(central_idem, radical)]
             mask = np.zeros(ring.order, dtype=bool)
-            mask[np.unique(sums)] = True
+            mask[ring.add_table[np.ix_(central_idem, radical)]] = True
             return mask
 
         return self.memo("ucn0", compute)

@@ -949,6 +949,11 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
             problems.append(f"axioms: {report.axiom} at {report.witness}")
         cache = get_cache(ring)
         if ring.order <= ctx.oracle_order_limit:
+            # classify reads regularity off J = 0; search for x with axa = a.
+            mul = ring.mul_table
+            by_search = all((mul[mul[a], a] == a).any() for a in range(ring.order))
+            if by_search != ctx.classification(ring).is_regular:
+                problems.append({"regular_mismatch": {"element_search": by_search}})
             try:
                 maximal = maximal_left_ideals(ring)
                 meet = set(range(ring.order))

@@ -9,7 +9,11 @@ that ``ideal_generated`` and ``idempotents_lift_mod`` replaced, kept as
 their reference routes; ``reference_assembly`` is the per-element
 assembly that the open digit grid of ``construct._assemble_ring``
 replaced, and ``reference_quotient`` the row loop that
-``construct.quotient_ring``'s gathers replaced.
+``construct.quotient_ring``'s gathers replaced.  ``full_center`` and
+``full_jacobson`` are the whole-table sweeps that the generator center
+and the nilpotent-column radical replaced; ``naive_regular`` and
+``naive_semi_potent`` are the searches that ``classify`` replaced by
+theorems (regular iff J = 0; every finite ring is semi-potent).
 """
 
 from __future__ import annotations
@@ -64,6 +68,46 @@ def naive_center(ring) -> set[int]:
         a for a in ring.elements()
         if all(ring.mul(a, r) == ring.mul(r, a) for r in ring.elements())
     }
+
+
+def full_center(ring) -> np.ndarray:
+    """x with x*r = r*x on every column of the multiplication table."""
+    mul = ring.mul_table
+    return (mul == mul.T).all(axis=1)
+
+
+def full_jacobson(ring, unit_mask) -> np.ndarray:
+    """Quasi-regularity on every column: 1 - r*a a unit for all r."""
+    one_minus = ring.add_row(ring.one)[ring.neg_table[ring.mul_table]]
+    return unit_mask[one_minus].all(axis=0)
+
+
+def naive_regular(ring) -> np.ndarray:
+    """a with axa = a for some x, one row of the table at a time."""
+    mul = ring.mul_table
+    out = np.zeros(ring.order, dtype=bool)
+    for a in range(ring.order):
+        axa = mul[mul[a], a]
+        out[a] = bool((axa == a).any())
+    return out
+
+
+def naive_semi_potent(ring, jac_mask, idem_mask) -> tuple[bool, int | None]:
+    """Every principal one-sided ideal outside J holds a nonzero idempotent.
+
+    Principal ideals suffice: a one-sided ideal not inside J contains
+    some a outside J, and Ra (resp. aR) sits inside it.  On failure,
+    also the least a outside J where Ra or aR has none.
+    """
+    nz_idem = idem_mask.copy()
+    nz_idem[ring.zero] = False
+    mul = ring.mul_table
+    ra_ok = nz_idem[mul].any(axis=0)
+    ar_ok = nz_idem[mul].any(axis=1)
+    ok = jac_mask | (ra_ok & ar_ok)
+    if ok.all():
+        return True, None
+    return False, int(np.flatnonzero(~ok)[0])
 
 
 def naive_two_good(ring) -> set[int]:

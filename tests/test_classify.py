@@ -2,6 +2,7 @@ import gc
 import importlib
 import weakref
 
+import numpy as np
 import pytest
 
 from ringlab import (
@@ -23,8 +24,12 @@ from ringlab import (
     zn,
 )
 from ringlab.elements import READINGS
-from ringlab.invariants import is_two_sided_ideal
-from oracles import diagram_implications
+from ringlab.invariants import LiftReport, get_cache, idempotents_lift_mod, is_two_sided_ideal
+from oracles import diagram_implications, naive_regular, naive_semi_potent
+from test_invariants import _SMALL_SPEC_LIST, ORDER_4096_SPECS
+
+# The package re-exports the function ``classify`` under the module's name.
+classify_module = importlib.import_module("ringlab.classify")
 
 
 def test_z2_everything_true(z2):
@@ -190,7 +195,6 @@ def test_classified_ring_is_freed_without_a_collection(spec):
 
 
 def test_classify_memo_serves_both_readings(monkeypatch):
-    classify_module = importlib.import_module("ringlab.classify")
     spec = {"matrix": {"n": 2, "base": {"zn": 2}}}
     fresh = {r: classify(build(spec), usc_reading=r).to_json() for r in READINGS}
     # Not UUSC: the witnesses of the projected fields are exercised.
@@ -214,3 +218,73 @@ def test_classify_memo_serves_both_readings(monkeypatch):
 def test_classify_rejects_an_unknown_reading(z2):
     with pytest.raises(ValueError, match="reading"):
         classify(z2, usc_reading="at-least-one")
+
+
+def _assert_fields_match_search_routes(ring):
+    """regular, semi-potent and potent against the searches they replaced."""
+    c = classify(ring)
+    cache = get_cache(ring)
+    regular = naive_regular(ring)
+    assert c.is_regular == regular.all(), ring.name
+    if c.is_regular:
+        assert "is_regular" not in c.witnesses, ring.name
+    else:
+        least = ring.label_of(int(np.flatnonzero(~regular)[0]))
+        assert c.witnesses["is_regular"] == {"element": least}, ring.name
+    semi_potent, _ = naive_semi_potent(ring, cache.jacobson_mask, cache.idempotent_mask)
+    lifts = idempotents_lift_mod(ring, np.flatnonzero(cache.jacobson_mask).tolist()).lifts
+    assert c.is_semi_potent == semi_potent, ring.name
+    assert c.is_potent == (semi_potent and lifts), ring.name
+    assert "is_semi_potent" not in c.witnesses and "is_potent" not in c.witnesses, ring.name
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST)
+def test_fields_match_search_routes_on_small_specs(spec):
+    _assert_fields_match_search_routes(build(spec))
+
+
+def test_fields_match_search_routes_on_catalog(suite_ctx):
+    for entry in suite_ctx.entries:
+        _assert_fields_match_search_routes(entry.ring)
+
+
+@pytest.mark.parametrize("spec", ORDER_4096_SPECS.values(), ids=ORDER_4096_SPECS.keys())
+def test_fields_match_search_routes_at_order_4096(spec):
+    _assert_fields_match_search_routes(build(spec))
+
+
+def test_guard_lifting_over_j(monkeypatch):
+    monkeypatch.setattr(classify_module, "_lift_mod_mask",
+                        lambda ring, mask: LiftReport(False, {}, failure=ring.one))
+    with pytest.raises(AssertionError, match=r"Z4.*fail to lift"):
+        classify(build({"zn": 4}))
+
+
+def test_guard_every_element_strongly_clean(monkeypatch):
+    counts = classify_module.decomposition_counts
+
+    def without_strong_one(ring):
+        clean, strong = counts(ring)
+        strong = strong.copy()
+        strong[ring.one] = 0
+        return clean, strong
+
+    monkeypatch.setattr(classify_module, "decomposition_counts", without_strong_one)
+    with pytest.raises(AssertionError, match=r"Z4.*no strongly clean"):
+        classify(build({"zn": 4}))
+
+
+def test_guard_non_regular_witness_when_j_is_nonzero(monkeypatch):
+    monkeypatch.setattr(classify_module, "_least_non_regular", lambda ring: None)
+    with pytest.raises(AssertionError, match=r"Z4.*J != 0"):
+        classify(build({"zn": 4}))
+
+
+@pytest.mark.parametrize("cells", [1, 48, 1 << 20])
+def test_regular_scan_finds_the_least_witness_across_blocks(monkeypatch, cells):
+    monkeypatch.setattr(classify_module, "_SCAN_CELLS", cells)
+    for spec in _SMALL_SPEC_LIST:
+        ring = build(spec)
+        regular = naive_regular(ring)
+        least = None if regular.all() else int(np.flatnonzero(~regular)[0])
+        assert classify_module._least_non_regular(ring) == least, ring.name

@@ -27,7 +27,10 @@ from ringlab import (
     units,
     zn,
 )
+from ringlab.invariants import get_cache
 from oracles import (
+    full_center,
+    full_jacobson,
     is_left_ideal,
     naive_center,
     naive_idempotents,
@@ -243,3 +246,63 @@ def test_property_invariant_coherence(spec):
 @pytest.mark.parametrize("spec", _SMALL_SPEC_LIST)
 def test_kernels_match_scalar_routes_on_small_specs(spec):
     _assert_kernels_match_scalar_routes(build(spec))
+
+
+#: The order-4096 rings the full-table routes are compared on.
+ORDER_4096_SPECS = {
+    "T3(Z4)": {"triangular": {"n": 3, "base": {"zn": 4}}},
+    "M2(F8)": {"matrix": {"n": 2, "base": {"gf": {"p": 2, "k": 3}}}},
+    "T2(TE(Z4))": {"triangular": {"n": 2, "base": {"trivial_extension": {"zn": 4}}}},
+}
+
+
+def _assert_masks_match_full_routes(ring):
+    cache = get_cache(ring)
+    assert (cache.center_mask == full_center(ring)).all(), ring.name
+    assert (cache.jacobson_mask == full_jacobson(ring, cache.unit_mask)).all(), ring.name
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST)
+def test_masks_match_full_and_naive_routes_on_small_specs(spec):
+    ring = build(spec)
+    _assert_masks_match_full_routes(ring)
+    assert set(two_good_elements(ring).members) == naive_two_good(ring)
+    assert set(ucn0(ring).members) == naive_ucn0(ring)
+
+
+def test_masks_match_full_routes_on_catalog(suite_ctx):
+    for entry in suite_ctx.entries:
+        _assert_masks_match_full_routes(entry.ring)
+
+
+@pytest.mark.parametrize("spec", ORDER_4096_SPECS.values(), ids=ORDER_4096_SPECS.keys())
+def test_masks_match_full_routes_at_order_4096(spec):
+    _assert_masks_match_full_routes(build(spec))
+
+
+def test_ideal_guard_rejects_non_ideals(m2z2):
+    cache = get_cache(m2z2)
+    with pytest.raises(AssertionError, match="closure violated"):
+        cache._assert_two_sided_ideal(cache.idempotent_mask)
+    # Closed under +, but E21 * E12 = E22 leaves it: only the
+    # multiplication by additive generators can catch this one.
+    subgroup = np.zeros(m2z2.order, dtype=bool)
+    subgroup[[m2z2.zero, m2z2.id_of("(0 1;0 0)")]] = True
+    with pytest.raises(AssertionError, match="closure violated"):
+        cache._assert_two_sided_ideal(subgroup)
+
+
+def test_radical_allocates_well_under_one_table():
+    import tracemalloc
+
+    ring = build(ORDER_4096_SPECS["T3(Z4)"])
+    cache = get_cache(ring)
+    cache.unit_mask, cache.nilpotent_mask  # J reads both; not measured here
+    table_bytes = ring.order ** 2 * ring.mul_table.itemsize
+    tracemalloc.start()
+    try:
+        cache.jacobson_mask
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes // 4, (peak, table_bytes)
