@@ -24,10 +24,9 @@ at the first block of rows holding one.  Lifting over J, a witness when
 J != 0, and strong cleanness of every element (finite rings are
 strongly pi-regular; Nicholson 1999) are asserted as kernel-bug guards.
 
-The decomposition counts, R/J (:func:`radical_quotient`, shared with the
-suite) and each reading's vector are kept in the ring's own memo
-(:meth:`InvariantCache.memo`).  The readings of uniqueness differ only in
-how the strong counts are read, so the second one costs O(n).
+The frozen classification and R/J (:func:`radical_quotient`, shared
+with the suite) are kept in the ring's own memo
+(:meth:`InvariantCache.memo`), so a repeated call does no work.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 
 from .construct import quotient_ring
 from .core import FiniteRing
-from .elements import READINGS, ElementProfile, decomposition_counts, element_profile
+from .elements import ElementProfile, decomposition_counts, element_profile
 from .errors import SizeOverflowError
 from .invariants import _lift_mod_mask, get_cache
 
@@ -95,13 +94,12 @@ class Classification:
         return out
 
 
-def _quantify(counts: np.ndarray, over: np.ndarray,
-              at_most_one: bool = False) -> tuple[bool, Optional[int]]:
-    """All elements of ``over`` have exactly (or at most) one decomposition.
+def _quantify(counts: np.ndarray, over: np.ndarray) -> tuple[bool, Optional[int]]:
+    """All elements of ``over`` have exactly one decomposition.
 
     On failure, also the least element of ``over`` that does not.
     """
-    bad = np.flatnonzero(over & ((counts > 1) if at_most_one else (counts != 1)))
+    bad = np.flatnonzero(over & (counts != 1))
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
@@ -125,10 +123,6 @@ def _least_non_regular(ring: FiniteRing) -> Optional[int]:
     return None
 
 
-def _decomposition_counts(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    return get_cache(ring).memo("decomposition_counts", lambda: decomposition_counts(ring))
-
-
 def radical_quotient(ring: FiniteRing) -> FiniteRing:
     """R/J, built once per ring handle and kept in the ring's memo."""
     cache = get_cache(ring)
@@ -136,46 +130,37 @@ def radical_quotient(ring: FiniteRing) -> FiniteRing:
         ring, np.flatnonzero(cache.jacobson_mask).tolist()))
 
 
-def classify(
-    ring: FiniteRing,
-    *,
-    usc_reading: str = "exact-one",
-) -> Classification:
+def classify(ring: FiniteRing) -> Classification:
     """Compute the full classification vector of a ring, once per handle."""
-    if usc_reading not in READINGS:
-        raise ValueError(f"reading must be one of {READINGS}, got {usc_reading!r}")
-    return get_cache(ring).memo(f"classification:{usc_reading}", lambda: _classify(
-        ring, at_most_one=usc_reading == "at-most-one"))
+    return get_cache(ring).memo("classification", lambda: _classify(ring))
 
 
-def _classify(ring: FiniteRing, at_most_one: bool) -> Classification:
-    """The decomposition fields under one reading, plus the memoized rest."""
+def _classify(ring: FiniteRing) -> Classification:
+    """The decomposition fields, then the structural ones."""
     cache = get_cache(ring)
-    clean_counts, strong_counts = _decomposition_counts(ring)
+    clean_counts, strong_counts = decomposition_counts(ring)
     fields, witnesses = {}, {}
     for name, counts in (("is_clean", clean_counts), ("is_strongly_clean", strong_counts)):
         fields[name] = bool((counts > 0).all())
         if not fields[name]:
             witnesses[name] = {"element": ring.label_of(int(np.flatnonzero(counts == 0)[0]))}
     everything, clean_mask = np.ones(ring.order, dtype=bool), clean_counts > 0
-    # Only the strong counts are read differently under "at most one".
-    for name, strong, over in (
-        ("is_UC", False, everything), ("is_USC", True, everything),
-        ("is_CUC", False, clean_mask), ("is_CUSC", True, clean_mask),
-        ("is_UUC", False, cache.unit_mask), ("is_UUSC", True, cache.unit_mask),
+    for name, counts, over in (
+        ("is_UC", clean_counts, everything), ("is_USC", strong_counts, everything),
+        ("is_CUC", clean_counts, clean_mask), ("is_CUSC", strong_counts, clean_mask),
+        ("is_UUC", clean_counts, cache.unit_mask), ("is_UUSC", strong_counts, cache.unit_mask),
     ):
-        counts = strong_counts if strong else clean_counts
-        fields[name], w = _quantify(counts, over, at_most_one=strong and at_most_one)
+        fields[name], w = _quantify(counts, over)
         if w is not None:
             decomps = element_profile(ring, w).clean_decomps
             witnesses[name] = {"element": ring.label_of(w),
                                "clean_decompositions": [d.to_json(ring) for d in decomps]}
-    rest, rest_witnesses = cache.memo("structure", lambda: _structure(ring))
+    rest, rest_witnesses = _structure(ring, strong_counts)
     return Classification(**fields, **rest, witnesses={**witnesses, **rest_witnesses})
 
 
-def _structure(ring: FiniteRing) -> tuple[dict, dict]:
-    """The reading-independent fields and their witnesses."""
+def _structure(ring: FiniteRing, strong_counts: np.ndarray) -> tuple[dict, dict]:
+    """The structural fields and their witnesses; ``strong_counts`` feeds a guard."""
     cache = get_cache(ring)
     n = ring.order
     unit_mask = cache.unit_mask
@@ -257,7 +242,7 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
     is_potent = lift.lifts
 
     # Finite rings are strongly pi-regular, hence strongly clean.
-    no_strong = np.flatnonzero(_decomposition_counts(ring)[1] == 0)
+    no_strong = np.flatnonzero(strong_counts == 0)
     if no_strong.size:
         raise AssertionError(
             f"{ring.name} has no strongly clean decomposition of "
@@ -316,11 +301,9 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
     ), witnesses
 
 
-def classify_element_summary(
-    ring: FiniteRing, usc_reading: str = "exact-one"
-) -> list[ElementProfile]:
+def classify_element_summary(ring: FiniteRing) -> list[ElementProfile]:
     """One profile per element, consistent with classify's quantifiers."""
-    return [element_profile(ring, a, usc_reading) for a in range(ring.order)]
+    return [element_profile(ring, a) for a in range(ring.order)]
 
 
 # ---------------------------------------------------------------------------

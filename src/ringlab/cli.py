@@ -28,9 +28,6 @@ from .errors import RinglabError, SpecError, UnknownElementError
 from .invariants import jacobson_radical, units
 from .theorems import CHECKS, SuiteContext, run_suite, suite_to_json
 
-_READING_CHOICES = ("exact-one", "at-most-one")
-
-
 def _default_threshold() -> int:
     env = os.environ.get("RINGLAB_THRESHOLD")
     if env:
@@ -49,10 +46,6 @@ def _add_common(parser: argparse.ArgumentParser, spec_required: bool = False):
         "--threshold", type=int, default=None,
         help="largest ring order to build; larger rings are refused with exit 2 "
              "(default 16384; env RINGLAB_THRESHOLD)",
-    )
-    parser.add_argument(
-        "--usc-reading", choices=_READING_CHOICES, default="exact-one",
-        help="uniqueness reading for strongly clean decompositions",
     )
 
 
@@ -108,7 +101,7 @@ def cmd_build(args) -> int:
 def cmd_classify(args) -> int:
     spec = _load_spec(args.spec)
     ring = build(spec, threshold=args.threshold, validate=False)
-    cls = classify(ring, usc_reading=args.usc_reading)
+    cls = classify(ring)
     payload = {
         "name": ring.name,
         "order": ring.order,
@@ -124,7 +117,7 @@ def cmd_classify(args) -> int:
         for name in sorted(cls.witnesses):
             lines.append(f"    {name}: {json.dumps(cls.witnesses[name], sort_keys=True)}")
     if args.elements:
-        summary = [p.to_json(ring) for p in classify_element_summary(ring, args.usc_reading)]
+        summary = [p.to_json(ring) for p in classify_element_summary(ring)]
         payload["elements"] = summary
         lines.append("  elements:")
         for prof in summary:
@@ -149,7 +142,7 @@ def cmd_element(args) -> int:
         raise UnknownElementError(
             f"element label {label!r} does not resolve in {ring.name}"
         )
-    profile = element_profile(ring, elt, args.usc_reading)
+    profile = element_profile(ring, elt)
     payload = {"name": ring.name, "profile": profile.to_json(ring)}
     pj = payload["profile"]
     lines = [f"{ring.name}: element {pj['element']}"]
@@ -204,7 +197,6 @@ def cmd_verify(args) -> int:
     entries = _load_entries(args)
     ctx = SuiteContext(
         entries,
-        usc_reading=args.usc_reading,
         threshold=args.threshold,
         jobs=args.jobs,
         quasi_duo_count_limit=args.lattice_limit,

@@ -2,10 +2,9 @@
 
 An element a is clean when a = e + u with e idempotent and u a unit;
 strongly clean when additionally e*u = u*e.  Uniqueness predicates
-count decompositions: "uniquely X" means exactly one X decomposition
-under the default reading, or at most one under the optional
-``at-most-one`` reading (the two differ only for elements with no
-commuting decomposition at all).
+count decompositions: "uniquely X" means exactly one X decomposition.
+"At most one" would read the same on every finite ring, since every
+element of a finite ring is strongly clean.
 
 Enumeration iterates the idempotent set and tests membership of a - e
 in the precomputed unit set; a vectorized counting kernel backs the
@@ -20,8 +19,6 @@ import numpy as np
 
 from .core import FiniteRing
 from .invariants import get_cache
-
-READINGS = ("exact-one", "at-most-one")
 
 
 @dataclass(frozen=True)
@@ -86,33 +83,23 @@ def strongly_clean_decompositions(ring: FiniteRing, a: int) -> list[Decompositio
     return [d for d in clean_decompositions(ring, a) if d.commuting]
 
 
-def _unique_verdict(decomps: list[Decomposition], reading: str) -> bool:
-    if reading not in READINGS:
-        raise ValueError(f"reading must be one of {READINGS}, got {reading!r}")
-    if reading == "exact-one":
-        return len(decomps) == 1
-    return len(decomps) <= 1
-
-
 def is_uniquely_clean_element(ring: FiniteRing, a: int) -> tuple[bool, list[Decomposition]]:
     """Exactly-one test on clean decompositions; returns the witnesses."""
     decomps = clean_decompositions(ring, a)
     return len(decomps) == 1, decomps
 
 
-def is_usc_element(
-    ring: FiniteRing, a: int, reading: str = "exact-one"
-) -> tuple[bool, list[Decomposition]]:
-    """Uniqueness test on strongly clean decompositions.
+def is_usc_element(ring: FiniteRing, a: int) -> tuple[bool, list[Decomposition]]:
+    """Exactly-one test on strongly clean decompositions; returns the witnesses.
 
-    On failure the witness list is either empty (no commuting
-    decomposition exists) or holds two or more decompositions.
+    On a finite ring every element is strongly clean, so on failure the
+    witness list holds two or more decompositions, never none.
     """
     decomps = strongly_clean_decompositions(ring, a)
-    return _unique_verdict(decomps, reading), decomps
+    return len(decomps) == 1, decomps
 
 
-def element_profile(ring: FiniteRing, a: int, reading: str = "exact-one") -> ElementProfile:
+def element_profile(ring: FiniteRing, a: int) -> ElementProfile:
     clean = clean_decompositions(ring, a)
     strong = [d for d in clean if d.commuting]
     return ElementProfile(
@@ -122,7 +109,7 @@ def element_profile(ring: FiniteRing, a: int, reading: str = "exact-one") -> Ele
         is_clean=bool(clean),
         is_strongly_clean=bool(strong),
         is_uniquely_clean=len(clean) == 1,
-        is_usc=_unique_verdict(strong, reading),
+        is_usc=len(strong) == 1,
     )
 
 

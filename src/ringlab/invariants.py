@@ -90,15 +90,15 @@ class InvariantCache:
         inv = np.full(n, -1, dtype=np.int64)
         rows, cols = np.nonzero(mul == one)
         # Finite rings: one-sided inverses are two-sided.  Guard it.
-        for a, b in zip(rows, cols):
-            if mul[b, a] != one:
-                raise AssertionError(
-                    f"one-sided inverse in {ring.name}: {a}*{b}=1 but {b}*{a}!=1"
-                )
-        for a, b in zip(rows, cols):
-            if not mask[a]:
-                mask[a] = True
-                inv[a] = b
+        bad = np.flatnonzero(mul[cols, rows] != one)
+        if bad.size:
+            a, b = rows[bad[0]], cols[bad[0]]
+            raise AssertionError(
+                f"one-sided inverse in {ring.name}: {a}*{b}=1 but {b}*{a}!=1"
+            )
+        # Two-sided inverses are unique: each row holds at most one pair.
+        mask[rows] = True
+        inv[rows] = cols
         out = (mask, inv)
         mask.setflags(write=False)
         inv.setflags(write=False)

@@ -9,7 +9,7 @@ never new mathematics: every statement checked here is established.
 
 Checks share a :class:`SuiteContext` that holds the catalog and the
 derived rings built by spec (triangular extensions, matrix rings,
-factors).  A ring's classifications and its radical quotient live in
+factors).  A ring's classification and its radical quotient live in
 the ring's own memo (see :mod:`ringlab.invariants`), so every check
 that asks for them reuses one computation per ring handle.  Reports
 are deterministic: byte-identical across runs and worker counts.
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .catalog import CatalogEntry, default_catalog
-from .classify import Classification, check_isomorphic, classify, radical_quotient
+from .classify import check_isomorphic, classify, radical_quotient
 from .construct import build, corner_ring, quotient_ring, subring_generated
 from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
 from .errors import LatticeLimitError, SizeOverflowError, SpecError
@@ -90,7 +90,8 @@ class SuiteContext:
     """Catalog plus the derived rings shared by all checks, by spec.
 
     Classifications and radical quotients are memoized on each ring
-    handle, not here; :meth:`classification` only fixes the reading.
+    handle, not here.  ``usc_reading`` names the one uniqueness reading,
+    exactly one decomposition, for the report's ``settings``.
 
     ``threshold`` is the largest order any build of the suite may have.
     ``quasi_duo_order_limit`` and ``quasi_duo_count_limit`` bound the
@@ -98,11 +99,12 @@ class SuiteContext:
     accepted for compatibility and changes neither output nor scheduling.
     """
 
+    usc_reading = "exact-one"
+
     def __init__(
         self,
         entries: Optional[list[CatalogEntry]] = None,
         *,
-        usc_reading: str = "exact-one",
         threshold: int = DEFAULT_THRESHOLD,
         derived_order_limit: int = 1024,
         iso_order_limit: int = 64,
@@ -112,7 +114,6 @@ class SuiteContext:
         jobs: int = 1,
     ):
         self.entries = entries if entries is not None else default_catalog(threshold)
-        self.usc_reading = usc_reading
         self.threshold = threshold
         self.derived_order_limit = derived_order_limit
         self.iso_order_limit = iso_order_limit
@@ -123,9 +124,6 @@ class SuiteContext:
         self._rings: dict[str, FiniteRing] = {}
         for entry in self.entries:
             self._rings.setdefault(_spec_key(entry.spec), entry.ring)
-
-    def classification(self, ring: FiniteRing) -> Classification:
-        return classify(ring, usc_reading=self.usc_reading)
 
     def derived(self, spec: dict) -> FiniteRing:
         """Build (or reuse) a ring by spec; caller handles size errors."""
@@ -154,7 +152,7 @@ class SuiteContext:
     def precompute(self):
         """Classify all catalog rings, in catalog order."""
         for entry in self.entries:
-            self.classification(entry.ring)
+            classify(entry.ring)
 
 
 def _spec_key(spec: dict) -> str:
@@ -212,7 +210,7 @@ def _check_example1_4(ctx: SuiteContext) -> TheoremReport:
                 {"cusc": cusc, "clean": clean},
                 {"cusc": True, "clean": False, "note": "not USC since USC rings are clean"})
     t2 = ctx.derived({"triangular": {"n": 2, "base": {"zn": 2}}})
-    c = ctx.classification(t2)
+    c = classify(t2)
     rep.require("T2(Z2)", c.is_UUC and not c.is_CUC,
                 {"is_UUC": c.is_UUC, "is_CUC": c.is_CUC})
     rep.require("T2(Z2)", c.is_CUSC and not c.is_CUC,
@@ -227,7 +225,7 @@ def _check_prop2_1(ctx: SuiteContext) -> TheoremReport:
     )
     for entry in ctx.entries:
         ring = entry.ring
-        c = ctx.classification(ring)
+        c = classify(ring)
         if not c.is_abelian:
             rep.add(entry.name, NA, "not abelian")
             continue
@@ -250,7 +248,7 @@ def _check_example2_3(ctx: SuiteContext) -> TheoremReport:
         if _is_trivial(ring):
             rep.add(entry.name, NA, "order 1")
             continue
-        c = ctx.classification(ring)
+        c = classify(ring)
         if _id_set_is_zero_one(ring):
             agree = (c.is_CUSC == (not c.one_is_two_good) == c.is_UUSC)
             rep.require(entry.name, agree, {
@@ -261,7 +259,7 @@ def _check_example2_3(ctx: SuiteContext) -> TheoremReport:
         else:
             rep.add(entry.name, NA, "idempotents beyond 0 and 1")
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         if not (c.is_commutative and c.is_USC) or _is_trivial(entry.ring):
             continue
         for n in (2, 3):
@@ -270,7 +268,7 @@ def _check_example2_3(ctx: SuiteContext) -> TheoremReport:
             if tn is None:
                 rep.add(label, SKIP, "triangular ring above derived-size budget")
                 continue
-            ct = ctx.classification(tn)
+            ct = classify(tn)
             rep.require(label, ct.is_USC and ct.is_CUSC and not ct.is_CUC, {
                 "is_USC": ct.is_USC, "is_CUSC": ct.is_CUSC, "is_CUC": ct.is_CUC,
             })
@@ -283,7 +281,7 @@ def _check_prop2_4(ctx: SuiteContext) -> TheoremReport:
     )
     for entry in ctx.entries:
         ring = entry.ring
-        c = ctx.classification(ring)
+        c = classify(ring)
         if not (c.is_CUSC or c.is_UUSC):
             rep.add(entry.name, NA, "neither CUSC nor UUSC")
             continue
@@ -309,7 +307,7 @@ def _check_prop2_4(ctx: SuiteContext) -> TheoremReport:
                     subrings.append((f"subring gen {ring.label_of(a)}", sub))
         bad = None
         for desc, sub in subrings:
-            sc = ctx.classification(sub)
+            sc = classify(sub)
             if c.is_CUSC and not sc.is_CUSC:
                 bad = (desc, "CUSC lost")
                 break
@@ -328,8 +326,8 @@ def _check_prop2_5(ctx: SuiteContext) -> TheoremReport:
     fresh = {"product": [{"zn": 2}, {"zn": 3}]}
     instances.append(("Z2xZ3", fresh, ctx.derived(fresh)))
     for name, spec, ring in instances:
-        c = ctx.classification(ring)
-        factor_classes = [ctx.classification(ctx.derived(s)) for s in spec["product"]]
+        c = classify(ring)
+        factor_classes = [classify(ctx.derived(s)) for s in spec["product"]]
         ok = (
             c.is_CUSC == all(f.is_CUSC for f in factor_classes)
             and c.is_UUSC == all(f.is_UUSC for f in factor_classes)
@@ -372,8 +370,8 @@ def _check_cor2_6(ctx: SuiteContext) -> TheoremReport:
         if not surjective:
             rep.add(name, FAIL, "instance is not subdirect")
             continue
-        factors = [ctx.classification(ctx.derived(s)) for s in spec["product"]]
-        sc = ctx.classification(sub)
+        factors = [classify(ctx.derived(s)) for s in spec["product"]]
+        sc = classify(sub)
         ok = True
         detail = {"subring_order": sub.order}
         if all(f.is_CUSC for f in factors) and not sc.is_CUSC:
@@ -398,11 +396,11 @@ def _check_cor2_7(ctx: SuiteContext) -> TheoremReport:
         if not central_idem:
             rep.add(entry.name, NA, "no proper central idempotent")
             continue
-        c = ctx.classification(ring)
+        c = classify(ring)
         bad = None
         for e in central_idem:
-            part1 = ctx.classification(corner_ring(ring, e))
-            part2 = ctx.classification(corner_ring(ring, ring.sub(ring.one, e)))
+            part1 = classify(corner_ring(ring, e))
+            part2 = classify(corner_ring(ring, ring.sub(ring.one, e)))
             if c.is_CUSC != (part1.is_CUSC and part2.is_CUSC):
                 bad = {"idempotent": ring.label_of(e), "predicate": "CUSC"}
                 break
@@ -442,13 +440,13 @@ def _check_lemma2_8(ctx: SuiteContext) -> TheoremReport:
     )
     for entry in ctx.entries:
         ring = entry.ring
-        c = ctx.classification(ring)
+        c = classify(ring)
         bad = None
         checked = 0
         for ideal_name, ideal_ids in _radical_subideals(ctx, ring):
             quot = (radical_quotient(ring) if ideal_name == "J"
                     else quotient_ring(ring, ideal_ids) if ideal_ids else ring)
-            qc = ctx.classification(quot)
+            qc = classify(quot)
             lifts = idempotents_lift_mod(
                 ring, ideal_ids if ideal_ids else [ring.zero]
             ).lifts
@@ -479,7 +477,7 @@ def _check_prop2_2(ctx: SuiteContext) -> TheoremReport:
         if _is_trivial(ring):
             rep.add(entry.name, NA, "order 1")
             continue
-        c = ctx.classification(ring)
+        c = classify(ring)
         quot = radical_quotient(ring)
         if quot.order == 2:
             rmodj_is_z2 = check_isomorphic(quot, z2).found
@@ -512,25 +510,25 @@ def _check_cor2_14(ctx: SuiteContext) -> TheoremReport:
             continue
         kind = next(iter(spec))
         ring = entry.ring
-        c = ctx.classification(ring)
+        c = classify(ring)
         if kind in ("trunc_poly", "skew_trunc_poly"):
             base = ctx.derived(spec[kind]["base"])
-            bc = ctx.classification(base)
+            bc = classify(base)
             rep.require(entry.name, c.is_UUSC == bc.is_UUSC,
                         {"ring": c.is_UUSC, "base": bc.is_UUSC})
         elif kind == "trivial_extension":
             base = ctx.derived(spec[kind])
-            bc = ctx.classification(base)
+            bc = classify(base)
             rep.require(entry.name, c.is_UUSC == bc.is_UUSC,
                         {"ring": c.is_UUSC, "base": bc.is_UUSC})
         elif kind == "formal_triangular":
-            a = ctx.classification(ctx.derived(spec[kind]["a"]))
-            b = ctx.classification(ctx.derived(spec[kind]["b"]))
+            a = classify(ctx.derived(spec[kind]["a"]))
+            b = classify(ctx.derived(spec[kind]["b"]))
             rep.require(entry.name, c.is_UUSC == (a.is_UUSC and b.is_UUSC),
                         {"ring": c.is_UUSC, "a": a.is_UUSC, "b": b.is_UUSC})
         elif kind == "triangular":
             base = ctx.derived(spec[kind]["base"])
-            bc = ctx.classification(base)
+            bc = classify(base)
             rep.require(entry.name, c.is_UUSC == bc.is_UUSC,
                         {"ring": c.is_UUSC, "base": bc.is_UUSC})
     return rep
@@ -544,9 +542,9 @@ def _check_morita(ctx: SuiteContext) -> TheoremReport:
         spec = entry.spec
         if not (isinstance(spec, dict) and "trivial_morita" in spec):
             continue
-        c = ctx.classification(entry.ring)
-        a = ctx.classification(ctx.derived(spec["trivial_morita"]["a"]))
-        b = ctx.classification(ctx.derived(spec["trivial_morita"]["b"]))
+        c = classify(entry.ring)
+        a = classify(ctx.derived(spec["trivial_morita"]["a"]))
+        b = classify(ctx.derived(spec["trivial_morita"]["b"]))
         rep.require(entry.name, c.is_UUSC == (a.is_UUSC and b.is_UUSC),
                     {"ring": c.is_UUSC, "a": a.is_UUSC, "b": b.is_UUSC})
     if not rep.rows:
@@ -563,9 +561,9 @@ def _check_tav(ctx: SuiteContext) -> TheoremReport:
         spec = entry.spec
         if not (isinstance(spec, dict) and "trivial_extension" in spec):
             continue
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         base = ctx.derived(spec["trivial_extension"])
-        bc = ctx.classification(base)
+        bc = classify(base)
         if c.is_CUSC and not bc.is_CUSC:
             rep.add(entry.name, FAIL, "T(A,A) CUSC but A is not")
             continue
@@ -588,9 +586,9 @@ def _check_prop2_18(ctx: SuiteContext) -> TheoremReport:
         spec = entry.spec
         if not (isinstance(spec, dict) and "ideal_extension" in spec):
             continue
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         base = ctx.derived(spec["ideal_extension"]["base"])
-        bc = ctx.classification(base)
+        bc = classify(base)
         ok = (not c.is_UUSC or bc.is_UUSC) and (not c.is_CUSC or bc.is_CUSC)
         rep.require(entry.name, ok, {
             "extension": {"is_UUSC": c.is_UUSC, "is_CUSC": c.is_CUSC},
@@ -615,8 +613,8 @@ def _check_prop2_19(ctx: SuiteContext) -> TheoremReport:
         if not (hyp.get("idempotents_central_on_m") and hyp.get("m_quasi_regular")):
             rep.add(entry.name, NA, {"hypotheses": hyp})
             continue
-        c = ctx.classification(entry.ring)
-        bc = ctx.classification(ctx.derived(spec["ideal_extension"]["base"]))
+        c = classify(entry.ring)
+        bc = classify(ctx.derived(spec["ideal_extension"]["base"]))
         ok = (not bc.is_UUSC or c.is_UUSC) and (not bc.is_CUSC or c.is_CUSC)
         rep.require(entry.name, ok, {
             "base": {"is_UUSC": bc.is_UUSC, "is_CUSC": bc.is_CUSC},
@@ -635,13 +633,13 @@ def _check_thm3_1(ctx: SuiteContext) -> TheoremReport:
     )
     for entry in ctx.entries:
         ring = entry.ring
-        c = ctx.classification(ring)
+        c = classify(ring)
         if not c.is_semi_potent:
             rep.add(entry.name, FAIL, "finite ring reported non-semi-potent (bug)")
             continue
         cache = get_cache(ring)
         quot = radical_quotient(ring)
-        qc = ctx.classification(quot)
+        qc = classify(quot)
         units = np.flatnonzero(cache.unit_mask)
         idem = np.flatnonzero(cache.idempotent_mask)
         jmask = cache.jacobson_mask
@@ -662,7 +660,7 @@ def _check_thm3_1(ctx: SuiteContext) -> TheoremReport:
 def _check_quasiduo(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport("quasiduo", "potent UUSC rings are left and right quasi-duo")
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         if not (c.is_potent and c.is_UUSC):
             rep.add(entry.name, NA, "not potent UUSC")
             continue
@@ -675,7 +673,7 @@ def _check_quasiduo(ctx: SuiteContext) -> TheoremReport:
 def _check_cor3_2(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport("cor3.2", "regular rings: UUSC iff boolean")
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         if not c.is_regular:
             rep.add(entry.name, NA, "not regular")
             continue
@@ -687,7 +685,7 @@ def _check_cor3_2(ctx: SuiteContext) -> TheoremReport:
 def _check_prop3_3(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport("prop3.3", "USC iff clean and CUSC")
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         rep.require(entry.name, c.is_USC == (c.is_clean and c.is_CUSC), {
             "is_USC": c.is_USC, "is_clean": c.is_clean, "is_CUSC": c.is_CUSC,
         })
@@ -697,7 +695,7 @@ def _check_prop3_3(ctx: SuiteContext) -> TheoremReport:
 def _check_thm3_4(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport("thm3.4", "USC iff CUSC and potent")
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         rep.require(entry.name, c.is_USC == (c.is_CUSC and c.is_potent), {
             "is_USC": c.is_USC, "is_CUSC": c.is_CUSC, "is_potent": c.is_potent,
         })
@@ -711,7 +709,7 @@ def _check_cor3_5(ctx: SuiteContext) -> TheoremReport:
         "(the exchange condition coincides with clean on finite rings)",
     )
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         if not c.is_CUSC:
             rep.add(entry.name, NA, "not CUSC")
             continue
@@ -723,8 +721,8 @@ def _check_cor3_5(ctx: SuiteContext) -> TheoremReport:
 def _check_cor3_6(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport("cor3.6", "semi-boolean iff potent with UUSC radical quotient")
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
-        qc = ctx.classification(radical_quotient(entry.ring))
+        c = classify(entry.ring)
+        qc = classify(radical_quotient(entry.ring))
         rep.require(
             entry.name,
             c.is_semi_boolean == (c.is_potent and qc.is_UUSC),
@@ -740,13 +738,13 @@ def _check_cor3_8(ctx: SuiteContext) -> TheoremReport:
         "rings equal to central-idempotent-plus-radical are USC; T2(Z2) separates the converse",
     )
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         if not c.R_equals_ucn0:
             rep.add(entry.name, NA, "R != ucn0(R)")
             continue
         rep.require(entry.name, c.is_USC, {"is_USC": c.is_USC})
     t2 = ctx.derived({"triangular": {"n": 2, "base": {"zn": 2}}})
-    c = ctx.classification(t2)
+    c = classify(t2)
     cache = get_cache(t2)
     a = t2.id_of("(1 1;0 0)")
     e = t2.id_of("(1 0;0 0)")
@@ -770,7 +768,7 @@ def _check_cor3_8(ctx: SuiteContext) -> TheoremReport:
 def _check_thm3_9(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport("thm3.9", "semi-potent CUSC/UUSC rings contain 2 in the radical")
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         if not ((c.is_CUSC or c.is_UUSC) and c.is_semi_potent):
             rep.add(entry.name, NA, "hypotheses unmet")
             continue
@@ -794,7 +792,7 @@ def _check_thm3_10(ctx: SuiteContext) -> TheoremReport:
                 )
     for entry in ctx.entries:
         ring = entry.ring
-        c = ctx.classification(ring)
+        c = classify(ring)
         if _is_trivial(ring) or not (c.is_CUSC or c.is_UUSC):
             rep.add(entry.name, NA, "hypotheses unmet")
             continue
@@ -802,7 +800,7 @@ def _check_thm3_10(ctx: SuiteContext) -> TheoremReport:
         if c.one_is_two_good:
             problems.append("identity is two-good")
         quot = radical_quotient(ring)
-        qc = ctx.classification(quot)
+        qc = classify(quot)
         if qc.one_is_two_good:
             problems.append("identity is two-good modulo the radical")
         for scope_name, scope in (("R", ring), ("R/J", quot)):
@@ -836,7 +834,7 @@ def _check_thm3_11(ctx: SuiteContext, ns: tuple[int, ...] = (2, 3)) -> TheoremRe
         "commutative semi-potent bases: CUSC = CUC = CUSC of every triangular ring",
     )
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         if not (c.is_commutative and c.is_semi_potent):
             rep.add(entry.name, NA, "not a commutative semi-potent base")
             continue
@@ -851,7 +849,7 @@ def _check_thm3_11(ctx: SuiteContext, ns: tuple[int, ...] = (2, 3)) -> TheoremRe
             if tn is None:
                 rep.add(label, SKIP, "triangular ring above derived-size budget")
                 continue
-            tc = ctx.classification(tn)
+            tc = classify(tn)
             rep.require(label, tc.is_CUSC == c.is_CUSC,
                         {"base_CUSC": c.is_CUSC, "triangular_CUSC": tc.is_CUSC})
     return rep
@@ -871,8 +869,8 @@ def _check_lemma4_1(ctx: SuiteContext) -> TheoremReport:
         if not idem <= embed:
             rep.add(entry.name, NA, "idempotents outside the base")
             continue
-        c = ctx.classification(ring)
-        bc = ctx.classification(ring.meta["base_ring"])
+        c = classify(ring)
+        bc = classify(ring.meta["base_ring"])
         ok = c.is_CUSC == bc.is_CUSC and c.is_UUSC == bc.is_UUSC
         rep.require(entry.name, ok, {
             "group_ring": {"is_CUSC": c.is_CUSC, "is_UUSC": c.is_UUSC},
@@ -892,11 +890,11 @@ def _check_prop4_4(ctx: SuiteContext) -> TheoremReport:
         if not (isinstance(entry.spec, dict) and "group_ring" in entry.spec):
             continue
         group = ring.meta["group"]
-        bc = ctx.classification(ring.meta["base_ring"])
+        bc = classify(ring.meta["base_ring"])
         if not (group.is_two_group and bc.is_UUSC and bc.is_semi_potent):
             rep.add(entry.name, NA, "hypotheses unmet")
             continue
-        c = ctx.classification(ring)
+        c = classify(ring)
         rep.require(entry.name, c.is_UUSC, {"is_UUSC": c.is_UUSC})
     if not rep.rows:
         rep.add("(none)", NA)
@@ -914,11 +912,11 @@ def _check_thm4_3(ctx: SuiteContext) -> TheoremReport:
         if not (isinstance(entry.spec, dict) and "group_ring" in entry.spec):
             continue
         group = ring.meta["group"]
-        bc = ctx.classification(ring.meta["base_ring"])
+        bc = classify(ring.meta["base_ring"])
         if not bc.is_potent:
             rep.add(entry.name, NA, "base not potent")
             continue
-        c = ctx.classification(ring)
+        c = classify(ring)
         two = group.is_two_group
         ok = (
             c.is_CUSC == (bc.is_CUSC and two)
@@ -952,7 +950,7 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
             # classify reads regularity off J = 0; search for x with axa = a.
             mul = ring.mul_table
             by_search = all((mul[mul[a], a] == a).any() for a in range(ring.order))
-            if by_search != ctx.classification(ring).is_regular:
+            if by_search != classify(ring).is_regular:
                 problems.append({"regular_mismatch": {"element_search": by_search}})
             try:
                 maximal = maximal_left_ideals(ring)
@@ -973,7 +971,7 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
         if ring.order <= ctx.quasi_duo_order_limit:
             # Quasi-duo by definition: every maximal one-sided ideal is
             # two-sided.  classify decides it from R/J instead.
-            c = ctx.classification(ring)
+            c = classify(ring)
             closed_form = {"left": c.is_quasi_duo_left, "right": c.is_quasi_duo_right}
             try:
                 by_lattice = {
@@ -1033,15 +1031,12 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
 def _check_explore(ctx: SuiteContext) -> TheoremReport:
     """Report-only observations; never fails.
 
-    Sweeps UUSC transfer to triangular rings (posed as an open question
-    for the statement proved for CUSC), and scans for catalog rings
-    separating the exact-one and at-most-one readings of uniqueness.
+    Sweeps UUSC transfer to triangular rings, posed as an open question
+    for the statement proved for CUSC.
     """
-    rep = TheoremReport(
-        "explore", "observational sweeps (UUSC triangulars; uniqueness readings)"
-    )
+    rep = TheoremReport("explore", "observational sweeps (UUSC triangulars)")
     for entry in ctx.entries:
-        c = ctx.classification(entry.ring)
+        c = classify(entry.ring)
         if not c.is_commutative:
             continue
         observations = {}
@@ -1049,21 +1044,11 @@ def _check_explore(ctx: SuiteContext) -> TheoremReport:
             tn = ctx.triangular_if_permitted(entry.spec, entry.ring, n)
             if tn is None:
                 continue
-            tc = ctx.classification(tn)
+            tc = classify(tn)
             observations[f"T{n}_is_UUSC"] = tc.is_UUSC
         if observations:
             observations["base_is_UUSC"] = c.is_UUSC
             rep.add(entry.name, PASS, observations)
-    for entry in ctx.entries:
-        strict = ctx.classification(entry.ring)
-        relaxed = classify(entry.ring, usc_reading="at-most-one")
-        diffs = {
-            name: {"exact-one": getattr(strict, name), "at-most-one": getattr(relaxed, name)}
-            for name in ("is_USC", "is_CUSC", "is_UUSC")
-            if getattr(strict, name) != getattr(relaxed, name)
-        }
-        if diffs:
-            rep.add(f"{entry.name} (readings)", PASS, diffs)
     if not rep.rows:
         rep.add("(none)", PASS)
     return rep

@@ -23,7 +23,6 @@ from ringlab import (
     trunc_poly,
     zn,
 )
-from ringlab.elements import READINGS
 from ringlab.invariants import LiftReport, get_cache, idempotents_lift_mod, is_two_sided_ideal
 from oracles import diagram_implications, naive_regular, naive_semi_potent
 from test_invariants import _SMALL_SPEC_LIST, ORDER_4096_SPECS
@@ -122,16 +121,9 @@ def test_json_stable_fields(z4):
 
 def test_diagram_implications_on_catalog(suite_ctx):
     for entry in suite_ctx.entries:
-        c = suite_ctx.classification(entry.ring)
+        c = classify(entry.ring)
         for name, holds in diagram_implications(c):
             assert holds, (entry.name, name)
-
-
-def test_usc_reading_changes_only_strong_family(z3):
-    strict = classify(z3, usc_reading="exact-one")
-    relaxed = classify(z3, usc_reading="at-most-one")
-    assert strict.is_UC == relaxed.is_UC
-    assert strict.is_CUC == relaxed.is_CUC
 
 
 def test_isomorphic_pairs(z6):
@@ -194,30 +186,27 @@ def test_classified_ring_is_freed_without_a_collection(spec):
             gc.enable()
 
 
-def test_classify_memo_serves_both_readings(monkeypatch):
+def test_classify_memo_serves_a_repeated_call(monkeypatch):
     spec = {"matrix": {"n": 2, "base": {"zn": 2}}}
-    fresh = {r: classify(build(spec), usc_reading=r).to_json() for r in READINGS}
-    # Not UUSC: the witnesses of the projected fields are exercised.
-    assert not fresh["exact-one"]["is_UUSC"] and "is_UUSC" in fresh["at-most-one"]["witnesses"]
+    fresh = classify(build(spec)).to_json()
+    # Not UUSC: the witnesses of the uniqueness fields are exercised.
+    assert not fresh["is_UUSC"] and "is_UUSC" in fresh["witnesses"]
 
     def recompute(*args, **kwargs):
         raise AssertionError("classify went past the memo")
 
-    for first, second in (READINGS, READINGS[::-1]):
-        ring = build(spec)
-        got_first = classify(ring, usc_reading=first).to_json()
-        with monkeypatch.context() as patched:
-            for name in ("decomposition_counts", "quotient_ring", "_lift_mod_mask"):
-                patched.setattr(classify_module, name, recompute)
-            assert classify(ring, usc_reading=first).to_json() == got_first
-            got_second = classify(ring, usc_reading=second).to_json()
-        assert got_first == fresh[first]
-        assert got_second == fresh[second]
-
-
-def test_classify_rejects_an_unknown_reading(z2):
-    with pytest.raises(ValueError, match="reading"):
-        classify(z2, usc_reading="at-least-one")
+    ring = build(spec)
+    got = classify(ring).to_json()
+    with monkeypatch.context() as patched:
+        for name in ("decomposition_counts", "quotient_ring", "_lift_mod_mask"):
+            patched.setattr(classify_module, name, recompute)
+        assert classify(ring).to_json() == got
+    assert got == fresh
+    # One entry for the classification; nothing kept per reading.
+    keys = set(get_cache(ring)._memo)
+    assert "classification" in keys
+    assert not {"structure", "decomposition_counts"} & keys
+    assert not [k for k in keys if k.startswith("classification:")]
 
 
 def _assert_fields_match_search_routes(ring):

@@ -1,8 +1,12 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from ringlab.cli import main
+from ringlab import SuiteContext, classify, element_profile, zn
+from ringlab.cli import main, make_parser
 
 T2Z2 = {"triangular": {"n": 2, "base": {"zn": 2}}}
 
@@ -181,11 +185,51 @@ def test_oversized_ring_is_refused_with_its_order_and_table_bytes(spec_file, cap
     assert "32768" in lines[0] and "4294967296" in lines[0]
 
 
-def test_usc_reading_flag_accepted(spec_file, capsys):
-    path = spec_file({"zn": 3})
-    code, out, _ = run(capsys, "classify", "--spec", path, "--json",
-                       "--usc-reading", "at-most-one")
-    assert code == 0
+@pytest.mark.parametrize("command", ["classify", "element", "verify"])
+def test_reading_option_is_gone(spec_file, capsys, command):
+    # Uniqueness has one reading, exactly one decomposition: neither the
+    # subcommand nor the library call behind it takes another.
+    argv = {"classify": ["--spec", spec_file({"zn": 3})],
+            "element": ["--spec", spec_file({"zn": 3}), "--element", "2"],
+            "verify": ["--theorem", "prop2.1"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--usc-reading", "exact-one"])
+    assert exc.value.code == 2
+    assert "--usc-reading" in capsys.readouterr().err
+    library_call = {"classify": lambda: classify(zn(3), usc_reading="exact-one"),
+                    "element": lambda: element_profile(zn(3), 0, "exact-one"),
+                    "verify": lambda: SuiteContext([], usc_reading="exact-one")}[command]
+    with pytest.raises(TypeError):
+        library_call()
+
+
+def _readme_cli_flags() -> dict[str, set[str]]:
+    """Flags per subcommand in README's CLI block, plus its shared flags."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    flags: dict[str, set[str]] = {}
+    command = None
+    for line in block.splitlines():
+        head = re.match(r"ringlab (\w+)", line)
+        if head:
+            command = head.group(1)
+            flags[command] = set()
+        if command:
+            flags[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    shared_text = re.search(r"^Shared flags?:(.*?)\n\n", section, re.S | re.M).group(1)
+    shared = set(re.findall(r"`(--[a-z][a-z-]*)", shared_text))
+    return {command: found | shared for command, found in flags.items()}
+
+
+def test_readme_lists_every_cli_flag():
+    parser = make_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        command: {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        for command, sub in subparsers.choices.items()
+    }
+    assert _readme_cli_flags() == accepted
 
 
 def test_lattice_limit_flag_bounds_the_quasi_duo_oracle(spec_file, capsys, tmp_path):

@@ -1,5 +1,3 @@
-import pytest
-
 from ringlab import (
     clean_decompositions,
     decomposition_counts,
@@ -7,7 +5,6 @@ from ringlab import (
     is_uniquely_clean_element,
     is_usc_element,
     strongly_clean_decompositions,
-    zn,
 )
 from oracles import naive_decompositions
 
@@ -67,15 +64,6 @@ def test_f4_units(f4):
     ok, wit = is_usc_element(f4, f4.id_of("w"))
     assert not ok
     assert {f4.label_of(d.idempotent) for d in wit} == {"0", "1"}
-
-
-def test_usc_reading_flag(z3):
-    # Element 2 has two decompositions: both readings reject it.
-    assert not is_usc_element(z3, 2, "at-most-one")[0]
-    # A unit always has the (0, u) decomposition; readings agree there.
-    assert is_usc_element(zn(2), 1, "at-most-one")[0]
-    with pytest.raises(ValueError):
-        is_usc_element(z3, 0, "sometimes")
 
 
 def test_unit_always_has_zero_decomposition(small_catalog):

@@ -20,6 +20,7 @@ from ringlab import (
     maximal_left_ideals,
     maximal_right_ideals,
     nilpotents,
+    table_ring,
     triangular_ring,
     two_good_elements,
     ucn0,
@@ -57,6 +58,16 @@ def test_unit_examples(z4, f4, t2z2):
     # Exhaustive pairing gives exactly the two unipotent matrices.
     assert set(units(t2z2).labels()) == {"(1 0;0 1)", "(1 1;0 1)"}
     assert units(t2z2).sorted_ids() == sorted(naive_units(t2z2))
+
+
+def test_unit_guard_rejects_a_one_sided_inverse(z4):
+    # Finite rings have two-sided inverses only; a table with 2*3 = 1
+    # but 3*2 = 2 is no ring, and the unit kernel must say so.
+    mul = np.array(z4.mul_table)
+    mul[2, 3] = 1
+    broken = table_ring(np.array(z4.add_table), mul, validate=False)
+    with pytest.raises(AssertionError, match=r"2\*3=1 but 3\*2!=1"):
+        get_cache(broken).unit_mask
 
 
 def test_nilpotent_examples(z4, z6, m2z2):

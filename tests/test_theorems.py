@@ -7,6 +7,7 @@ import pytest
 from ringlab import (
     CHECKS,
     SuiteContext,
+    build,
     check_closure_props,
     check_examples_1_4_and_2_3,
     check_extension_corollaries,
@@ -15,6 +16,8 @@ from ringlab import (
     check_thm_3_1,
     check_thm_3_4_and_3_9_3_10,
     check_thm_3_11,
+    classify,
+    decomposition_counts,
     jacobson_radical,
     run_suite,
     suite_to_json,
@@ -22,6 +25,7 @@ from ringlab import (
 )
 from ringlab.catalog import CatalogEntry
 from ringlab.errors import SpecError
+from test_invariants import _SMALL_SPEC_LIST
 
 
 @pytest.mark.parametrize("check_id", sorted(CHECKS))
@@ -141,24 +145,15 @@ def test_default_catalog_roster_frozen(suite_ctx):
 
 
 def test_every_catalog_ring_is_strongly_clean(suite_ctx):
-    # Finite rings are strongly clean, so the exact-one and at-most-one
-    # uniqueness readings can never separate inside the catalog; the
-    # USC/CUSC separation witness belongs to the polynomial analyzer.
-    for entry in suite_ctx.entries:
-        c = suite_ctx.classification(entry.ring)
-        assert c.is_strongly_clean, entry.name
-
-
-def test_readings_coincide_on_catalog(suite_ctx):
-    # The second reading is a projection of the memoized strong counts,
-    # so the whole catalog, T3(Z4) included, is cheap to compare.
-    from ringlab import classify
-
-    for entry in suite_ctx.entries:
-        strict = suite_ctx.classification(entry.ring)
-        relaxed = classify(entry.ring, usc_reading="at-most-one")
-        for name in ("is_USC", "is_CUSC", "is_UUSC"):
-            assert getattr(strict, name) == getattr(relaxed, name), (entry.name, name)
+    # Finite rings are strongly clean, so "exactly one" and "at most one"
+    # strongly clean decomposition read the same on every ring built
+    # here; the USC/CUSC separation witness belongs to the polynomial
+    # analyzer.
+    rings = [(e.name, e.ring) for e in suite_ctx.entries]
+    rings += [(str(spec), build(spec)) for spec in _SMALL_SPEC_LIST]
+    for name, ring in rings:
+        assert (decomposition_counts(ring)[1] >= 1).all(), name
+        assert classify(ring).is_strongly_clean, name
 
 
 def test_radical_quotient_is_built_once_per_ring(monkeypatch):
