@@ -15,6 +15,14 @@ and R/J, R/J is a product of rings M_n(F_q), and M_n(F) with n >= 2 is
 not quasi-duo).  The suite's ``crosschecks`` compares this with the
 maximal one-sided ideals of the lattice.
 
+Local, R/J boolean and quasi-duo are properties of R/J, read on R and
+the mask of J without building R/J: x + J is a unit iff x is one (Lam,
+*A First Course in Noncommutative Rings*, section 4), idempotent iff
+x^2 - x is in J, and central iff xg - gx is in J for the additive
+generators g.  Each holds on whole cosets of J, so the least element of
+R without it is the least element of its coset, and its witness is that
+coset's label in R/J (:func:`construct.coset_label`).
+
 Regular, semi-potent and potent are closed forms too, since a finite
 ring is Artinian with a nilpotent J: it is semi-potent (Brauer's lemma),
 potent (idempotents lift modulo a nil ideal), and regular iff J = 0 (a
@@ -24,9 +32,10 @@ at the first block of rows holding one.  Lifting over J, a witness when
 J != 0, and strong cleanness of every element (finite rings are
 strongly pi-regular; Nicholson 1999) are asserted as kernel-bug guards.
 
-The frozen classification and R/J (:func:`radical_quotient`, shared
-with the suite) are kept in the ring's own memo
+The frozen classification is kept in the ring's own memo
 (:meth:`InvariantCache.memo`), so a repeated call does no work.
+:func:`radical_quotient` builds R/J into the same memo, for the suite
+checks that need it as a ring; :func:`classify` never builds it.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .construct import quotient_ring
+from .construct import coset_label, quotient_ring
 from .core import FiniteRing
 from .elements import ElementProfile, decomposition_counts, element_profile
 from .errors import SizeOverflowError
@@ -162,7 +171,7 @@ def _classify(ring: FiniteRing) -> Classification:
 def _structure(ring: FiniteRing, strong_counts: np.ndarray) -> tuple[dict, dict]:
     """The structural fields and their witnesses; ``strong_counts`` feeds a guard."""
     cache = get_cache(ring)
-    n = ring.order
+    n, mul = ring.order, ring.mul_table
     unit_mask = cache.unit_mask
     idem_mask = cache.idempotent_mask
     jac_mask = cache.jacobson_mask
@@ -184,7 +193,7 @@ def _structure(ring: FiniteRing, strong_counts: np.ndarray) -> tuple[dict, dict]
     is_abelian = noncentral_idem.size == 0
     if not is_abelian:
         e = int(noncentral_idem[0])
-        r = int(np.flatnonzero(ring.mul_row(e) != ring.mul_table[:, e])[0])
+        r = int(np.flatnonzero(ring.mul_row(e) != mul[:, e])[0])
         witnesses["is_abelian"] = {
             "idempotent": ring.label_of(e), "element": ring.label_of(r),
         }
@@ -192,34 +201,38 @@ def _structure(ring: FiniteRing, strong_counts: np.ndarray) -> tuple[dict, dict]
     is_commutative = bool(center_mask.all())
     if not is_commutative:
         a = int(np.flatnonzero(~center_mask)[0])
-        b = int(np.flatnonzero(ring.mul_row(a) != ring.mul_table[:, a])[0])
+        b = int(np.flatnonzero(ring.mul_row(a) != mul[:, a])[0])
         witnesses["is_commutative"] = {"pair": [ring.label_of(a), ring.label_of(b)]}
 
-    # Local: the quotient by the radical is a division ring.
-    quotient = radical_quotient(ring)
-    qcache = get_cache(quotient)
-    q_bad = [
-        int(i) for i in np.flatnonzero(~qcache.unit_mask) if i != quotient.zero
-    ]
-    is_local = len(q_bad) == 0
+    # R/J, read on R: each property below holds on whole cosets of J,
+    # so the least element of R without it is the least of its coset,
+    # which is the least id of R/J without it.
+    # Local: x + J is a unit of R/J iff x is a unit of R.
+    q_bad = np.flatnonzero(~unit_mask & ~jac_mask)
+    is_local = q_bad.size == 0
     if not is_local:
-        witnesses["is_local"] = {"quotient_element": quotient.label_of(int(q_bad[0]))}
+        witnesses["is_local"] = {"quotient_element": coset_label(ring, int(q_bad[0]))}
 
-    q_idx = np.arange(quotient.order)
-    RmodJ_boolean = bool(
-        (quotient.mul_table[q_idx, q_idx] == q_idx).all()
-    )
+    # R/J is boolean iff x^2 - x is in J for every x.
+    idx = np.arange(n)
+    q_bad = np.flatnonzero(~jac_mask[ring.add_table[mul[idx, idx], ring.neg_table]])
+    RmodJ_boolean = q_bad.size == 0
     if not RmodJ_boolean:
-        bad = int(np.flatnonzero(quotient.mul_table[q_idx, q_idx] != q_idx)[0])
-        witnesses["RmodJ_boolean"] = {"quotient_element": quotient.label_of(bad)}
+        witnesses["RmodJ_boolean"] = {"quotient_element": coset_label(ring, int(q_bad[0]))}
 
-    # Quasi-duo (both sides): R/J is commutative.
-    q_center = qcache.center_mask
-    is_quasi_duo = bool(q_center.all())
+    # Quasi-duo (both sides): R/J is commutative.  By biadditivity x is
+    # central mod J iff xg - gx is in J for each additive generator g.
+    gens = cache.additive_generators
+
+    def commutator_in_j(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return jac_mask[ring.add_table[left, ring.neg_table[right]]]
+
+    q_bad = np.flatnonzero(~commutator_in_j(mul[:, gens], mul[gens, :].T).all(axis=1))
+    is_quasi_duo = q_bad.size == 0
     if not is_quasi_duo:
-        a = int(np.flatnonzero(~q_center)[0])
-        b = int(np.flatnonzero(quotient.mul_row(a) != quotient.mul_table[:, a])[0])
-        pair = {"quotient_pair": [quotient.label_of(a), quotient.label_of(b)]}
+        a = int(q_bad[0])
+        b = int(np.flatnonzero(~commutator_in_j(ring.mul_row(a), mul[:, a]))[0])
+        pair = {"quotient_pair": [coset_label(ring, a), coset_label(ring, b)]}
         witnesses["is_quasi_duo_left"] = witnesses["is_quasi_duo_right"] = pair
 
     # Regular Artinian rings are semisimple: regular iff J = {0}.
@@ -250,18 +263,14 @@ def _structure(ring: FiniteRing, strong_counts: np.ndarray) -> tuple[dict, dict]
 
     is_semi_boolean = is_potent and RmodJ_boolean
 
-    two_good_mask = cache.two_good_mask
-    one_is_two_good = bool(two_good_mask[ring.one])
+    # 1 = u + (1 - u) with both units; the witness takes the least u.
+    one_minus = ring.add_row(ring.one)[ring.neg_table]
+    two_good_units = np.flatnonzero(unit_mask & unit_mask[one_minus])
+    one_is_two_good = two_good_units.size > 0
     if one_is_two_good:
-        units_ids = np.flatnonzero(unit_mask)
-        pair = None
-        for u1 in units_ids:
-            u2 = ring.sub(ring.one, int(u1))
-            if unit_mask[u2]:
-                pair = (int(u1), int(u2))
-                break
+        u = int(two_good_units[0])
         witnesses["one_is_two_good"] = {
-            "units": [ring.label_of(pair[0]), ring.label_of(pair[1])]
+            "units": [ring.label_of(u), ring.label_of(int(one_minus[u]))]
         }
 
     two = ring.add(ring.one, ring.one)

@@ -18,6 +18,8 @@ dense tables of at most ``threshold`` elements (default 16384; quotients,
 corners and opposite rings never outgrow their base) and refuse a larger
 ring with :class:`SizeOverflowError`, naming the order and the bytes of
 its tables, before allocating any of them (:func:`ringlab.core.check_order`).
+:func:`build` reads the order of every node from the spec tree first,
+so an oversized spec is refused before any of its factors is built.
 Constructor outputs are validated at build time: up to order 256 the
 cubic laws are decided for all n^3 triples from the additive generators
 (Light's test for associativity of +, bilinearity for the distributive
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from importlib import resources
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -514,7 +517,7 @@ def quotient_ring(
     proj = lookup[reps]
     # One gather per table through proj, in the quotient's own dtype.
     block = np.ix_(rep_ids, rep_ids)
-    labels = ["[" + base.label_of(int(r)) + "]" for r in rep_ids]
+    labels = [coset_label(base, int(r)) for r in rep_ids]
     ring = TableRing(
         proj[base.add_table[block]], proj[base.mul_table[block]],
         int(proj[base.zero]), int(proj[base.one]),
@@ -523,6 +526,11 @@ def quotient_ring(
     _validate_built(ring)
     ring.meta["projection"] = proj
     return ring
+
+
+def coset_label(base: FiniteRing, rep: int) -> str:
+    """The label of the coset whose least element is ``rep``."""
+    return "[" + base.label_of(rep) + "]"
 
 
 def corner_ring(
@@ -1177,7 +1185,65 @@ def build(
     """Build a ring from its declarative construction tree."""
     if validate:
         validate_spec(spec)
+    _refuse_oversized(spec, threshold)
     return _build(spec, threshold)
+
+
+def _order_rule(kind: str, args) -> tuple[list, Optional[Callable]]:
+    """A node's child specs, and its order as a function of theirs.
+
+    The rule is None for kinds whose order depends on a built ring
+    (quotient, corner, table); it returns None for arguments the
+    constructor refuses anyway.
+    """
+    if kind == "zn":
+        return [], lambda: int(args)
+    if kind == "gf":
+        p, k = int(args["p"]), int(args["k"])
+        return [], lambda: p ** k if _is_prime(p) and k >= 1 else None
+    if kind == "product":
+        return list(args), lambda *orders: math.prod(orders)
+    if kind in ("matrix", "triangular", "trunc_poly", "skew_trunc_poly"):
+        n = int(args["n"])
+        cells = {"matrix": n * n, "triangular": n * (n + 1) // 2}.get(kind, n)
+        return [args["base"]], lambda base: base ** cells if n >= 1 else None
+    if kind == "group_ring":
+        return [args["base"]], lambda base: base ** group_from_spec(args["group"]).order
+    if kind == "trivial_extension":
+        return [args], lambda base: base * base
+    if kind == "opposite":
+        return [args], lambda base: base
+    if kind == "ideal_extension":
+        return [args["base"]], lambda base: base * len(args["m"]["add"])
+    if kind == "formal_triangular":
+        return [args["a"], args["b"]], lambda a, b: a * len(args["m"]["add"]) * b
+    if kind == "trivial_morita":
+        return [args["a"], args["b"]], (
+            lambda a, b: a * b * len(args["m"]["add"]) * len(args["n"]["add"]))
+    if kind in ("quotient", "corner"):
+        return [args["base"]], None
+    return [], None
+
+
+def _refuse_oversized(spec, threshold: int) -> Optional[int]:
+    """The order ``spec`` builds, refused above ``threshold`` before any build.
+
+    Walks the tree in :func:`_build`'s order and calls :func:`check_order`
+    at every node whose order follows from its arguments, so the error is
+    the one that node's constructor would raise.  Nodes without such an
+    order, nodes above them and malformed nodes give None and are left
+    to their constructors.
+    """
+    try:
+        (kind, args), = spec.items()
+        children, rule = _order_rule(kind, args)
+        orders = [_refuse_oversized(child, threshold) for child in children]
+        order = None if rule is None or None in orders else rule(*orders)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    if order is not None:
+        check_order(order, threshold)
+    return order
 
 
 def _build(spec: dict, threshold: int) -> FiniteRing:

@@ -3,8 +3,11 @@
 Idempotents, units, nilpotents, the Jacobson radical, the center, sums
 of two units, central-idempotent-plus-radical elements, ideal closure,
 idempotent lifting, and the one-sided ideal lattice.  Everything is
-exact, computed from the ring's tables with no search bound.  Two sets
-avoid a sweep of the whole multiplication table:
+exact, computed from the ring's tables with no search bound.  Units
+take one comparison of the table with 1 and no index sweep: each row's
+first hit is its candidate inverse, and a guard that every hit is its
+row's only one and is two-sided (true in every finite ring) follows.
+Two sets avoid a sweep of the whole multiplication table:
 
 * J is read by quasi-regularity (1 - r*a a unit for every r) on the
   nilpotent columns only: J of a finite ring is nilpotent, so J is
@@ -86,19 +89,26 @@ class InvariantCache:
         ring = self.ring
         n, one = ring.order, ring.one
         mul = ring.mul_table
-        mask = np.zeros(n, dtype=bool)
+        hit = mul == one
+        rows = np.arange(n)
+        first = hit.argmax(axis=1)
+        mask = hit[rows, first]
+        units = rows[mask]
         inv = np.full(n, -1, dtype=np.int64)
-        rows, cols = np.nonzero(mul == one)
-        # Finite rings: one-sided inverses are two-sided.  Guard it.
-        bad = np.flatnonzero(mul[cols, rows] != one)
-        if bad.size:
-            a, b = rows[bad[0]], cols[bad[0]]
+        inv[units] = first[units]
+        # Finite rings: one-sided inverses are two-sided, hence unique,
+        # so every hit is its row's first and pairs with a hit back.
+        if not ((mul[first[units], units] == one).all()
+                and np.count_nonzero(hit) == units.size):
+            hit_rows, hit_cols = np.nonzero(hit)
+            bad = np.flatnonzero(mul[hit_cols, hit_rows] != one)
+            if not bad.size:
+                a = hit_rows[np.flatnonzero(np.diff(hit_rows) == 0)[0]]
+                raise AssertionError(f"two inverses of {a} in {ring.name}: no associative ring")
+            a, b = hit_rows[bad[0]], hit_cols[bad[0]]
             raise AssertionError(
                 f"one-sided inverse in {ring.name}: {a}*{b}=1 but {b}*{a}!=1"
             )
-        # Two-sided inverses are unique: each row holds at most one pair.
-        mask[rows] = True
-        inv[rows] = cols
         out = (mask, inv)
         mask.setflags(write=False)
         inv.setflags(write=False)

@@ -11,9 +11,13 @@ assembly that the open digit grid of ``construct._assemble_ring``
 replaced, and ``reference_quotient`` the row loop that
 ``construct.quotient_ring``'s gathers replaced.  ``full_center`` and
 ``full_jacobson`` are the whole-table sweeps that the generator center
-and the nilpotent-column radical replaced; ``naive_regular`` and
-``naive_semi_potent`` are the searches that ``classify`` replaced by
-theorems (regular iff J = 0; every finite ring is semi-potent).
+and the nilpotent-column radical replaced, and ``full_units`` the
+``np.nonzero(mul == one)`` sweep that the unit kernel's first-hit pass
+replaced; ``naive_regular`` and ``naive_semi_potent`` are the searches
+that ``classify`` replaced by theorems (regular iff J = 0; every finite
+ring is semi-potent).  ``quotient_fields`` reads the R/J fields of
+``classify`` on a built R/J, the route that reading them modulo J
+replaced.
 """
 
 from __future__ import annotations
@@ -80,6 +84,46 @@ def full_jacobson(ring, unit_mask) -> np.ndarray:
     """Quasi-regularity on every column: 1 - r*a a unit for all r."""
     one_minus = ring.add_row(ring.one)[ring.neg_table[ring.mul_table]]
     return unit_mask[one_minus].all(axis=0)
+
+
+def full_units(ring) -> tuple[np.ndarray, np.ndarray]:
+    """Unit mask and inverse map (-1 off the units) from every 1 in the table."""
+    mul = ring.mul_table
+    rows, cols = np.nonzero(mul == ring.one)
+    two_sided = mul[cols, rows] == ring.one
+    mask = np.zeros(ring.order, dtype=bool)
+    inv = np.full(ring.order, -1, dtype=np.int64)
+    mask[rows[two_sided]] = True
+    inv[rows[two_sided]] = cols[two_sided]
+    return mask, inv
+
+
+def quotient_fields(ring) -> tuple[dict, dict]:
+    """is_local, RmodJ_boolean and quasi-duo, with witnesses, from a built R/J."""
+    from ringlab import quotient_ring
+    from ringlab.invariants import get_cache
+
+    quotient = quotient_ring(ring, np.flatnonzero(get_cache(ring).jacobson_mask).tolist())
+    fields, witnesses = {}, {}
+    q_units, _ = full_units(quotient)
+    q_bad = [int(i) for i in np.flatnonzero(~q_units) if i != quotient.zero]
+    fields["is_local"] = not q_bad
+    if q_bad:
+        witnesses["is_local"] = {"quotient_element": quotient.label_of(q_bad[0])}
+    q_idx = np.arange(quotient.order)
+    squares = quotient.mul_table[q_idx, q_idx]
+    fields["RmodJ_boolean"] = bool((squares == q_idx).all())
+    if not fields["RmodJ_boolean"]:
+        bad = int(np.flatnonzero(squares != q_idx)[0])
+        witnesses["RmodJ_boolean"] = {"quotient_element": quotient.label_of(bad)}
+    q_center = full_center(quotient)
+    fields["is_quasi_duo_left"] = fields["is_quasi_duo_right"] = bool(q_center.all())
+    if not q_center.all():
+        a = int(np.flatnonzero(~q_center)[0])
+        b = int(np.flatnonzero(quotient.mul_row(a) != quotient.mul_table[:, a])[0])
+        pair = {"quotient_pair": [quotient.label_of(a), quotient.label_of(b)]}
+        witnesses["is_quasi_duo_left"] = witnesses["is_quasi_duo_right"] = pair
+    return fields, witnesses
 
 
 def naive_regular(ring) -> np.ndarray:

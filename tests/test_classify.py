@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import importlib
+import json
 import weakref
 
 import numpy as np
@@ -24,7 +26,7 @@ from ringlab import (
     zn,
 )
 from ringlab.invariants import LiftReport, get_cache, idempotents_lift_mod, is_two_sided_ideal
-from oracles import diagram_implications, naive_regular, naive_semi_potent
+from oracles import diagram_implications, naive_regular, naive_semi_potent, quotient_fields
 from test_invariants import _SMALL_SPEC_LIST, ORDER_4096_SPECS
 
 # The package re-exports the function ``classify`` under the module's name.
@@ -209,9 +211,49 @@ def test_classify_memo_serves_a_repeated_call(monkeypatch):
     assert not [k for k in keys if k.startswith("classification:")]
 
 
+@pytest.mark.parametrize("spec", [
+    {"zn": 4},
+    {"matrix": {"n": 2, "base": {"zn": 2}}},
+    {"triangular": {"n": 2, "base": {"zn": 4}}},
+])
+def test_classify_builds_no_ring(monkeypatch, spec):
+    # Local, R/J boolean and quasi-duo are read modulo J, and 1 = u + (1 - u)
+    # is found without the two-good mask.
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify built R/J")
+
+    monkeypatch.setattr(classify_module, "quotient_ring", refuse)
+    ring = build(spec)
+    classify(ring)
+    assert not {"radical_quotient", "two_good"} & set(get_cache(ring)._memo)
+
+
+#: sha256 over one ``json.dumps(classify(ring).to_json(), sort_keys=True)``
+#: line per ring, witnesses included, for the catalog, ``_SMALL_SPEC_LIST``
+#: and ``ORDER_4096_SPECS`` in that order.
+CLASSIFY_SHA256 = "f8b897972798cc49d6416c2dbecec8e93d9ca1a84ba7cb5bac1bdbc329ee64fe"
+
+
+def test_classifications_are_pinned(suite_ctx):
+    def rings():
+        yield from (entry.ring for entry in suite_ctx.entries)
+        yield from (build(spec) for spec in _SMALL_SPEC_LIST)
+        yield from (build(spec) for spec in ORDER_4096_SPECS.values())
+
+    digest = hashlib.sha256()
+    for ring in rings():
+        digest.update((json.dumps(classify(ring).to_json(), sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == CLASSIFY_SHA256
+
+
 def _assert_fields_match_search_routes(ring):
-    """regular, semi-potent and potent against the searches they replaced."""
+    """regular, semi-potent and potent against the searches they replaced,
+    and the fields read modulo J against a built R/J."""
     c = classify(ring)
+    fields, witnesses = quotient_fields(ring)
+    for name, value in fields.items():
+        assert getattr(c, name) == value, (ring.name, name)
+        assert c.witnesses.get(name) == witnesses.get(name), (ring.name, name)
     cache = get_cache(ring)
     regular = naive_regular(ring)
     assert c.is_regular == regular.all(), ring.name
@@ -239,6 +281,15 @@ def test_fields_match_search_routes_on_catalog(suite_ctx):
 
 @pytest.mark.parametrize("spec", ORDER_4096_SPECS.values(), ids=ORDER_4096_SPECS.keys())
 def test_fields_match_search_routes_at_order_4096(spec):
+    _assert_fields_match_search_routes(build(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    {"trivial_extension": {"matrix": {"n": 2, "base": {"zn": 2}}}},
+    {"trunc_poly": {"base": {"matrix": {"n": 2, "base": {"zn": 2}}}, "n": 2}},
+])
+def test_quasi_duo_witness_is_a_non_commuting_pair_of_r_mod_j(spec):
+    # Here the least y with xy != yx in R commutes with x modulo J.
     _assert_fields_match_search_routes(build(spec))
 
 

@@ -280,9 +280,14 @@ def test_size_overflow():
         group_ring(zn(4), cyclic(11))
 
 
-def test_oversized_build_is_refused_before_allocating():
-    # Order 32768 would need two 2 GiB tables; the factors (T3(Z4) is
-    # 64 MiB of tables) are all that may be built before the refusal.
+def test_oversized_build_is_refused_before_allocating(monkeypatch):
+    # Order 32768 would need two 2 GiB tables; the order is read from
+    # the spec tree, so not even the factors are built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor was built")
+
+    for name in ("zn", "triangular_ring"):
+        monkeypatch.setattr(construct, name, refuse)
     spec = {"product": [{"zn": 8}, {"triangular": {"n": 3, "base": Z4}}]}
     tracemalloc.start()
     try:
@@ -292,8 +297,23 @@ def test_oversized_build_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert (info.value.required_order, info.value.table_bytes) == (32768, 2 * 32768 ** 2 * 2)
-    assert "32768" in str(info.value) and "4294967296" in str(info.value)
+    assert str(info.value) == (
+        "construction requires order 32768, above the cap 16384; "
+        "its add and mul tables would take 4294967296 bytes")
     assert peak < 160 * 2 ** 20, peak
+
+
+def test_orders_read_from_specs_are_the_built_orders(suite_ctx):
+    specs = [e.spec for e in suite_ctx.entries] + _SMALL_SPEC_LIST + list(_FAMILY_SPECS.values())
+    for spec in specs:
+        order = construct._refuse_oversized(spec, 16384)
+        assert order is None or order == build(spec).order, spec
+    # Orders that depend on a built ring are left to its constructor,
+    # and so are the nodes above them; the nodes below are still read.
+    quotient = {"quotient": {"base": Z4, "generators": [2]}}
+    assert construct._refuse_oversized({"product": [quotient, quotient]}, 4) is None
+    with pytest.raises(SizeOverflowError, match="order 4,"):
+        construct._refuse_oversized({"corner": {"base": Z4, "idempotent": 1}}, 3)
 
 
 def test_threshold_is_the_largest_order_built():

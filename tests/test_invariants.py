@@ -32,6 +32,7 @@ from ringlab.invariants import get_cache
 from oracles import (
     full_center,
     full_jacobson,
+    full_units,
     is_left_ideal,
     naive_center,
     naive_idempotents,
@@ -67,6 +68,27 @@ def test_unit_guard_rejects_a_one_sided_inverse(z4):
     mul[2, 3] = 1
     broken = table_ring(np.array(z4.add_table), mul, validate=False)
     with pytest.raises(AssertionError, match=r"2\*3=1 but 3\*2!=1"):
+        get_cache(broken).unit_mask
+
+
+def test_unit_guard_rejects_a_one_sided_hit_after_a_two_sided_one():
+    # In Z5, 2*3 = 3*2 = 1; a later 2*4 = 1 with 4*2 = 3 is one-sided,
+    # and the first hit of row 2 must not hide it.
+    z5 = zn(5)
+    mul = np.array(z5.mul_table)
+    mul[2, 4] = 1
+    broken = table_ring(np.array(z5.add_table), mul, validate=False)
+    with pytest.raises(AssertionError, match=r"2\*4=1 but 4\*2!=1"):
+        get_cache(broken).unit_mask
+
+
+def test_unit_guard_rejects_two_two_sided_inverses():
+    # Only a non-associative table lets 2 have both 3 and 4 as inverses.
+    z5 = zn(5)
+    mul = np.array(z5.mul_table)
+    mul[2, 4] = mul[4, 2] = 1
+    broken = table_ring(np.array(z5.add_table), mul, validate=False)
+    with pytest.raises(AssertionError, match="two inverses of 2"):
         get_cache(broken).unit_mask
 
 
@@ -269,6 +291,9 @@ ORDER_4096_SPECS = {
 
 def _assert_masks_match_full_routes(ring):
     cache = get_cache(ring)
+    unit_mask, inverse = full_units(ring)
+    assert (cache.unit_mask == unit_mask).all(), ring.name
+    assert (cache.inverse == inverse).all(), ring.name
     assert (cache.center_mask == full_center(ring)).all(), ring.name
     assert (cache.jacobson_mask == full_jacobson(ring, cache.unit_mask)).all(), ring.name
 
