@@ -47,7 +47,9 @@ import numpy as np
 
 from .construct import coset_label, quotient_ring
 from .core import FiniteRing
-from .elements import ElementProfile, decomposition_counts, element_profile
+from .elements import (
+    ElementProfile, _decompositions, _profile, clean_decompositions, decomposition_counts,
+)
 from .errors import SizeOverflowError
 from .invariants import _lift_mod_mask, get_cache
 
@@ -161,9 +163,8 @@ def _classify(ring: FiniteRing) -> Classification:
     ):
         fields[name], w = _quantify(counts, over)
         if w is not None:
-            decomps = element_profile(ring, w).clean_decomps
-            witnesses[name] = {"element": ring.label_of(w),
-                               "clean_decompositions": [d.to_json(ring) for d in decomps]}
+            witnesses[name] = {"element": ring.label_of(w), "clean_decompositions": [
+                d.to_json(ring) for d in clean_decompositions(ring, w)]}
     rest, rest_witnesses = _structure(ring, strong_counts)
     return Classification(**fields, **rest, witnesses={**witnesses, **rest_witnesses})
 
@@ -311,8 +312,12 @@ def _structure(ring: FiniteRing, strong_counts: np.ndarray) -> tuple[dict, dict]
 
 
 def classify_element_summary(ring: FiniteRing) -> list[ElementProfile]:
-    """One profile per element, consistent with classify's quantifiers."""
-    return [element_profile(ring, a) for a in range(ring.order)]
+    """One profile per element, consistent with classify's quantifiers.
+
+    Every row is read from one decomposition sweep, not queried element
+    by element.
+    """
+    return [_profile(a, clean) for a, clean in enumerate(_decompositions(ring, slice(None)))]
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,17 @@ count decompositions: "uniquely X" means exactly one X decomposition.
 "At most one" would read the same on every finite ring, since every
 element of a finite ring is strongly clean.
 
-Enumeration iterates the idempotent set and tests membership of a - e
-in the precomputed unit set; a vectorized counting kernel backs the
-ring-level classifier.
+One table sweep lists every decomposition: for each requested element a
+and each idempotent e it gathers u = a - e from the addition table,
+reads whether u is a unit, and compares e*u with u*e.  The counts behind
+the ring-level classifier, the whole-ring element summary and single
+element queries all read that sweep, over all rows or over one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -63,19 +66,46 @@ class ElementProfile:
         }
 
 
+def _sweep(ring: FiniteRing, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The decomposition sweep over the addition-table rows ``rows``.
+
+    ``rows`` is ``slice(None)`` for every element or a list of ids.
+    Returns the idempotent ids, ``u[r, i] = a_r - e_i``, whether that u
+    is a unit, and whether e_i*u = u*e_i; columns follow idempotent id.
+    """
+    cache = get_cache(ring)
+    idem = np.flatnonzero(cache.idempotent_mask)
+    mul = ring.mul_table
+    u = ring.add_table[rows][:, ring.neg_table[idem]]
+    is_unit = cache.unit_mask[u]
+    commutes = mul[idem[None, :], u] == mul[u, idem[None, :]]
+    return idem, u, is_unit, commutes
+
+
+def _decompositions(ring: FiniteRing, rows) -> list[list[Decomposition]]:
+    """Every clean decomposition of each element of ``rows``, by idempotent id."""
+    idem, u, is_unit, commutes = _sweep(ring, rows)
+    r, i = np.nonzero(is_unit)
+    flat = map(Decomposition, idem[i].tolist(), u[r, i].tolist(), commutes[r, i].tolist())
+    return [list(islice(flat, k)) for k in is_unit.sum(axis=1).tolist()]
+
+
+def _profile(a: int, clean: list[Decomposition]) -> ElementProfile:
+    strong = [d for d in clean if d.commuting]
+    return ElementProfile(
+        element=a,
+        clean_decomps=clean,
+        strongly_clean_decomps=strong,
+        is_clean=bool(clean),
+        is_strongly_clean=bool(strong),
+        is_uniquely_clean=len(clean) == 1,
+        is_usc=len(strong) == 1,
+    )
+
+
 def clean_decompositions(ring: FiniteRing, a: int) -> list[Decomposition]:
     """All pairs (e, u) with e idempotent, u = a - e a unit, by idempotent id."""
-    cache = get_cache(ring)
-    unit_mask = cache.unit_mask
-    out = []
-    neg = ring.neg_table
-    for e in np.flatnonzero(cache.idempotent_mask):
-        e = int(e)
-        u = ring.add(a, int(neg[e]))
-        if unit_mask[u]:
-            commuting = ring.mul(e, u) == ring.mul(u, e)
-            out.append(Decomposition(e, u, commuting))
-    return out
+    return _decompositions(ring, [a])[0]
 
 
 def strongly_clean_decompositions(ring: FiniteRing, a: int) -> list[Decomposition]:
@@ -100,39 +130,15 @@ def is_usc_element(ring: FiniteRing, a: int) -> tuple[bool, list[Decomposition]]
 
 
 def element_profile(ring: FiniteRing, a: int) -> ElementProfile:
-    clean = clean_decompositions(ring, a)
-    strong = [d for d in clean if d.commuting]
-    return ElementProfile(
-        element=a,
-        clean_decomps=clean,
-        strongly_clean_decomps=strong,
-        is_clean=bool(clean),
-        is_strongly_clean=bool(strong),
-        is_uniquely_clean=len(clean) == 1,
-        is_usc=len(strong) == 1,
-    )
+    return _profile(a, clean_decompositions(ring, a))
 
 
 def decomposition_counts(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (clean, strongly clean) decomposition counts per element.
+    """(clean, strongly clean) decomposition counts per element.
 
-    Same mathematics as :func:`clean_decompositions`, expressed as table
-    sweeps so whole-ring classification stays fast on large rings.
+    Sums of the same sweep that lists the decompositions, over every row.
     """
-    cache = get_cache(ring)
-    idem = np.flatnonzero(cache.idempotent_mask)
-    if idem.size == 0:
-        n = ring.order
-        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    add = ring.add_table
-    mul = ring.mul_table
-    neg = ring.neg_table
-    units = cache.unit_mask
-    u = add[:, neg[idem]]                 # u[a, i] = a - e_i
-    is_unit = units[u]
-    eu = mul[idem[None, :], u]
-    ue = mul[u, idem[None, :]]
-    commutes = eu == ue
+    _, _, is_unit, commutes = _sweep(ring, slice(None))
     clean_counts = is_unit.sum(axis=1)
     strong_counts = (is_unit & commutes).sum(axis=1)
     return clean_counts.astype(np.int64), strong_counts.astype(np.int64)

@@ -25,7 +25,7 @@ from .construct import trunc_poly
 from .core import FiniteRing
 from .errors import RingConstructionError
 from .invariants import get_cache
-from .elements import clean_decompositions
+from .elements import decomposition_counts
 
 _VALIDATION_DEGREE = 4
 
@@ -121,14 +121,15 @@ def _validate_characterizations(base: FiniteRing):
         )
 
     # Constants decompose in the truncation exactly as in the base.
-    for c in range(n):
-        base_count = len(clean_decompositions(base, c))
-        trunc_count = len(clean_decompositions(trunc, c * int(weights[0])))
-        if base_count != trunc_count:
-            raise AssertionError(
-                f"constant {base.label_of(c)} has {base_count} decompositions "
-                f"in {base.name} but {trunc_count} in {trunc.name}"
-            )
+    base_counts = decomposition_counts(base)[0]
+    trunc_counts = decomposition_counts(trunc)[0][np.arange(n) * int(weights[0])]
+    bad = np.flatnonzero(base_counts != trunc_counts)
+    if bad.size:
+        c = int(bad[0])
+        raise AssertionError(
+            f"constant {base.label_of(c)} has {base_counts[c]} decompositions "
+            f"in {base.name} but {trunc_counts[c]} in {trunc.name}"
+        )
 
 
 def poly_clean_set(view: PolyRingView) -> PolyCleanData:

@@ -26,7 +26,8 @@ import numpy as np
 
 from ringlab import ElementSet
 from ringlab.core import TableRing, dtype_for
-from ringlab.invariants import LiftReport
+from ringlab.elements import Decomposition
+from ringlab.invariants import LiftReport, get_cache
 
 
 def naive_idempotents(ring) -> set[int]:
@@ -101,7 +102,6 @@ def full_units(ring) -> tuple[np.ndarray, np.ndarray]:
 def quotient_fields(ring) -> tuple[dict, dict]:
     """is_local, RmodJ_boolean and quasi-duo, with witnesses, from a built R/J."""
     from ringlab import quotient_ring
-    from ringlab.invariants import get_cache
 
     quotient = quotient_ring(ring, np.flatnonzero(get_cache(ring).jacobson_mask).tolist())
     fields, witnesses = {}, {}
@@ -167,6 +167,22 @@ def naive_decompositions(ring, a) -> list[tuple[int, int, bool]]:
         for u in inv:
             if ring.add(e, u) == a:
                 out.append((e, u, ring.mul(e, u) == ring.mul(u, e)))
+    return out
+
+
+def reference_clean_decompositions(ring, a) -> list[Decomposition]:
+    """All pairs (e, u) with e idempotent and u = a - e a unit, by idempotent id.
+
+    One scalar ``ring.add`` per idempotent, then ``ring.mul`` both ways
+    on the hits.
+    """
+    cache = get_cache(ring)
+    out = []
+    for e in np.flatnonzero(cache.idempotent_mask):
+        e = int(e)
+        u = ring.add(a, int(ring.neg_table[e]))
+        if cache.unit_mask[u]:
+            out.append(Decomposition(e, u, ring.mul(e, u) == ring.mul(u, e)))
     return out
 
 

@@ -246,6 +246,54 @@ def test_classifications_are_pinned(suite_ctx):
     assert digest.hexdigest() == CLASSIFY_SHA256
 
 
+#: The order-256 and order-4096 rings ``classify --elements`` is pinned on,
+#: after the catalog.
+ELEMENT_SPECS = {
+    "M2(Z4)": {"matrix": {"n": 2, "base": {"zn": 4}}},
+    "Z2[Q8]": {"group_ring": {"base": {"zn": 2}, "group": "quaternion8"}},
+    "T3(Z4)": ORDER_4096_SPECS["T3(Z4)"],
+}
+
+#: sha256 over the ``classify --elements --json`` payload of each catalog
+#: ring of order <= 256, then of each ``ELEMENT_SPECS`` ring, one
+#: ``json.dumps(payload, indent=2, sort_keys=True)`` line per ring.
+ELEMENTS_SHA256 = "e895b0972e040e2b2f53067210106a0d5587779be5cf1483177b9577630a0a03"
+
+
+def _elements_payload(ring) -> str:
+    """The stdout of ``ringlab classify --elements --json``, as ``cli.cmd_classify`` builds it."""
+    payload = {
+        "name": ring.name,
+        "order": ring.order,
+        "classification": classify(ring).to_json(),
+        "elements": [p.to_json(ring) for p in classify_element_summary(ring)],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_element_summaries_are_pinned(suite_ctx):
+    rings = [entry.ring for entry in suite_ctx.entries if entry.ring.order <= 256]
+    rings += [build(spec) for spec in ELEMENT_SPECS.values()]
+    digest = hashlib.sha256()
+    for ring in rings:
+        digest.update((_elements_payload(ring) + "\n").encode())
+    assert digest.hexdigest() == ELEMENTS_SHA256
+
+
+def test_element_summary_reads_one_sweep(monkeypatch):
+    # The summary lists every element from one table sweep, never from
+    # a per-element query.
+    import ringlab.elements as elements
+
+    def per_element(*args, **kwargs):
+        raise AssertionError("summary went through a per-element query")
+
+    monkeypatch.setattr(elements, "element_profile", per_element)
+    monkeypatch.setattr(elements, "clean_decompositions", per_element)
+    ring = build({"triangular": {"n": 3, "base": {"zn": 2}}})
+    assert len(classify_element_summary(ring)) == ring.order
+
+
 def _assert_fields_match_search_routes(ring):
     """regular, semi-potent and potent against the searches they replaced,
     and the fields read modulo J against a built R/J."""

@@ -1,4 +1,12 @@
+import json
+import random
+
+import pytest
+
 from ringlab import (
+    ElementProfile,
+    build,
+    classify_element_summary,
     clean_decompositions,
     decomposition_counts,
     element_profile,
@@ -6,7 +14,8 @@ from ringlab import (
     is_usc_element,
     strongly_clean_decompositions,
 )
-from oracles import naive_decompositions
+from oracles import naive_decompositions, reference_clean_decompositions
+from test_invariants import _SMALL_SPEC_LIST, ORDER_4096_SPECS
 
 
 def as_tuples(decomps):
@@ -93,6 +102,46 @@ def test_profile_consistency(small_catalog):
                 assert profile.is_usc
 
 
+def _reference_profile(ring, a) -> ElementProfile:
+    clean = reference_clean_decompositions(ring, a)
+    strong = [d for d in clean if d.commuting]
+    return ElementProfile(a, clean, strong, bool(clean), bool(strong),
+                          len(clean) == 1, len(strong) == 1)
+
+
+def _assert_profiles_match_reference(ring, elements):
+    """The summary rows and single queries of ``elements`` render exactly
+    as the scalar loop's, with Python ints and bools throughout."""
+    summary = classify_element_summary(ring)
+    assert [p.element for p in summary] == list(range(ring.order)), ring.name
+    for a in elements:
+        expected = json.dumps(_reference_profile(ring, a).to_json(ring), sort_keys=True)
+        for profile in (summary[a], element_profile(ring, a)):
+            assert json.dumps(profile.to_json(ring), sort_keys=True) == expected, (ring.name, a)
+            assert type(profile.element) is int
+            for d in profile.clean_decomps:
+                assert (type(d.idempotent), type(d.unit), type(d.commuting)) == (int, int, bool)
+
+
+def test_profiles_match_reference_on_catalog(suite_ctx):
+    for entry in suite_ctx.entries:
+        if entry.ring.order <= 256:
+            _assert_profiles_match_reference(entry.ring, entry.ring.elements())
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST)
+def test_profiles_match_reference_on_small_specs(spec):
+    ring = build(spec)
+    _assert_profiles_match_reference(ring, ring.elements())
+
+
+@pytest.mark.parametrize("spec", ORDER_4096_SPECS.values(), ids=ORDER_4096_SPECS.keys())
+def test_profiles_match_reference_at_order_4096(spec):
+    ring = build(spec)
+    rng = random.Random(4096)
+    _assert_profiles_match_reference(ring, [rng.randrange(ring.order) for _ in range(64)])
+
+
 def test_enumeration_matches_naive_oracle(small_catalog):
     for entry in small_catalog:
         ring = entry.ring
@@ -118,11 +167,12 @@ from hypothesis import given, settings, strategies as st
     {"opposite": {"matrix": {"n": 2, "base": {"zn": 2}}}},
 ]))
 def test_property_counts_match_naive(spec):
-    from ringlab import build
-
     ring = build(spec)
     clean_counts, strong_counts = decomposition_counts(ring)
     for a in ring.elements():
         naive = naive_decompositions(ring, a)
         assert clean_counts[a] == len(naive)
         assert strong_counts[a] == sum(1 for _, _, c in naive if c)
+        profile = element_profile(ring, a)
+        assert as_tuples(profile.clean_decomps) == naive
+        assert as_tuples(profile.strongly_clean_decomps) == [d for d in naive if d[2]]

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from ringlab import (
@@ -88,3 +90,18 @@ def test_trivial_idempotent_bases_reduce_to_two_good(base_builder):
     assert idempotents(base).sorted_ids() == [base.zero, base.one]
     view = poly_view(base)
     assert poly_is_cusc(view)[0] == (not classify(base).one_is_two_good)
+
+
+def test_constant_mismatch_names_the_first_constant(monkeypatch):
+    # One count per constant, base against truncation; the first
+    # constant that differs is reported.
+    polyring = importlib.import_module("ringlab.polyring")
+    counts = polyring.decomposition_counts
+
+    def one_more_in_the_truncation(ring):
+        clean, strong = counts(ring)
+        return (clean + 1 if ring.order > 2 else clean), strong
+
+    monkeypatch.setattr(polyring, "decomposition_counts", one_more_in_the_truncation)
+    with pytest.raises(AssertionError, match=r"^constant 0 has 1 decompositions in Z2 but 2 in "):
+        poly_view(zn(2))
