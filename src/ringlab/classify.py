@@ -150,27 +150,30 @@ def _classify(ring: FiniteRing) -> Classification:
     """The decomposition fields, then the structural ones."""
     cache = get_cache(ring)
     clean_counts, strong_counts = decomposition_counts(ring)
-    fields, witnesses = {}, {}
-    for name, counts in (("is_clean", clean_counts), ("is_strongly_clean", strong_counts)):
-        fields[name] = bool((counts > 0).all())
-        if not fields[name]:
-            witnesses[name] = {"element": ring.label_of(int(np.flatnonzero(counts == 0)[0]))}
-    everything, clean_mask = np.ones(ring.order, dtype=bool), clean_counts > 0
+    # Finite rings are strongly pi-regular, hence strongly clean, and so
+    # clean: CUC is UC and CUSC is USC.
+    no_strong = np.flatnonzero(strong_counts == 0)
+    if no_strong.size:
+        raise AssertionError(
+            f"{ring.name} has no strongly clean decomposition of "
+            f"{ring.label_of(int(no_strong[0]))}")
+    fields, witnesses = {"is_clean": True, "is_strongly_clean": True}, {}
+    everything = np.ones(ring.order, dtype=bool)
     for name, counts, over in (
         ("is_UC", clean_counts, everything), ("is_USC", strong_counts, everything),
-        ("is_CUC", clean_counts, clean_mask), ("is_CUSC", strong_counts, clean_mask),
+        ("is_CUC", clean_counts, everything), ("is_CUSC", strong_counts, everything),
         ("is_UUC", clean_counts, cache.unit_mask), ("is_UUSC", strong_counts, cache.unit_mask),
     ):
         fields[name], w = _quantify(counts, over)
         if w is not None:
             witnesses[name] = {"element": ring.label_of(w), "clean_decompositions": [
                 d.to_json(ring) for d in clean_decompositions(ring, w)]}
-    rest, rest_witnesses = _structure(ring, strong_counts)
+    rest, rest_witnesses = _structure(ring)
     return Classification(**fields, **rest, witnesses={**witnesses, **rest_witnesses})
 
 
-def _structure(ring: FiniteRing, strong_counts: np.ndarray) -> tuple[dict, dict]:
-    """The structural fields and their witnesses; ``strong_counts`` feeds a guard."""
+def _structure(ring: FiniteRing) -> tuple[dict, dict]:
+    """The structural fields and their witnesses."""
     cache = get_cache(ring)
     n, mul = ring.order, ring.mul_table
     unit_mask = cache.unit_mask
@@ -254,13 +257,6 @@ def _structure(ring: FiniteRing, strong_counts: np.ndarray) -> tuple[dict, dict]
             f"{ring.label_of(lift.failure)}")
     is_semi_potent = True
     is_potent = lift.lifts
-
-    # Finite rings are strongly pi-regular, hence strongly clean.
-    no_strong = np.flatnonzero(strong_counts == 0)
-    if no_strong.size:
-        raise AssertionError(
-            f"{ring.name} has no strongly clean decomposition of "
-            f"{ring.label_of(int(no_strong[0]))}")
 
     is_semi_boolean = is_potent and RmodJ_boolean
 

@@ -26,6 +26,12 @@ cubic laws are decided for all n^3 triples from the additive generators
 laws and for associativity of the product); above it, by fixed-seed
 sampling.  Module add tables go through the same generator test for
 associativity.
+
+Each spec kind is one row of ``_FAMILIES``: its child specs, its order
+from the child orders, its display name from the child names, and its
+constructor call.  :func:`build`, the oversize pre-check and
+:func:`spec_name` are walks over that table, so a new family is one row
+there plus its entry in ``ringspec.schema.json``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import itertools
 import json
 import math
 from importlib import resources
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +52,6 @@ from .core import (
     additive_generators,
     check_order,
     dtype_for,
-    spec_name,
     table_ring,
     validate_axioms,
 )
@@ -101,6 +106,12 @@ def _axis_of_module(add_table: np.ndarray) -> tuple["_Axis", int]:
     if (neg < 0).any():
         raise RingConstructionError("module addition lacks inverses")
     return _Axis(n, add, neg, zero), zero
+
+
+def _module_labels(m_tables: dict, n: int) -> list:
+    """A module's labels, or its element ids as strings when it gives none."""
+    labels = m_tables.get("labels")
+    return [str(i) for i in range(n)] if labels is None else list(labels)
 
 
 class _Assembly:
@@ -417,35 +428,7 @@ def matrix_ring(
     spec: Optional[dict] = None,
 ) -> FiniteRing:
     """Full n x n matrix ring over the base."""
-    if n < 1:
-        raise SpecError(f"matrix dimension must be positive, got {n}")
-    spec = spec or {"matrix": {"n": n, "base": base.spec}}
-    entries = [(i, j) for i in range(n) for j in range(n)]
-    pos = {e: c for c, e in enumerate(entries)}
-    assembly = _Assembly([_Axis.of_ring(base)] * len(entries))
-    amul, aadd = base.mul_table, base.add_table
-
-    def mul_digits(da, db):
-        out = []
-        for i, j in entries:
-            acc = None
-            for k in range(n):
-                term = amul[da[pos[(i, k)]], db[pos[(k, j)]]]
-                acc = term if acc is None else aadd[acc, term]
-            out.append(acc)
-        return out
-
-    one_digits = [base.one if i == j else base.zero for i, j in entries]
-    base_labels = base.labels
-
-    def label_fn(digits):
-        rows = []
-        for i in range(n):
-            rows.append(" ".join(base_labels[digits[pos[(i, j)]]] for j in range(n)))
-        return "(" + ";".join(rows) + ")"
-
-    return _assemble_ring(assembly, mul_digits, one_digits, label_fn,
-                          spec, spec_name(spec), threshold)
+    return _matrix_ring("matrix", n, base, lambda i, j: True, threshold, spec)
 
 
 def triangular_ring(
@@ -456,10 +439,26 @@ def triangular_ring(
     spec: Optional[dict] = None,
 ) -> FiniteRing:
     """Upper triangular n x n matrices over the base."""
+    return _matrix_ring("triangular", n, base, lambda i, j: i <= j, threshold, spec)
+
+
+def _matrix_ring(
+    kind: str,
+    n: int,
+    base: FiniteRing,
+    present: Callable[[int, int], bool],
+    threshold: int,
+    spec: Optional[dict],
+) -> FiniteRing:
+    """n x n matrices over the base, zero in each cell (i, j) without ``present(i, j)``.
+
+    Entry (i, j) of a product sums a[i, k] * b[k, j], in increasing k,
+    over the k with both (i, k) and (k, j) present.
+    """
     if n < 1:
-        raise SpecError(f"triangular dimension must be positive, got {n}")
-    spec = spec or {"triangular": {"n": n, "base": base.spec}}
-    entries = [(i, j) for i in range(n) for j in range(i, n)]
+        raise SpecError(f"{kind} dimension must be positive, got {n}")
+    spec = spec or {kind: {"n": n, "base": base.spec}}
+    entries = [(i, j) for i in range(n) for j in range(n) if present(i, j)]
     pos = {e: c for c, e in enumerate(entries)}
     assembly = _Assembly([_Axis.of_ring(base)] * len(entries))
     amul, aadd = base.mul_table, base.add_table
@@ -468,9 +467,10 @@ def triangular_ring(
         out = []
         for i, j in entries:
             acc = None
-            for k in range(i, j + 1):
-                term = amul[da[pos[(i, k)]], db[pos[(k, j)]]]
-                acc = term if acc is None else aadd[acc, term]
+            for k in range(n):
+                if (i, k) in pos and (k, j) in pos:
+                    term = amul[da[pos[(i, k)]], db[pos[(k, j)]]]
+                    acc = term if acc is None else aadd[acc, term]
             out.append(acc)
         return out
 
@@ -483,7 +483,7 @@ def triangular_ring(
         for i in range(n):
             cells = []
             for j in range(n):
-                cells.append(base_labels[digits[pos[(i, j)]]] if j >= i else zero_label)
+                cells.append(base_labels[digits[pos[(i, j)]]] if (i, j) in pos else zero_label)
             rows.append(" ".join(cells))
         return "(" + ";".join(rows) + ")"
 
@@ -801,7 +801,8 @@ def ideal_extension(
     nm = axis.size
     # The action laws below gather order(base)^2 * |M| cells: refuse first.
     check_order(base.order * nm, threshold)
-    m_mul = np.asarray(m_tables.get("mul") or np.full((nm, nm), m_zero), dtype=np.int64)
+    m_mul = m_tables.get("mul")
+    m_mul = np.asarray(np.full((nm, nm), m_zero) if m_mul is None else m_mul, dtype=np.int64)
     if m_mul.shape != (nm, nm) or (m_mul.size and (m_mul.min() < 0 or m_mul.max() >= nm)):
         raise RingConstructionError("module mul table malformed")
     lam = np.asarray(left_action, dtype=np.int64)
@@ -844,7 +845,7 @@ def ideal_extension(
         second = madd[madd[lam[da[0], db[1]], rho[da[1], db[0]]], m_mul[da[1], db[1]]]
         return [first, second]
 
-    m_labels = list(m_tables.get("labels") or [str(i) for i in range(nm)])
+    m_labels = _module_labels(m_tables, nm)
     base_labels = base.labels
 
     def label_fn(digits):
@@ -946,7 +947,7 @@ def formal_triangular(
             bmul[da[2], db[2]],
         ]
 
-    m_labels = list(m_tables.get("labels") or [str(i) for i in range(axis.size)])
+    m_labels = _module_labels(m_tables, axis.size)
     a_labels, b_labels = a.labels, b.labels
 
     def label_fn(digits):
@@ -1016,8 +1017,8 @@ def trivial_morita(
             lam[pid, v] = lam_m[ai, mv] * sizes[1] + lam_n[bi, nv]
             rho[v, pid] = rho_m[mv, bi] * sizes[1] + rho_n[nv, ai]
 
-    m_labels = list(m.get("labels") or [str(i) for i in range(sizes[0])])
-    n_labels = list(n.get("labels") or [str(i) for i in range(sizes[1])])
+    m_labels = _module_labels(m, sizes[0])
+    n_labels = _module_labels(n, sizes[1])
     v_labels = [
         f"({m_labels[i // sizes[1]]},{n_labels[i % sizes[1]]})" for i in range(v_order)
     ]
@@ -1189,40 +1190,138 @@ def build(
     return _build(spec, threshold)
 
 
-def _order_rule(kind: str, args) -> tuple[list, Optional[Callable]]:
-    """A node's child specs, and its order as a function of theirs.
+# ---------------------------------------------------------------------------
+# the family table: one row per spec kind
 
-    The rule is None for kinds whose order depends on a built ring
-    (quotient, corner, table); it returns None for arguments the
-    constructor refuses anyway.
+
+class _Family(NamedTuple):
+    """One spec kind, as :func:`_build`, :func:`_refuse_oversized` and :func:`spec_name` read it.
+
+    ``children(args)`` gives the child specs, built in that order before
+    the node.  ``order(args, *child_orders)`` gives the node's order, or
+    None for arguments its constructor refuses anyway; the field itself
+    is None where the order depends on a built ring.
+    ``name(args, *child_names)`` gives the display name and
+    ``make(args, spec, threshold, *child_rings)`` builds the node.
     """
-    if kind == "zn":
-        return [], lambda: int(args)
-    if kind == "gf":
-        p, k = int(args["p"]), int(args["k"])
-        return [], lambda: p ** k if _is_prime(p) and k >= 1 else None
-    if kind == "product":
-        return list(args), lambda *orders: math.prod(orders)
-    if kind in ("matrix", "triangular", "trunc_poly", "skew_trunc_poly"):
+
+    children: Callable[..., list]
+    order: Optional[Callable[..., Optional[int]]]
+    name: Callable[..., str]
+    make: Callable[..., FiniteRing]
+
+
+def _gf_order(args) -> Optional[int]:
+    p, k = int(args["p"]), int(args["k"])
+    return p ** k if _is_prime(p) and k >= 1 else None
+
+
+def _power_order(cells: Callable[[int], int]) -> Callable[..., Optional[int]]:
+    """Order base^cells(n) of a family with cells(n) base coordinates."""
+    def order(args, base: int) -> Optional[int]:
         n = int(args["n"])
-        cells = {"matrix": n * n, "triangular": n * (n + 1) // 2}.get(kind, n)
-        return [args["base"]], lambda base: base ** cells if n >= 1 else None
-    if kind == "group_ring":
-        return [args["base"]], lambda base: base ** group_from_spec(args["group"]).order
-    if kind == "trivial_extension":
-        return [args], lambda base: base * base
-    if kind == "opposite":
-        return [args], lambda base: base
-    if kind == "ideal_extension":
-        return [args["base"]], lambda base: base * len(args["m"]["add"])
-    if kind == "formal_triangular":
-        return [args["a"], args["b"]], lambda a, b: a * len(args["m"]["add"]) * b
-    if kind == "trivial_morita":
-        return [args["a"], args["b"]], (
-            lambda a, b: a * b * len(args["m"]["add"]) * len(args["n"]["add"]))
-    if kind in ("quotient", "corner"):
-        return [args["base"]], None
-    return [], None
+        return base ** cells(n) if n >= 1 else None
+    return order
+
+
+def _group_name(gspec) -> str:
+    if isinstance(gspec, str):
+        return {"klein_four": "V4", "symmetric3": "S3", "quaternion8": "Q8"}.get(
+            gspec, gspec
+        )
+    if isinstance(gspec, dict):
+        if "cyclic" in gspec:
+            return f"C{gspec['cyclic']}"
+        if "dihedral" in gspec:
+            return f"D{gspec['dihedral']}"
+        if "table" in gspec:
+            return "G"
+    return "G"
+
+
+#: Every spec kind of ``ringspec.schema.json``, with the fields of
+#: :class:`_Family` in order.  A new family is one row here plus its
+#: schema entry.
+_FAMILIES: dict[str, _Family] = {
+    "zn": _Family(
+        lambda a: [], int, lambda a: f"Z{a}",
+        lambda a, spec, t: zn(int(a), threshold=t, spec=spec)),
+    "gf": _Family(
+        lambda a: [], _gf_order, lambda a: f"F{a['p'] ** a['k']}",
+        lambda a, spec, t: gf(int(a["p"]), int(a["k"]), threshold=t, spec=spec)),
+    "product": _Family(
+        list, lambda a, *orders: math.prod(orders), lambda a, *names: "x".join(names),
+        lambda a, spec, t, *factors: product_ring(factors, threshold=t, spec=spec)),
+    "matrix": _Family(
+        lambda a: [a["base"]], _power_order(lambda n: n * n), lambda a, base: f"M{a['n']}({base})",
+        lambda a, spec, t, base: matrix_ring(int(a["n"]), base, threshold=t, spec=spec)),
+    "triangular": _Family(
+        lambda a: [a["base"]], _power_order(lambda n: n * (n + 1) // 2),
+        lambda a, base: f"T{a['n']}({base})",
+        lambda a, spec, t, base: triangular_ring(int(a["n"]), base, threshold=t, spec=spec)),
+    "quotient": _Family(
+        lambda a: [a["base"]], None, lambda a, base: f"{base}/I",
+        lambda a, spec, t, base: quotient_ring(base, a["generators"], spec=spec)),
+    "corner": _Family(
+        lambda a: [a["base"]], None, lambda a, base: f"corner({base})",
+        lambda a, spec, t, base: corner_ring(base, int(a["idempotent"]), spec=spec)),
+    "group_ring": _Family(
+        lambda a: [a["base"]], lambda a, base: base ** group_from_spec(a["group"]).order,
+        lambda a, base: f"{base}[{_group_name(a['group'])}]",
+        lambda a, spec, t, base: group_ring(
+            base, group_from_spec(a["group"]), threshold=t, spec=spec)),
+    "trivial_extension": _Family(
+        lambda a: [a], lambda a, base: base * base, lambda a, base: f"TE({base})",
+        lambda a, spec, t, base: trivial_extension(base, threshold=t, spec=spec)),
+    "ideal_extension": _Family(
+        lambda a: [a["base"]], lambda a, base: base * len(a["m"]["add"]),
+        lambda a, base: f"IE({base})",
+        lambda a, spec, t, base: ideal_extension(
+            base, a["m"], a["left_action"], a["right_action"], threshold=t, spec=spec)),
+    "formal_triangular": _Family(
+        lambda a: [a["a"], a["b"]], lambda a, ra, rb: ra * len(a["m"]["add"]) * rb,
+        lambda a, ra, rb: f"FT({ra},{rb})",
+        lambda a, spec, t, ra, rb: formal_triangular(
+            ra, rb, a["m"], a["left_action"], a["right_action"], threshold=t, spec=spec)),
+    "trivial_morita": _Family(
+        lambda a: [a["a"], a["b"]],
+        lambda a, ra, rb: ra * rb * len(a["m"]["add"]) * len(a["n"]["add"]),
+        lambda a, ra, rb: f"MC({ra},{rb})",
+        lambda a, spec, t, ra, rb: trivial_morita(
+            ra, rb, a["m"], a["m_left"], a["m_right"], a["n"], a["n_left"], a["n_right"],
+            threshold=t, spec=spec)),
+    "trunc_poly": _Family(
+        lambda a: [a["base"]], _power_order(lambda n: n), lambda a, base: f"{base}[x]/x^{a['n']}",
+        lambda a, spec, t, base: trunc_poly(base, int(a["n"]), threshold=t, spec=spec)),
+    "skew_trunc_poly": _Family(
+        lambda a: [a["base"]], _power_order(lambda n: n),
+        lambda a, base: f"{base}[x;a]/x^{a['n']}",
+        lambda a, spec, t, base: skew_trunc_poly(
+            base, a["alpha"], int(a["n"]), threshold=t, spec=spec)),
+    "opposite": _Family(
+        lambda a: [a], lambda a, base: base, lambda a, base: f"op({base})",
+        lambda a, spec, t, base: opposite_ring(base, spec=spec)),
+    "table": _Family(
+        lambda a: [], None, lambda a: "table",
+        lambda a, spec, t: table_ring(
+            a["add"], a["mul"], a.get("labels"), spec=spec, name=spec_name(spec))),
+}
+
+
+def _family_of(spec) -> tuple[_Family, object]:
+    """The table row of a spec node, and the node's arguments."""
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise SpecError(f"spec node must be a single-key object, got {spec!r}")
+    (kind, args), = spec.items()
+    if kind not in _FAMILIES:
+        raise SpecError(f"unknown construction kind {kind!r}")
+    return _FAMILIES[kind], args
+
+
+def _build(spec: dict, threshold: int) -> FiniteRing:
+    family, args = _family_of(spec)
+    children = [_build(child, threshold) for child in family.children(args)]
+    return family.make(args, spec, threshold, *children)
 
 
 def _refuse_oversized(spec, threshold: int) -> Optional[int]:
@@ -1235,70 +1334,20 @@ def _refuse_oversized(spec, threshold: int) -> Optional[int]:
     to their constructors.
     """
     try:
-        (kind, args), = spec.items()
-        children, rule = _order_rule(kind, args)
-        orders = [_refuse_oversized(child, threshold) for child in children]
-        order = None if rule is None or None in orders else rule(*orders)
-    except (AttributeError, KeyError, TypeError, ValueError):
+        family, args = _family_of(spec)
+        orders = [_refuse_oversized(child, threshold) for child in family.children(args)]
+        order = None if family.order is None or None in orders else family.order(args, *orders)
+    except (SpecError, KeyError, TypeError, ValueError):
         return None
     if order is not None:
         check_order(order, threshold)
     return order
 
 
-def _build(spec: dict, threshold: int) -> FiniteRing:
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise SpecError(f"spec node must be a single-key object, got {spec!r}")
-    kind, args = next(iter(spec.items()))
-    if kind == "zn":
-        return zn(int(args), threshold=threshold, spec=spec)
-    if kind == "gf":
-        return gf(int(args["p"]), int(args["k"]), threshold=threshold, spec=spec)
-    if kind == "product":
-        factors = [_build(s, threshold) for s in args]
-        return product_ring(factors, threshold=threshold, spec=spec)
-    if kind == "matrix":
-        return matrix_ring(int(args["n"]), _build(args["base"], threshold),
-                           threshold=threshold, spec=spec)
-    if kind == "triangular":
-        return triangular_ring(int(args["n"]), _build(args["base"], threshold),
-                               threshold=threshold, spec=spec)
-    if kind == "quotient":
-        return quotient_ring(_build(args["base"], threshold), args["generators"], spec=spec)
-    if kind == "corner":
-        return corner_ring(_build(args["base"], threshold), int(args["idempotent"]), spec=spec)
-    if kind == "group_ring":
-        return group_ring(_build(args["base"], threshold), group_from_spec(args["group"]),
-                          threshold=threshold, spec=spec)
-    if kind == "trivial_extension":
-        return trivial_extension(_build(args, threshold), threshold=threshold, spec=spec)
-    if kind == "ideal_extension":
-        return ideal_extension(
-            _build(args["base"], threshold), args["m"],
-            args["left_action"], args["right_action"],
-            threshold=threshold, spec=spec,
-        )
-    if kind == "formal_triangular":
-        return formal_triangular(
-            _build(args["a"], threshold), _build(args["b"], threshold),
-            args["m"], args["left_action"], args["right_action"],
-            threshold=threshold, spec=spec,
-        )
-    if kind == "trivial_morita":
-        return trivial_morita(
-            _build(args["a"], threshold), _build(args["b"], threshold),
-            args["m"], args["m_left"], args["m_right"],
-            args["n"], args["n_left"], args["n_right"],
-            threshold=threshold, spec=spec,
-        )
-    if kind == "trunc_poly":
-        return trunc_poly(_build(args["base"], threshold), int(args["n"]),
-                          threshold=threshold, spec=spec)
-    if kind == "skew_trunc_poly":
-        return skew_trunc_poly(_build(args["base"], threshold), args["alpha"], int(args["n"]),
-                               threshold=threshold, spec=spec)
-    if kind == "opposite":
-        return opposite_ring(_build(args, threshold), spec=spec)
-    if kind == "table":
-        return table_ring(args["add"], args["mul"], args.get("labels"), spec=spec)
-    raise SpecError(f"unknown construction kind {kind!r}")
+def spec_name(spec: Optional[dict]) -> str:
+    """Short display name derived from a construction tree; "ring" without one."""
+    try:
+        family, args = _family_of(spec)
+    except SpecError:
+        return "ring"
+    return family.name(args, *map(spec_name, family.children(args)))

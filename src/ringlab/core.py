@@ -62,8 +62,8 @@ class FiniteRing:
     Instances are immutable after construction and safe to share across
     threads; the one concrete type is :class:`TableRing`.  ``spec``
     records the construction tree that produced the ring (``None`` for
-    raw table rings), ``meta`` carries construction byproducts such as
-    projection or embedding maps.
+    raw table rings), ``name`` defaults to ``ring<order>``, and ``meta``
+    carries construction byproducts such as projection or embedding maps.
     """
 
     def __init__(
@@ -83,7 +83,7 @@ class FiniteRing:
         self.zero = int(zero)
         self.one = int(one)
         self.spec = spec
-        self.name = name or (spec_name(spec) if spec else f"ring{order}")
+        self.name = name or f"ring{order}"
         self._labels = list(labels) if labels is not None else None
         self._label_index: Optional[dict] = None
         self.meta: dict = {}
@@ -495,60 +495,3 @@ def table_ring(
             )
     return ring
 
-
-def spec_name(spec: Optional[dict]) -> str:
-    """Short display name derived from a construction tree."""
-    if spec is None:
-        return "ring"
-    if not isinstance(spec, dict) or len(spec) != 1:
-        return "ring"
-    kind, args = next(iter(spec.items()))
-    if kind == "zn":
-        return f"Z{args}"
-    if kind == "gf":
-        p, k = (args["p"], args["k"]) if isinstance(args, dict) else args
-        return f"F{p ** k}"
-    if kind == "product":
-        return "x".join(spec_name(s) for s in args)
-    if kind == "matrix":
-        return f"M{args['n']}({spec_name(args['base'])})"
-    if kind == "triangular":
-        return f"T{args['n']}({spec_name(args['base'])})"
-    if kind == "quotient":
-        return f"{spec_name(args['base'])}/I"
-    if kind == "corner":
-        return f"corner({spec_name(args['base'])})"
-    if kind == "group_ring":
-        return f"{spec_name(args['base'])}[{_group_name(args['group'])}]"
-    if kind == "trivial_extension":
-        return f"TE({spec_name(args)})"
-    if kind == "ideal_extension":
-        return f"IE({spec_name(args['base'])})"
-    if kind == "formal_triangular":
-        return f"FT({spec_name(args['a'])},{spec_name(args['b'])})"
-    if kind == "trivial_morita":
-        return f"MC({spec_name(args['a'])},{spec_name(args['b'])})"
-    if kind == "trunc_poly":
-        return f"{spec_name(args['base'])}[x]/x^{args['n']}"
-    if kind == "skew_trunc_poly":
-        return f"{spec_name(args['base'])}[x;a]/x^{args['n']}"
-    if kind == "opposite":
-        return f"op({spec_name(args)})"
-    if kind == "table":
-        return "table"
-    return "ring"
-
-
-def _group_name(gspec) -> str:
-    if isinstance(gspec, str):
-        return {"klein_four": "V4", "symmetric3": "S3", "quaternion8": "Q8"}.get(
-            gspec, gspec
-        )
-    if isinstance(gspec, dict):
-        if "cyclic" in gspec:
-            return f"C{gspec['cyclic']}"
-        if "dihedral" in gspec:
-            return f"D{gspec['dihedral']}"
-        if "table" in gspec:
-            return "G"
-    return "G"

@@ -24,7 +24,7 @@ from .core import FiniteRing
 from .invariants import get_cache
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """One way of writing an element as idempotent + unit."""
 

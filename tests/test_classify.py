@@ -351,14 +351,20 @@ def test_guard_lifting_over_j(monkeypatch):
 def test_guard_every_element_strongly_clean(monkeypatch):
     counts = classify_module.decomposition_counts
 
-    def without_strong_one(ring):
+    def without_strong_two_and_three(ring):
         clean, strong = counts(ring)
         strong = strong.copy()
-        strong[ring.one] = 0
+        strong[[2, 3]] = 0
         return clean, strong
 
-    monkeypatch.setattr(classify_module, "decomposition_counts", without_strong_one)
-    with pytest.raises(AssertionError, match=r"Z4.*no strongly clean"):
+    def structure(ring):
+        raise AssertionError("the structural fields were computed first")
+
+    # The guard runs before anything else: the classifier then reads
+    # every element as clean and strongly clean.
+    monkeypatch.setattr(classify_module, "decomposition_counts", without_strong_two_and_three)
+    monkeypatch.setattr(classify_module, "_structure", structure)
+    with pytest.raises(AssertionError, match=r"^Z4 has no strongly clean decomposition of 2$"):
         classify(build({"zn": 4}))
 
 

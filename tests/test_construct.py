@@ -1,4 +1,7 @@
+import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +368,64 @@ def test_provenance_spec_attached():
     assert ring.name == "T2(Z2)"
 
 
+def test_schema_table_and_docs_list_the_same_kinds():
+    defs = construct.load_schema()["$defs"]
+    schema_kinds = []
+    for ref in defs["ringspec"]["oneOf"]:
+        (kind,) = defs[ref["$ref"].rsplit("/", 1)[1]]["required"]
+        schema_kinds.append(kind)
+    doc = (Path(__file__).parents[1] / "docs" / "ringspec_schema.md").read_text()
+    documented = re.findall(r'^\| `\{"(\w+)":', doc, re.MULTILINE)
+    assert len(schema_kinds) == 16
+    assert sorted(schema_kinds) == sorted(construct._FAMILIES) == sorted(documented)
+    assert sorted(_PINNED_NAMES) == sorted(schema_kinds)
+
+
+#: One spec for each kind ``_FAMILY_SPECS`` lacks.
+_MORE_KIND_SPECS = {
+    "zn": {"zn": 6},
+    "gf": {"gf": {"p": 2, "k": 3}},
+    "quotient": {"quotient": {"base": Z4, "generators": [2]}},
+    "corner": {"corner": {"base": {"matrix": {"n": 2, "base": Z2}}, "idempotent": 1}},
+    "trunc_poly": {"trunc_poly": {"base": Z2, "n": 3}},
+    "opposite": {"opposite": {"triangular": {"n": 2, "base": Z2}}},
+    "table": {"table": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}},
+}
+
+#: ``build(spec).name`` of each kind's spec, as literal strings.
+_PINNED_NAMES = {
+    "zn": "Z6",
+    "gf": "F8",
+    "product": "Z2xZ3xZ4",
+    "matrix": "M2(Z3)",
+    "triangular": "T3(Z2)",
+    "quotient": "Z4/I",
+    "corner": "corner(M2(Z2))",
+    "group_ring": "Z2[S3]",
+    "trivial_extension": "TE(Z4)",
+    "ideal_extension": "IE(Z4)",
+    "formal_triangular": "FT(Z2,Z4)",
+    "trivial_morita": "MC(Z2,Z2)",
+    "trunc_poly": "Z2[x]/x^3",
+    "skew_trunc_poly": "F4[x;a]/x^2",
+    "opposite": "op(T2(Z2))",
+    "table": "table",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_NAMES))
+def test_build_names_are_pinned(kind):
+    spec = {**_FAMILY_SPECS, **_MORE_KIND_SPECS}[kind]
+    assert build(spec).name == _PINNED_NAMES[kind]
+
+
+def test_group_rings_name_their_group():
+    table_c2 = {"table": {"mul": [[0, 1], [1, 0]], "identity": 0, "labels": ["e", "g"]}}
+    names = [build({"group_ring": {"base": Z2, "group": group}}).name
+             for group in ("klein_four", "quaternion8", {"dihedral": 3}, table_c2)]
+    assert names == ["Z2[V4]", "Z2[Q8]", "Z2[D3]", "Z2[G]"]
+
+
 def test_every_constructor_output_validates(small_catalog):
     for entry in small_catalog:
         assert validate_axioms(entry.ring, force=True).ok, entry.name
@@ -386,6 +447,34 @@ def test_non_associative_module_addition_rejected(z2, m_add):
         formal_triangular(z2, z2, {"add": m_add}, act, [list(r) for r in zip(*act)])
     with pytest.raises(RingConstructionError, match="^module addition is not associative$"):
         ideal_extension(z2, {"add": m_add}, act, [list(r) for r in zip(*act)])
+
+
+def _as_arrays(value):
+    """``value`` with every list, in dicts too, turned into a numpy array."""
+    if isinstance(value, dict):
+        return {key: _as_arrays(item) for key, item in value.items()}
+    return np.asarray(value) if isinstance(value, list) else value
+
+
+def test_numpy_module_tables_build_the_list_spec_ring(z2):
+    # An array has no truth value: optional tables are tested for None.
+    spec = dict(DEFAULT_SPECS)["IE(Z2,2Z4)"]
+    args = _as_arrays(spec["ideal_extension"])
+    ring = ideal_extension(z2, args["m"], args["left_action"], args["right_action"])
+    ref = build(spec)
+    _assert_same_ring(ring, ref)
+    assert json.dumps(ring.spec) == json.dumps(ref.spec)
+
+
+def test_numpy_module_labels_build_the_list_ring(z2):
+    m, act = {"add": [[0, 1], [1, 0]], "labels": ["0", "m"]}, [[0, 0], [0, 1]]
+    for make in (
+        lambda m: formal_triangular(z2, z2, m, act, act),
+        lambda m: trivial_morita(z2, z2, m, act, act, m, act, act),
+    ):
+        ring, ref = make(_as_arrays(m)), make(m)
+        _assert_same_ring(ring, ref)
+        assert json.dumps(ring.spec) == json.dumps(ref.spec)
 
 
 # ---------------------------------------------------------------------------

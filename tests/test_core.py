@@ -54,6 +54,8 @@ def test_z2_tables():
     ring = table_ring(*zn_tables(2))
     assert ring.order == 2
     assert ring.one == 1
+    # Names come from the caller; a ring given none is ring<order>.
+    assert ring.name == table_ring(*zn_tables(2), spec={"zn": 2}).name == "ring2"
 
 
 def test_klein_four_zero_products_lacks_identity():
