@@ -270,7 +270,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--lattice-limit", type=int, default=100_000,
-        help="one-sided ideal enumeration bound for the quasi-duo cross-check",
+        help="member bound on the one-sided ideal lattices behind the radical, "
+             "quasi-duo and semi-potence oracles of crosschecks",
     )
     p_verify.set_defaults(fn=cmd_verify)
     return parser

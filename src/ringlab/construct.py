@@ -108,10 +108,15 @@ def _axis_of_module(add_table: np.ndarray) -> tuple["_Axis", int]:
     return _Axis(n, add, neg, zero), zero
 
 
-def _module_labels(m_tables: dict, n: int) -> list:
+def _module_labels(m_tables: dict, n: int, module: str = "M") -> list:
     """A module's labels, or its element ids as strings when it gives none."""
     labels = m_tables.get("labels")
-    return [str(i) for i in range(n)] if labels is None else list(labels)
+    if labels is None:
+        return [str(i) for i in range(n)]
+    if len(labels) != n:
+        raise RingConstructionError(
+            f"module {module} has {n} elements but {len(labels)} labels")
+    return list(labels)
 
 
 class _Assembly:
@@ -1018,7 +1023,7 @@ def trivial_morita(
             rho[v, pid] = rho_m[mv, bi] * sizes[1] + rho_n[nv, ai]
 
     m_labels = _module_labels(m, sizes[0])
-    n_labels = _module_labels(n, sizes[1])
+    n_labels = _module_labels(n, sizes[1], "N")
     v_labels = [
         f"({m_labels[i // sizes[1]]},{n_labels[i % sizes[1]]})" for i in range(v_order)
     ]
@@ -1302,7 +1307,7 @@ _FAMILIES: dict[str, _Family] = {
         lambda a: [a], lambda a, base: base, lambda a, base: f"op({base})",
         lambda a, spec, t, base: opposite_ring(base, spec=spec)),
     "table": _Family(
-        lambda a: [], None, lambda a: "table",
+        lambda a: [], lambda a: len(a["add"]), lambda a: "table",
         lambda a, spec, t: table_ring(
             a["add"], a["mul"], a.get("labels"), spec=spec, name=spec_name(spec))),
 }

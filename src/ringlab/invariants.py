@@ -337,12 +337,6 @@ def _lift_mod_mask(ring: FiniteRing, imask: np.ndarray) -> LiftReport:
     return LiftReport(True, witnesses)
 
 
-def _cyclic_one_sided(ring: FiniteRing, a: int, side: str) -> frozenset[int]:
-    mul = ring.mul_table
-    col = mul[:, a] if side == "left" else mul[a, :]
-    return frozenset(int(v) for v in np.unique(col))
-
-
 def one_sided_ideals(
     ring: FiniteRing,
     side: str = "left",
@@ -361,8 +355,10 @@ def one_sided_ideals(
     if n > order_limit:
         raise SizeOverflowError(n, order_limit)
     add = ring.add_table
+    # Row a of this table is Ra (left) or aR (right).
+    mul = ring.mul_table.T if side == "left" else ring.mul_table
     cyclic = sorted(
-        {_cyclic_one_sided(ring, a, side) for a in range(n)},
+        {frozenset(np.unique(mul[a]).tolist()) for a in range(n)},
         key=lambda s: (len(s), sorted(s)),
     )
     if len(cyclic) > count_limit:
@@ -398,27 +394,20 @@ def maximal_one_sided_ideals(
     count_limit: int = DEFAULT_IDEAL_COUNT_LIMIT,
     order_limit: int = DEFAULT_IDEAL_ORDER_LIMIT,
 ) -> list[frozenset[int]]:
-    """Proper one-sided ideals M with M + Ra = R for every a outside M."""
-    everything = frozenset(range(ring.order))
-    lattice = one_sided_ideals(ring, side, count_limit, order_limit)
-    add = ring.add_table
-    out = []
-    for m in lattice:
-        if m == everything:
-            continue
-        m_ids = sorted(m)
-        maximal = True
-        for a in range(ring.order):
-            if a in m:
-                continue
-            cyc = sorted(_cyclic_one_sided(ring, a, side))
-            joined = np.unique(add[np.ix_(m_ids, cyc)])
-            if len(joined) != ring.order:
-                maximal = False
-                break
-        if maximal:
-            out.append(m)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    """Maximal left (or right) ideals, read off :func:`one_sided_ideals`.
+
+    Every one-sided ideal of a finite ring is a finite sum of cyclic
+    ones, so the lattice holds them all, and a proper member inside no
+    other proper member is maximal: M + Ra = R for every a outside M.
+    Bounds and refusals are those of :func:`one_sided_ideals`.
+    """
+    return maximal_members(one_sided_ideals(ring, side, count_limit, order_limit), ring.order)
+
+
+def maximal_members(lattice: list[frozenset[int]], order: int) -> list[frozenset[int]]:
+    """The proper members of a complete ideal lattice inside no other."""
+    proper = [m for m in lattice if len(m) < order]
+    return [m for m in proper if not any(m < p for p in proper)]
 
 
 def maximal_left_ideals(ring: FiniteRing, **kw) -> list[ElementSet]:

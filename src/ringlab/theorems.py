@@ -25,16 +25,15 @@ import numpy as np
 
 from .catalog import CatalogEntry, default_catalog
 from .classify import check_isomorphic, classify, radical_quotient
-from .construct import build, corner_ring, quotient_ring, subring_generated
+from .construct import _FAMILIES, build, corner_ring, quotient_ring, subring_generated
 from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
-from .errors import LatticeLimitError, SizeOverflowError, SpecError
+from .errors import LatticeLimitError, SpecError
 from .invariants import (
     get_cache,
     idempotents_lift_mod,
     is_two_sided_ideal,
     jacobson_radical,
-    maximal_left_ideals,
-    maximal_right_ideals,
+    maximal_members,
     one_sided_ideals,
 )
 from .polyring import poly_is_clean, poly_is_cusc, poly_view
@@ -95,7 +94,9 @@ class SuiteContext:
 
     ``threshold`` is the largest order any build of the suite may have.
     ``quasi_duo_order_limit`` and ``quasi_duo_count_limit`` bound the
-    ideal-lattice route of the quasi-duo cross-check.  ``jobs`` is
+    one lattice per side that ``crosschecks`` builds for its radical,
+    quasi-duo and semi-potence oracles.  ``oracle_order_limit`` gates
+    regularity by search, ``prop2.4`` and ``lemma2.8``.  ``jobs`` is
     accepted for compatibility and changes neither output nor scheduling.
     """
 
@@ -144,7 +145,8 @@ class SuiteContext:
         key = _spec_key(spec)
         if key in self._rings:
             return self._rings[key]
-        order = base.order ** (n * (n + 1) // 2)
+        # From base.order: a quotient base's order needs the built ring.
+        order = _FAMILIES["triangular"].order(spec["triangular"], base.order)
         if order > self.derived_order_limit:
             return None
         return self.derived(spec)
@@ -946,64 +948,53 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
         if not report.ok:
             problems.append(f"axioms: {report.axiom} at {report.witness}")
         cache = get_cache(ring)
+        jac = cache.jacobson_mask
+        jac_ids = np.flatnonzero(jac).tolist()
         if ring.order <= ctx.oracle_order_limit:
             # classify reads regularity off J = 0; search for x with axa = a.
             mul = ring.mul_table
             by_search = all((mul[mul[a], a] == a).any() for a in range(ring.order))
             if by_search != classify(ring).is_regular:
                 problems.append({"regular_mismatch": {"element_search": by_search}})
+        if ring.order <= ctx.quasi_duo_order_limit:
+            # One lattice per side feeds three oracles: J as the meet of
+            # the maximal left ideals, quasi-duo and semi-potence.
             try:
-                maximal = maximal_left_ideals(ring)
-                meet = set(range(ring.order))
-                for m in maximal:
-                    meet &= m.members
-                jac = set(int(i) for i in np.flatnonzero(cache.jacobson_mask))
-                if meet != jac:
-                    problems.append({
-                        "radical_mismatch": {
-                            "quasi_regular": sorted(jac),
-                            "maximal_meet": sorted(meet),
-                        }
-                    })
-            except (SizeOverflowError, LatticeLimitError) as exc:
+                lattices = {side: one_sided_ideals(
+                    ring, side, ctx.quasi_duo_count_limit, ctx.quasi_duo_order_limit,
+                ) for side in ("left", "right")}
+            except LatticeLimitError as exc:
                 rep.add(entry.name, SKIP, str(exc))
                 continue
-        if ring.order <= ctx.quasi_duo_order_limit:
+            maximal = {side: maximal_members(lattice, ring.order)
+                       for side, lattice in lattices.items()}
+            meet = set(range(ring.order)).intersection(*maximal["left"])
+            if meet != set(jac_ids):
+                problems.append({
+                    "radical_mismatch": {
+                        "quasi_regular": jac_ids,
+                        "maximal_meet": sorted(meet),
+                    }
+                })
             # Quasi-duo by definition: every maximal one-sided ideal is
-            # two-sided.  classify decides it from R/J instead.
+            # two-sided.
             c = classify(ring)
             closed_form = {"left": c.is_quasi_duo_left, "right": c.is_quasi_duo_right}
-            try:
-                by_lattice = {
-                    side: all(is_two_sided_ideal(ring, m) for m in maximal_ideals(
-                        ring, order_limit=ctx.quasi_duo_order_limit,
-                        count_limit=ctx.quasi_duo_count_limit,
-                    ))
-                    for side, maximal_ideals in (("left", maximal_left_ideals),
-                                                 ("right", maximal_right_ideals))
-                }
-            except (SizeOverflowError, LatticeLimitError) as exc:
-                rep.add(entry.name, SKIP, str(exc))
-                continue
+            by_lattice = {side: all(is_two_sided_ideal(ring, m) for m in ms)
+                          for side, ms in maximal.items()}
             if by_lattice != closed_form:
                 problems.append({"quasi_duo_mismatch": {
                     "closed_form": closed_form, "lattice": by_lattice,
                 }})
-        if ring.order <= 32:
-            lattice = one_sided_ideals(ring, "left")
-            jac_set = set(int(i) for i in np.flatnonzero(cache.jacobson_mask))
-            nz_idem = set(
-                int(i) for i in np.flatnonzero(cache.idempotent_mask)
-            ) - {ring.zero}
-            for ideal in lattice:
-                members = set(ideal)
-                if not members <= jac_set and not (members & nz_idem):
+            # Semi-potent: a left ideal outside J holds a nonzero idempotent.
+            nz_idem = cache.idempotent_mask.copy()
+            nz_idem[ring.zero] = False
+            for ideal in lattices["left"]:
+                ids = list(ideal)
+                if not jac[ids].all() and not nz_idem[ids].any():
                     problems.append({"semi_potent_lattice": sorted(ideal)})
                     break
-        lift = idempotents_lift_mod(
-            ring, sorted(int(i) for i in np.flatnonzero(cache.jacobson_mask))
-        )
-        if not lift.lifts:
+        if not idempotents_lift_mod(ring, jac_ids).lifts:
             problems.append("idempotents fail to lift modulo the radical")
         quot = radical_quotient(ring)
         proj = quot.meta["projection"]

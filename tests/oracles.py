@@ -15,7 +15,9 @@ and the nilpotent-column radical replaced, and ``full_units`` the
 ``np.nonzero(mul == one)`` sweep that the unit kernel's first-hit pass
 replaced; ``naive_regular`` and ``naive_semi_potent`` are the searches
 that ``classify`` replaced by theorems (regular iff J = 0; every finite
-ring is semi-potent).  ``quotient_fields`` reads the R/J fields of
+ring is semi-potent), and ``reference_maximal_one_sided_ideals`` the
+M + Ra = R search that reading maximal ideals off the lattice by
+inclusion replaced.  ``quotient_fields`` reads the R/J fields of
 ``classify`` on a built R/J, the route that reading them modulo J
 replaced.
 """
@@ -27,7 +29,7 @@ import numpy as np
 from ringlab import ElementSet
 from ringlab.core import TableRing, dtype_for
 from ringlab.elements import Decomposition
-from ringlab.invariants import LiftReport, get_cache
+from ringlab.invariants import LiftReport, get_cache, one_sided_ideals
 
 
 def naive_idempotents(ring) -> set[int]:
@@ -295,6 +297,27 @@ def is_left_ideal(ring, subset: set[int]) -> bool:
             if ring.mul(r, x) not in subset:
                 return False
     return True
+
+
+def reference_maximal_one_sided_ideals(ring, side="left") -> list[frozenset[int]]:
+    """Proper one-sided ideals M with M + Ra = R (or M + aR = R) for every a outside M."""
+    add, mul = ring.add_table, ring.mul_table
+    out = []
+    for m in one_sided_ideals(ring, side):
+        if len(m) == ring.order:
+            continue
+        m_ids = sorted(m)
+        maximal = True
+        for a in range(ring.order):
+            if a in m:
+                continue
+            cyclic = np.unique(mul[:, a] if side == "left" else mul[a, :])
+            if len(np.unique(add[np.ix_(m_ids, cyclic)])) != ring.order:
+                maximal = False
+                break
+        if maximal:
+            out.append(m)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
 def diagram_implications(c) -> list[tuple[str, bool]]:

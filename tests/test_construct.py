@@ -328,6 +328,10 @@ def test_threshold_is_the_largest_order_built():
         zn(5, threshold=4)
     with pytest.raises(SizeOverflowError, match="order 8, above the cap 7"):
         gf(2, 3, threshold=7)
+    table = {"table": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}}
+    assert build(table, threshold=2).order == 2
+    with pytest.raises(SizeOverflowError, match="order 2, above the cap 1"):
+        build(table, threshold=1)
 
 
 def test_bimodule_families_refuse_before_checking_their_actions(z2):
@@ -475,6 +479,23 @@ def test_numpy_module_labels_build_the_list_ring(z2):
         ring, ref = make(_as_arrays(m)), make(m)
         _assert_same_ring(ring, ref)
         assert json.dumps(ring.spec) == json.dumps(ref.spec)
+
+
+_SHORT_LABELS = {"add": [[0, 1], [1, 0]], "labels": ["0"]}
+_ACT = [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("make, module", [
+    (lambda z2, m: ideal_extension(z2, m, _ACT, _ACT), "M"),
+    (lambda z2, m: formal_triangular(z2, z2, m, _ACT, _ACT), "M"),
+    (lambda z2, m: trivial_morita(z2, z2, {"add": m["add"]}, _ACT, _ACT, m, _ACT, _ACT), "N"),
+    (lambda z2, m: build({"ideal_extension": {
+        "base": {"zn": 2}, "m": m, "left_action": _ACT, "right_action": _ACT}}), "M"),
+], ids=["ideal_extension", "formal_triangular", "trivial_morita", "build"])
+def test_module_labels_of_the_wrong_length_are_rejected(z2, make, module):
+    with pytest.raises(RingConstructionError,
+                       match=f"^module {module} has 2 elements but 1 labels$"):
+        make(z2, _SHORT_LABELS)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from ringlab import (
     units,
     zn,
 )
-from ringlab.invariants import get_cache
+from ringlab.invariants import get_cache, maximal_one_sided_ideals
 from oracles import (
     full_center,
     full_jacobson,
@@ -41,6 +41,7 @@ from oracles import (
     naive_two_good,
     naive_ucn0,
     naive_units,
+    reference_maximal_one_sided_ideals,
     scalar_ideal_generated,
     scalar_idempotents_lift_mod,
 )
@@ -189,6 +190,15 @@ def test_left_ideal_examples(z4, f4, t2z2):
     for m in maximal_left_ideals(t2z2):
         assert jac <= m.members
         assert is_left_ideal(t2z2, set(m.members))
+
+
+def test_maximal_ideals_by_inclusion_match_the_search(suite_ctx):
+    rings = [e.ring for e in suite_ctx.entries if e.ring.order <= 256]
+    rings += [build(spec) for spec in _SMALL_SPEC_LIST]
+    for ring in rings:
+        for side in ("left", "right"):
+            assert (maximal_one_sided_ideals(ring, side)
+                    == reference_maximal_one_sided_ideals(ring, side)), (ring.name, side)
 
 
 def test_left_ideal_bounds():

@@ -2,6 +2,7 @@ import importlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ringlab import (
@@ -23,8 +24,9 @@ from ringlab import (
     suite_to_json,
     zn,
 )
-from ringlab.catalog import CatalogEntry
+from ringlab.catalog import DEFAULT_SPECS, CatalogEntry
 from ringlab.errors import SpecError
+from ringlab.invariants import get_cache
 from test_invariants import _SMALL_SPEC_LIST
 
 
@@ -179,3 +181,63 @@ def test_radical_quotient_is_built_once_per_ring(monkeypatch):
     )
     assert len(by_radical) >= len(ctx.entries)
     assert max(by_radical.values()) == 1
+
+
+def _boolean_leaves(detail, path=()):
+    if isinstance(detail, bool):
+        yield path, detail
+    elif isinstance(detail, dict):
+        for key in sorted(detail):
+            yield from _boolean_leaves(detail[key], path + (key,))
+    elif isinstance(detail, list):
+        for i, value in enumerate(detail):
+            yield from _boolean_leaves(value, path + (i,))
+
+
+#: Distinct tuples of boolean leaves in each check's pass-row details on
+#: the default catalog.  Most checks' pass rows carry no boolean leaf and
+#: count one empty corner; a catalog change that loses a corner lowers a count.
+PASS_CORNERS = {cid: 1 for cid in CHECKS} | {"example1.4": 2, "explore": 4}
+
+
+def test_pass_rows_keep_their_truth_table_corners(suite_ctx):
+    doc = suite_to_json(suite_ctx, run_suite(suite_ctx))
+    corners = {
+        check["id"]: len({
+            tuple(_boolean_leaves(row.get("detail")))
+            for row in check["rows"] if row["verdict"] == "pass"
+        })
+        for check in doc["checks"]
+    }
+    assert corners == PASS_CORNERS
+
+
+def test_crosschecks_builds_one_lattice_per_ring_and_side(suite_ctx, monkeypatch):
+    calls = []
+
+    def counting(original):
+        def one_sided_ideals(ring, side, *args, **kwargs):
+            calls.append((ring.name, side))
+            return original(ring, side, *args, **kwargs)
+        return one_sided_ideals
+
+    for name in ("ringlab.invariants", "ringlab.theorems"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "one_sided_ideals", counting(module.one_sided_ideals))
+    run_suite(suite_ctx, ["crosschecks"])
+    small = [e.ring.name for e in suite_ctx.entries if e.ring.order <= 256]
+    assert len(calls) == 2 * len(small) == 72
+    assert Counter(calls) == Counter((n, side) for n in small for side in ("left", "right"))
+
+
+def test_radical_oracle_reaches_order_256():
+    # Z2Q8 is local, J its augmentation ideal: a zero J must be caught.
+    spec = dict(DEFAULT_SPECS)["Z2Q8"]
+    ctx = SuiteContext([CatalogEntry("Z2Q8", spec, build(spec))])
+    ctx.precompute()
+    ring = ctx.entries[0].ring
+    assert ring.order == 256
+    get_cache(ring)._memo["jacobson"] = np.arange(ring.order) == ring.zero
+    [row] = run_suite(ctx, ["crosschecks"])[0].rows
+    assert row.verdict == "fail"
+    assert any(isinstance(p, dict) and "radical_mismatch" in p for p in row.detail), row.detail
