@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .construct import coset_label, quotient_ring
+from .construct import _quotient_by_ideal, coset_label
 from .core import FiniteRing
 from .elements import (
     ElementProfile, _decompositions, _profile, clean_decompositions, decomposition_counts,
@@ -135,10 +135,18 @@ def _least_non_regular(ring: FiniteRing) -> Optional[int]:
 
 
 def radical_quotient(ring: FiniteRing) -> FiniteRing:
-    """R/J, built once per ring handle and kept in the ring's memo."""
+    """R/J, built once per ring handle and kept in the ring's memo.
+
+    Built straight from the cache's J, which is verified to be an ideal
+    when computed, so J is not closed again.
+    """
     cache = get_cache(ring)
-    return cache.memo("radical_quotient", lambda: quotient_ring(
-        ring, np.flatnonzero(cache.jacobson_mask).tolist()))
+
+    def compute():
+        jac = np.flatnonzero(cache.jacobson_mask)
+        return _quotient_by_ideal(ring, jac.tolist(), jac)
+
+    return cache.memo("radical_quotient", compute)
 
 
 def classify(ring: FiniteRing) -> Classification:

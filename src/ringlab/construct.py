@@ -512,8 +512,21 @@ def quotient_ring(
     available as ``ring.meta['projection']`` (an array over base ids).
     """
     gens = sorted({int(g) for g in generators})
-    spec = spec or {"quotient": {"base": base.spec, "generators": gens}}
     ideal_ids = np.asarray(ideal_generated(base, gens).sorted_ids())
+    return _quotient_by_ideal(base, gens, ideal_ids, spec)
+
+
+def _quotient_by_ideal(
+    base: FiniteRing,
+    gens: list[int],
+    ideal_ids: np.ndarray,
+    spec: Optional[dict] = None,
+) -> FiniteRing:
+    """:func:`quotient_ring` by ``ideal_ids``, an ideal the caller has verified.
+
+    ``gens`` are the sorted generators the default spec names.
+    """
+    spec = spec or {"quotient": {"base": base.spec, "generators": gens}}
     reps = base.add_table[:, ideal_ids].min(axis=1)
     rep_ids = np.unique(reps)
     m = len(rep_ids)
@@ -564,21 +577,28 @@ def subring_generated(base: FiniteRing, generators: Iterable[int]) -> FiniteRing
 
     The embedding into the base is ``ring.meta['embedding']``.
     """
-    current = {base.zero, base.one} | {int(g) for g in generators}
-    while True:
-        ids = sorted(current)
-        grown = set(current)
-        grown.update(int(v) for v in np.unique(base.add_table[np.ix_(ids, ids)]))
-        grown.update(int(v) for v in np.unique(base.mul_table[np.ix_(ids, ids)]))
-        grown.update(int(base.neg_table[i]) for i in ids)
-        if grown == current:
-            break
-        current = grown
-    ids = sorted(current)
+    ids = _subring_closure(base, generators)
     ring = _restrict_to_subset(base, ids, base.one, name=f"sub({base.name})")
-    ring.meta["embedding"] = np.asarray(ids)
+    ring.meta["embedding"] = ids
     ring.meta["base_ring"] = base
     return ring
+
+
+def _subring_closure(base: FiniteRing, generators: Iterable[int]) -> np.ndarray:
+    """Sorted ids of the smallest unital subring containing the generators."""
+    mask = np.zeros(base.order, dtype=bool)
+    mask[[base.zero, base.one]] = True
+    mask[np.fromiter(generators, dtype=np.int64)] = True
+    size = 0
+    while True:
+        ids = np.flatnonzero(mask)
+        if ids.size == size:
+            return ids
+        size = ids.size
+        block = np.ix_(ids, ids)
+        mask[base.add_table[block]] = True
+        mask[base.mul_table[block]] = True
+        mask[base.neg_table[ids]] = True
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ Two sets avoid a sweep of the whole multiplication table:
   nilpotent columns only: J of a finite ring is nilpotent, so J is
   inside Nil.
 * The product is biadditive, so x is central iff it commutes with each
-  of the ring's k <= log2(n) additive generators, and J's ideal guard
-  needs closure only under multiplication by those generators.
+  of the ring's k <= log2(n) additive generators, and an additive
+  subgroup is a two-sided ideal iff it is closed under multiplication
+  by those generators on both sides: J's guard, ideal tests and ideal
+  closure read k rows, not n.
 
 :class:`InvariantCache` is the one per-ring memo: these masks, and what
 :mod:`ringlab.classify` stores through :meth:`InvariantCache.memo`.  It
@@ -153,19 +155,8 @@ class InvariantCache:
         return self.memo("jacobson", compute)
 
     def _assert_two_sided_ideal(self, mask: np.ndarray):
-        # A finite subset closed under + is a subgroup.  By biadditivity,
-        # r*j for any r is a sum of the g*j over additive generators g.
-        ring = self.ring
-        ids = np.flatnonzero(mask)
-        gens = self.additive_generators
-        add, mul = ring.add_table, ring.mul_table
-        ok = (
-            mask[add[np.ix_(ids, ids)]].all()
-            and mask[mul[np.ix_(gens, ids)]].all()
-            and mask[mul[np.ix_(ids, gens)]].all()
-        )
-        if not ok:
-            raise AssertionError(f"J({ring.name}) closure violated: kernel bug")
+        if not _is_ideal_mask(self.ring, mask):
+            raise AssertionError(f"J({self.ring.name}) closure violated: kernel bug")
 
     @property
     def center_mask(self) -> np.ndarray:
@@ -254,11 +245,15 @@ def ucn0(ring: FiniteRing) -> ElementSet:
 def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> ElementSet:
     """Least two-sided ideal containing ``generators`` (mask closure).
 
-    Adds left and right multiples, negatives and pairwise sums of the
-    members until the mask stops growing.  Empty generators give {0}; a
-    unit generator gives the whole ring.
+    Adds the products of the members with the ring's additive generators
+    on both sides, negatives and pairwise sums of the members until the
+    mask stops growing.  The fixed point is closed under + and under
+    multiplication by every element, since r*x is a sum of the g*x over
+    additive generators g.  Empty generators give {0}; a unit generator
+    gives the whole ring.
     """
     add, mul = ring.add_table, ring.mul_table
+    gens = get_cache(ring).additive_generators
     mask = np.zeros(ring.order, dtype=bool)
     mask[ring.zero] = True
     mask[np.fromiter(generators, dtype=np.int64)] = True
@@ -268,24 +263,38 @@ def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> ElementSet:
         if ids.size == size:
             return ElementSet.from_mask(ring, mask)
         size = ids.size
-        mask[mul[:, ids]] = True
-        mask[mul[ids, :]] = True
+        mask[mul[np.ix_(gens, ids)]] = True
+        mask[mul[np.ix_(ids, gens)]] = True
         mask[ring.neg_table[ids]] = True
         mask[add[np.ix_(ids, ids)]] = True
 
 
 def is_two_sided_ideal(ring: FiniteRing, subset: ElementSet | Iterable[int]) -> bool:
-    ids = np.asarray(sorted(subset.members if isinstance(subset, ElementSet) else set(subset)))
-    if ids.size == 0 or ring.zero not in ids:
-        return False
+    """Whether ``subset`` is a two-sided ideal.
+
+    Closure under + and negation is checked on every pair of members;
+    closure under multiplication only by the ring's additive generators,
+    on both sides, which decides it for every element by biadditivity.
+    """
+    ids = np.asarray(sorted(subset.members if isinstance(subset, ElementSet) else set(subset)),
+                     dtype=np.int64)
     mask = np.zeros(ring.order, dtype=bool)
     mask[ids] = True
+    return bool(ids.size) and _is_ideal_mask(ring, mask)
+
+
+def _is_ideal_mask(ring: FiniteRing, mask: np.ndarray) -> bool:
+    # A finite subset closed under + is a subgroup.  By biadditivity,
+    # r*j for any r is a sum of the g*j over additive generators g.
+    ids = np.flatnonzero(mask)
+    gens = get_cache(ring).additive_generators
     add, mul = ring.add_table, ring.mul_table
     return bool(
-        mask[add[np.ix_(ids, ids)]].all()
+        mask[ring.zero]
+        and mask[add[np.ix_(ids, ids)]].all()
         and mask[ring.neg_table[ids]].all()
-        and mask[mul[:, ids]].all()
-        and mask[mul[ids, :]].all()
+        and mask[mul[np.ix_(gens, ids)]].all()
+        and mask[mul[np.ix_(ids, gens)]].all()
     )
 
 
@@ -369,6 +378,8 @@ def one_sided_ideals(
         current = queue.pop()
         cur_ids = sorted(current)
         for gen in cyclic:
+            if gen <= current:
+                continue  # the join is current itself
             joined = frozenset(
                 int(v) for v in np.unique(add[np.ix_(cur_ids, sorted(gen))])
             )

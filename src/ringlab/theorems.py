@@ -25,7 +25,14 @@ import numpy as np
 
 from .catalog import CatalogEntry, default_catalog
 from .classify import check_isomorphic, classify, radical_quotient
-from .construct import _FAMILIES, build, corner_ring, quotient_ring, subring_generated
+from .construct import (
+    _FAMILIES,
+    _subring_closure,
+    build,
+    corner_ring,
+    quotient_ring,
+    subring_generated,
+)
 from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
 from .errors import LatticeLimitError, SpecError
 from .invariants import (
@@ -182,19 +189,23 @@ def _corner_subset(ring: FiniteRing, e: int) -> np.ndarray:
 
 
 def _corner_two_good_witness(ring: FiniteRing, e: int) -> Optional[tuple[int, int]]:
-    """A pair of units of eRe summing to e, if one exists."""
+    """The least unit u of eRe for which e - u is a unit of eRe too, with e - u.
+
+    x in eRe is a unit of eRe iff x + (1 - e) is a unit of R: y + 1 - e
+    inverts it when y inverts x in eRe, and eze inverts x in eRe when z
+    inverts x + 1 - e.  So the corner units come from U(R) in one pass
+    over eRe, with no product table of the corner.
+    """
     k = _corner_subset(ring, e)
-    sub = ring.mul_table[np.ix_(k, k)]
-    right = (sub == e).any(axis=1)
-    left = (sub == e).any(axis=0)
-    units = k[right & left]
-    if units.size == 0:
-        return None
-    sums = ring.add_table[np.ix_(units, units)]
-    hits = np.argwhere(sums == e)
+    cache = get_cache(ring)
+    add = ring.add_table
+    corner_unit = np.zeros(ring.order, dtype=bool)
+    corner_unit[k[cache.unit_mask[add[k, ring.sub(ring.one, e)]]]] = True
+    units = np.flatnonzero(corner_unit)
+    hits = np.flatnonzero(corner_unit[add[e, ring.neg_table[units]]])
     if hits.size:
-        i, j = hits[0]
-        return int(units[i]), int(units[j])
+        u = int(units[hits[0]])
+        return u, ring.sub(e, u)
     return None
 
 
@@ -300,13 +311,13 @@ def _check_prop2_4(ctx: SuiteContext) -> TheoremReport:
         if ring.order <= ctx.oracle_order_limit:
             gen_seen: set[frozenset] = set()
             for a in range(ring.order):
-                sub = subring_generated(ring, [a])
-                key = frozenset(int(i) for i in sub.meta["embedding"])
-                if key in gen_seen:
+                ids = _subring_closure(ring, [a])
+                key = frozenset(ids.tolist())
+                if key in gen_seen or ids.size == ring.order:
                     continue
                 gen_seen.add(key)
-                if sub.order < ring.order:
-                    subrings.append((f"subring gen {ring.label_of(a)}", sub))
+                subrings.append((f"subring gen {ring.label_of(a)}",
+                                 subring_generated(ring, ids)))
         bad = None
         for desc, sub in subrings:
             sc = classify(sub)

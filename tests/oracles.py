@@ -19,7 +19,12 @@ ring is semi-potent), and ``reference_maximal_one_sided_ideals`` the
 M + Ra = R search that reading maximal ideals off the lattice by
 inclusion replaced.  ``quotient_fields`` reads the R/J fields of
 ``classify`` on a built R/J, the route that reading them modulo J
-replaced.
+replaced.  ``reference_corner_two_good_witness`` is the search over the
+product and sum tables of eRe that reading corner units off U(R)
+replaced, ``reference_is_two_sided_ideal`` the ideal test against every
+element that the additive-generator test replaced, and
+``reference_one_sided_ideals`` the join loop without its skip of cyclic
+ideals already inside the current one.
 """
 
 from __future__ import annotations
@@ -297,6 +302,55 @@ def is_left_ideal(ring, subset: set[int]) -> bool:
             if ring.mul(r, x) not in subset:
                 return False
     return True
+
+
+def reference_is_two_sided_ideal(ring, subset) -> bool:
+    """Closure under +, negation and multiplication by every element."""
+    ids = np.asarray(sorted(set(subset)), dtype=np.int64)
+    if ids.size == 0 or ring.zero not in ids:
+        return False
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[ids] = True
+    add, mul = ring.add_table, ring.mul_table
+    return bool(
+        mask[add[np.ix_(ids, ids)]].all()
+        and mask[ring.neg_table[ids]].all()
+        and mask[mul[:, ids]].all()
+        and mask[mul[ids, :]].all()
+    )
+
+
+def reference_one_sided_ideals(ring, side="left") -> list[frozenset[int]]:
+    """Every left (or right) ideal: joins of each member with every cyclic ideal."""
+    add = ring.add_table
+    mul = ring.mul_table.T if side == "left" else ring.mul_table
+    cyclic = {frozenset(np.unique(mul[a]).tolist()) for a in range(ring.order)}
+    known = set(cyclic)
+    queue = list(cyclic)
+    while queue:
+        cur_ids = sorted(queue.pop())
+        for gen in cyclic:
+            joined = frozenset(np.unique(add[np.ix_(cur_ids, sorted(gen))]).tolist())
+            if joined not in known:
+                known.add(joined)
+                queue.append(joined)
+    return sorted(known, key=lambda s: (len(s), sorted(s)))
+
+
+def reference_corner_two_good_witness(ring, e):
+    """The first (u, v) in row-major order with u, v units of eRe and u + v = e.
+
+    Units of eRe are read from its product table (a left and a right
+    inverse inside eRe), pairs from its sum table.
+    """
+    k = np.unique(ring.mul_table[ring.mul_row(e), e])
+    sub = ring.mul_table[np.ix_(k, k)]
+    units = k[(sub == e).any(axis=1) & (sub == e).any(axis=0)]
+    hits = np.argwhere(ring.add_table[np.ix_(units, units)] == e)
+    if hits.size:
+        i, j = hits[0]
+        return int(units[i]), int(units[j])
+    return None
 
 
 def reference_maximal_one_sided_ideals(ring, side="left") -> list[frozenset[int]]:

@@ -200,7 +200,7 @@ def test_classify_memo_serves_a_repeated_call(monkeypatch):
     ring = build(spec)
     got = classify(ring).to_json()
     with monkeypatch.context() as patched:
-        for name in ("decomposition_counts", "quotient_ring", "_lift_mod_mask"):
+        for name in ("decomposition_counts", "_quotient_by_ideal", "_lift_mod_mask"):
             patched.setattr(classify_module, name, recompute)
         assert classify(ring).to_json() == got
     assert got == fresh
@@ -222,7 +222,7 @@ def test_classify_builds_no_ring(monkeypatch, spec):
     def refuse(*args, **kwargs):
         raise AssertionError("classify built R/J")
 
-    monkeypatch.setattr(classify_module, "quotient_ring", refuse)
+    monkeypatch.setattr(classify_module, "_quotient_by_ideal", refuse)
     ring = build(spec)
     classify(ring)
     assert not {"radical_quotient", "two_good"} & set(get_cache(ring)._memo)

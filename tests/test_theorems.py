@@ -25,8 +25,11 @@ from ringlab import (
     zn,
 )
 from ringlab.catalog import DEFAULT_SPECS, CatalogEntry
+from ringlab.classify import radical_quotient
 from ringlab.errors import SpecError
 from ringlab.invariants import get_cache
+from ringlab.theorems import _check_thm3_10, _corner_two_good_witness, _nonzero_idempotents
+from oracles import reference_corner_two_good_witness
 from test_invariants import _SMALL_SPEC_LIST
 
 
@@ -160,19 +163,21 @@ def test_every_catalog_ring_is_strongly_clean(suite_ctx):
 
 def test_radical_quotient_is_built_once_per_ring(monkeypatch):
     # classify and the suite share one R/J per ring handle, lemma2.8's
-    # "J" sub-ideal included.
+    # "J" sub-ideal included.  classify builds R/J from J's mask, the
+    # suite builds other quotients through quotient_ring.
     calls = []
 
     def counting(original):
-        def quotient_ring(base, generators, **kwargs):
+        def build_quotient(base, generators, *args, **kwargs):
             generators = sorted(int(g) for g in generators)
             calls.append((base, generators))  # keeps each base (and id) alive
-            return original(base, generators, **kwargs)
-        return quotient_ring
+            return original(base, generators, *args, **kwargs)
+        return build_quotient
 
-    for name in ("ringlab.classify", "ringlab.theorems"):
+    for name, attr in (("ringlab.classify", "_quotient_by_ideal"),
+                       ("ringlab.theorems", "quotient_ring")):
         module = importlib.import_module(name)
-        monkeypatch.setattr(module, "quotient_ring", counting(module.quotient_ring))
+        monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
     ctx = SuiteContext()
     run_suite(ctx, ["prop2.2", "lemma2.8", "cor3.6", "thm3.10", "crosschecks"])
     by_radical = Counter(
@@ -241,3 +246,35 @@ def test_radical_oracle_reaches_order_256():
     [row] = run_suite(ctx, ["crosschecks"])[0].rows
     assert row.verdict == "fail"
     assert any(isinstance(p, dict) and "radical_mismatch" in p for p in row.detail), row.detail
+
+
+def test_corner_units_from_the_unit_group_match_the_table_search(suite_ctx):
+    rings = [e.ring for e in suite_ctx.entries]
+    rings += [radical_quotient(e.ring) for e in suite_ctx.entries]
+    rings += [build(spec) for spec in _SMALL_SPEC_LIST]
+    found = []
+    for ring in rings:
+        for e in _nonzero_idempotents(ring):
+            pair = _corner_two_good_witness(ring, e)
+            assert pair == reference_corner_two_good_witness(ring, e), (ring.name, e)
+            found.append(pair is not None)
+    assert True in found and False in found
+
+
+def test_thm3_10_allocates_no_corner_table():
+    import tracemalloc
+
+    spec = dict(DEFAULT_SPECS)["T3(Z4)"]
+    ctx = SuiteContext([CatalogEntry("T3(Z4)", spec, build(spec))])
+    ctx.precompute()
+    ring = ctx.entries[0].ring
+    classify(radical_quotient(ring))  # memoized; not measured here
+    tracemalloc.start()
+    try:
+        [row] = _check_thm3_10(ctx).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.verdict == "pass", row.detail
+    # An order-4096 corner's product table alone is 4096^2 cells.
+    assert peak < 8 * 2**20, peak
