@@ -27,6 +27,11 @@ laws and for associativity of the product); above it, by fixed-seed
 sampling.  Module add tables go through the same generator test for
 associativity.
 
+The trivial extension, the ideal extension and the trivial Morita
+context, T(A x B, M + N), are all base + M with (r,m)(s,n) =
+(rs, rn + ms + mn) and share ``_module_extension``; each bimodule is
+validated once by ``_validate_bimodule``.
+
 Each spec kind is one row of ``_FAMILIES``: its child specs, its order
 from the child orders, its display name from the child names, and its
 constructor call.  :func:`build`, the oversize pre-check and
@@ -709,6 +714,32 @@ def _group_spec_of(group: Group):
 # extensions
 
 
+def _module_extension(base: FiniteRing, axis: _Axis, lam: np.ndarray, rho: np.ndarray,
+                      m_mul: Optional[np.ndarray], m_labels: Sequence[str], spec: dict,
+                      threshold: int) -> FiniteRing:
+    """base + M with (r,m)(s,n) = (rs, rn + ms + mn); ``m_mul=None`` is the zero product.
+
+    The caller validates the actions ``lam`` and ``rho``.  Element
+    (r, m) has id r*|M| + m and label "(r,m)".
+    """
+    assembly = _Assembly([_Axis.of_ring(base), axis])
+    amul, madd = base.mul_table, axis.add
+
+    def mul_digits(da, db):
+        second = madd[lam[da[0], db[1]], rho[da[1], db[0]]]
+        if m_mul is not None:
+            second = madd[second, m_mul[da[1], db[1]]]
+        return [amul[da[0], db[0]], second]
+
+    base_labels = base.labels
+
+    def label_fn(digits):
+        return f"({base_labels[digits[0]]},{m_labels[digits[1]]})"
+
+    return _assemble_ring(assembly, mul_digits, [base.one, axis.zero], label_fn,
+                          spec, spec_name(spec), threshold)
+
+
 def trivial_extension(
     base: FiniteRing,
     *,
@@ -717,31 +748,14 @@ def trivial_extension(
 ) -> FiniteRing:
     """Pairs (a, x) with product (a, x)(b, y) = (ab, ay + xb), V = base."""
     spec = spec or {"trivial_extension": base.spec}
-    assembly = _Assembly([_Axis.of_ring(base), _Axis.of_ring(base)])
-    amul, aadd = base.mul_table, base.add_table
-
-    def mul_digits(da, db):
-        first = amul[da[0], db[0]]
-        second = aadd[amul[da[0], db[1]], amul[da[1], db[0]]]
-        return [first, second]
-
-    base_labels = base.labels
-
-    def label_fn(digits):
-        return f"({base_labels[digits[0]]},{base_labels[digits[1]]})"
-
-    return _assemble_ring(assembly, mul_digits, [base.one, base.zero], label_fn,
-                          spec, spec_name(spec), threshold)
+    return _module_extension(base, _Axis.of_ring(base), base.mul_table, base.mul_table,
+                             None, base.labels, spec, threshold)
 
 
-def _check(law: str, ok: np.ndarray | bool, witness_of):
-    if isinstance(ok, np.ndarray):
-        if ok.all():
-            return
-        where = tuple(int(x) for x in np.argwhere(~ok)[0])
-        raise BimoduleError(law, witness_of(where))
-    if not ok:
-        raise BimoduleError(law, ())
+def _check(law: str, ok: np.ndarray):
+    """Raise ``law`` at the first index where ``ok`` is False."""
+    if not ok.all():
+        raise BimoduleError(law, tuple(int(x) for x in np.argwhere(~ok)[0]))
 
 
 def _validate_left_action(ring: FiniteRing, axis: _Axis, lam: np.ndarray, law_prefix: str):
@@ -750,23 +764,23 @@ def _validate_left_action(ring: FiniteRing, axis: _Axis, lam: np.ndarray, law_pr
     nr, nm = ring.order, axis.size
     if lam.shape != (nr, nm) or (lam.size and (lam.min() < 0 or lam.max() >= nm)):
         raise BimoduleError(f"{law_prefix}-shape", (nr, nm))
-    _check(f"{law_prefix}-unital", lam[ring.one] == np.arange(nm), lambda w: w)
+    _check(f"{law_prefix}-unital", lam[ring.one] == np.arange(nm))
     r = np.arange(nr)
     s = np.arange(nr)
     m = np.arange(nm)
     # (r+s)m = rm + sm
     lhs = lam[radd[r[:, None, None], s[None, :, None]], m[None, None, :]]
     rhs = madd[lam[r[:, None, None], m[None, None, :]], lam[s[None, :, None], m[None, None, :]]]
-    _check(f"{law_prefix}-additive-in-ring", lhs == rhs, lambda w: w)
+    _check(f"{law_prefix}-additive-in-ring", lhs == rhs)
     # r(m+n) = rm + rn
     n_ = np.arange(nm)
     lhs = lam[r[:, None, None], madd[m[None, :, None], n_[None, None, :]]]
     rhs = madd[lam[r[:, None, None], m[None, :, None]], lam[r[:, None, None], n_[None, None, :]]]
-    _check(f"{law_prefix}-additive-in-module", lhs == rhs, lambda w: w)
+    _check(f"{law_prefix}-additive-in-module", lhs == rhs)
     # (rs)m = r(sm)
     lhs = lam[rmul[r[:, None, None], s[None, :, None]], m[None, None, :]]
     rhs = lam[r[:, None, None], lam[s[None, :, None], m[None, None, :]]]
-    _check(f"{law_prefix}-associative", lhs == rhs, lambda w: w)
+    _check(f"{law_prefix}-associative", lhs == rhs)
 
 
 def _validate_right_action(ring: FiniteRing, axis: _Axis, rho: np.ndarray, law_prefix: str):
@@ -775,30 +789,35 @@ def _validate_right_action(ring: FiniteRing, axis: _Axis, rho: np.ndarray, law_p
     nr, nm = ring.order, axis.size
     if rho.shape != (nm, nr) or (rho.size and (rho.min() < 0 or rho.max() >= nm)):
         raise BimoduleError(f"{law_prefix}-shape", (nm, nr))
-    _check(f"{law_prefix}-unital", rho[:, ring.one] == np.arange(nm), lambda w: w)
+    _check(f"{law_prefix}-unital", rho[:, ring.one] == np.arange(nm))
     r = np.arange(nr)
     s = np.arange(nr)
     m = np.arange(nm)
     lhs = rho[m[:, None, None], radd[r[None, :, None], s[None, None, :]]]
     rhs = madd[rho[m[:, None, None], r[None, :, None]], rho[m[:, None, None], s[None, None, :]]]
-    _check(f"{law_prefix}-additive-in-ring", lhs == rhs, lambda w: w)
+    _check(f"{law_prefix}-additive-in-ring", lhs == rhs)
     n_ = np.arange(nm)
     lhs = rho[madd[m[:, None, None], n_[None, :, None]], r[None, None, :]]
     rhs = madd[rho[m[:, None, None], r[None, None, :]], rho[n_[None, :, None], r[None, None, :]]]
-    _check(f"{law_prefix}-additive-in-module", lhs == rhs, lambda w: w)
+    _check(f"{law_prefix}-additive-in-module", lhs == rhs)
     lhs = rho[m[:, None, None], rmul[r[None, :, None], s[None, None, :]]]
     rhs = rho[rho[m[:, None, None], r[None, :, None]], s[None, None, :]]
-    _check(f"{law_prefix}-associative", lhs == rhs, lambda w: w)
+    _check(f"{law_prefix}-associative", lhs == rhs)
 
 
-def _validate_bimodule_compat(lam: np.ndarray, rho: np.ndarray, nr: int, nm: int):
-    r = np.arange(nr)
-    s = np.arange(nr)
-    m = np.arange(nm)
-    # (r m) s = r (m s)
+def _validate_bimodule(left: FiniteRing, right: FiniteRing, axis: _Axis, lam: np.ndarray,
+                       rho: np.ndarray, prefix: str = ""):
+    """M is a unital (left, right)-bimodule: each action's laws, then (rm)s = r(ms).
+
+    Laws are named ``prefix`` + ``left-*``, ``right-*`` and
+    ``bimodule-compat``; the compat witness is (r, m, s).
+    """
+    _validate_left_action(left, axis, lam, f"{prefix}left")
+    _validate_right_action(right, axis, rho, f"{prefix}right")
+    r, m, s = np.arange(left.order), np.arange(axis.size), np.arange(right.order)
     lhs = rho[lam[r[:, None, None], m[None, :, None]], s[None, None, :]]
     rhs = lam[r[:, None, None], rho[m[None, :, None], s[None, None, :]]]
-    _check("bimodule-compat", lhs == rhs, lambda w: w)
+    _check(f"{prefix}bimodule-compat", lhs == rhs)
 
 
 def ideal_extension(
@@ -815,7 +834,8 @@ def ideal_extension(
     M is a (possibly non-unital) ring given by explicit add/mul tables;
     the actions must make it a unital bimodule compatible with the M
     multiplication.  All laws are validated exhaustively and violations
-    raise :class:`BimoduleError` with a witness.
+    raise :class:`BimoduleError` with a witness (``m-*`` for the ring M,
+    then :func:`_validate_bimodule`'s, then ``compat-*`` for the two).
 
     ``ring.meta['hypotheses']`` records whether idempotents of the base
     act centrally on M and whether every m in M is quasi-regular
@@ -837,45 +857,29 @@ def ideal_extension(
     mi = np.arange(nm)
     lhs = m_mul[m_mul[mi[:, None, None], mi[None, :, None]], mi[None, None, :]]
     rhs = m_mul[mi[:, None, None], m_mul[mi[None, :, None], mi[None, None, :]]]
-    _check("m-associative", lhs == rhs, lambda w: w)
+    _check("m-associative", lhs == rhs)
     lhs = m_mul[mi[:, None, None], m_add[mi[None, :, None], mi[None, None, :]]]
     rhs = m_add[m_mul[mi[:, None, None], mi[None, :, None]], m_mul[mi[:, None, None], mi[None, None, :]]]
-    _check("m-left-distributive", lhs == rhs, lambda w: w)
+    _check("m-left-distributive", lhs == rhs)
     lhs = m_mul[m_add[mi[:, None, None], mi[None, :, None]], mi[None, None, :]]
     rhs = m_add[m_mul[mi[:, None, None], mi[None, None, :]], m_mul[mi[None, :, None], mi[None, None, :]]]
-    _check("m-right-distributive", lhs == rhs, lambda w: w)
+    _check("m-right-distributive", lhs == rhs)
 
-    _validate_left_action(base, axis, lam, "left")
-    _validate_right_action(base, axis, rho, "right")
-    _validate_bimodule_compat(lam, rho, base.order, nm)
+    _validate_bimodule(base, base, axis, lam, rho)
 
     # Compatibility of the actions with the M multiplication:
     # (mn)r = m(nr), m(nr) = (mr)n, (rm)n = r(mn).
     r = np.arange(base.order)
     lhs = rho[m_mul[mi[:, None, None], mi[None, :, None]], r[None, None, :]]
     rhs = m_mul[mi[:, None, None], rho[mi[None, :, None], r[None, None, :]]]
-    _check("compat-(mn)r=m(nr)", lhs == rhs, lambda w: w)
+    _check("compat-(mn)r=m(nr)", lhs == rhs)
     rhs2 = m_mul[rho[mi[:, None, None], r[None, None, :]], mi[None, :, None]]
-    _check("compat-m(nr)=(mr)n", rhs == rhs2, lambda w: w)
+    _check("compat-m(nr)=(mr)n", rhs == rhs2)
     lhs = m_mul[lam[r[:, None, None], mi[None, :, None]], mi[None, None, :]]
     rhs = lam[r[:, None, None], m_mul[mi[None, :, None], mi[None, None, :]]]
-    _check("compat-(rm)n=r(mn)", lhs == rhs, lambda w: w)
-
-    assembly = _Assembly([_Axis.of_ring(base), axis])
-    amul = base.mul_table
-    madd = axis.add
-
-    def mul_digits(da, db):
-        first = amul[da[0], db[0]]
-        second = madd[madd[lam[da[0], db[1]], rho[da[1], db[0]]], m_mul[da[1], db[1]]]
-        return [first, second]
+    _check("compat-(rm)n=r(mn)", lhs == rhs)
 
     m_labels = _module_labels(m_tables, nm)
-    base_labels = base.labels
-
-    def label_fn(digits):
-        return f"({base_labels[digits[0]]},{m_labels[digits[1]]})"
-
     spec = spec or {
         "ideal_extension": {
             "base": base.spec,
@@ -884,51 +888,15 @@ def ideal_extension(
             "right_action": rho.tolist(),
         }
     }
-    ring = _assemble_ring(assembly, mul_digits, [base.one, m_zero], label_fn,
-                          spec, spec_name(spec), threshold)
+    ring = _module_extension(base, axis, lam, rho, m_mul, m_labels, spec, threshold)
 
     idem = np.flatnonzero(get_cache(base).idempotent_mask)
     central = bool((lam[np.ix_(idem, mi)] == rho[np.ix_(mi, idem)].T).all())
-    quasi = True
-    for m0 in range(nm):
-        found = any(
-            m_add[m_add[m0, n0], m_mul[m0, n0]] == m_zero for n0 in range(nm)
-        )
-        if not found:
-            quasi = False
-            break
+    # m is quasi-regular iff m + n + mn = 0 for some n: one row per m.
+    quasi = bool((m_add[m_add, m_mul] == m_zero).any(axis=1).all())
     ring.meta["hypotheses"] = {"idempotents_central_on_m": central, "m_quasi_regular": quasi}
     ring.meta["base_ring"] = base
     return ring
-
-
-def _bimodule_trivial_extension(
-    base: FiniteRing,
-    v_axis: _Axis,
-    lam: np.ndarray,
-    rho: np.ndarray,
-    v_labels: Sequence[str],
-    spec: dict,
-    threshold: int,
-) -> FiniteRing:
-    """T(base, V) for a general validated bimodule V (V*V = 0)."""
-    _validate_left_action(base, v_axis, lam, "left")
-    _validate_right_action(base, v_axis, rho, "right")
-    _validate_bimodule_compat(lam, rho, base.order, v_axis.size)
-    assembly = _Assembly([_Axis.of_ring(base), v_axis])
-    amul = base.mul_table
-    vadd = v_axis.add
-
-    def mul_digits(da, db):
-        return [amul[da[0], db[0]], vadd[lam[da[0], db[1]], rho[da[1], db[0]]]]
-
-    base_labels = base.labels
-
-    def label_fn(digits):
-        return f"({base_labels[digits[0]]},{v_labels[digits[1]]})"
-
-    return _assemble_ring(assembly, mul_digits, [base.one, v_axis.zero], label_fn,
-                          spec, spec_name(spec), threshold)
 
 
 def formal_triangular(
@@ -951,15 +919,7 @@ def formal_triangular(
     check_order(a.order * axis.size * b.order, threshold)
     lam = np.asarray(left_action, dtype=np.int64)
     rho = np.asarray(right_action, dtype=np.int64)
-    _validate_left_action(a, axis, lam, "left")
-    _validate_right_action(b, axis, rho, "right")
-    # (a m) b = a (m b)
-    ai = np.arange(a.order)
-    bi = np.arange(b.order)
-    mi = np.arange(axis.size)
-    lhs = rho[lam[ai[:, None, None], mi[None, :, None]], bi[None, None, :]]
-    rhs = lam[ai[:, None, None], rho[mi[None, :, None], bi[None, None, :]]]
-    _check("bimodule-compat", lhs == rhs, lambda w: w)
+    _validate_bimodule(a, b, axis, lam, rho)
 
     assembly = _Assembly([_Axis.of_ring(a), axis, _Axis.of_ring(b)])
     amul, bmul = a.mul_table, b.mul_table
@@ -1008,7 +968,9 @@ def trivial_morita(
 
     M is an (A,B)-bimodule and N a (B,A)-bimodule; both context
     products are zero, which is exactly the stated isomorphism with the
-    trivial extension of the product ring by M + N.
+    trivial extension of the product ring by M + N.  Each bimodule is
+    validated once, as ``m-*`` and ``n-*`` laws; the componentwise action
+    of A x B on M + N needs no second check.  M + N has ids m*|N| + n.
     """
     m_axis, _ = _axis_of_module(np.asarray(m["add"], dtype=np.int64))
     n_axis, _ = _axis_of_module(np.asarray(n["add"], dtype=np.int64))
@@ -1017,36 +979,22 @@ def trivial_morita(
     rho_m = np.asarray(m_right, dtype=np.int64)
     lam_n = np.asarray(n_left, dtype=np.int64)
     rho_n = np.asarray(n_right, dtype=np.int64)
-    _validate_left_action(a, m_axis, lam_m, "m-left")
-    _validate_right_action(b, m_axis, rho_m, "m-right")
-    _validate_left_action(b, n_axis, lam_n, "n-left")
-    _validate_right_action(a, n_axis, rho_n, "n-right")
+    _validate_bimodule(a, b, m_axis, lam_m, rho_m, "m-")
+    _validate_bimodule(b, a, n_axis, lam_n, rho_n, "n-")
 
     p = product_ring([a, b], threshold=threshold)
-    sizes = (m_axis.size, n_axis.size)
-    v_order = sizes[0] * sizes[1]
-    v_add = np.zeros((v_order, v_order), dtype=np.int64)
-    for i in range(v_order):
-        mi, ni = divmod(i, sizes[1])
-        for j in range(v_order):
-            mj, nj = divmod(j, sizes[1])
-            v_add[i, j] = m_axis.add[mi, mj] * sizes[1] + n_axis.add[ni, nj]
-    v_axis, _ = _axis_of_module(v_add)
+    nn = n_axis.size
+    # Digits of every id of V = M + N (m*|N| + n) and of P = A x B (a*|B| + b).
+    vm, vn = np.divmod(np.arange(m_axis.size * nn), nn)
+    pa, pb = np.divmod(np.arange(p.order), b.order)
+    v_axis = _Axis(vm.size, m_axis.add[vm[:, None], vm] * nn + n_axis.add[vn[:, None], vn],
+                   m_axis.neg[vm] * nn + n_axis.neg[vn], m_axis.zero * nn + n_axis.zero)
+    lam = lam_m[pa[:, None], vm] * nn + lam_n[pb[:, None], vn]
+    rho = rho_m[vm[:, None], pb] * nn + rho_n[vn[:, None], pa]
 
-    lam = np.zeros((p.order, v_order), dtype=np.int64)
-    rho = np.zeros((v_order, p.order), dtype=np.int64)
-    for pid in range(p.order):
-        ai, bi = divmod(pid, b.order)
-        for v in range(v_order):
-            mv, nv = divmod(v, sizes[1])
-            lam[pid, v] = lam_m[ai, mv] * sizes[1] + lam_n[bi, nv]
-            rho[v, pid] = rho_m[mv, bi] * sizes[1] + rho_n[nv, ai]
-
-    m_labels = _module_labels(m, sizes[0])
-    n_labels = _module_labels(n, sizes[1], "N")
-    v_labels = [
-        f"({m_labels[i // sizes[1]]},{n_labels[i % sizes[1]]})" for i in range(v_order)
-    ]
+    m_labels = _module_labels(m, m_axis.size)
+    n_labels = _module_labels(n, nn, "N")
+    v_labels = [f"({m_labels[i]},{n_labels[j]})" for i, j in zip(vm, vn)]
     spec = spec or {
         "trivial_morita": {
             "a": a.spec,
@@ -1059,7 +1007,7 @@ def trivial_morita(
             "n_right": rho_n.tolist(),
         }
     }
-    ring = _bimodule_trivial_extension(p, v_axis, lam, rho, v_labels, spec, threshold)
+    ring = _module_extension(p, v_axis, lam, rho, None, v_labels, spec, threshold)
     ring.meta["factors"] = (a, b)
     return ring
 

@@ -398,7 +398,10 @@ def validate_axioms(
         # Every law is checked on additive generators only; each check
         # still decides all n^3 triples.
         checked = n * n * n
-        gens = additive_generators(add, zero)
+        # The ring's memo: its later invariants read the same generators.
+        from .invariants import get_cache
+
+        gens = get_cache(ring).additive_generators
         witness = additive_associativity_witness(add, gens)
         if witness is not None:
             return fail("add-associativity", witness, checked)

@@ -103,30 +103,30 @@ class SuiteContext:
     ``quasi_duo_order_limit`` and ``quasi_duo_count_limit`` bound the
     one lattice per side that ``crosschecks`` builds for its radical,
     quasi-duo and semi-potence oracles.  ``oracle_order_limit`` gates
-    regularity by search, ``prop2.4`` and ``lemma2.8``.  ``jobs`` is
-    accepted for compatibility and changes neither output nor scheduling.
+    regularity by search, ``prop2.4`` and ``lemma2.8``;
+    ``derived_order_limit`` caps fresh triangular builds and
+    ``iso_order_limit`` the isomorphism searches.  Of the limits only
+    ``quasi_duo_count_limit`` (``--lattice-limit``) is set per run.
+    ``jobs`` is accepted for compatibility and changes neither output
+    nor scheduling.
     """
 
     usc_reading = "exact-one"
+    derived_order_limit = 1024
+    iso_order_limit = 64
+    oracle_order_limit = 64
+    quasi_duo_order_limit = 256
 
     def __init__(
         self,
         entries: Optional[list[CatalogEntry]] = None,
         *,
         threshold: int = DEFAULT_THRESHOLD,
-        derived_order_limit: int = 1024,
-        iso_order_limit: int = 64,
-        oracle_order_limit: int = 64,
-        quasi_duo_order_limit: int = 256,
         quasi_duo_count_limit: int = 100_000,
         jobs: int = 1,
     ):
         self.entries = entries if entries is not None else default_catalog(threshold)
         self.threshold = threshold
-        self.derived_order_limit = derived_order_limit
-        self.iso_order_limit = iso_order_limit
-        self.oracle_order_limit = oracle_order_limit
-        self.quasi_duo_order_limit = quasi_duo_order_limit
         self.quasi_duo_count_limit = quasi_duo_count_limit
         self.jobs = max(1, jobs)
         self._rings: dict[str, FiniteRing] = {}
@@ -795,14 +795,10 @@ def _check_thm3_10(ctx: SuiteContext) -> TheoremReport:
         "CUSC/UUSC obstructions: no two-good identity, no corner-unit sums, "
         "no 2x2 matrix corners, in R and in R/J",
     )
-    m2_candidates = {}
-    for entry in ctx.entries:
-        if entry.ring.order == 2:
-            key = _spec_key(entry.spec)
-            if key not in m2_candidates:
-                m2_candidates[key] = ctx.derived(
-                    {"matrix": {"n": 2, "base": entry.spec}}
-                )
+    # Every unital ring of order 2 is Z2, so one M2 over the first such
+    # catalog ring stands for M2(F2); a catalog without one checks none.
+    base2 = next((e.spec for e in ctx.entries if e.ring.order == 2), None)
+    m2 = None if base2 is None else ctx.derived({"matrix": {"n": 2, "base": base2}})
     for entry in ctx.entries:
         ring = entry.ring
         c = classify(ring)
@@ -826,17 +822,14 @@ def _check_thm3_10(ctx: SuiteContext) -> TheoremReport:
                         "units": [scope.label_of(pair[0]), scope.label_of(pair[1])],
                     })
                 k = _corner_subset(scope, e)
-                if len(k) <= ctx.iso_order_limit:
-                    for m2 in m2_candidates.values():
-                        if len(k) == m2.order:
-                            corner = corner_ring(scope, e)
-                            if check_isomorphic(corner, m2,
-                                                order_limit=ctx.iso_order_limit).found:
-                                problems.append({
-                                    "scope": scope_name,
-                                    "idempotent": scope.label_of(e),
-                                    "matrix_corner": m2.name,
-                                })
+                if (m2 is not None and len(k) == m2.order <= ctx.iso_order_limit
+                        and check_isomorphic(corner_ring(scope, e), m2,
+                                             order_limit=ctx.iso_order_limit).found):
+                    problems.append({
+                        "scope": scope_name,
+                        "idempotent": scope.label_of(e),
+                        "matrix_corner": m2.name,
+                    })
         rep.require(entry.name, not problems, problems)
     return rep
 

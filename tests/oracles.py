@@ -24,7 +24,13 @@ product and sum tables of eRe that reading corner units off U(R)
 replaced, ``reference_is_two_sided_ideal`` the ideal test against every
 element that the additive-generator test replaced, and
 ``reference_one_sided_ideals`` the join loop without its skip of cyclic
-ideals already inside the current one.
+ideals already inside the current one.  ``reference_trivial_extension``,
+``reference_ideal_extension`` and ``reference_trivial_morita`` are the
+per-family assemblies that the one R + M assembly of ``construct``
+replaced; the last keeps its Python loops over V = M + N and its second
+validation of V as one bimodule over A x B, and
+``scalar_m_quasi_regular`` is the pair loop behind the ideal
+extension's ``m_quasi_regular`` flag.
 """
 
 from __future__ import annotations
@@ -32,7 +38,19 @@ from __future__ import annotations
 import numpy as np
 
 from ringlab import ElementSet
-from ringlab.core import TableRing, dtype_for
+from ringlab.construct import (
+    _Assembly,
+    _assemble_ring,
+    _Axis,
+    _axis_of_module,
+    _module_labels,
+    _validate_left_action,
+    _validate_right_action,
+    product_ring,
+    spec_name,
+)
+from ringlab.core import DEFAULT_THRESHOLD, TableRing, dtype_for
+from ringlab.errors import BimoduleError
 from ringlab.elements import Decomposition
 from ringlab.invariants import LiftReport, get_cache, one_sided_ideals
 
@@ -447,3 +465,132 @@ def reference_quotient(base, generators):
         q_add[qi] = proj[base.add_row(int(r))[rep_ids]]
         q_mul[qi] = proj[base.mul_row(int(r))[rep_ids]]
     return q_add, q_mul, proj
+
+
+def reference_trivial_extension(base):
+    """TE(base) through its own (ab, ay + xb) formula, the route before the shared assembly."""
+    spec = {"trivial_extension": base.spec}
+    assembly = _Assembly([_Axis.of_ring(base), _Axis.of_ring(base)])
+    amul, aadd = base.mul_table, base.add_table
+
+    def mul_digits(da, db):
+        return [amul[da[0], db[0]], aadd[amul[da[0], db[1]], amul[da[1], db[0]]]]
+
+    labels = base.labels
+    return _assemble_ring(assembly, mul_digits, [base.one, base.zero],
+                          lambda d: f"({labels[d[0]]},{labels[d[1]]})",
+                          spec, spec_name(spec), DEFAULT_THRESHOLD)
+
+
+def _reference_bimodule_compat(lam, rho, nr, nm):
+    """(rm)s = r(ms) on one ring, raising ``bimodule-compat`` at the first (r, m, s)."""
+    r, m = np.arange(nr), np.arange(nm)
+    bad = (rho[lam[r[:, None, None], m[None, :, None]], r[None, None, :]]
+           != lam[r[:, None, None], rho[m[None, :, None], r[None, None, :]]])
+    if bad.any():
+        raise BimoduleError("bimodule-compat", tuple(int(x) for x in np.argwhere(bad)[0]))
+
+
+def reference_trivial_morita(a, b, m, m_left, m_right, n, n_left, n_right):
+    """MC(A, B) as T(A x B, M + N) with V built by loops and validated again as a whole.
+
+    Each action is validated, then V = M + N over A x B: its additive
+    group, its two actions and their compat law, as before each
+    bimodule was validated once on its own.
+    """
+    m_axis, _ = _axis_of_module(np.asarray(m["add"], dtype=np.int64))
+    n_axis, _ = _axis_of_module(np.asarray(n["add"], dtype=np.int64))
+    lam_m, rho_m, lam_n, rho_n = (np.asarray(t, dtype=np.int64)
+                                  for t in (m_left, m_right, n_left, n_right))
+    _validate_left_action(a, m_axis, lam_m, "m-left")
+    _validate_right_action(b, m_axis, rho_m, "m-right")
+    _validate_left_action(b, n_axis, lam_n, "n-left")
+    _validate_right_action(a, n_axis, rho_n, "n-right")
+    p = product_ring([a, b])
+    nm, nn = m_axis.size, n_axis.size
+    v_order = nm * nn
+    v_add = np.zeros((v_order, v_order), dtype=np.int64)
+    for i in range(v_order):
+        for j in range(v_order):
+            v_add[i, j] = m_axis.add[i // nn, j // nn] * nn + n_axis.add[i % nn, j % nn]
+    v_axis, _ = _axis_of_module(v_add)
+    lam = np.zeros((p.order, v_order), dtype=np.int64)
+    rho = np.zeros((v_order, p.order), dtype=np.int64)
+    for pid in range(p.order):
+        ai, bi = divmod(pid, b.order)
+        for v in range(v_order):
+            mv, nv = divmod(v, nn)
+            lam[pid, v] = lam_m[ai, mv] * nn + lam_n[bi, nv]
+            rho[v, pid] = rho_m[mv, bi] * nn + rho_n[nv, ai]
+    _validate_left_action(p, v_axis, lam, "left")
+    _validate_right_action(p, v_axis, rho, "right")
+    _reference_bimodule_compat(lam, rho, p.order, v_order)
+    m_labels, n_labels = _module_labels(m, nm), _module_labels(n, nn, "N")
+    v_labels = [f"({m_labels[v // nn]},{n_labels[v % nn]})" for v in range(v_order)]
+    spec = {"trivial_morita": {
+        "a": a.spec, "b": b.spec,
+        "m": {"add": np.asarray(m["add"]).tolist(), "labels": m_labels},
+        "m_left": lam_m.tolist(), "m_right": rho_m.tolist(),
+        "n": {"add": np.asarray(n["add"]).tolist(), "labels": n_labels},
+        "n_left": lam_n.tolist(), "n_right": rho_n.tolist(),
+    }}
+    assembly = _Assembly([_Axis.of_ring(p), v_axis])
+    amul, vadd = p.mul_table, v_axis.add
+
+    def mul_digits(da, db):
+        return [amul[da[0], db[0]], vadd[lam[da[0], db[1]], rho[da[1], db[0]]]]
+
+    p_labels = p.labels
+    ring = _assemble_ring(assembly, mul_digits, [p.one, v_axis.zero],
+                          lambda d: f"({p_labels[d[0]]},{v_labels[d[1]]})",
+                          spec, spec_name(spec), DEFAULT_THRESHOLD)
+    ring.meta["factors"] = (a, b)
+    return ring
+
+
+def scalar_m_quasi_regular(m_add, m_mul, m_zero) -> bool:
+    """Whether every m has an n with m + n + mn = 0, one pair at a time."""
+    nm = len(m_add)
+    return all(
+        any(m_add[m_add[m, n], m_mul[m, n]] == m_zero for n in range(nm)) for m in range(nm)
+    )
+
+
+def reference_ideal_extension(base, m_tables, left_action, right_action):
+    """IE(base, M) through its own assembly and scalar hypothesis loops, unvalidated.
+
+    The route before the shared assembly: (r,m)(s,n) = (rs, (rn + ms) + mn)
+    with ``meta['hypotheses']`` from a double loop each.
+    """
+    m_add = np.asarray(m_tables["add"], dtype=np.int64)
+    axis, m_zero = _axis_of_module(m_add)
+    nm = axis.size
+    m_mul = m_tables.get("mul")
+    m_mul = np.asarray(np.full((nm, nm), m_zero) if m_mul is None else m_mul, dtype=np.int64)
+    lam = np.asarray(left_action, dtype=np.int64)
+    rho = np.asarray(right_action, dtype=np.int64)
+    m_labels = _module_labels(m_tables, nm)
+    spec = {"ideal_extension": {
+        "base": base.spec,
+        "m": {"add": m_add.tolist(), "mul": m_mul.tolist(), "labels": m_labels},
+        "left_action": lam.tolist(), "right_action": rho.tolist(),
+    }}
+    assembly = _Assembly([_Axis.of_ring(base), axis])
+    amul = base.mul_table
+
+    def mul_digits(da, db):
+        second = m_add[m_add[lam[da[0], db[1]], rho[da[1], db[0]]], m_mul[da[1], db[1]]]
+        return [amul[da[0], db[0]], second]
+
+    b_labels = base.labels
+    ring = _assemble_ring(assembly, mul_digits, [base.one, m_zero],
+                          lambda d: f"({b_labels[d[0]]},{m_labels[d[1]]})",
+                          spec, spec_name(spec), DEFAULT_THRESHOLD)
+    idem = [e for e in range(base.order) if base.mul(e, e) == e]
+    central = all(lam[e, m] == rho[m, e] for e in idem for m in range(nm))
+    ring.meta["hypotheses"] = {
+        "idempotents_central_on_m": central,
+        "m_quasi_regular": scalar_m_quasi_regular(m_add, m_mul, m_zero),
+    }
+    ring.meta["base_ring"] = base
+    return ring

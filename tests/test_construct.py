@@ -41,7 +41,15 @@ from ringlab import (
     validate_spec,
     zn,
 )
-from oracles import naive_units, reference_assembly, reference_quotient
+from oracles import (
+    naive_units,
+    reference_assembly,
+    reference_ideal_extension,
+    reference_quotient,
+    reference_trivial_extension,
+    reference_trivial_morita,
+    scalar_m_quasi_regular,
+)
 from test_invariants import _SMALL_SPEC_LIST
 
 
@@ -659,3 +667,211 @@ def test_t3z4_build_allocates_at_most_two_tables_beyond_its_own():
         tracemalloc.stop()
     n = ring.order
     assert peak - kept <= 2 * n * n * dtype_for(n).itemsize, (peak, kept)
+
+
+# ---------------------------------------------------------------------------
+# the R + M families against their routes before the shared assembly
+
+
+def _assert_same_extension(ring, ref):
+    _assert_same_ring(ring, ref)
+    assert (ring.name, json.dumps(ring.spec)) == (ref.name, json.dumps(ref.spec))
+    assert sorted(ring.meta) == sorted(ref.meta), ring.name
+
+
+def test_trivial_extension_matches_its_own_formula(small_catalog):
+    for entry in small_catalog:
+        _assert_same_extension(trivial_extension(entry.ring),
+                               reference_trivial_extension(entry.ring))
+
+
+def _morita_cases():
+    z2, z4 = zn(2), zn(4)
+    z2_mod, act = {"add": [[0, 1], [1, 0]], "labels": ["0", "m"]}, [[0, 0], [0, 1]]
+    zero_mod = {"add": [[0]]}
+    z4_mod = {"add": z4.add_table, "labels": ["0", "x", "2x", "3x"]}
+    return {
+        "M=N=Z2": (z2, z2, z2_mod, act, act, z2_mod, act, act),
+        "M=N=0": (z2, z2, zero_mod, [[0], [0]], [[0, 0]], zero_mod, [[0], [0]], [[0, 0]]),
+        "N=0": (z2, z2, z2_mod, act, act, zero_mod, [[0], [0]], [[0, 0]]),
+        "M=0": (z2, z2, zero_mod, [[0], [0]], [[0, 0]], z2_mod, act, act),
+        # Z4 acts on Z2 through Z4 -> Z2.
+        "A=Z2,B=Z4": (z2, z4, z2_mod, act, [[0, 0, 0, 0], [0, 1, 0, 1]],
+                      z2_mod, [[0, 0], [0, 1], [0, 0], [0, 1]], act),
+        "A=B=M=N=Z4": (z4, z4, z4_mod, z4.mul_table, z4.mul_table,
+                       z4_mod, z4.mul_table, z4.mul_table),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_morita_cases()))
+def test_trivial_morita_matches_the_loops(case):
+    args = _morita_cases()[case]
+    _assert_same_extension(trivial_morita(*args), reference_trivial_morita(*args))
+
+
+def test_catalog_morita_context_matches_the_loops():
+    spec = dict(DEFAULT_SPECS)["MC(Z2,Z2;Z2,Z2)"]
+    args = spec["trivial_morita"]
+    args = (build(args["a"]), build(args["b"]), args["m"], args["m_left"], args["m_right"],
+            args["n"], args["n_left"], args["n_right"])
+    ref = reference_trivial_morita(*args)
+    _assert_same_ring(build(spec), ref)
+    _assert_same_extension(trivial_morita(*args), ref)
+
+
+def test_catalog_ideal_extensions_match_their_own_assembly():
+    specs = [spec for _, spec in DEFAULT_SPECS if "ideal_extension" in spec]
+    assert len(specs) == 2
+    for spec in specs:
+        args = spec["ideal_extension"]
+        args = build(args["base"]), args["m"], args["left_action"], args["right_action"]
+        ring, ref = build(spec), reference_ideal_extension(*args)
+        _assert_same_ring(ring, ref)
+        _assert_same_extension(ideal_extension(*args), ref)
+        assert ring.meta["hypotheses"] == ref.meta["hypotheses"], ring.name
+
+
+def _ideal_tables(ring, ids):
+    """M = the ideal on ``ids`` with its own ids, and ring acting on it by multiplication."""
+    lookup = np.full(ring.order, -1)
+    lookup[ids] = np.arange(len(ids))
+    block = np.ix_(ids, ids)
+    m = {"add": lookup[ring.add_table[block]], "mul": lookup[ring.mul_table[block]]}
+    return m, lookup[ring.mul_table[:, ids]], lookup[ring.mul_table[ids, :]]
+
+
+def test_ideal_extension_hypotheses_match_the_scalar_loops():
+    # R + I for ideals I of small commutative rings R, R acting by its
+    # product: (r,m)(s,n) = (rs, rn + ms + mn) is the ring R x R read
+    # through (r, m) -> (r, r + m), and m is quasi-regular iff I lies in J.
+    rng = np.random.default_rng(20261018)
+    flags = set()
+    for spec in _SMALL_SPEC_LIST:
+        ring = build(spec)
+        if ring.order > 16 or not (ring.mul_table == ring.mul_table.T).all():
+            continue
+        radical = set(jacobson_radical(ring).sorted_ids())
+        for _ in range(3):
+            gens = rng.choice(ring.order, size=rng.integers(1, 3)).tolist()
+            ids = ideal_generated(ring, gens).sorted_ids()
+            m, lam, rho = _ideal_tables(ring, ids)
+            ie, ref = ideal_extension(ring, m, lam, rho), reference_ideal_extension(ring, m, lam, rho)
+            _assert_same_extension(ie, ref)
+            quasi = ie.meta["hypotheses"]["m_quasi_regular"]
+            assert ie.meta["hypotheses"] == ref.meta["hypotheses"], (spec, gens)
+            assert quasi == scalar_m_quasi_regular(m["add"], m["mul"], 0) == (set(ids) <= radical)
+            flags.add(quasi)
+    assert flags == {True, False}
+
+
+# Bimodule laws: one failing action table per law.  F4 (ids 0, 1, w,
+# w+1) acts on M = Z2 x Z2 (addition is XOR) through its product.
+_V4 = [[a ^ b for b in range(4)] for a in range(4)]
+_F4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+_LEFT_LAWS = {
+    "shape": ([[0]], (4, 4)),
+    "unital": ([[0] * 4] * 4, (1,)),
+    "additive-in-ring": ([[0, 1, 2, 3]] + _F4_MUL[1:], (0, 0, 1)),
+    # w.m = 1 for every m: not additive in m.
+    "additive-in-module": ([[0, 0, 0, 0], [0, 1, 2, 3], [1, 1, 1, 1], [1, 0, 3, 2]], (2, 0, 0)),
+    # w.m = 0 but (w*w).m = (w+1).m = m.
+    "associative": ([[0, 0, 0, 0], [0, 1, 2, 3], [0, 0, 0, 0], [0, 1, 2, 3]], (2, 2, 1)),
+}
+_RIGHT_WITNESSES = {"shape": (4, 4), "unital": (1,), "additive-in-ring": (1, 0, 0),
+                    "additive-in-module": (0, 0, 2), "associative": (1, 2, 2)}
+
+
+def _transpose(table):
+    return [list(row) for row in zip(*table)]
+
+
+def _bimodule_family(family, base, m_add, lam, rho):
+    """Build ``family`` with M = (m_add, lam, rho) over ``base`` on both sides."""
+    m, zero = {"add": m_add}, ({"add": [[0]]}, [[0]] * base.order, [[0] * base.order])
+    if family == "ideal_extension":
+        return ideal_extension(base, m, lam, rho)
+    if family == "formal_triangular":
+        return formal_triangular(base, base, m, lam, rho)
+    if family == "trivial_morita-m":
+        return trivial_morita(base, base, m, lam, rho, *zero)
+    return trivial_morita(base, base, *zero, m, lam, rho)
+
+
+_BIMODULE_FAMILIES = {"ideal_extension": "", "formal_triangular": "",
+                      "trivial_morita-m": "m-", "trivial_morita-n": "n-"}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("law", sorted(_LEFT_LAWS))
+@pytest.mark.parametrize("family", sorted(_BIMODULE_FAMILIES))
+def test_each_action_law_keeps_its_name_and_witness(f4, family, law, side):
+    bad, witness = _LEFT_LAWS[law]
+    lam, rho = (bad, _F4_MUL) if side == "left" else (_F4_MUL, _transpose(bad))
+    if side == "right":
+        witness = _RIGHT_WITNESSES[law]
+    with pytest.raises(BimoduleError) as err:
+        _bimodule_family(family, f4, _V4, lam, rho)
+    assert err.value.law == f"{_BIMODULE_FAMILIES[family]}{side}-{law}"
+    assert err.value.witness == witness
+
+
+def _m2_transpose_actions(m2z2):
+    """x.m = xm and m.y = y^T m: two actions of M2(Z2) on itself that do not commute."""
+    transpose = [m2z2.id_of(f"({l[1]} {l[5]};{l[3]} {l[7]})") for l in m2z2.labels]
+    rho = np.array([[m2z2.mul(transpose[y], m) for y in range(m2z2.order)]
+                    for m in range(m2z2.order)])
+    return m2z2.mul_table, rho
+
+
+@pytest.mark.parametrize("family", sorted(_BIMODULE_FAMILIES))
+def test_bimodule_compat_is_checked_per_module(m2z2, family):
+    lam, rho = _m2_transpose_actions(m2z2)
+    with pytest.raises(BimoduleError) as err:
+        _bimodule_family(family, m2z2, m2z2.add_table, lam, rho)
+    assert err.value.law == f"{_BIMODULE_FAMILIES[family]}bimodule-compat"
+    assert err.value.witness == (1, 1, 2)
+
+
+@pytest.mark.parametrize("module, witness", [("m", (16, 1, 2)), ("n", (1, 1, 32))])
+def test_morita_compat_was_found_on_the_combined_module(m2z2, module, witness):
+    # The loops validate V = M + N over A x B once more, where the
+    # failure surfaces as "bimodule-compat" at ids of V and A x B.
+    lam, rho = _m2_transpose_actions(m2z2)
+    m = ({"add": m2z2.add_table}, lam, rho)
+    zero = ({"add": [[0]]}, [[0]] * 16, [[0] * 16])
+    args = (m + zero) if module == "m" else (zero + m)
+    with pytest.raises(BimoduleError) as err:
+        reference_trivial_morita(m2z2, m2z2, *args)
+    assert (err.value.law, err.value.witness) == ("bimodule-compat", witness)
+
+
+_PRODUCT_ACTIONS = (  # Z2 x Z2 (ids 2a + b) acting on Z2 x Z2
+    [[0, 0, 0, 0], [0, 0, 2, 2], [0, 1, 0, 1], [0, 1, 2, 3]],
+    [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2], [0, 0, 3, 3]],
+)
+
+
+#: law -> (base, M tables, left action, right action, witness).
+_IDEAL_EXTENSION_LAWS = {
+    "m-associative": ("f4", {"add": _V4, "mul": [[0] * 4, [0] * 4, [0, 1, 0, 1], [0, 1, 0, 1]]},
+                      _F4_MUL, _F4_MUL, (2, 2, 1)),
+    "m-left-distributive": ("z2", {"add": [[0, 1], [1, 0]], "mul": [[1, 1], [1, 1]]},
+                            _ACT, _ACT, (0, 0, 0)),
+    "m-right-distributive": ("z2", {"add": [[0, 1], [1, 0]], "mul": [[0, 1], [0, 1]]},
+                             _ACT, _ACT, (0, 0, 1)),
+    "compat-(mn)r=m(nr)": ("f4", {"add": _V4, "mul": [[0] * 4, [0] * 4, [0, 0, 1, 1], [0, 0, 1, 1]]},
+                           _F4_MUL, _F4_MUL, (2, 1, 2)),
+    "compat-m(nr)=(mr)n": ("f4", {"add": _V4, "mul": [[0] * 4, [0] * 4, [0, 1, 2, 3], [0, 1, 2, 3]]},
+                           _F4_MUL, _F4_MUL, (1, 1, 2)),
+    "compat-(rm)n=r(mn)": ("z2xz2", {"add": _V4, "mul": [[0] * 4, [0] * 4, [0, 0, 1, 1], [0, 0, 1, 1]]},
+                           *_PRODUCT_ACTIONS, (1, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_IDEAL_EXTENSION_LAWS))
+def test_ideal_extension_ring_laws_keep_their_names(request, law):
+    base, m, lam, rho, witness = _IDEAL_EXTENSION_LAWS[law]
+    ring = product_ring([zn(2), zn(2)]) if base == "z2xz2" else request.getfixturevalue(base)
+    with pytest.raises(BimoduleError) as err:
+        ideal_extension(ring, m, lam, rho)
+    assert (err.value.law, err.value.witness) == (law, witness)

@@ -279,3 +279,22 @@ def test_tiled_commutativity_witness_is_the_first_asymmetric_cell(n):
         report = validate_axioms(ring, force=True)
         expected = tuple(int(v) for v in np.argwhere(add != add.T)[0])
         assert (report.axiom, report.witness) == ("add-commutativity", expected), (r, c)
+
+
+def test_additive_generators_are_computed_once_per_ring(monkeypatch):
+    from ringlab import build, classify, construct, core, invariants
+
+    seen = []
+    real = core.additive_generators
+
+    def counted(add, zero):
+        seen.append(add)
+        return real(add, zero)
+
+    for module in (core, construct, invariants):
+        monkeypatch.setattr(module, "additive_generators", counted)
+    # Built and validated in full: Z2, T2(Z2) and TE(T2(Z2)), all <= 256.
+    ring = build({"trivial_extension": {"triangular": {"n": 2, "base": {"zn": 2}}}})
+    classify(ring)
+    assert len({id(add) for add in seen}) == len(seen) == 3
+    assert any(add is ring.add_table for add in seen)

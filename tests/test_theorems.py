@@ -278,3 +278,25 @@ def test_thm3_10_allocates_no_corner_table():
     assert row.verdict == "pass", row.detail
     # An order-4096 corner's product table alone is 4096^2 cells.
     assert peak < 8 * 2**20, peak
+
+
+def test_thm3_10_compares_corners_with_one_m2(suite_ctx, monkeypatch):
+    # Every order-2 ring is Z2, so one M2 stands for M2(F2); a catalog
+    # without an order-2 ring compares no corner.
+    theorems = importlib.import_module("ringlab.theorems")
+    calls = []
+    real = theorems.check_isomorphic
+
+    def counted(a, b, **kw):
+        calls.append(b.name)
+        return real(a, b, **kw)
+
+    monkeypatch.setattr(theorems, "check_isomorphic", counted)
+    rows = _check_thm3_10(suite_ctx).rows
+    assert calls == ["M2(Z2)"] * 7
+    assert {r.verdict for r in rows} == {"pass", "not-applicable"}
+    without = SuiteContext([e for e in suite_ctx.entries if e.ring.order != 2])
+    calls.clear()
+    verdicts = {r.ring: r.verdict for r in _check_thm3_10(without).rows}
+    assert calls == []
+    assert verdicts == {r.ring: r.verdict for r in rows if r.ring in verdicts}
