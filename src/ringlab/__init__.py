@@ -78,8 +78,6 @@ from .elements import (
 from .classify import (
     Classification,
     CLASSIFICATION_FIELDS,
-    IsoResult,
-    check_isomorphic,
     classify,
     classify_element_summary,
 )

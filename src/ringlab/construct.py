@@ -868,13 +868,14 @@ def ideal_extension(
     _validate_bimodule(base, base, axis, lam, rho)
 
     # Compatibility of the actions with the M multiplication:
-    # (mn)r = m(nr), m(nr) = (mr)n, (rm)n = r(mn).
+    # (mn)r = m(nr), (mr)n = m(rn), (rm)n = r(mn).
     r = np.arange(base.order)
     lhs = rho[m_mul[mi[:, None, None], mi[None, :, None]], r[None, None, :]]
     rhs = m_mul[mi[:, None, None], rho[mi[None, :, None], r[None, None, :]]]
     _check("compat-(mn)r=m(nr)", lhs == rhs)
-    rhs2 = m_mul[rho[mi[:, None, None], r[None, None, :]], mi[None, :, None]]
-    _check("compat-m(nr)=(mr)n", rhs == rhs2)
+    lhs = m_mul[rho[mi[:, None, None], r[None, :, None]], mi[None, None, :]]
+    rhs = m_mul[mi[:, None, None], lam[r[None, :, None], mi[None, None, :]]]
+    _check("compat-(mr)n=m(rn)", lhs == rhs)
     lhs = m_mul[lam[r[:, None, None], mi[None, :, None]], mi[None, None, :]]
     rhs = lam[r[:, None, None], m_mul[mi[None, :, None], mi[None, None, :]]]
     _check("compat-(rm)n=r(mn)", lhs == rhs)

@@ -30,10 +30,16 @@ per-family assemblies that the one R + M assembly of ``construct``
 replaced; the last keeps its Python loops over V = M + N and its second
 validation of V as one bimodule over A x B, and
 ``scalar_m_quasi_regular`` is the pair loop behind the ideal
-extension's ``m_quasi_regular`` flag.
+extension's ``m_quasi_regular`` flag.  ``reference_check_isomorphic``
+is the backtracking isomorphism search that the closed forms of
+``thm3.10`` (eRe = M2(F2)) and ``prop2.2`` (R/J = Z2) replaced; the
+construct and classify tests also use it as a tool.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -49,8 +55,8 @@ from ringlab.construct import (
     product_ring,
     spec_name,
 )
-from ringlab.core import DEFAULT_THRESHOLD, TableRing, dtype_for
-from ringlab.errors import BimoduleError
+from ringlab.core import DEFAULT_THRESHOLD, FiniteRing, TableRing, dtype_for
+from ringlab.errors import BimoduleError, SizeOverflowError
 from ringlab.elements import Decomposition
 from ringlab.invariants import LiftReport, get_cache, one_sided_ideals
 
@@ -594,3 +600,172 @@ def reference_ideal_extension(base, m_tables, left_action, right_action):
     }
     ring.meta["base_ring"] = base
     return ring
+
+
+@dataclass(frozen=True)
+class IsoResult:
+    found: bool
+    mapping: Optional[tuple[int, ...]]
+    reason: str = ""
+
+    def __bool__(self):
+        return self.found
+
+
+def _additive_orders(ring: FiniteRing) -> np.ndarray:
+    n = ring.order
+    orders = np.zeros(n, dtype=np.int64)
+    v = np.arange(n)
+    idx = np.arange(n)
+    remaining = n
+    for k in range(1, n + 1):
+        hit = (orders == 0) & (v == ring.zero)
+        orders[hit] = k
+        remaining -= int(hit.sum())
+        if remaining == 0:
+            break
+        v = ring.add_table[v, idx]
+    return orders
+
+
+def _fingerprints(ring: FiniteRing) -> list[tuple]:
+    cache = get_cache(ring)
+    orders = _additive_orders(ring)
+    mul = ring.mul_table
+    left_ann = (mul == ring.zero).sum(axis=0)
+    right_ann = (mul == ring.zero).sum(axis=1)
+    out = []
+    for a in range(ring.order):
+        out.append((
+            int(orders[a]),
+            bool(cache.unit_mask[a]),
+            bool(cache.idempotent_mask[a]),
+            bool(cache.nilpotent_mask[a]),
+            bool(cache.center_mask[a]),
+            int(left_ann[a]),
+            int(right_ann[a]),
+        ))
+    return out
+
+
+def reference_check_isomorphic(
+    ring1: FiniteRing,
+    ring2: FiniteRing,
+    *,
+    order_limit: int = 256,
+) -> IsoResult:
+    """Search for a ring isomorphism, guided by invariant fingerprints.
+
+    The backtracking search the suite's ``thm3.10`` and ``prop2.2`` ran
+    before they answered their isomorphism questions by closed forms.
+
+    Returns a witness bijection (as a tuple ``phi`` with
+    ``phi[a1] = a2``) or a negative verdict with the discriminating
+    invariant.  Bounded by ``order_limit``.
+    """
+    if ring1.order != ring2.order:
+        return IsoResult(False, None, "orders differ")
+    n = ring1.order
+    if n > order_limit:
+        raise SizeOverflowError(n, order_limit)
+    fp1 = _fingerprints(ring1)
+    fp2 = _fingerprints(ring2)
+    if sorted(fp1) != sorted(fp2):
+        return IsoResult(False, None, "element fingerprint multisets differ")
+
+    candidates_by_fp: dict[tuple, list[int]] = {}
+    for a, f in enumerate(fp2):
+        candidates_by_fp.setdefault(f, []).append(a)
+
+    add1, add2 = ring1.add_table, ring2.add_table
+    mul1, mul2 = ring1.mul_table, ring2.mul_table
+
+    phi = np.full(n, -1, dtype=np.int64)
+    used = np.zeros(n, dtype=bool)
+    phi[ring1.zero] = ring2.zero
+    used[ring2.zero] = True
+    span = [ring1.zero]
+    span_mask = np.zeros(n, dtype=bool)
+    span_mask[ring1.zero] = True
+
+    def pick_generator():
+        best, best_count = None, None
+        for a in range(n):
+            if span_mask[a]:
+                continue
+            count = sum(
+                1 for c in candidates_by_fp.get(fp1[a], []) if not used[c]
+            )
+            if best_count is None or count < best_count:
+                best, best_count = a, count
+        return best
+
+    def retract(new_elems):
+        for ns in new_elems:
+            used[phi[ns]] = False
+            phi[ns] = -1
+            span_mask[ns] = False
+        if new_elems:
+            del span[-len(new_elems):]
+
+    def extend(g, h):
+        """Try phi[g] = h; extend phi over the enlarged additive span.
+
+        With k minimal such that k*g lies in the span, the cosets
+        span + t*g (t < k) partition the new span, so the additive
+        extension phi(s + t*g) = phi(s) + t*h is well-defined once
+        phi(k*g) = k*h holds.  Returns the added elements, or None.
+        """
+        k, x = 1, g
+        while not span_mask[x]:
+            x = int(add1[x, g])
+            k += 1
+        y = h
+        for _ in range(k - 1):
+            y = int(add2[y, h])
+        if phi[x] != y:
+            return None
+        new_elems = []
+        cur_g, cur_h = g, h
+        for _ in range(1, k):
+            for s in list(span):
+                ns = int(add1[s, cur_g])
+                nh = int(add2[phi[s], cur_h])
+                if used[nh] or span_mask[ns]:
+                    span.extend(new_elems)
+                    retract(new_elems)
+                    return None
+                phi[ns] = nh
+                used[nh] = True
+                span_mask[ns] = True
+                new_elems.append(ns)
+            cur_g = int(add1[cur_g, g])
+            cur_h = int(add2[cur_h, h])
+        span.extend(new_elems)
+        return new_elems
+
+    def dfs():
+        if len(span) == n:
+            if phi[ring1.one] != ring2.one:
+                return False
+            p = phi
+            if not (p[mul1] == mul2[p[:, None], p[None, :]]).all():
+                return False
+            if not (p[add1] == add2[p[:, None], p[None, :]]).all():
+                return False
+            return True
+        g = pick_generator()
+        for h in candidates_by_fp.get(fp1[g], []):
+            if used[h]:
+                continue
+            added = extend(g, h)
+            if added is None:
+                continue
+            if dfs():
+                return True
+            retract(added)
+        return False
+
+    if dfs():
+        return IsoResult(True, tuple(int(x) for x in phi))
+    return IsoResult(False, None, "no isomorphism found by exhaustive search")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 from collections import Counter
@@ -18,6 +19,7 @@ from ringlab import (
     check_thm_3_4_and_3_9_3_10,
     check_thm_3_11,
     classify,
+    corner_ring,
     decomposition_counts,
     jacobson_radical,
     run_suite,
@@ -28,8 +30,14 @@ from ringlab.catalog import DEFAULT_SPECS, CatalogEntry
 from ringlab.classify import radical_quotient
 from ringlab.errors import SpecError
 from ringlab.invariants import get_cache
-from ringlab.theorems import _check_thm3_10, _corner_two_good_witness, _nonzero_idempotents
-from oracles import reference_corner_two_good_witness
+from ringlab.theorems import (
+    _check_thm3_10,
+    _corner_two_good_witness,
+    _is_m2_f2_corner,
+    _nonzero_idempotents,
+    _radical_quotient_is_z2,
+)
+from oracles import reference_check_isomorphic, reference_corner_two_good_witness
 from test_invariants import _SMALL_SPEC_LIST
 
 
@@ -280,23 +288,84 @@ def test_thm3_10_allocates_no_corner_table():
     assert peak < 8 * 2**20, peak
 
 
-def test_thm3_10_compares_corners_with_one_m2(suite_ctx, monkeypatch):
-    # Every order-2 ring is Z2, so one M2 stands for M2(F2); a catalog
-    # without an order-2 ring compares no corner.
+_M2Z2 = {"matrix": {"n": 2, "base": {"zn": 2}}}
+#: Rings with M2(F2) corners beyond the catalog: Z2 x M2(Z2), M2(Z4),
+#: TE(M2(Z2)) and M3(Z2).
+_MATRIX_CORNER_SPECS = (
+    {"product": [{"zn": 2}, _M2Z2]},
+    {"matrix": {"n": 2, "base": {"zn": 4}}},
+    {"trivial_extension": _M2Z2},
+    {"matrix": {"n": 3, "base": {"zn": 2}}},
+)
+
+
+def test_m2_f2_corner_closed_form_matches_the_isomorphism_search(suite_ctx):
+    rings = [e.ring for e in suite_ctx.entries]
+    rings += [build(spec) for spec in _MATRIX_CORNER_SPECS]
+    rings += [radical_quotient(ring) for ring in rings]
+    m2 = build(_M2Z2)
+    seen = Counter()
+    for ring in rings:
+        for e in _nonzero_idempotents(ring):
+            corner = corner_ring(ring, e)
+            found = _is_m2_f2_corner(ring, e)
+            assert found == reference_check_isomorphic(corner, m2).found, (ring.name, e)
+            seen[corner.order, found] += 1
+    assert seen[16, True] and seen[16, False], seen
+
+
+def test_radical_quotient_is_z2_closed_form_matches_the_search(suite_ctx):
+    z2 = zn(2)
+    found = []
+    for entry in suite_ctx.entries:
+        quot = radical_quotient(entry.ring)
+        expected = reference_check_isomorphic(quot, z2).found
+        assert _radical_quotient_is_z2(entry.ring) == expected, entry.name
+        found.append(expected)
+    assert True in found and False in found
+
+
+def test_thm3_10_builds_no_corner_ring(suite_ctx, monkeypatch):
     theorems = importlib.import_module("ringlab.theorems")
+    real = theorems.corner_ring
     calls = []
-    real = theorems.check_isomorphic
 
-    def counted(a, b, **kw):
-        calls.append(b.name)
-        return real(a, b, **kw)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(theorems, "check_isomorphic", counted)
+    monkeypatch.setattr(theorems, "corner_ring", counted)
     rows = _check_thm3_10(suite_ctx).rows
-    assert calls == ["M2(Z2)"] * 7
-    assert {r.verdict for r in rows} == {"pass", "not-applicable"}
-    without = SuiteContext([e for e in suite_ctx.entries if e.ring.order != 2])
-    calls.clear()
-    verdicts = {r.ring: r.verdict for r in _check_thm3_10(without).rows}
     assert calls == []
-    assert verdicts == {r.ring: r.verdict for r in rows if r.ring in verdicts}
+    assert {r.verdict for r in rows} == {"pass", "not-applicable"}
+
+
+def test_prop2_2_builds_no_ring(suite_ctx, monkeypatch):
+    theorems = importlib.import_module("ringlab.theorems")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("prop2.2 built a ring")
+
+    monkeypatch.setattr(theorems, "radical_quotient", refuse)
+    monkeypatch.setattr(SuiteContext, "derived", refuse)
+    rows = run_suite(suite_ctx, ["prop2.2"])[0].rows
+    assert {r.verdict for r in rows} <= {"pass", "not-applicable"}
+
+
+def test_thm3_10_finds_matrix_corners(monkeypatch):
+    # Reported as CUSC, M2(Z2) and Z2 x M2(Z2) break the corner
+    # obstruction in R and in R/J = R.  The catalog needs no ring of
+    # order 2 for its corners to be checked.
+    theorems = importlib.import_module("ringlab.theorems")
+    real = theorems.classify
+    monkeypatch.setattr(theorems, "classify",
+                        lambda ring: dataclasses.replace(real(ring), is_CUSC=True))
+    specs = {"M2(Z2)": _M2Z2, "Z2xM2(Z2)": _MATRIX_CORNER_SPECS[0]}
+    ctx = SuiteContext([CatalogEntry(name, spec, build(spec)) for name, spec in specs.items()])
+    rows = _check_thm3_10(ctx).rows
+    assert [r.ring for r in rows] == list(specs)
+    for row in rows:
+        assert row.verdict == "fail"
+        corners = [p for p in row.detail if isinstance(p, dict) and "matrix_corner" in p]
+        assert {p["matrix_corner"] for p in corners} == {"M2(F2)"}, row.detail
+        assert {p["scope"] for p in corners} == {"R", "R/J"}, row.detail
