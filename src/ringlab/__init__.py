@@ -71,8 +71,6 @@ from .elements import (
     clean_decompositions,
     decomposition_counts,
     element_profile,
-    is_uniquely_clean_element,
-    is_usc_element,
     strongly_clean_decompositions,
 )
 from .classify import (
@@ -94,14 +92,6 @@ from .theorems import (
     CHECKS,
     SuiteContext,
     TheoremReport,
-    check_closure_props,
-    check_examples_1_4_and_2_3,
-    check_extension_corollaries,
-    check_group_ring_theorems,
-    check_prop_2_1,
-    check_thm_3_1,
-    check_thm_3_4_and_3_9_3_10,
-    check_thm_3_11,
     run_suite,
     suite_to_json,
 )

@@ -113,22 +113,6 @@ def strongly_clean_decompositions(ring: FiniteRing, a: int) -> list[Decompositio
     return [d for d in clean_decompositions(ring, a) if d.commuting]
 
 
-def is_uniquely_clean_element(ring: FiniteRing, a: int) -> tuple[bool, list[Decomposition]]:
-    """Exactly-one test on clean decompositions; returns the witnesses."""
-    decomps = clean_decompositions(ring, a)
-    return len(decomps) == 1, decomps
-
-
-def is_usc_element(ring: FiniteRing, a: int) -> tuple[bool, list[Decomposition]]:
-    """Exactly-one test on strongly clean decompositions; returns the witnesses.
-
-    On a finite ring every element is strongly clean, so on failure the
-    witness list holds two or more decompositions, never none.
-    """
-    decomps = strongly_clean_decompositions(ring, a)
-    return len(decomps) == 1, decomps
-
-
 def element_profile(ring: FiniteRing, a: int) -> ElementProfile:
     return _profile(a, clean_decompositions(ring, a))
 

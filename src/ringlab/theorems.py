@@ -11,8 +11,11 @@ Checks share a :class:`SuiteContext` that holds the catalog and the
 derived rings built by spec (triangular extensions, matrix rings,
 factors).  A ring's classification and its radical quotient live in
 the ring's own memo (see :mod:`ringlab.invariants`), so every check
-that asks for them reuses one computation per ring handle.  Reports
-are deterministic: byte-identical across runs and worker counts.
+that asks for them reuses one computation per ring handle.  Subrings
+are not built: ``prop2.4`` and ``cor2.7`` read the CUSC and UUSC of
+corners and generated subrings from the parent ring's unit and
+idempotent masks.  Reports are deterministic: byte-identical across
+runs and worker counts.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .construct import (
     _FAMILIES,
     _subring_closure,
     build,
-    corner_ring,
     quotient_ring,
     subring_generated,
 )
@@ -103,7 +105,8 @@ class SuiteContext:
     ``quasi_duo_order_limit`` and ``quasi_duo_count_limit`` bound the
     one lattice per side that ``crosschecks`` builds for its radical,
     quasi-duo and semi-potence oracles.  ``oracle_order_limit`` gates
-    regularity by search, ``prop2.4`` and ``lemma2.8``;
+    regularity by search, ``lemma2.8`` and ``prop2.4``'s generated
+    subrings, whose closures are that check's cost;
     ``derived_order_limit`` caps fresh triangular builds.  Of the limits
     only ``quasi_duo_count_limit`` (``--lattice-limit``) is set per run.
     ``iso_order_limit`` bounds nothing: the suite answers its isomorphism
@@ -190,21 +193,46 @@ def _corner_subset(ring: FiniteRing, e: int) -> np.ndarray:
     return np.unique(ring.mul_table[er, e])
 
 
+def _subring_units(ring: FiniteRing, members: np.ndarray, one: int) -> np.ndarray:
+    """U(S) as a mask over R, for the unital subring S on ``members`` with identity ``one``.
+
+    x in S is a unit of S iff x + (1 - one) is a unit of R.  For one = 1
+    this reads U(S) = U(R) & S: in a finite ring a unit's inverse is a
+    power of it.  For a corner eRe, y + 1 - e inverts x + 1 - e when y
+    inverts x in eRe, and eze inverts x in eRe when z inverts x + 1 - e.
+    """
+    mask = np.zeros(ring.order, dtype=bool)
+    shifted = ring.add_table[members, ring.sub(ring.one, one)]
+    mask[members[get_cache(ring).unit_mask[shifted]]] = True
+    return mask
+
+
+def _subring_is_cusc_uusc(ring: FiniteRing, members: np.ndarray, one: int) -> tuple[bool, bool]:
+    """CUSC and UUSC of the unital subring S on ``members`` with identity ``one``.
+
+    Builds no ring: Idem(S) = Idem(R) & S, U(S) comes from
+    :func:`_subring_units`, and a in S counts the g in Idem(S) with
+    a - g in U(S) and g(a - g) = (a - g)g.  That is R's decomposition
+    sweep over the rows and idempotent columns in S.
+    """
+    unit = _subring_units(ring, members, one)
+    idem = members[get_cache(ring).idempotent_mask[members]]
+    mul = ring.mul_table
+    u = ring.add_table[members][:, ring.neg_table[idem]]
+    strong = unit[u] & (mul[idem[None, :], u] == mul[u, idem[None, :]])
+    unique = strong.sum(axis=1) == 1
+    return bool(unique.all()), bool(unique[unit[members]].all())
+
+
 def _corner_two_good_witness(ring: FiniteRing, e: int) -> Optional[tuple[int, int]]:
     """The least unit u of eRe for which e - u is a unit of eRe too, with e - u.
 
-    x in eRe is a unit of eRe iff x + (1 - e) is a unit of R: y + 1 - e
-    inverts it when y inverts x in eRe, and eze inverts x in eRe when z
-    inverts x + 1 - e.  So the corner units come from U(R) in one pass
-    over eRe, with no product table of the corner.
+    The corner units come from U(R) in one pass over eRe, with no
+    product table of the corner.
     """
-    k = _corner_subset(ring, e)
-    cache = get_cache(ring)
-    add = ring.add_table
-    corner_unit = np.zeros(ring.order, dtype=bool)
-    corner_unit[k[cache.unit_mask[add[k, ring.sub(ring.one, e)]]]] = True
+    corner_unit = _subring_units(ring, _corner_subset(ring, e), e)
     units = np.flatnonzero(corner_unit)
-    hits = np.flatnonzero(corner_unit[add[e, ring.neg_table[units]]])
+    hits = np.flatnonzero(corner_unit[ring.add_table[e, ring.neg_table[units]]])
     if hits.size:
         u = int(units[hits[0]])
         return u, ring.sub(e, u)
@@ -325,15 +353,16 @@ def _check_prop2_4(ctx: SuiteContext) -> TheoremReport:
             rep.add(entry.name, NA, "neither CUSC nor UUSC")
             continue
         seen: set[frozenset] = set()
-        subrings: list[tuple[str, FiniteRing]] = []
+        subrings: list[tuple[str, np.ndarray, int]] = []
         for e in _nonzero_idempotents(ring):
             if e == ring.one:
                 continue
-            k = frozenset(int(x) for x in _corner_subset(ring, e))
-            if k in seen:
+            k = _corner_subset(ring, e)
+            key = frozenset(k.tolist())
+            if key in seen:
                 continue
-            seen.add(k)
-            subrings.append((f"corner e={ring.label_of(e)}", corner_ring(ring, e)))
+            seen.add(key)
+            subrings.append((f"corner e={ring.label_of(e)}", k, e))
         if ring.order <= ctx.oracle_order_limit:
             gen_seen: set[frozenset] = set()
             for a in range(ring.order):
@@ -342,15 +371,14 @@ def _check_prop2_4(ctx: SuiteContext) -> TheoremReport:
                 if key in gen_seen or ids.size == ring.order:
                     continue
                 gen_seen.add(key)
-                subrings.append((f"subring gen {ring.label_of(a)}",
-                                 subring_generated(ring, ids)))
+                subrings.append((f"subring gen {ring.label_of(a)}", ids, ring.one))
         bad = None
-        for desc, sub in subrings:
-            sc = classify(sub)
-            if c.is_CUSC and not sc.is_CUSC:
+        for desc, members, one in subrings:
+            cusc, uusc = _subring_is_cusc_uusc(ring, members, one)
+            if c.is_CUSC and not cusc:
                 bad = (desc, "CUSC lost")
                 break
-            if c.is_UUSC and not sc.is_UUSC:
+            if c.is_UUSC and not uusc:
                 bad = (desc, "UUSC lost")
                 break
         rep.require(entry.name, bad is None, bad,
@@ -438,12 +466,12 @@ def _check_cor2_7(ctx: SuiteContext) -> TheoremReport:
         c = classify(ring)
         bad = None
         for e in central_idem:
-            part1 = classify(corner_ring(ring, e))
-            part2 = classify(corner_ring(ring, ring.sub(ring.one, e)))
-            if c.is_CUSC != (part1.is_CUSC and part2.is_CUSC):
+            parts = [_subring_is_cusc_uusc(ring, _corner_subset(ring, f), f)
+                     for f in (e, ring.sub(ring.one, e))]
+            if c.is_CUSC != all(cusc for cusc, _ in parts):
                 bad = {"idempotent": ring.label_of(e), "predicate": "CUSC"}
                 break
-            if c.is_UUSC != (part1.is_UUSC and part2.is_UUSC):
+            if c.is_UUSC != all(uusc for _, uusc in parts):
                 bad = {"idempotent": ring.label_of(e), "predicate": "UUSC"}
                 break
         rep.require(entry.name, bad is None, bad,
@@ -847,7 +875,7 @@ def _check_thm3_10(ctx: SuiteContext) -> TheoremReport:
     return rep
 
 
-def _check_thm3_11(ctx: SuiteContext, ns: tuple[int, ...] = (2, 3)) -> TheoremReport:
+def _check_thm3_11(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport(
         "thm3.11",
         "commutative semi-potent bases: CUSC = CUC = CUSC of every triangular ring",
@@ -862,7 +890,7 @@ def _check_thm3_11(ctx: SuiteContext, ns: tuple[int, ...] = (2, 3)) -> TheoremRe
                 "is_CUSC": c.is_CUSC, "is_CUC": c.is_CUC,
             })
             continue
-        for n in ns:
+        for n in (2, 3):
             tn = ctx.triangular_if_permitted(entry.spec, entry.ring, n)
             label = f"{entry.name}:T{n}"
             if tn is None:
@@ -1129,50 +1157,3 @@ def suite_to_json(ctx: SuiteContext, reports: list[TheoremReport]) -> dict:
         "checks": [r.to_json() for r in reports],
         "all_pass": all(r.aggregate == PASS for r in reports),
     }
-
-
-# ---------------------------------------------------------------------------
-# grouped entry points mirroring the operation map
-
-
-def _subset_reports(catalog, ids):
-    ctx = catalog if isinstance(catalog, SuiteContext) else SuiteContext(catalog)
-    return run_suite(ctx, ids)
-
-
-def check_prop_2_1(catalog) -> TheoremReport:
-    return _subset_reports(catalog, ["prop2.1"])[0]
-
-
-def check_closure_props(catalog) -> list[TheoremReport]:
-    return _subset_reports(catalog, ["prop2.4", "prop2.5", "cor2.6", "cor2.7", "lemma2.8"])
-
-
-def check_extension_corollaries(catalog) -> list[TheoremReport]:
-    return _subset_reports(catalog, ["cor2.14", "morita", "tav", "prop2.18", "prop2.19"])
-
-
-def check_thm_3_1(catalog) -> TheoremReport:
-    return _subset_reports(catalog, ["thm3.1"])[0]
-
-
-def check_thm_3_4_and_3_9_3_10(catalog) -> list[TheoremReport]:
-    return _subset_reports(catalog, ["prop3.3", "thm3.4", "thm3.9", "thm3.10"])
-
-
-def check_thm_3_11(catalog, n_max: int = 3) -> TheoremReport:
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
-    ctx = catalog if isinstance(catalog, SuiteContext) else SuiteContext(catalog)
-    ctx.precompute()
-    return _check_thm3_11(ctx, ns=tuple(range(2, n_max + 1)))
-
-
-def check_group_ring_theorems(catalog) -> list[TheoremReport]:
-    return _subset_reports(catalog, ["lemma4.1", "prop4.4", "thm4.3"])
-
-
-def check_examples_1_4_and_2_3(catalog) -> list[TheoremReport]:
-    return _subset_reports(
-        catalog, ["example1.4", "example2.3", "prop2.2", "cor3.2", "cor3.6", "cor3.8"]
-    )

@@ -10,8 +10,6 @@ from ringlab import (
     clean_decompositions,
     decomposition_counts,
     element_profile,
-    is_uniquely_clean_element,
-    is_usc_element,
     strongly_clean_decompositions,
 )
 from oracles import naive_decompositions, reference_clean_decompositions
@@ -29,15 +27,16 @@ def test_z2_zero_decomposition(z2):
 def test_z3_element_two(z3):
     decomps = as_tuples(clean_decompositions(z3, 2))
     assert decomps == [(0, 2, True), (1, 1, True)]
-    ok, wit = is_usc_element(z3, 2)
-    assert not ok and len(wit) == 2
-    ok, wit = is_uniquely_clean_element(z3, 2)
-    assert not ok
+    profile = element_profile(z3, 2)
+    assert not profile.is_usc and len(profile.strongly_clean_decomps) == 2
+    assert not profile.is_uniquely_clean
 
 
 def test_z4_element_three(z4):
     assert as_tuples(clean_decompositions(z4, 3)) == [(0, 3, True)]
-    assert is_usc_element(z4, 3) == (True, [clean_decompositions(z4, 3)[0]])
+    profile = element_profile(z4, 3)
+    assert profile.is_usc
+    assert profile.strongly_clean_decomps == [clean_decompositions(z4, 3)[0]]
 
 
 def test_commutative_strongly_equals_clean(z6):
@@ -68,11 +67,10 @@ def test_m2z2_identity_unique_but_other_unit_not(m2z2):
 
 
 def test_f4_units(f4):
-    ok, wit = is_usc_element(f4, f4.id_of("1"))
-    assert ok
-    ok, wit = is_usc_element(f4, f4.id_of("w"))
-    assert not ok
-    assert {f4.label_of(d.idempotent) for d in wit} == {"0", "1"}
+    assert element_profile(f4, f4.id_of("1")).is_usc
+    profile = element_profile(f4, f4.id_of("w"))
+    assert not profile.is_usc
+    assert {f4.label_of(d.idempotent) for d in profile.strongly_clean_decomps} == {"0", "1"}
 
 
 def test_unit_always_has_zero_decomposition(small_catalog):

@@ -10,19 +10,12 @@ from ringlab import (
     CHECKS,
     SuiteContext,
     build,
-    check_closure_props,
-    check_examples_1_4_and_2_3,
-    check_extension_corollaries,
-    check_group_ring_theorems,
-    check_prop_2_1,
-    check_thm_3_1,
-    check_thm_3_4_and_3_9_3_10,
-    check_thm_3_11,
     classify,
     corner_ring,
     decomposition_counts,
     jacobson_radical,
     run_suite,
+    subring_generated,
     suite_to_json,
     zn,
 )
@@ -30,12 +23,15 @@ from ringlab.catalog import DEFAULT_SPECS, CatalogEntry
 from ringlab.classify import radical_quotient
 from ringlab.errors import SpecError
 from ringlab.invariants import get_cache
+from ringlab.construct import _subring_closure
 from ringlab.theorems import (
     _check_thm3_10,
+    _corner_subset,
     _corner_two_good_witness,
     _is_m2_f2_corner,
     _nonzero_idempotents,
     _radical_quotient_is_z2,
+    _subring_is_cusc_uusc,
 )
 from oracles import reference_check_isomorphic, reference_corner_two_good_witness
 from test_invariants import _SMALL_SPEC_LIST
@@ -49,26 +45,14 @@ def test_each_check_passes_on_default_catalog(suite_ctx, check_id):
 
 
 def test_prop21_marks_nonabelian_na(suite_ctx):
-    report = check_prop_2_1(suite_ctx)
+    report = run_suite(suite_ctx, ["prop2.1"])[0]
     rows = {r.ring: r.verdict for r in report.rows}
     assert rows["T2(Z2)"] == "not-applicable"
     assert rows["Z4"] == "pass"
 
 
-def test_grouped_entry_points(suite_ctx):
-    assert check_thm_3_1(suite_ctx).aggregate == "pass"
-    assert {r.check_id for r in check_closure_props(suite_ctx)} == {
-        "prop2.4", "prop2.5", "cor2.6", "cor2.7", "lemma2.8",
-    }
-    assert all(r.aggregate == "pass" for r in check_extension_corollaries(suite_ctx))
-    assert all(r.aggregate == "pass" for r in check_thm_3_4_and_3_9_3_10(suite_ctx))
-    assert check_thm_3_11(suite_ctx).aggregate == "pass"
-    assert all(r.aggregate == "pass" for r in check_group_ring_theorems(suite_ctx))
-    assert all(r.aggregate == "pass" for r in check_examples_1_4_and_2_3(suite_ctx))
-
-
 def test_thm311_skips_oversized_triangulars(suite_ctx):
-    report = check_thm_3_11(suite_ctx)
+    report = run_suite(suite_ctx, ["thm3.11"])[0]
     skipped = [r for r in report.rows if r.verdict == "skipped"]
     assert skipped, "expected at least one size-budget skip"
     passed = {r.ring for r in report.rows if r.verdict == "pass"}
@@ -86,16 +70,6 @@ def test_quasiduo_decided_on_every_catalog_ring(suite_ctx):
 def test_unknown_check_id_rejected(suite_ctx):
     with pytest.raises(SpecError):
         run_suite(suite_ctx, ["thm9.99"])
-
-
-def test_thm311_n_max_parameter():
-    entries = [CatalogEntry("Z4", {"zn": 4}, zn(4))]
-    ctx = SuiteContext(entries)
-    report = check_thm_3_11(ctx, n_max=2)
-    assert report.aggregate == "pass"
-    assert {r.ring for r in report.rows} == {"Z4:T2"}
-    with pytest.raises(ValueError):
-        check_thm_3_11(ctx, n_max=1)
 
 
 def test_run_suite_deterministic(suite_ctx):
@@ -325,19 +299,92 @@ def test_radical_quotient_is_z2_closed_form_matches_the_search(suite_ctx):
     assert True in found and False in found
 
 
-def test_thm3_10_builds_no_corner_ring(suite_ctx, monkeypatch):
-    theorems = importlib.import_module("ringlab.theorems")
-    real = theorems.corner_ring
+def _count_subset_builds(monkeypatch) -> list:
+    """Record every ring built on a subset of another ring's elements."""
+    construct = importlib.import_module("ringlab.construct")
+    real = construct._restrict_to_subset
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(theorems, "corner_ring", counted)
+    monkeypatch.setattr(construct, "_restrict_to_subset", counted)
+    return calls
+
+
+def test_thm3_10_builds_no_corner_ring(suite_ctx, monkeypatch):
+    calls = _count_subset_builds(monkeypatch)
     rows = _check_thm3_10(suite_ctx).rows
     assert calls == []
     assert {r.verdict for r in rows} == {"pass", "not-applicable"}
+
+
+def _distinct_subrings(ring, order_limit):
+    """Each distinct proper corner, then each distinct one-element
+    generated subring when the ring's order is at most ``order_limit``,
+    as (members, identity, built ring)."""
+    seen = set()
+    for e in _nonzero_idempotents(ring):
+        members = _corner_subset(ring, e)
+        key = frozenset(members.tolist())
+        if e != ring.one and key not in seen:
+            seen.add(key)
+            yield members, e, corner_ring(ring, e)
+    if ring.order <= order_limit:
+        seen = set()
+        for a in range(ring.order):
+            members = _subring_closure(ring, [a])
+            key = frozenset(members.tolist())
+            if key not in seen:
+                seen.add(key)
+                yield members, ring.one, subring_generated(ring, members)
+
+
+def test_subring_masks_match_the_built_subrings(suite_ctx):
+    # Z2Q8 (order 256) is above the suite's generated-subring gate.
+    seen = Counter()
+    for entry in suite_ctx.entries:
+        for members, one, sub in _distinct_subrings(entry.ring, 256):
+            built = classify(sub)
+            got = _subring_is_cusc_uusc(entry.ring, members, one)
+            assert got == (built.is_CUSC, built.is_UUSC), (entry.name, sub.name)
+            seen["CUSC", got[0]] += 1
+            seen["UUSC", got[1]] += 1
+    assert all(seen[p, v] for p in ("CUSC", "UUSC") for v in (True, False)), seen
+    # F4, generated by an element of order 3, is not UUSC.
+    m2 = {e.name: e.ring for e in suite_ctx.entries}["M2(Z2)"]
+    f4 = _subring_closure(m2, [m2.id_of("(1 1;1 0)")])
+    assert f4.size == 4
+    assert _subring_is_cusc_uusc(m2, f4, m2.one) == (False, False)
+
+
+def test_prop2_4_and_cor2_7_build_no_ring(suite_ctx, monkeypatch):
+    calls = _count_subset_builds(monkeypatch)
+    reports = run_suite(suite_ctx, ["prop2.4", "cor2.7"])
+    assert calls == []
+    assert all(r.aggregate == "pass" for r in reports)
+
+
+def test_prop2_4_reports_a_lost_property(suite_ctx, monkeypatch):
+    theorems = importlib.import_module("ringlab.theorems")
+    real = theorems._subring_is_cusc_uusc
+    t2 = {e.name: e.ring for e in suite_ctx.entries}["T2(Z2)"]
+    corners = []
+
+    def lose_first_corner(ring, members, one):
+        cusc, uusc = real(ring, members, one)
+        if ring is t2 and one != ring.one and not corners:
+            corners.append(one)
+            return False, uusc
+        return cusc, uusc
+
+    monkeypatch.setattr(theorems, "_subring_is_cusc_uusc", lose_first_corner)
+    report = run_suite(suite_ctx, ["prop2.4"])[0]
+    [row] = [r for r in report.rows if r.ring == "T2(Z2)"]
+    assert report.aggregate == row.verdict == "fail"
+    detail = json.loads(json.dumps(row.to_json()))["detail"]
+    assert detail == [f"corner e={t2.label_of(corners[0])}", "CUSC lost"]
 
 
 def test_prop2_2_builds_no_ring(suite_ctx, monkeypatch):
