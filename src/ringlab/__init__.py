@@ -10,13 +10,11 @@ from .core import (
     DEFAULT_THRESHOLD,
     ElementSet,
     FiniteRing,
-    TableRing,
     ValidationReport,
     table_ring,
     validate_axioms,
 )
 from .errors import (
-    AxiomCheckLimitError,
     BimoduleError,
     EndomorphismError,
     IdealError,
@@ -55,14 +53,8 @@ from .invariants import (
     idempotents,
     idempotents_lift_mod,
     jacobson_radical,
-    left_ideals,
-    maximal_left_ideals,
-    maximal_right_ideals,
     nilpotents,
-    right_ideals,
-    two_good_elements,
     ucn0,
-    unit_inverses,
     units,
 )
 from .elements import (
@@ -80,9 +72,7 @@ from .classify import (
     classify_element_summary,
 )
 from .polyring import (
-    PolyCleanData,
     PolyRingView,
-    poly_clean_set,
     poly_is_clean,
     poly_is_cusc,
     poly_view,

@@ -204,7 +204,7 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
     is_abelian = noncentral_idem.size == 0
     if not is_abelian:
         e = int(noncentral_idem[0])
-        r = int(np.flatnonzero(ring.mul_row(e) != mul[:, e])[0])
+        r = int(np.flatnonzero(mul[e] != mul[:, e])[0])
         witnesses["is_abelian"] = {
             "idempotent": ring.label_of(e), "element": ring.label_of(r),
         }
@@ -212,7 +212,7 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
     is_commutative = bool(center_mask.all())
     if not is_commutative:
         a = int(np.flatnonzero(~center_mask)[0])
-        b = int(np.flatnonzero(ring.mul_row(a) != mul[:, a])[0])
+        b = int(np.flatnonzero(mul[a] != mul[:, a])[0])
         witnesses["is_commutative"] = {"pair": [ring.label_of(a), ring.label_of(b)]}
 
     # R/J, read on R: each property below holds on whole cosets of J,
@@ -242,7 +242,7 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
     is_quasi_duo = q_bad.size == 0
     if not is_quasi_duo:
         a = int(q_bad[0])
-        b = int(np.flatnonzero(~commutator_in_j(ring.mul_row(a), mul[:, a]))[0])
+        b = int(np.flatnonzero(~commutator_in_j(mul[a], mul[:, a]))[0])
         pair = {"quotient_pair": [coset_label(ring, a), coset_label(ring, b)]}
         witnesses["is_quasi_duo_left"] = witnesses["is_quasi_duo_right"] = pair
 
@@ -268,7 +268,7 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
     is_semi_boolean = is_potent and RmodJ_boolean
 
     # 1 = u + (1 - u) with both units; the witness takes the least u.
-    one_minus = ring.add_row(ring.one)[ring.neg_table]
+    one_minus = ring.add_table[ring.one, ring.neg_table]
     two_good_units = np.flatnonzero(unit_mask & unit_mask[one_minus])
     one_is_two_good = two_good_units.size > 0
     if one_is_two_good:
@@ -288,7 +288,7 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
         }
 
     one_plus_j = np.zeros(n, dtype=bool)
-    one_plus_j[ring.add_row(ring.one)[np.flatnonzero(jac_mask)]] = True
+    one_plus_j[ring.add_table[ring.one, np.flatnonzero(jac_mask)]] = True
     U_equals_one_plus_J = bool((unit_mask == one_plus_j).all())
     if not U_equals_one_plus_J:
         bad = int(np.flatnonzero(unit_mask != one_plus_j)[0])

@@ -72,7 +72,7 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]):
 def cmd_build(args) -> int:
     spec = _load_spec(args.spec)
     ring = build(spec, threshold=args.threshold, validate=False)
-    report = validate_axioms(ring, force=True)
+    report = validate_axioms(ring)
     payload = {
         "name": ring.name,
         "order": ring.order,

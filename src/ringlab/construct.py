@@ -6,9 +6,9 @@ their augmentation map, trivial and ideal extensions, formal triangular
 rings, trivial Morita contexts, (skew) truncated polynomial rings, and
 opposite rings.
 
-Composite rings are assembled from mixed-radix element coordinates: the
-additive structure is always componentwise, so only the multiplication
-formula varies per family.  ``_assemble_ring`` evaluates each family's
+Composite rings, and GF(p^k) as k coordinates over Z_p, are assembled
+from mixed-radix element coordinates: the additive structure is always
+componentwise, so only the multiplication formula varies per family.  ``_assemble_ring`` evaluates each family's
 digit formula on an open digit grid in the style of ``np.ix_``, one
 dimension per axis of size > 1 and side, so a gather touches only the
 digits it depends on (4^6 cells for entry (0,2) of T3(Z4), not 4096^2);
@@ -52,7 +52,6 @@ import numpy as np
 from .core import (
     DEFAULT_THRESHOLD,
     FiniteRing,
-    TableRing,
     additive_associativity_witness,
     additive_generators,
     check_order,
@@ -199,7 +198,7 @@ def _assemble_ring(
     name: Optional[str],
     threshold: int,
 ) -> FiniteRing:
-    """Build a table ring from coordinates and a product formula.
+    """Build a ring from coordinates and a product formula.
 
     ``mul_digits(da, db)`` maps the digits of a and b, one entry per
     axis, to the digits of ab; the per-axis add tables give a + b.  Both
@@ -230,7 +229,7 @@ def _assemble_ring(
         [ax.neg[x] for ax, x in zip(assembly.axes, assembly.grid(0, k))], assembly.shape, dt
     ).reshape(n)
     labels = [label_fn(d) for d in itertools.product(*map(range, assembly.sizes))]
-    ring = TableRing(add_tab, mul_tab, zero, one, labels=labels, spec=spec, name=name, neg=neg)
+    ring = FiniteRing(add_tab, mul_tab, zero, one, labels=labels, spec=spec, name=name, neg=neg)
     _validate_built(ring)
     ring.meta["axis_sizes"] = tuple(assembly.sizes)
     ring.meta["axis_weights"] = tuple(assembly.weights)
@@ -238,7 +237,7 @@ def _assemble_ring(
 
 
 def _validate_built(ring: FiniteRing):
-    report = validate_axioms(ring, limit=_BUILD_VALIDATE_LIMIT, force=True)
+    report = validate_axioms(ring, limit=_BUILD_VALIDATE_LIMIT)
     if not report.ok:
         raise RingConstructionError(
             f"constructed ring {ring.name} fails {report.axiom} at {report.witness}"
@@ -252,8 +251,8 @@ def _restrict_to_subset(
     labels: Optional[Sequence[str]] = None,
     spec: Optional[dict] = None,
     name: Optional[str] = None,
-) -> TableRing:
-    """Table ring on a multiplicatively and additively closed subset."""
+) -> FiniteRing:
+    """Ring on a multiplicatively and additively closed subset."""
     ids = sorted(int(i) for i in ids)
     lookup = np.full(base.order, -1, dtype=np.int64)
     lookup[ids] = np.arange(len(ids))
@@ -267,8 +266,8 @@ def _restrict_to_subset(
     one = int(lookup[one_id])
     if labels is None:
         labels = [base.label_of(i) for i in ids]
-    ring = TableRing(sub_add, sub_mul, zero, one, labels=labels, spec=spec, name=name,
-                     neg=lookup[base.neg_table[ids]])
+    ring = FiniteRing(sub_add, sub_mul, zero, one, labels=labels, spec=spec, name=name,
+                      neg=lookup[base.neg_table[ids]])
     _validate_built(ring)
     return ring
 
@@ -286,8 +285,8 @@ def zn(n: int, *, threshold: int = DEFAULT_THRESHOLD, spec: Optional[dict] = Non
     idx = np.arange(n, dtype=np.int64)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
-    ring = TableRing(add, mul, 0, 1 % n, labels=[str(i) for i in range(n)],
-                     spec=spec, name=spec_name(spec), neg=(-idx) % n)
+    ring = FiniteRing(add, mul, 0, 1 % n, labels=[str(i) for i in range(n)],
+                      spec=spec, name=spec_name(spec), neg=(-idx) % n)
     _validate_built(ring)
     return ring
 
@@ -350,53 +349,45 @@ def gf(p: int, k: int, *, threshold: int = DEFAULT_THRESHOLD, spec: Optional[dic
         base = zn(p, threshold=threshold, spec=spec)
         return base
     modulus = _find_irreducible(p, k)
+    zp = zn(p, threshold=threshold)
+    assembly = _Assembly([_Axis.of_ring(zp)] * k)
+    # Digit q is the coefficient of w^(k-1-q), so ids are sum c_j p^j.
+    # Horner's rule over a's digits: acc <- acc*w + a_q*b, with
+    # w^k = -(c_0 + ... + c_{k-1} w^(k-1)) written as +(p - c_j) to keep
+    # every partial sum non-negative and below 2p^2.
+    carry = [(p - c) % p for c in reversed(modulus[:k])]
+    dt = dtype_for(2 * p * p)
 
-    def decode(i):
-        return [(i // p ** j) % p for j in range(k)]
+    def mul_digits(da, db):
+        db = [d.astype(dt) for d in db]
+        acc = [dt.type(0)] * k
+        for a in da:
+            a = a.astype(dt)
+            top = acc[0]
+            acc = [(shifted + top * c + a * b) % p
+                   for shifted, c, b in zip(acc[1:] + [0], carry, db)]
+        return acc
 
-    def reduce_poly(coeffs):
-        coeffs = list(coeffs)
-        for deg in range(len(coeffs) - 1, k - 1, -1):
-            lead = coeffs[deg]
-            if lead:
-                for i in range(k + 1):
-                    coeffs[deg - k + i] = (coeffs[deg - k + i] - lead * modulus[i]) % p
-        return coeffs[:k]
-
-    def encode(coeffs):
-        return sum(c * p ** j for j, c in enumerate(coeffs))
-
-    add = np.zeros((order, order), dtype=np.int64)
-    mul = np.zeros((order, order), dtype=np.int64)
-    polys = [decode(i) for i in range(order)]
-    for i, a in enumerate(polys):
-        for j, b in enumerate(polys):
-            add[i, j] = encode([(x + y) % p for x, y in zip(a, b)])
-            prod = [0] * (2 * k - 1)
-            for da, ca in enumerate(a):
-                if ca:
-                    for db, cb in enumerate(b):
-                        prod[da + db] = (prod[da + db] + ca * cb) % p
-            mul[i, j] = encode(reduce_poly(prod))
-    labels = [_poly_label(poly, "w") for poly in polys]
-    ring = TableRing(add, mul, 0, 1, labels=labels, spec=spec, name=spec_name(spec))
-    _validate_built(ring)
-    return ring
+    return _assemble_ring(assembly, mul_digits, [0] * (k - 1) + [1],
+                          lambda digits: _poly_label(digits[::-1], "w", zp),
+                          spec, spec_name(spec), threshold)
 
 
-def _poly_label(coeffs: Sequence[int], var: str) -> str:
+def _poly_label(coeffs: Sequence[int], var: str, base: FiniteRing) -> str:
+    """``c0+c1*var+...`` in ``base``'s labels, coefficients from degree 0."""
+    labels = base.labels
     terms = []
     for deg, c in enumerate(coeffs):
-        if c == 0:
+        if c == base.zero:
             continue
         power = "" if deg == 0 else (var if deg == 1 else f"{var}^{deg}")
         if deg == 0:
-            terms.append(str(c))
-        elif c == 1:
+            terms.append(labels[c])
+        elif c == base.one:
             terms.append(power)
         else:
-            terms.append(f"{c}*{power}")
-    return "+".join(terms) if terms else "0"
+            terms.append(f"{labels[c]}*{power}")
+    return "+".join(terms) if terms else labels[base.zero]
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +532,7 @@ def _quotient_by_ideal(
     # One gather per table through proj, in the quotient's own dtype.
     block = np.ix_(rep_ids, rep_ids)
     labels = [coset_label(base, int(r)) for r in rep_ids]
-    ring = TableRing(
+    ring = FiniteRing(
         proj[base.add_table[block]], proj[base.mul_table[block]],
         int(proj[base.zero]), int(proj[base.one]),
         labels=labels, spec=spec, name=spec_name(spec), neg=proj[base.neg_table[rep_ids]],
@@ -569,7 +560,7 @@ def corner_ring(
     if base.mul(e, e) != e:
         raise RingConstructionError(f"element {e} is not idempotent in {base.name}")
     spec = spec or {"corner": {"base": base.spec, "idempotent": int(e)}}
-    ids = np.unique(base.mul_table[base.mul_row(e), e])
+    ids = np.unique(base.mul_table[base.mul_table[e], e])
     ring = _restrict_to_subset(base, ids, e, spec=spec, name=spec_name(spec))
     ring.meta["embedding"] = np.asarray(sorted(int(i) for i in ids))
     ring.meta["base_ring"] = base
@@ -1082,26 +1073,11 @@ def skew_trunc_poly(
         return out
 
     one_digits = [base.one] + [base.zero] * (n - 1)
-    base_labels = base.labels
-
-    def label_fn(digits):
-        terms = []
-        for deg, c in enumerate(digits):
-            if c == base.zero:
-                continue
-            power = "" if deg == 0 else ("x" if deg == 1 else f"x^{deg}")
-            if deg == 0:
-                terms.append(base_labels[c])
-            elif c == base.one:
-                terms.append(power)
-            else:
-                terms.append(f"{base_labels[c]}*{power}")
-        return "+".join(terms) if terms else base_labels[base.zero]
-
     if spec is None:
         alpha_spec = alpha if isinstance(alpha, (str, dict)) else {"map": alpha_vec.tolist()}
         spec = {"skew_trunc_poly": {"base": base.spec, "alpha": alpha_spec, "n": n}}
-    return _assemble_ring(assembly, mul_digits, one_digits, label_fn,
+    return _assemble_ring(assembly, mul_digits, one_digits,
+                          lambda digits: _poly_label(digits, "x", base),
                           spec, spec_name(spec), threshold)
 
 
@@ -1120,7 +1096,7 @@ def trunc_poly(
 def opposite_ring(base: FiniteRing, *, spec: Optional[dict] = None) -> FiniteRing:
     """Same elements and addition, reversed multiplication."""
     spec = spec or {"opposite": base.spec}
-    ring = TableRing(
+    ring = FiniteRing(
         base.add_table, base.mul_table.T.copy(), base.zero, base.one,
         labels=list(base.labels), spec=spec, name=spec_name(spec), neg=base.neg_table,
     )

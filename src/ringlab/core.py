@@ -1,13 +1,13 @@
 """Finite unital rings on dense element ids 0..order-1.
 
-Every ring in this package is a :class:`FiniteRing`: an immutable value
-whose elements are the integers ``0..order-1`` and whose arithmetic is
-answered from full numpy Cayley tables (:class:`TableRing`).  Deciding
-the paper's classes sweeps every element's decompositions over every
-idempotent, so every command that reads elements reads the whole
-multiplication table anyway.  Constructors therefore build dense tables
-up to ``threshold`` elements and refuse larger rings before allocating
-them (:func:`check_order`).
+Every ring in this package is a :class:`FiniteRing`, the one ring
+class: an immutable value whose elements are the integers
+``0..order-1`` and whose arithmetic is answered from its full numpy
+Cayley tables.  Deciding the paper's classes sweeps every element's
+decompositions over every idempotent, so every command that reads
+elements reads the whole multiplication table anyway.  Constructors
+therefore build dense tables up to ``threshold`` elements and refuse
+larger rings before allocating them (:func:`check_order`).
 
 All higher modules speak element ids only, never structural
 representations, so subsets can be plain masks and kernels can be
@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import AxiomCheckLimitError, RingConstructionError, SizeOverflowError
+from .errors import RingConstructionError, SizeOverflowError
 
 #: Constructors build rings of at most this many elements.
 DEFAULT_THRESHOLD = 16384
@@ -57,29 +57,37 @@ def check_order(order: int, threshold: int) -> None:
 
 
 class FiniteRing:
-    """A finite associative unital ring with elements ``0..order-1``.
+    """A finite associative unital ring on its dense Cayley tables.
 
-    Instances are immutable after construction and safe to share across
-    threads; the one concrete type is :class:`TableRing`.  ``spec``
-    records the construction tree that produced the ring (``None`` for
-    raw table rings), ``name`` defaults to ``ring<order>``, and ``meta``
-    carries construction byproducts such as projection or embedding maps.
+    Elements are the ids ``0..order-1``.  ``add_table``, ``mul_table``
+    and ``neg_table`` are read-only arrays in ``dtype_for(order)``;
+    ``neg`` is derived from the add table by an order^2 scan unless the
+    caller already knows it (constructors encode it per coordinate), and
+    :func:`validate_axioms` checks it either way.  Instances are
+    immutable after construction and safe to share across threads.
+    ``spec`` records the construction tree that produced the ring
+    (``None`` for raw table rings), ``name`` defaults to ``ring<order>``,
+    and ``meta`` carries construction byproducts such as projection or
+    embedding maps.
     """
 
     def __init__(
         self,
-        order: int,
+        add_table: np.ndarray,
+        mul_table: np.ndarray,
         zero: int,
         one: int,
         labels: Optional[Sequence[str]] = None,
         spec: Optional[dict] = None,
         name: Optional[str] = None,
+        neg: Optional[np.ndarray] = None,
     ):
+        order = len(add_table)
         if order < 1:
             raise RingConstructionError(f"order must be positive, got {order}")
         if order > 1 and zero == one:
             raise RingConstructionError("zero = one requires order 1")
-        self.order = int(order)
+        self.order = order
         self.zero = int(zero)
         self.one = int(one)
         self.spec = spec
@@ -88,14 +96,19 @@ class FiniteRing:
         self._label_index: Optional[dict] = None
         self.meta: dict = {}
         self._invariant_cache = None
+        dt = dtype_for(order)
+        self.add_table = _read_only(add_table, dt)
+        self.mul_table = _read_only(mul_table, dt)
+        self.neg_table = _read_only(
+            _derive_neg(self.add_table, zero) if neg is None else neg, dt)
 
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return int(self.add_row(a)[b])
+        return int(self.add_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_row(a)[b])
+        return int(self.mul_table[a, b])
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
@@ -105,24 +118,6 @@ class FiniteRing:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def add_row(self, a: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def mul_row(self, a: int) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def neg_table(self) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def add_table(self) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        raise NotImplementedError
 
     # -- labels ----------------------------------------------------------
 
@@ -145,55 +140,15 @@ class FiniteRing:
         return f"<{type(self).__name__} {self.name} order={self.order}>"
 
 
-class TableRing(FiniteRing):
-    """Ring backed by fully materialized add/mul tables.
+#: The class's former name.  The benchmark tracer in ``perfbench/``
+#: still tests ``isinstance`` against it.
+TableRing = FiniteRing
 
-    ``neg`` is derived from the add table by an order^2 scan unless the
-    caller already knows it (constructors encode it per coordinate);
-    :func:`validate_axioms` checks it either way.
-    """
 
-    def __init__(
-        self,
-        add_table: np.ndarray,
-        mul_table: np.ndarray,
-        zero: int,
-        one: int,
-        labels: Optional[Sequence[str]] = None,
-        spec: Optional[dict] = None,
-        name: Optional[str] = None,
-        neg: Optional[np.ndarray] = None,
-    ):
-        order = len(add_table)
-        super().__init__(order, zero, one, labels, spec, name)
-        dt = dtype_for(order)
-        self._add = np.ascontiguousarray(add_table, dtype=dt)
-        self._mul = np.ascontiguousarray(mul_table, dtype=dt)
-        self._add.setflags(write=False)
-        self._mul.setflags(write=False)
-        if neg is None:
-            self._neg = _derive_neg(self._add, zero)
-        else:
-            self._neg = np.ascontiguousarray(neg, dtype=dt)
-        self._neg.setflags(write=False)
-
-    def add_row(self, a: int) -> np.ndarray:
-        return self._add[a]
-
-    def mul_row(self, a: int) -> np.ndarray:
-        return self._mul[a]
-
-    @property
-    def neg_table(self) -> np.ndarray:
-        return self._neg
-
-    @property
-    def add_table(self) -> np.ndarray:
-        return self._add
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        return self._mul
+def _read_only(table, dtype: np.dtype) -> np.ndarray:
+    out = np.ascontiguousarray(table, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -335,7 +290,6 @@ def validate_axioms(
     ring: FiniteRing,
     limit: int = DEFAULT_AXIOM_LIMIT,
     *,
-    force: bool = False,
     samples: int = _SAMPLE_TRIPLES,
 ) -> ValidationReport:
     """Check the ring axioms exactly, or by seeded sampling when big.
@@ -349,13 +303,10 @@ def validate_axioms(
     generators (a map additive on generators is additive everywhere),
     and multiplicative associativity on generator triples (both sides
     are trilinear).  A failure carries a real violating triple.  Above
-    the limit the call raises :class:`AxiomCheckLimitError` unless
-    ``force`` is set, in which case a fixed-seed sample of triples is
-    used instead.
+    the limit a fixed-seed sample of ``samples`` triples is checked
+    instead ("sampled" mode).
     """
     n = ring.order
-    if n > limit and not force:
-        raise AxiomCheckLimitError(n, limit)
     mode = "full" if n <= limit else "sampled"
 
     add = ring.add_table
@@ -453,7 +404,7 @@ def table_ring(
     spec: Optional[dict] = None,
     validate: bool = True,
     limit: int = DEFAULT_AXIOM_LIMIT,
-) -> TableRing:
+) -> FiniteRing:
     """Build a validated ring from raw square add/mul tables.
 
     The additive zero and the two-sided multiplicative identity are
@@ -489,9 +440,9 @@ def table_ring(
         raise RingConstructionError("missing multiplicative identity")
     one = ones[0]
 
-    ring = TableRing(add, mul, zero, one, labels=labels, spec=spec, name=name)
+    ring = FiniteRing(add, mul, zero, one, labels=labels, spec=spec, name=name)
     if validate:
-        report = validate_axioms(ring, limit=limit, force=True)
+        report = validate_axioms(ring, limit=limit)
         if not report.ok:
             raise RingConstructionError(
                 f"axiom {report.axiom} fails at {report.witness}"

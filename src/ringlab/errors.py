@@ -52,18 +52,6 @@ class SizeOverflowError(RinglabError):
         super().__init__(message)
 
 
-class AxiomCheckLimitError(RinglabError):
-    """Full cubic axiom validation was requested above its size limit."""
-
-    def __init__(self, order: int, limit: int):
-        self.order = order
-        self.limit = limit
-        super().__init__(
-            f"order {order} exceeds the axiom-check limit {limit}; "
-            "pass force=True for sampled validation"
-        )
-
-
 class IdealError(RinglabError):
     """An element set expected to be a two-sided ideal is not one."""
 

@@ -41,7 +41,7 @@ DEFAULT_IDEAL_COUNT_LIMIT = 100_000
 
 
 class InvariantCache:
-    """The ring's one memo: element sets, the inverse map, classify's results."""
+    """The ring's one memo: element sets and classify's results."""
 
     def __init__(self, ring: FiniteRing):
         # Weak: the ring owns its cache, and a strong reference back
@@ -80,12 +80,7 @@ class InvariantCache:
 
     @property
     def unit_mask(self) -> np.ndarray:
-        return self.memo("unit", self._compute_units)[0]
-
-    @property
-    def inverse(self) -> np.ndarray:
-        """inverse[u] for units, -1 elsewhere."""
-        return self.memo("unit", self._compute_units)[1]
+        return self.memo("unit", self._compute_units)
 
     def _compute_units(self):
         ring = self.ring
@@ -96,8 +91,6 @@ class InvariantCache:
         first = hit.argmax(axis=1)
         mask = hit[rows, first]
         units = rows[mask]
-        inv = np.full(n, -1, dtype=np.int64)
-        inv[units] = first[units]
         # Finite rings: one-sided inverses are two-sided, hence unique,
         # so every hit is its row's first and pairs with a hit back.
         if not ((mul[first[units], units] == one).all()
@@ -111,10 +104,7 @@ class InvariantCache:
             raise AssertionError(
                 f"one-sided inverse in {ring.name}: {a}*{b}=1 but {b}*{a}!=1"
             )
-        out = (mask, inv)
-        mask.setflags(write=False)
-        inv.setflags(write=False)
-        return out
+        return mask
 
     @property
     def nilpotent_mask(self) -> np.ndarray:
@@ -146,7 +136,7 @@ class InvariantCache:
             ring = self.ring
             cols = np.flatnonzero(self.nilpotent_mask)
             # one_minus_unit[v]: whether 1 - v is a unit.
-            one_minus_unit = self.unit_mask[ring.add_row(ring.one)[ring.neg_table]]
+            one_minus_unit = self.unit_mask[ring.add_table[ring.one, ring.neg_table]]
             mask = np.zeros(ring.order, dtype=bool)
             mask[cols[one_minus_unit[ring.mul_table[:, cols]].all(axis=0)]] = True
             self._assert_two_sided_ideal(mask)
@@ -211,12 +201,6 @@ def units(ring: FiniteRing) -> ElementSet:
     return ElementSet.from_mask(ring, get_cache(ring).unit_mask)
 
 
-def unit_inverses(ring: FiniteRing) -> dict[int, int]:
-    """u -> u^-1, defined exactly on the unit set."""
-    inv = get_cache(ring).inverse
-    return {int(u): int(inv[u]) for u in np.flatnonzero(inv >= 0)}
-
-
 def nilpotents(ring: FiniteRing) -> ElementSet:
     """{a : a^k = 0 for some k <= order}."""
     return ElementSet.from_mask(ring, get_cache(ring).nilpotent_mask)
@@ -230,11 +214,6 @@ def jacobson_radical(ring: FiniteRing) -> ElementSet:
 def center(ring: FiniteRing) -> ElementSet:
     """{a : a*r = r*a for all r}."""
     return ElementSet.from_mask(ring, get_cache(ring).center_mask)
-
-
-def two_good_elements(ring: FiniteRing) -> ElementSet:
-    """Sums of two units."""
-    return ElementSet.from_mask(ring, get_cache(ring).two_good_mask)
 
 
 def ucn0(ring: FiniteRing) -> ElementSet:
@@ -391,39 +370,13 @@ def one_sided_ideals(
     return sorted(known, key=lambda s: (len(s), sorted(s)))
 
 
-def left_ideals(ring: FiniteRing, count_limit: int = DEFAULT_IDEAL_COUNT_LIMIT, **kw) -> list[ElementSet]:
-    return [ElementSet(ring, s) for s in one_sided_ideals(ring, "left", count_limit, **kw)]
-
-
-def right_ideals(ring: FiniteRing, count_limit: int = DEFAULT_IDEAL_COUNT_LIMIT, **kw) -> list[ElementSet]:
-    return [ElementSet(ring, s) for s in one_sided_ideals(ring, "right", count_limit, **kw)]
-
-
-def maximal_one_sided_ideals(
-    ring: FiniteRing,
-    side: str = "left",
-    count_limit: int = DEFAULT_IDEAL_COUNT_LIMIT,
-    order_limit: int = DEFAULT_IDEAL_ORDER_LIMIT,
-) -> list[frozenset[int]]:
-    """Maximal left (or right) ideals, read off :func:`one_sided_ideals`.
+def maximal_members(lattice: list[frozenset[int]], order: int) -> list[frozenset[int]]:
+    """The proper members of a complete ideal lattice inside no other.
 
     Every one-sided ideal of a finite ring is a finite sum of cyclic
-    ones, so the lattice holds them all, and a proper member inside no
-    other proper member is maximal: M + Ra = R for every a outside M.
-    Bounds and refusals are those of :func:`one_sided_ideals`.
+    ones, so :func:`one_sided_ideals` holds them all, and a proper
+    member inside no other proper member is maximal: M + Ra = R for
+    every a outside M.
     """
-    return maximal_members(one_sided_ideals(ring, side, count_limit, order_limit), ring.order)
-
-
-def maximal_members(lattice: list[frozenset[int]], order: int) -> list[frozenset[int]]:
-    """The proper members of a complete ideal lattice inside no other."""
     proper = [m for m in lattice if len(m) < order]
     return [m for m in proper if not any(m < p for p in proper)]
-
-
-def maximal_left_ideals(ring: FiniteRing, **kw) -> list[ElementSet]:
-    return [ElementSet(ring, s) for s in maximal_one_sided_ideals(ring, "left", **kw)]
-
-
-def maximal_right_ideals(ring: FiniteRing, **kw) -> list[ElementSet]:
-    return [ElementSet(ring, s) for s in maximal_one_sided_ideals(ring, "right", **kw)]

@@ -45,20 +45,6 @@ class PolyRingView:
     validated_degree: int
 
 
-@dataclass(frozen=True)
-class PolyCleanData:
-    """The clean elements of base[x], as finite data.
-
-    A polynomial is clean iff its constant term appears in
-    ``constants_by_idempotent`` for some idempotent and all its higher
-    coefficients lie in ``nilpotent_tail``.
-    """
-
-    constants_by_idempotent: dict[int, tuple[int, ...]]
-    nilpotent_tail: tuple[int, ...]
-    clean_constants: tuple[int, ...]
-
-
 def poly_view(base: FiniteRing) -> PolyRingView:
     """Build and validate the finite description of base[x]."""
     cache = get_cache(base)
@@ -132,18 +118,6 @@ def _validate_characterizations(base: FiniteRing):
         )
 
 
-def poly_clean_set(view: PolyRingView) -> PolyCleanData:
-    """The clean elements of base[x], described by finite data."""
-    clean_constants = sorted(
-        {c for consts in view.admissible_constants.values() for c in consts}
-    )
-    return PolyCleanData(
-        constants_by_idempotent=dict(view.admissible_constants),
-        nilpotent_tail=view.nilpotent_tail,
-        clean_constants=tuple(clean_constants),
-    )
-
-
 def poly_is_clean(view: PolyRingView) -> bool:
     """Whether every element of base[x] is clean.
 
@@ -151,10 +125,9 @@ def poly_is_clean(view: PolyRingView) -> bool:
     every constant term to be clean; over a nonzero base the constant
     one is never nilpotent, so the polynomial x itself fails.
     """
-    data = poly_clean_set(view)
-    every_tail = len(data.nilpotent_tail) == view.base.order
-    every_constant = len(data.clean_constants) == view.base.order
-    return every_tail and every_constant
+    clean_constants = {c for consts in view.admissible_constants.values() for c in consts}
+    n = view.base.order
+    return len(view.nilpotent_tail) == n and len(clean_constants) == n
 
 
 def poly_is_cusc(view: PolyRingView) -> tuple[bool, dict | None]:

@@ -189,7 +189,7 @@ def _nonzero_idempotents(ring: FiniteRing) -> list[int]:
 
 
 def _corner_subset(ring: FiniteRing, e: int) -> np.ndarray:
-    er = ring.mul_row(e)
+    er = ring.mul_table[e]
     return np.unique(ring.mul_table[er, e])
 
 
@@ -989,7 +989,7 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
     for entry in ctx.entries:
         ring = entry.ring
         problems = []
-        report = validate_axioms(ring, force=True)
+        report = validate_axioms(ring)
         if not report.ok:
             problems.append(f"axioms: {report.axiom} at {report.witness}")
         cache = get_cache(ring)

@@ -8,8 +8,10 @@ computed with these functions.  ``scalar_ideal_generated`` and
 that ``ideal_generated`` and ``idempotents_lift_mod`` replaced, kept as
 their reference routes; ``reference_assembly`` is the per-element
 assembly that the open digit grid of ``construct._assemble_ring``
-replaced, and ``reference_quotient`` the row loop that
-``construct.quotient_ring``'s gathers replaced.  ``full_center`` and
+replaced, ``reference_quotient`` the row loop that
+``construct.quotient_ring``'s gathers replaced, and ``reference_gf``
+the per-cell double loop that building GF(p^k) on the digit grid
+replaced.  ``full_center`` and
 ``full_jacobson`` are the whole-table sweeps that the generator center
 and the nilpotent-column radical replaced, and ``full_units`` the
 ``np.nonzero(mul == one)`` sweep that the unit kernel's first-hit pass
@@ -49,13 +51,14 @@ from ringlab.construct import (
     _assemble_ring,
     _Axis,
     _axis_of_module,
+    _find_irreducible,
     _module_labels,
     _validate_left_action,
     _validate_right_action,
     product_ring,
     spec_name,
 )
-from ringlab.core import DEFAULT_THRESHOLD, FiniteRing, TableRing, dtype_for
+from ringlab.core import DEFAULT_THRESHOLD, FiniteRing, dtype_for
 from ringlab.errors import BimoduleError, SizeOverflowError
 from ringlab.elements import Decomposition
 from ringlab.invariants import LiftReport, get_cache, one_sided_ideals
@@ -114,7 +117,7 @@ def full_center(ring) -> np.ndarray:
 
 def full_jacobson(ring, unit_mask) -> np.ndarray:
     """Quasi-regularity on every column: 1 - r*a a unit for all r."""
-    one_minus = ring.add_row(ring.one)[ring.neg_table[ring.mul_table]]
+    one_minus = ring.add_table[ring.one][ring.neg_table[ring.mul_table]]
     return unit_mask[one_minus].all(axis=0)
 
 
@@ -151,7 +154,7 @@ def quotient_fields(ring) -> tuple[dict, dict]:
     fields["is_quasi_duo_left"] = fields["is_quasi_duo_right"] = bool(q_center.all())
     if not q_center.all():
         a = int(np.flatnonzero(~q_center)[0])
-        b = int(np.flatnonzero(quotient.mul_row(a) != quotient.mul_table[:, a])[0])
+        b = int(np.flatnonzero(quotient.mul_table[a] != quotient.mul_table[:, a])[0])
         pair = {"quotient_pair": [quotient.label_of(a), quotient.label_of(b)]}
         witnesses["is_quasi_duo_left"] = witnesses["is_quasi_duo_right"] = pair
     return fields, witnesses
@@ -367,7 +370,7 @@ def reference_corner_two_good_witness(ring, e):
     Units of eRe are read from its product table (a left and a right
     inverse inside eRe), pairs from its sum table.
     """
-    k = np.unique(ring.mul_table[ring.mul_row(e), e])
+    k = np.unique(ring.mul_table[ring.mul_table[e], e])
     sub = ring.mul_table[np.ix_(k, k)]
     units = k[(sub == e).any(axis=1) & (sub == e).any(axis=0)]
     hits = np.argwhere(ring.add_table[np.ix_(units, units)] == e)
@@ -446,7 +449,7 @@ def reference_assembly(assembly, mul_digits, one_digits, label_fn):
     db = [x[None, :] for x in X]
     add_tab = encode([ax.add[d1, d2] for ax, d1, d2 in zip(axes, da, db)])
     mul_tab = encode(mul_digits(da, db))
-    ring = TableRing(add_tab, mul_tab, zero, one, labels=[labels_for(i) for i in range(n)])
+    ring = FiniteRing(add_tab, mul_tab, zero, one, labels=[labels_for(i) for i in range(n)])
     ring.meta["axis_sizes"] = tuple(sizes)
     return ring
 
@@ -459,7 +462,7 @@ def reference_quotient(base, generators):
     projection from base ids, all as int64 arrays.
     """
     ideal_ids = np.asarray(scalar_ideal_generated(base, generators).sorted_ids())
-    reps = np.array([int(base.add_row(x)[ideal_ids].min()) for x in range(base.order)])
+    reps = np.array([int(base.add_table[x, ideal_ids].min()) for x in range(base.order)])
     rep_ids = np.unique(reps)
     lookup = np.full(base.order, -1, dtype=np.int64)
     lookup[rep_ids] = np.arange(len(rep_ids))
@@ -468,9 +471,54 @@ def reference_quotient(base, generators):
     q_add = np.zeros((m, m), dtype=np.int64)
     q_mul = np.zeros((m, m), dtype=np.int64)
     for qi, r in enumerate(rep_ids):
-        q_add[qi] = proj[base.add_row(int(r))[rep_ids]]
-        q_mul[qi] = proj[base.mul_row(int(r))[rep_ids]]
+        q_add[qi] = proj[base.add_table[int(r), rep_ids]]
+        q_mul[qi] = proj[base.mul_table[int(r), rep_ids]]
     return q_add, q_mul, proj
+
+
+def reference_gf(p, k):
+    """GF(p^k), k >= 2, by a double loop over polynomial pairs.
+
+    Element i is the polynomial with coefficients (i // p^j) % p at
+    w^j, reduced by the same monic modulus as :func:`ringlab.gf`.
+    """
+    modulus = _find_irreducible(p, k)
+    order = p ** k
+    polys = [[(i // p ** j) % p for j in range(k)] for i in range(order)]
+
+    def encode(coeffs):
+        return sum(c * p ** j for j, c in enumerate(coeffs))
+
+    def reduce_poly(coeffs):
+        for deg in range(len(coeffs) - 1, k - 1, -1):
+            lead = coeffs[deg]
+            if lead:
+                for i in range(k + 1):
+                    coeffs[deg - k + i] = (coeffs[deg - k + i] - lead * modulus[i]) % p
+        return coeffs[:k]
+
+    def label(coeffs):
+        terms = []
+        for deg, c in enumerate(coeffs):
+            if c:
+                power = "" if deg == 0 else ("w" if deg == 1 else f"w^{deg}")
+                terms.append(str(c) if deg == 0 else power if c == 1 else f"{c}*{power}")
+        return "+".join(terms) if terms else "0"
+
+    add = np.zeros((order, order), dtype=np.int64)
+    mul = np.zeros((order, order), dtype=np.int64)
+    for i, a in enumerate(polys):
+        for j, b in enumerate(polys):
+            add[i, j] = encode([(x + y) % p for x, y in zip(a, b)])
+            prod = [0] * (2 * k - 1)
+            for da, ca in enumerate(a):
+                if ca:
+                    for db, cb in enumerate(b):
+                        prod[da + db] = (prod[da + db] + ca * cb) % p
+            mul[i, j] = encode(reduce_poly(prod))
+    spec = {"gf": {"p": p, "k": k}}
+    return FiniteRing(add, mul, 0, 1, labels=[label(c) for c in polys], spec=spec,
+                      name=spec_name(spec))
 
 
 def reference_trivial_extension(base):

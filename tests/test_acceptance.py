@@ -24,7 +24,6 @@ from ringlab import (
     gf,
     idempotents,
     jacobson_radical,
-    maximal_left_ideals,
     poly_is_clean,
     poly_is_cusc,
     poly_view,
@@ -36,6 +35,7 @@ from ringlab import (
 )
 from ringlab.cli import main
 from ringlab.errors import RingConstructionError
+from ringlab.invariants import maximal_members, one_sided_ideals
 from oracles import diagram_implications, naive_decompositions
 
 REQUIRED_CHECK_IDS = (
@@ -117,8 +117,8 @@ def test_criterion_3_oracle_equivalence(suite_ctx):
             if primary != naive_decompositions(ring, a):
                 ok = False
         meet = set(range(ring.order))
-        for m in maximal_left_ideals(ring):
-            meet &= m.members
+        for m in maximal_members(one_sided_ideals(ring, "left"), ring.order):
+            meet &= m
         if meet != set(jacobson_radical(ring).members):
             ok = False
     _announce(3, "oracle equivalence", ok)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ringlab.catalog import DEFAULT_SPECS, default_catalog
-from ringlab.core import _derive_neg, dtype_for
+from ringlab import core
+from ringlab.core import FiniteRing, _derive_neg, dtype_for
 from ringlab import (
     BimoduleError,
     EndomorphismError,
@@ -31,6 +32,7 @@ from ringlab import (
     quotient_ring,
     skew_trunc_poly,
     subring_generated,
+    table_ring,
     triangular_ring,
     trivial_extension,
     trivial_morita,
@@ -44,6 +46,7 @@ from oracles import (
     naive_units,
     reference_assembly,
     reference_check_isomorphic,
+    reference_gf,
     reference_ideal_extension,
     reference_quotient,
     reference_trivial_extension,
@@ -269,6 +272,19 @@ def test_gf_construction():
         gf(4, 1)
 
 
+#: The 16 fields GF(p^k) with k >= 2 and at most 256 elements.
+_GF_PRIME_POWERS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9) if p ** k <= 256]
+
+
+@pytest.mark.parametrize("p, k", _GF_PRIME_POWERS)
+def test_gf_equals_reference_loop(p, k):
+    ring, ref = gf(p, k), reference_gf(p, k)
+    for table in ("add_table", "mul_table", "neg_table"):
+        ours, theirs = getattr(ring, table), getattr(ref, table)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), table
+    assert (ring.labels, ring.name, ring.zero, ring.one) == (ref.labels, ref.name, ref.zero, ref.one)
+
+
 def test_product_orders_multiply():
     r = product_ring([zn(2), zn(3), zn(4)])
     assert r.order == 24
@@ -431,6 +447,19 @@ def test_build_names_are_pinned(kind):
     assert build(spec).name == _PINNED_NAMES[kind]
 
 
+def test_every_family_builds_one_ring_class(suite_ctx):
+    rings = [e.ring for e in suite_ctx.entries]
+    rings += [build(spec) for spec in {**_FAMILY_SPECS, **_MORE_KIND_SPECS}.values()]
+    rings.append(table_ring([[0, 1], [1, 0]], [[0, 0], [0, 1]]))
+    for ring in rings:
+        assert type(ring) is FiniteRing, ring.name
+        for table in (ring.add_table, ring.mul_table, ring.neg_table):
+            assert table.dtype == dtype_for(ring.order), ring.name
+            assert not table.flags.writeable, ring.name
+    assert core.TableRing is FiniteRing
+    assert not hasattr(FiniteRing, "add_row") and not hasattr(FiniteRing, "mul_row")
+
+
 def test_group_rings_name_their_group():
     table_c2 = {"table": {"mul": [[0, 1], [1, 0]], "identity": 0, "labels": ["e", "g"]}}
     names = [build({"group_ring": {"base": Z2, "group": group}}).name
@@ -440,7 +469,7 @@ def test_group_rings_name_their_group():
 
 def test_every_constructor_output_validates(small_catalog):
     for entry in small_catalog:
-        assert validate_axioms(entry.ring, force=True).ok, entry.name
+        assert validate_axioms(entry.ring).ok, entry.name
 
 
 # A commutative loop of order 6: a Latin square with zero 0 and inverses,
@@ -565,7 +594,8 @@ def reference_checked(monkeypatch):
 
 def test_grid_assembly_matches_reference_on_catalog(reference_checked):
     assembled = {e.ring.name for e in default_catalog() if "axis_sizes" in e.ring.meta}
-    assert len(assembled) == 24 and "T3(Z4)" in assembled
+    # F4 and F8 are assembled too: GF(p^k) is k axes of Z_p.
+    assert len(assembled) == 26 and {"T3(Z4)", "F4", "F8"} <= assembled
     assert assembled <= set(reference_checked)
 
 
@@ -589,7 +619,7 @@ def test_grid_assembly_matches_reference_per_family(reference_checked, family, t
 
 
 def test_encoded_neg_equals_derived_neg(suite_ctx):
-    # Constructors hand TableRing the neg they encode; the order^2 scan
+    # Constructors hand FiniteRing the neg they encode; the order^2 scan
     # they skip must agree with it on every ring.
     rings = [(e.name, e.ring) for e in suite_ctx.entries]
     rings += [(str(spec), build(spec)) for spec in _SMALL_SPEC_LIST]
@@ -655,7 +685,7 @@ def test_size_one_axes_take_no_grid_dimension(threshold):
     assert z1c40.meta["augmentation"].tolist() == [0]
     for ring in (m6, z1c40):
         assert ring.zero == ring.one == 0
-        assert ring.add_row(0).tolist() == ring.mul_row(0).tolist() == [0]
+        assert ring.add_table[0].tolist() == ring.mul_table[0].tolist() == [0]
 
 
 def test_t3z4_build_allocates_at_most_two_tables_beyond_its_own():

@@ -1,14 +1,16 @@
+import types
+
 import numpy as np
 import pytest
 
+import ringlab
 from ringlab import (
-    AxiomCheckLimitError,
     RingConstructionError,
     table_ring,
     validate_axioms,
     zn,
 )
-from ringlab.core import TableRing, additive_generators
+from ringlab.core import FiniteRing, additive_generators
 from oracles import naive_axioms, naive_units
 
 
@@ -32,9 +34,7 @@ def test_corrupted_z4_rejected():
     with pytest.raises(RingConstructionError):
         table_ring(add, mul)
     # Validate directly on an unvalidated handle carrying the bad table.
-    from ringlab.core import TableRing
-
-    broken = TableRing(np.array(add), np.array(mul), 0, 1)
+    broken = FiniteRing(np.array(add), np.array(mul), 0, 1)
     report = validate_axioms(broken)
     assert not report.ok
     assert report.axiom in (
@@ -100,11 +100,9 @@ def test_one_sided_inverses_are_two_sided(small_catalog):
                     assert ring.mul(b, a) == ring.one, (entry.name, a, b)
 
 
-def test_validate_limit_requires_force():
-    ring = zn(20)
-    with pytest.raises(AxiomCheckLimitError):
-        validate_axioms(ring, limit=10)
-    assert validate_axioms(ring, limit=10, force=True).ok
+def test_validate_samples_above_limit():
+    report = validate_axioms(zn(20), limit=10)
+    assert (report.mode, report.ok) == ("sampled", True)
 
 
 def test_labels_roundtrip(t2z2):
@@ -171,7 +169,7 @@ def _check_against_oracle(add, mul, zero, one) -> str:
     tables = _Tables(add, mul, zero, one)
     expected = naive_axioms(tables)
     try:
-        ring = TableRing(add, mul, zero, one)
+        ring = FiniteRing(add, mul, zero, one)
     except RingConstructionError:
         # A row of + without zero: no additive inverse.
         assert not expected
@@ -251,8 +249,8 @@ def test_sampled_rows_report_the_bad_mul_column():
     base = zn(30)
     mul = base.mul_table.copy()
     mul[5, 7] = 99
-    ring = TableRing(base.add_table, mul, 0, 1)
-    report = validate_axioms(ring, limit=8, force=True)
+    ring = FiniteRing(base.add_table, mul, 0, 1)
+    report = validate_axioms(ring, limit=8)
     assert report.mode == "sampled"
     assert (report.ok, report.axiom, report.witness) == (False, "mul-closure", (5, 7))
 
@@ -275,8 +273,8 @@ def test_tiled_commutativity_witness_is_the_first_asymmetric_cell(n):
         add = base.add_table.copy()
         add[r, c] = (int(add[r, c]) + 1 + int(rng.integers(0, n - 1))) % n
         # neg is passed in: a corrupted row may have lost its zero.
-        ring = TableRing(add, base.mul_table, 0, 1, neg=base.neg_table)
-        report = validate_axioms(ring, force=True)
+        ring = FiniteRing(add, base.mul_table, 0, 1, neg=base.neg_table)
+        report = validate_axioms(ring)
         expected = tuple(int(v) for v in np.argwhere(add != add.T)[0])
         assert (report.axiom, report.witness) == ("add-commutativity", expected), (r, c)
 
@@ -298,3 +296,86 @@ def test_additive_generators_are_computed_once_per_ring(monkeypatch):
     classify(ring)
     assert len({id(add) for add in seen}) == len(seen) == 3
     assert any(add is ring.add_table for add in seen)
+
+
+#: Every public name of the package, sorted: an API change shows here.
+_PUBLIC_NAMES = [
+    "BimoduleError",
+    "CHECKS",
+    "CLASSIFICATION_FIELDS",
+    "CatalogEntry",
+    "Classification",
+    "DEFAULT_THRESHOLD",
+    "Decomposition",
+    "ElementProfile",
+    "ElementSet",
+    "EndomorphismError",
+    "FiniteRing",
+    "Group",
+    "IdealError",
+    "LatticeLimitError",
+    "PolyRingView",
+    "RingConstructionError",
+    "RinglabError",
+    "SizeOverflowError",
+    "SpecError",
+    "SuiteContext",
+    "TheoremReport",
+    "UnknownElementError",
+    "ValidationReport",
+    "build",
+    "catalog_from_manifest",
+    "center",
+    "classify",
+    "classify_element_summary",
+    "clean_decompositions",
+    "corner_ring",
+    "cyclic",
+    "decomposition_counts",
+    "default_catalog",
+    "dihedral",
+    "element_profile",
+    "formal_triangular",
+    "gf",
+    "group_from_spec",
+    "group_ring",
+    "ideal_extension",
+    "ideal_generated",
+    "idempotents",
+    "idempotents_lift_mod",
+    "jacobson_radical",
+    "klein_four",
+    "load_catalog_file",
+    "matrix_ring",
+    "nilpotents",
+    "opposite_ring",
+    "poly_is_clean",
+    "poly_is_cusc",
+    "poly_view",
+    "product_ring",
+    "quaternion8",
+    "quotient_ring",
+    "resolve_endomorphism",
+    "run_suite",
+    "skew_trunc_poly",
+    "strongly_clean_decompositions",
+    "subring_generated",
+    "suite_to_json",
+    "symmetric3",
+    "table_ring",
+    "triangular_ring",
+    "trivial_extension",
+    "trivial_morita",
+    "trunc_poly",
+    "ucn0",
+    "units",
+    "validate_axioms",
+    "validate_spec",
+    "zn",
+]
+
+
+def test_public_names_are_pinned():
+    public = sorted(name for name, value in vars(ringlab).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == _PUBLIC_NAMES

@@ -5,7 +5,6 @@ import pytest
 from ringlab import (
     RingConstructionError,
     gf,
-    poly_clean_set,
     poly_is_clean,
     poly_is_cusc,
     poly_view,
@@ -14,12 +13,15 @@ from ringlab import (
 )
 
 
+def _clean_constants(view):
+    return tuple(sorted({c for consts in view.admissible_constants.values() for c in consts}))
+
+
 def test_z2_clean_set_is_constants(z2):
     view = poly_view(z2)
-    data = poly_clean_set(view)
-    assert data.clean_constants == (0, 1)
-    assert data.nilpotent_tail == (0,)
-    assert data.constants_by_idempotent == {0: (1,), 1: (0,)}
+    assert _clean_constants(view) == (0, 1)
+    assert view.nilpotent_tail == (0,)
+    assert view.admissible_constants == {0: (1,), 1: (0,)}
 
 
 def test_z2_flagship(z2):
@@ -38,10 +40,9 @@ def test_z3_fails_on_constant_two(z3):
 
 def test_z4_view(z4):
     view = poly_view(z4)
-    data = poly_clean_set(view)
-    assert data.nilpotent_tail == (0, 2)
+    assert view.nilpotent_tail == (0, 2)
     # All four constants are clean (Z4 is a clean ring) ...
-    assert data.clean_constants == (0, 1, 2, 3)
+    assert _clean_constants(view) == (0, 1, 2, 3)
     # ... and each admits exactly one idempotent.
     assert poly_is_cusc(view)[0]
     assert not poly_is_clean(view)
@@ -49,8 +50,7 @@ def test_z4_view(z4):
 
 def test_f4_field_base(f4):
     view = poly_view(f4)
-    data = poly_clean_set(view)
-    assert data.clean_constants == (0, 1, 2, 3)
+    assert _clean_constants(view) == (0, 1, 2, 3)
     assert not poly_is_cusc(view)[0]
     assert not poly_is_clean(view)
 
