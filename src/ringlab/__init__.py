@@ -8,7 +8,6 @@ executable verification suite over a catalog of small rings.
 
 from .core import (
     DEFAULT_THRESHOLD,
-    ElementSet,
     FiniteRing,
     ValidationReport,
     table_ring,

@@ -152,7 +152,7 @@ def default_catalog(threshold: int = DEFAULT_THRESHOLD) -> list[CatalogEntry]:
         by_name[name] = entry
     for base_name in RADICAL_QUOTIENT_OF:
         base = by_name[base_name]
-        gens = jacobson_radical(base.ring).sorted_ids()
+        gens = jacobson_radical(base.ring).tolist()
         spec = {"quotient": {"base": base.spec, "generators": gens}}
         ring = build(spec, threshold=threshold, validate=False)
         entries.append(CatalogEntry(f"{base_name}/J", spec, ring))

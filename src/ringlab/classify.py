@@ -40,7 +40,7 @@ checks that need it as a ring; :func:`classify` never builds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -51,17 +51,6 @@ from .elements import (
     ElementProfile, _decompositions, _profile, clean_decompositions, decomposition_counts,
 )
 from .invariants import _lift_mod_mask, get_cache
-
-#: JSON field names of the classification vector, in canonical order.
-CLASSIFICATION_FIELDS = (
-    "is_clean", "is_strongly_clean", "is_UC", "is_USC", "is_CUC", "is_CUSC",
-    "is_UUC", "is_UUSC", "is_boolean", "is_reduced", "is_abelian",
-    "is_commutative", "is_local", "is_regular", "is_semi_potent", "is_potent",
-    "is_semi_boolean", "is_quasi_duo_left", "is_quasi_duo_right",
-    "one_is_two_good", "two_in_J", "R_equals_ucn0", "RmodJ_boolean",
-    "U_equals_one_plus_J",
-)
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -102,6 +91,10 @@ class Classification:
         if self.witnesses:
             out["witnesses"] = self.witnesses
         return out
+
+
+#: JSON field names of the classification vector, in canonical order.
+CLASSIFICATION_FIELDS = tuple(f.name for f in fields(Classification) if f.name != "witnesses")
 
 
 def _quantify(counts: np.ndarray, over: np.ndarray) -> tuple[bool, Optional[int]]:

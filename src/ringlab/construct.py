@@ -52,10 +52,15 @@ import numpy as np
 from .core import (
     DEFAULT_THRESHOLD,
     FiniteRing,
+    _derive_neg,
     additive_associativity_witness,
     additive_generators,
+    as_table,
+    check_law,
     check_order,
     dtype_for,
+    element_ids,
+    identity_row,
     table_ring,
     validate_axioms,
 )
@@ -89,26 +94,19 @@ class _Axis:
         return cls(ring.order, ring.add_table, ring.neg_table, ring.zero)
 
 
-def _axis_of_module(add_table: np.ndarray) -> tuple["_Axis", int]:
+def _axis_of_module(add_table) -> tuple["_Axis", int]:
     """Validate a module's additive table as an abelian group."""
-    add = np.asarray(add_table, dtype=np.int64)
-    n = len(add)
-    if add.shape != (n, n) or (n and (add.min() < 0 or add.max() >= n)):
-        raise RingConstructionError("module add table malformed")
-    idx = np.arange(n)
-    zeros = [a for a in range(n) if (add[a] == idx).all()]
-    if not zeros:
+    n = len(add_table)
+    add = as_table(add_table, (n, n), n, RingConstructionError("module add table malformed"))
+    zero = identity_row(add)
+    if zero is None:
         raise RingConstructionError("module addition has no zero")
-    zero = zeros[0]
     if not (add == add.T).all():
         raise RingConstructionError("module addition is not commutative")
     if additive_associativity_witness(add, additive_generators(add, zero)) is not None:
         raise RingConstructionError("module addition is not associative")
-    neg = np.full(n, -1, dtype=np.int64)
-    rows, cols = np.nonzero(add == zero)
-    neg[rows] = cols
-    if (neg < 0).any():
-        raise RingConstructionError("module addition lacks inverses")
+    # int64, as the add table: trivial_morita encodes pairs of both.
+    neg = _derive_neg(add, zero, "module element").astype(np.int64)
     return _Axis(n, add, neg, zero), zero
 
 
@@ -507,9 +505,8 @@ def quotient_ring(
     Cosets are canonicalized by least element id; the projection map is
     available as ``ring.meta['projection']`` (an array over base ids).
     """
-    gens = sorted({int(g) for g in generators})
-    ideal_ids = np.asarray(ideal_generated(base, gens).sorted_ids())
-    return _quotient_by_ideal(base, gens, ideal_ids, spec)
+    gens = np.unique(element_ids(generators, base.order)).tolist()
+    return _quotient_by_ideal(base, gens, ideal_generated(base, gens), spec)
 
 
 def _quotient_by_ideal(
@@ -557,14 +554,15 @@ def corner_ring(
 
     The embedding back into the base is ``ring.meta['embedding']``.
     """
+    e = int(element_ids([e], base.order)[0])
     if base.mul(e, e) != e:
         raise RingConstructionError(f"element {e} is not idempotent in {base.name}")
-    spec = spec or {"corner": {"base": base.spec, "idempotent": int(e)}}
+    spec = spec or {"corner": {"base": base.spec, "idempotent": e}}
     ids = np.unique(base.mul_table[base.mul_table[e], e])
     ring = _restrict_to_subset(base, ids, e, spec=spec, name=spec_name(spec))
     ring.meta["embedding"] = np.asarray(sorted(int(i) for i in ids))
     ring.meta["base_ring"] = base
-    ring.meta["idempotent"] = int(e)
+    ring.meta["idempotent"] = e
     return ring
 
 
@@ -584,7 +582,7 @@ def _subring_closure(base: FiniteRing, generators: Iterable[int]) -> np.ndarray:
     """Sorted ids of the smallest unital subring containing the generators."""
     mask = np.zeros(base.order, dtype=bool)
     mask[[base.zero, base.one]] = True
-    mask[np.fromiter(generators, dtype=np.int64)] = True
+    mask[element_ids(generators, base.order)] = True
     size = 0
     while True:
         ids = np.flatnonzero(mask)
@@ -611,7 +609,7 @@ def group_ring(
     """Group ring R[G] with convolution product.
 
     meta carries the augmentation map (``'augmentation'``: RG id ->
-    base id), its kernel (``'aug_kernel'``, the frozenset of ids of the
+    base id), its kernel (``'aug_kernel'``, the sorted int64 ids of the
     ideal generated by the elements 1 - g), and the base embedding
     r -> r*1_G.
     """
@@ -673,7 +671,7 @@ def group_ring(
         digits2[h] = base.one
         hid = assembly.encode_one(digits2)
         gens.append(ring.sub(gid, hid))
-    ring.meta["aug_kernel"] = ideal_generated(ring, gens).members
+    ring.meta["aug_kernel"] = ideal_generated(ring, gens)
     ring.meta["group"] = group
     ring.meta["base_ring"] = base
     return ring
@@ -743,72 +741,54 @@ def trivial_extension(
                              None, base.labels, spec, threshold)
 
 
-def _check(law: str, ok: np.ndarray):
-    """Raise ``law`` at the first index where ``ok`` is False."""
-    if not ok.all():
-        raise BimoduleError(law, tuple(int(x) for x in np.argwhere(~ok)[0]))
+def _check(law: str, sizes: Sequence[int], lhs, rhs):
+    """Raise :class:`BimoduleError` ``law`` at the first violation (:func:`check_law`)."""
+    check_law(lambda witness: BimoduleError(law, witness), sizes, lhs, rhs)
 
 
-def _validate_left_action(ring: FiniteRing, axis: _Axis, lam: np.ndarray, law_prefix: str):
+def _validate_left_action(ring: FiniteRing, axis: _Axis, lam, law_prefix: str) -> np.ndarray:
     radd, rmul = ring.add_table, ring.mul_table
     madd = axis.add
     nr, nm = ring.order, axis.size
-    if lam.shape != (nr, nm) or (lam.size and (lam.min() < 0 or lam.max() >= nm)):
-        raise BimoduleError(f"{law_prefix}-shape", (nr, nm))
-    _check(f"{law_prefix}-unital", lam[ring.one] == np.arange(nm))
-    r = np.arange(nr)
-    s = np.arange(nr)
-    m = np.arange(nm)
-    # (r+s)m = rm + sm
-    lhs = lam[radd[r[:, None, None], s[None, :, None]], m[None, None, :]]
-    rhs = madd[lam[r[:, None, None], m[None, None, :]], lam[s[None, :, None], m[None, None, :]]]
-    _check(f"{law_prefix}-additive-in-ring", lhs == rhs)
-    # r(m+n) = rm + rn
-    n_ = np.arange(nm)
-    lhs = lam[r[:, None, None], madd[m[None, :, None], n_[None, None, :]]]
-    rhs = madd[lam[r[:, None, None], m[None, :, None]], lam[r[:, None, None], n_[None, None, :]]]
-    _check(f"{law_prefix}-additive-in-module", lhs == rhs)
-    # (rs)m = r(sm)
-    lhs = lam[rmul[r[:, None, None], s[None, :, None]], m[None, None, :]]
-    rhs = lam[r[:, None, None], lam[s[None, :, None], m[None, None, :]]]
-    _check(f"{law_prefix}-associative", lhs == rhs)
+    lam = as_table(lam, (nr, nm), nm, BimoduleError(f"{law_prefix}-shape", (nr, nm)))
+    _check(f"{law_prefix}-unital", (nm,), lambda m: lam[ring.one, m], lambda m: m)
+    _check(f"{law_prefix}-additive-in-ring", (nr, nr, nm),
+           lambda r, s, m: lam[radd[r, s], m], lambda r, s, m: madd[lam[r, m], lam[s, m]])
+    _check(f"{law_prefix}-additive-in-module", (nr, nm, nm),
+           lambda r, m, n: lam[r, madd[m, n]], lambda r, m, n: madd[lam[r, m], lam[r, n]])
+    _check(f"{law_prefix}-associative", (nr, nr, nm),
+           lambda r, s, m: lam[rmul[r, s], m], lambda r, s, m: lam[r, lam[s, m]])
+    return lam
 
 
-def _validate_right_action(ring: FiniteRing, axis: _Axis, rho: np.ndarray, law_prefix: str):
+def _validate_right_action(ring: FiniteRing, axis: _Axis, rho, law_prefix: str) -> np.ndarray:
     radd, rmul = ring.add_table, ring.mul_table
     madd = axis.add
     nr, nm = ring.order, axis.size
-    if rho.shape != (nm, nr) or (rho.size and (rho.min() < 0 or rho.max() >= nm)):
-        raise BimoduleError(f"{law_prefix}-shape", (nm, nr))
-    _check(f"{law_prefix}-unital", rho[:, ring.one] == np.arange(nm))
-    r = np.arange(nr)
-    s = np.arange(nr)
-    m = np.arange(nm)
-    lhs = rho[m[:, None, None], radd[r[None, :, None], s[None, None, :]]]
-    rhs = madd[rho[m[:, None, None], r[None, :, None]], rho[m[:, None, None], s[None, None, :]]]
-    _check(f"{law_prefix}-additive-in-ring", lhs == rhs)
-    n_ = np.arange(nm)
-    lhs = rho[madd[m[:, None, None], n_[None, :, None]], r[None, None, :]]
-    rhs = madd[rho[m[:, None, None], r[None, None, :]], rho[n_[None, :, None], r[None, None, :]]]
-    _check(f"{law_prefix}-additive-in-module", lhs == rhs)
-    lhs = rho[m[:, None, None], rmul[r[None, :, None], s[None, None, :]]]
-    rhs = rho[rho[m[:, None, None], r[None, :, None]], s[None, None, :]]
-    _check(f"{law_prefix}-associative", lhs == rhs)
+    rho = as_table(rho, (nm, nr), nm, BimoduleError(f"{law_prefix}-shape", (nm, nr)))
+    _check(f"{law_prefix}-unital", (nm,), lambda m: rho[m, ring.one], lambda m: m)
+    _check(f"{law_prefix}-additive-in-ring", (nm, nr, nr),
+           lambda m, r, s: rho[m, radd[r, s]], lambda m, r, s: madd[rho[m, r], rho[m, s]])
+    _check(f"{law_prefix}-additive-in-module", (nm, nm, nr),
+           lambda m, n, r: rho[madd[m, n], r], lambda m, n, r: madd[rho[m, r], rho[n, r]])
+    _check(f"{law_prefix}-associative", (nm, nr, nr),
+           lambda m, r, s: rho[m, rmul[r, s]], lambda m, r, s: rho[rho[m, r], s])
+    return rho
 
 
-def _validate_bimodule(left: FiniteRing, right: FiniteRing, axis: _Axis, lam: np.ndarray,
-                       rho: np.ndarray, prefix: str = ""):
+def _validate_bimodule(left: FiniteRing, right: FiniteRing, axis: _Axis, lam, rho,
+                       prefix: str = "") -> tuple[np.ndarray, np.ndarray]:
     """M is a unital (left, right)-bimodule: each action's laws, then (rm)s = r(ms).
 
     Laws are named ``prefix`` + ``left-*``, ``right-*`` and
-    ``bimodule-compat``; the compat witness is (r, m, s).
+    ``bimodule-compat``; the compat witness is (r, m, s).  Returns the
+    two actions as int64 arrays.
     """
-    _validate_left_action(left, axis, lam, f"{prefix}left")
-    _validate_right_action(right, axis, rho, f"{prefix}right")
-    r, m, s = np.arange(left.order), np.arange(axis.size), np.arange(right.order)
-    lhs = rho[lam[r[:, None, None], m[None, :, None]], s[None, None, :]]
-    rhs = lam[r[:, None, None], rho[m[None, :, None], s[None, None, :]]]
-    _check(f"{prefix}bimodule-compat", lhs == rhs)
+    lam = _validate_left_action(left, axis, lam, f"{prefix}left")
+    rho = _validate_right_action(right, axis, rho, f"{prefix}right")
+    _check(f"{prefix}bimodule-compat", (left.order, axis.size, right.order),
+           lambda r, m, s: rho[lam[r, m], s], lambda r, m, s: lam[r, rho[m, s]])
+    return lam, rho
 
 
 def ideal_extension(
@@ -832,44 +812,33 @@ def ideal_extension(
     act centrally on M and whether every m in M is quasi-regular
     (m + n + mn = 0 for some n); downstream checks gate on these flags.
     """
-    m_add = np.asarray(m_tables["add"], dtype=np.int64)
-    axis, m_zero = _axis_of_module(m_add)
-    nm = axis.size
+    axis, m_zero = _axis_of_module(m_tables["add"])
+    m_add, nm = axis.add, axis.size
     # The action laws below gather order(base)^2 * |M| cells: refuse first.
     check_order(base.order * nm, threshold)
     m_mul = m_tables.get("mul")
-    m_mul = np.asarray(np.full((nm, nm), m_zero) if m_mul is None else m_mul, dtype=np.int64)
-    if m_mul.shape != (nm, nm) or (m_mul.size and (m_mul.min() < 0 or m_mul.max() >= nm)):
-        raise RingConstructionError("module mul table malformed")
-    lam = np.asarray(left_action, dtype=np.int64)
-    rho = np.asarray(right_action, dtype=np.int64)
+    m_mul = as_table(np.full((nm, nm), m_zero) if m_mul is None else m_mul, (nm, nm), nm,
+                     RingConstructionError("module mul table malformed"))
 
     # M is an associative rng distributing over its own addition.
-    mi = np.arange(nm)
-    lhs = m_mul[m_mul[mi[:, None, None], mi[None, :, None]], mi[None, None, :]]
-    rhs = m_mul[mi[:, None, None], m_mul[mi[None, :, None], mi[None, None, :]]]
-    _check("m-associative", lhs == rhs)
-    lhs = m_mul[mi[:, None, None], m_add[mi[None, :, None], mi[None, None, :]]]
-    rhs = m_add[m_mul[mi[:, None, None], mi[None, :, None]], m_mul[mi[:, None, None], mi[None, None, :]]]
-    _check("m-left-distributive", lhs == rhs)
-    lhs = m_mul[m_add[mi[:, None, None], mi[None, :, None]], mi[None, None, :]]
-    rhs = m_add[m_mul[mi[:, None, None], mi[None, None, :]], m_mul[mi[None, :, None], mi[None, None, :]]]
-    _check("m-right-distributive", lhs == rhs)
+    _check("m-associative", (nm,) * 3,
+           lambda m, n, p: m_mul[m_mul[m, n], p], lambda m, n, p: m_mul[m, m_mul[n, p]])
+    _check("m-left-distributive", (nm,) * 3,
+           lambda m, n, p: m_mul[m, m_add[n, p]], lambda m, n, p: m_add[m_mul[m, n], m_mul[m, p]])
+    _check("m-right-distributive", (nm,) * 3,
+           lambda m, n, p: m_mul[m_add[m, n], p], lambda m, n, p: m_add[m_mul[m, p], m_mul[n, p]])
 
-    _validate_bimodule(base, base, axis, lam, rho)
+    lam, rho = _validate_bimodule(base, base, axis, left_action, right_action)
 
     # Compatibility of the actions with the M multiplication:
     # (mn)r = m(nr), (mr)n = m(rn), (rm)n = r(mn).
-    r = np.arange(base.order)
-    lhs = rho[m_mul[mi[:, None, None], mi[None, :, None]], r[None, None, :]]
-    rhs = m_mul[mi[:, None, None], rho[mi[None, :, None], r[None, None, :]]]
-    _check("compat-(mn)r=m(nr)", lhs == rhs)
-    lhs = m_mul[rho[mi[:, None, None], r[None, :, None]], mi[None, None, :]]
-    rhs = m_mul[mi[:, None, None], lam[r[None, :, None], mi[None, None, :]]]
-    _check("compat-(mr)n=m(rn)", lhs == rhs)
-    lhs = m_mul[lam[r[:, None, None], mi[None, :, None]], mi[None, None, :]]
-    rhs = lam[r[:, None, None], m_mul[mi[None, :, None], mi[None, None, :]]]
-    _check("compat-(rm)n=r(mn)", lhs == rhs)
+    nr = base.order
+    _check("compat-(mn)r=m(nr)", (nm, nm, nr),
+           lambda m, n, r: rho[m_mul[m, n], r], lambda m, n, r: m_mul[m, rho[n, r]])
+    _check("compat-(mr)n=m(rn)", (nm, nr, nm),
+           lambda m, r, n: m_mul[rho[m, r], n], lambda m, r, n: m_mul[m, lam[r, n]])
+    _check("compat-(rm)n=r(mn)", (nr, nm, nm),
+           lambda r, m, n: m_mul[lam[r, m], n], lambda r, m, n: lam[r, m_mul[m, n]])
 
     m_labels = _module_labels(m_tables, nm)
     spec = spec or {
@@ -883,7 +852,7 @@ def ideal_extension(
     ring = _module_extension(base, axis, lam, rho, m_mul, m_labels, spec, threshold)
 
     idem = np.flatnonzero(get_cache(base).idempotent_mask)
-    central = bool((lam[np.ix_(idem, mi)] == rho[np.ix_(mi, idem)].T).all())
+    central = bool((lam[idem] == rho[:, idem].T).all())
     # m is quasi-regular iff m + n + mn = 0 for some n: one row per m.
     quasi = bool((m_add[m_add, m_mul] == m_zero).any(axis=1).all())
     ring.meta["hypotheses"] = {"idempotents_central_on_m": central, "m_quasi_regular": quasi}
@@ -906,12 +875,9 @@ def formal_triangular(
     M must be a validated (A,B)-bimodule given by tables; the left
     action is A x M -> M and the right action M x B -> M.
     """
-    m_add = np.asarray(m_tables["add"], dtype=np.int64)
-    axis, m_zero = _axis_of_module(m_add)
+    axis, m_zero = _axis_of_module(m_tables["add"])
     check_order(a.order * axis.size * b.order, threshold)
-    lam = np.asarray(left_action, dtype=np.int64)
-    rho = np.asarray(right_action, dtype=np.int64)
-    _validate_bimodule(a, b, axis, lam, rho)
+    lam, rho = _validate_bimodule(a, b, axis, left_action, right_action)
 
     assembly = _Assembly([_Axis.of_ring(a), axis, _Axis.of_ring(b)])
     amul, bmul = a.mul_table, b.mul_table
@@ -934,7 +900,7 @@ def formal_triangular(
         "formal_triangular": {
             "a": a.spec,
             "b": b.spec,
-            "m": {"add": m_add.tolist(), "labels": m_labels},
+            "m": {"add": axis.add.tolist(), "labels": m_labels},
             "left_action": lam.tolist(),
             "right_action": rho.tolist(),
         }
@@ -964,15 +930,11 @@ def trivial_morita(
     validated once, as ``m-*`` and ``n-*`` laws; the componentwise action
     of A x B on M + N needs no second check.  M + N has ids m*|N| + n.
     """
-    m_axis, _ = _axis_of_module(np.asarray(m["add"], dtype=np.int64))
-    n_axis, _ = _axis_of_module(np.asarray(n["add"], dtype=np.int64))
+    m_axis, _ = _axis_of_module(m["add"])
+    n_axis, _ = _axis_of_module(n["add"])
     check_order(a.order * b.order * m_axis.size * n_axis.size, threshold)
-    lam_m = np.asarray(m_left, dtype=np.int64)
-    rho_m = np.asarray(m_right, dtype=np.int64)
-    lam_n = np.asarray(n_left, dtype=np.int64)
-    rho_n = np.asarray(n_right, dtype=np.int64)
-    _validate_bimodule(a, b, m_axis, lam_m, rho_m, "m-")
-    _validate_bimodule(b, a, n_axis, lam_n, rho_n, "n-")
+    lam_m, rho_m = _validate_bimodule(a, b, m_axis, m_left, m_right, "m-")
+    lam_n, rho_n = _validate_bimodule(b, a, n_axis, n_left, n_right, "n-")
 
     p = product_ring([a, b], threshold=threshold)
     nn = n_axis.size
@@ -991,10 +953,10 @@ def trivial_morita(
         "trivial_morita": {
             "a": a.spec,
             "b": b.spec,
-            "m": {"add": np.asarray(m["add"]).tolist(), "labels": m_labels},
+            "m": {"add": m_axis.add.tolist(), "labels": m_labels},
             "m_left": lam_m.tolist(),
             "m_right": rho_m.tolist(),
-            "n": {"add": np.asarray(n["add"]).tolist(), "labels": n_labels},
+            "n": {"add": n_axis.add.tolist(), "labels": n_labels},
             "n_left": lam_n.tolist(),
             "n_right": rho_n.tolist(),
         }
@@ -1022,25 +984,15 @@ def resolve_endomorphism(base: FiniteRing, descriptor) -> np.ndarray:
                 x = base.mul(x, a)
             alpha[a] = x
     elif isinstance(descriptor, dict) and "map" in descriptor:
-        alpha = np.asarray(descriptor["map"], dtype=np.int64)
-        if alpha.shape != (n,) or alpha.min() < 0 or alpha.max() >= n:
-            raise EndomorphismError("shape", (n,))
+        alpha = as_table(descriptor["map"], (n,), n, EndomorphismError("shape", (n,)))
     else:
         raise SpecError(f"unrecognized endomorphism descriptor {descriptor!r}")
 
     if alpha[base.one] != base.one:
         raise EndomorphismError("unital", (base.one,))
-    add, mul = base.add_table, base.mul_table
-    lhs = alpha[add]
-    rhs = add[alpha[:, None], alpha[None, :]]
-    if not (lhs == rhs).all():
-        a, b = (int(x) for x in np.argwhere(lhs != rhs)[0])
-        raise EndomorphismError("additive", (a, b))
-    lhs = alpha[mul]
-    rhs = mul[alpha[:, None], alpha[None, :]]
-    if not (lhs == rhs).all():
-        a, b = (int(x) for x in np.argwhere(lhs != rhs)[0])
-        raise EndomorphismError("multiplicative", (a, b))
+    for law, table in (("additive", base.add_table), ("multiplicative", base.mul_table)):
+        check_law(lambda witness: EndomorphismError(law, witness), (n, n),
+                  lambda a, b: alpha[table[a, b]], lambda a, b: table[alpha[a], alpha[b]])
     return alpha
 
 

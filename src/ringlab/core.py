@@ -16,8 +16,9 @@ vectorized over the raw tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +35,9 @@ _SEED = 0x51AB
 
 #: Side of the square tiles that additive commutativity is checked on.
 _TILE = 128
+
+#: Cells of one slice of a law's grid in :func:`check_law`.
+_LAW_CELLS = 1 << 22
 
 
 def dtype_for(order: int) -> np.dtype:
@@ -151,41 +155,95 @@ def _read_only(table, dtype: np.dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A subset of a ring's elements with bitset semantics."""
+# -- input checks ------------------------------------------------------
+#
+# Tables, actions, maps and element ids handed in by specs or callers
+# are checked here before any kernel indexes with them.
 
-    ring: FiniteRing
-    members: frozenset[int]
 
-    def __post_init__(self):
-        bad = [m for m in self.members if not 0 <= m < self.ring.order]
-        if bad:
-            raise ValueError(f"element ids out of range: {bad}")
+def as_table(table, shape: tuple, bound: int, error: Exception) -> np.ndarray:
+    """``table`` as an int64 array of ``shape`` with entries in ``0..bound-1``.
 
-    @classmethod
-    def from_mask(cls, ring: FiniteRing, mask: np.ndarray) -> "ElementSet":
-        return cls(ring, frozenset(int(i) for i in np.flatnonzero(mask)))
+    Raises ``error`` when ``table`` is malformed: ragged, of another
+    shape, or holding an entry outside that range.
+    """
+    try:
+        out = np.asarray(table, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise error from None
+    if out.shape != shape or (out.size and (out.min() < 0 or out.max() >= bound)):
+        raise error
+    return out
 
-    def mask(self) -> np.ndarray:
-        out = np.zeros(self.ring.order, dtype=bool)
-        out[self.sorted_ids()] = True
-        return out
 
-    def sorted_ids(self) -> list[int]:
-        return sorted(self.members)
+def element_ids(ids: Iterable[int], order: int) -> np.ndarray:
+    """``ids`` as an int64 array; an id outside ``0..order-1`` is refused.
 
-    def labels(self) -> list[str]:
-        return [self.ring.label_of(i) for i in self.sorted_ids()]
+    Negative ids are refused too, never read from the end.
+    """
+    out = np.fromiter(ids, dtype=np.int64)
+    bad = out[(out < 0) | (out >= order)]
+    if bad.size:
+        raise RingConstructionError(
+            f"element ids must lie in 0..{order - 1}, got {bad.tolist()}")
+    return out
 
-    def __contains__(self, a: int) -> bool:
-        return a in self.members
 
-    def __len__(self) -> int:
-        return len(self.members)
+def identity_row(table: np.ndarray, two_sided: bool = False) -> Optional[int]:
+    """The least e whose row of ``table`` is the identity map, or None.
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sorted_ids())
+    With ``two_sided`` e's column must be the identity map too, and
+    such an e is unique.
+    """
+    idx = np.arange(len(table))
+    hit = (table == idx).all(axis=1)
+    if two_sided:
+        hit &= (table == idx[:, None]).all(axis=0)
+    at = np.flatnonzero(hit)
+    return int(at[0]) if at.size else None
+
+
+def repeated_row(table: np.ndarray) -> Optional[int]:
+    """The first row of a square table of ids that repeats an entry, or None.
+
+    One boolean scatter marks each row's entries; a row is a
+    permutation iff it marks every column.
+    """
+    n = len(table)
+    seen = np.zeros((n, n), dtype=bool)
+    seen[np.arange(n)[:, None], table] = True
+    bad = np.flatnonzero(~seen.all(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
+def _derive_neg(table: np.ndarray, identity: int, what: str = "element") -> np.ndarray:
+    """The b with ``table[a, b] == identity`` for each a, in ``dtype_for(n)``."""
+    n = len(table)
+    neg = np.full(n, -1, dtype=np.int64)
+    rows, cols = np.nonzero(table == identity)
+    neg[rows] = cols
+    if (neg < 0).any():
+        a = int(np.flatnonzero(neg < 0)[0])
+        raise RingConstructionError(f"{what} {a} has no inverse")
+    return neg.astype(dtype_for(n))
+
+
+def check_law(error: Callable[[tuple], Exception], sizes: Sequence[int], lhs, rhs) -> None:
+    """Raise ``error(witness)`` at the first violation of ``lhs == rhs``.
+
+    ``lhs`` and ``rhs`` take one ``np.ix_`` index array per axis, in the
+    law's own order ((a, b, c) for (ab)c = a(bc)), and both sides are
+    evaluated on that grid.  The grid goes in slices of its first axis
+    of at most ``_LAW_CELLS`` cells, so the witness is the first
+    violation in row-major order and memory stays bounded.
+    """
+    first, rest = sizes[0], [np.arange(s) for s in sizes[1:]]
+    step = max(1, _LAW_CELLS // math.prod(sizes[1:]))
+    for lo in range(0, first, step):
+        grid = np.ix_(np.arange(lo, min(lo + step, first)), *rest)
+        at = _first_mismatch(lhs(*grid), rhs(*grid))
+        if at is not None:
+            raise error((at[0] + lo,) + at[1:])
 
 
 @dataclass(frozen=True)
@@ -208,17 +266,6 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _derive_neg(add_table: np.ndarray, zero: int) -> np.ndarray:
-    n = len(add_table)
-    neg = np.full(n, -1, dtype=np.int64)
-    rows, cols = np.nonzero(add_table == zero)
-    neg[rows] = cols
-    if (neg < 0).any():
-        a = int(np.flatnonzero(neg < 0)[0])
-        raise RingConstructionError(f"element {a} has no additive inverse")
-    return neg.astype(dtype_for(n))
 
 
 def _is_symmetric(table: np.ndarray) -> bool:
@@ -412,33 +459,23 @@ def table_ring(
     Raises :class:`RingConstructionError` on dimension mismatch,
     non-group addition, a missing identity, or any axiom failure.
     """
-    add = np.asarray(add_table, dtype=np.int64)
-    mul = np.asarray(mul_table, dtype=np.int64)
-    if add.ndim != 2 or add.shape[0] != add.shape[1]:
-        raise RingConstructionError(f"add table is not square: shape {add.shape}")
-    if mul.shape != add.shape:
-        raise RingConstructionError(
-            f"table dimension mismatch: add {add.shape} vs mul {mul.shape}"
-        )
-    n = add.shape[0]
+    n = len(add_table)
     if n == 0:
         raise RingConstructionError("empty tables")
-    if add.min() < 0 or add.max() >= n or mul.min() < 0 or mul.max() >= n:
-        raise RingConstructionError("table entries out of range")
-
-    idx = np.arange(n)
-    zeros = [a for a in range(n) if (add[a] == idx).all()]
-    if not zeros:
+    add = as_table(add_table, (n, n), n, RingConstructionError(
+        f"add table must be {n} rows of {n} ids below {n}"))
+    mul = as_table(mul_table, (n, n), n, RingConstructionError(
+        f"table dimension mismatch: mul must be {n} rows of {n} ids below {n}, as add is"))
+    zero = identity_row(add)
+    if zero is None:
         raise RingConstructionError("addition has no zero row (not a group)")
-    zero = zeros[0]
     # Each add row must be a permutation for inverses to exist.
-    for a in range(n):
-        if len(np.unique(add[a])) != n:
-            raise RingConstructionError(f"addition is not a group: row {a} repeats")
-    ones = [e for e in range(n) if (mul[e] == idx).all() and (mul[:, e] == idx).all()]
-    if not ones:
+    row = repeated_row(add)
+    if row is not None:
+        raise RingConstructionError(f"addition is not a group: row {row} repeats")
+    one = identity_row(mul, two_sided=True)
+    if one is None:
         raise RingConstructionError("missing multiplicative identity")
-    one = ones[0]
 
     ring = FiniteRing(add, mul, zero, one, labels=labels, spec=spec, name=name)
     if validate:

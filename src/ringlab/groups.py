@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import _derive_neg, as_table, check_law, element_ids, identity_row, repeated_row
 from .errors import RingConstructionError, SpecError
 
 
@@ -27,59 +28,42 @@ class Group:
         *,
         validate: bool = True,
     ):
-        self.table = np.asarray(table, dtype=np.int64)
-        self.order = len(self.table)
-        self.identity = int(identity)
+        n = len(table)
+        self.table = as_table(table, (n, n), n, RingConstructionError("group table malformed"))
+        self.order = n
+        self.identity = int(element_ids([identity], n)[0])
         self.labels = list(labels) if labels else [str(i) for i in range(self.order)]
         self.name = name
         if validate:
             self._validate()
-        inv = np.full(self.order, -1, dtype=np.int64)
-        rows, cols = np.nonzero(self.table == self.identity)
-        inv[rows] = cols
-        self.inverse = inv
+        self.inverse = _derive_neg(self.table, self.identity, "group element")
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
     def _validate(self):
         t = self.table
-        n = self.order
-        if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
-            raise RingConstructionError("group table malformed")
-        idx = np.arange(n)
-        if not (t[self.identity] == idx).all() or not (t[:, self.identity] == idx).all():
+        if identity_row(t, two_sided=True) != self.identity:
             raise RingConstructionError("group identity is not an identity")
-        for a in range(n):
-            if len(np.unique(t[a])) != n or len(np.unique(t[:, a])) != n:
-                raise RingConstructionError(f"group row/column {a} is not a permutation")
-        for a in range(n):
-            lhs = t[t[a], :]
-            rhs = t[a][t]
-            if not (lhs == rhs).all():
-                b, c = (int(x) for x in np.argwhere(lhs != rhs)[0])
-                raise RingConstructionError(
-                    f"group multiplication not associative at ({a},{b},{c})"
-                )
-        if not (t == self.identity).any(axis=1).all():
-            a = int(np.flatnonzero(~(t == self.identity).any(axis=1))[0])
-            raise RingConstructionError(f"group element {a} has no inverse")
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        # Latin rows and columns: with the identity, every element has an inverse.
+        bad = [a for a in (repeated_row(t), repeated_row(t.T)) if a is not None]
+        if bad:
+            raise RingConstructionError(f"group row/column {min(bad)} is not a permutation")
+        check_law(
+            lambda w: RingConstructionError(
+                "group multiplication not associative at ({},{},{})".format(*w)),
+            (self.order,) * 3,
+            lambda a, b, c: t[t[a, b], c], lambda a, b, c: t[a, t[b, c]])
 
     @property
     def is_two_group(self) -> bool:
-        """True when every element's order is a power of two (by definition)."""
-        for a in range(self.order):
-            k = self.element_order(a)
-            if k & (k - 1):
-                return False
-        return True
+        """Whether |G| is a power of two.
+
+        By Lagrange every element's order divides |G|, and by Cauchy an
+        odd prime dividing |G| is the order of some element, so this is
+        exactly when every element's order is a power of two.
+        """
+        return self.order & (self.order - 1) == 0
 
     def __repr__(self):
         return f"<Group {self.name} order={self.order}>"

@@ -3,7 +3,8 @@
 Idempotents, units, nilpotents, the Jacobson radical, the center, sums
 of two units, central-idempotent-plus-radical elements, ideal closure,
 idempotent lifting, and the one-sided ideal lattice.  Everything is
-exact, computed from the ring's tables with no search bound.  Units
+exact, computed from the ring's tables with no search bound.  Sets are
+kept as boolean masks and returned as sorted int64 id arrays.  Units
 take one comparison of the table with 1 and no index sweep: each row's
 first hit is its candidate inverse, and a guard that every hit is its
 row's only one and is two-sided (true in every finite ring) follows.
@@ -33,7 +34,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import ElementSet, FiniteRing, additive_generators
+from .core import FiniteRing, additive_generators, element_ids
 from .errors import IdealError, LatticeLimitError, SizeOverflowError
 
 DEFAULT_IDEAL_ORDER_LIMIT = 256
@@ -191,38 +192,38 @@ def get_cache(ring: FiniteRing) -> InvariantCache:
     return cache
 
 
-def idempotents(ring: FiniteRing) -> ElementSet:
-    """{e : e*e = e}."""
-    return ElementSet.from_mask(ring, get_cache(ring).idempotent_mask)
+def idempotents(ring: FiniteRing) -> np.ndarray:
+    """{e : e*e = e}, as sorted ids."""
+    return np.flatnonzero(get_cache(ring).idempotent_mask)
 
 
-def units(ring: FiniteRing) -> ElementSet:
-    """{u : u*v = v*u = 1 for some v}."""
-    return ElementSet.from_mask(ring, get_cache(ring).unit_mask)
+def units(ring: FiniteRing) -> np.ndarray:
+    """{u : u*v = v*u = 1 for some v}, as sorted ids."""
+    return np.flatnonzero(get_cache(ring).unit_mask)
 
 
-def nilpotents(ring: FiniteRing) -> ElementSet:
-    """{a : a^k = 0 for some k <= order}."""
-    return ElementSet.from_mask(ring, get_cache(ring).nilpotent_mask)
+def nilpotents(ring: FiniteRing) -> np.ndarray:
+    """{a : a^k = 0 for some k <= order}, as sorted ids."""
+    return np.flatnonzero(get_cache(ring).nilpotent_mask)
 
 
-def jacobson_radical(ring: FiniteRing) -> ElementSet:
-    """{a : 1 - r*a is a unit for all r}; verified to be a two-sided ideal."""
-    return ElementSet.from_mask(ring, get_cache(ring).jacobson_mask)
+def jacobson_radical(ring: FiniteRing) -> np.ndarray:
+    """{a : 1 - r*a is a unit for all r}, as sorted ids; verified to be a two-sided ideal."""
+    return np.flatnonzero(get_cache(ring).jacobson_mask)
 
 
-def center(ring: FiniteRing) -> ElementSet:
-    """{a : a*r = r*a for all r}."""
-    return ElementSet.from_mask(ring, get_cache(ring).center_mask)
+def center(ring: FiniteRing) -> np.ndarray:
+    """{a : a*r = r*a for all r}, as sorted ids."""
+    return np.flatnonzero(get_cache(ring).center_mask)
 
 
-def ucn0(ring: FiniteRing) -> ElementSet:
-    """{e + j : e a central idempotent, j in the radical}."""
-    return ElementSet.from_mask(ring, get_cache(ring).ucn0_mask)
+def ucn0(ring: FiniteRing) -> np.ndarray:
+    """{e + j : e a central idempotent, j in the radical}, as sorted ids."""
+    return np.flatnonzero(get_cache(ring).ucn0_mask)
 
 
-def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> ElementSet:
-    """Least two-sided ideal containing ``generators`` (mask closure).
+def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> np.ndarray:
+    """Sorted ids of the least two-sided ideal containing ``generators``.
 
     Adds the products of the members with the ring's additive generators
     on both sides, negatives and pairwise sums of the members until the
@@ -235,12 +236,12 @@ def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> ElementSet:
     gens = get_cache(ring).additive_generators
     mask = np.zeros(ring.order, dtype=bool)
     mask[ring.zero] = True
-    mask[np.fromiter(generators, dtype=np.int64)] = True
+    mask[element_ids(generators, ring.order)] = True
     size = 0
     while True:
         ids = np.flatnonzero(mask)
         if ids.size == size:
-            return ElementSet.from_mask(ring, mask)
+            return ids
         size = ids.size
         mask[mul[np.ix_(gens, ids)]] = True
         mask[mul[np.ix_(ids, gens)]] = True
@@ -248,15 +249,14 @@ def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> ElementSet:
         mask[add[np.ix_(ids, ids)]] = True
 
 
-def is_two_sided_ideal(ring: FiniteRing, subset: ElementSet | Iterable[int]) -> bool:
-    """Whether ``subset`` is a two-sided ideal.
+def is_two_sided_ideal(ring: FiniteRing, subset: Iterable[int]) -> bool:
+    """Whether the ids ``subset`` form a two-sided ideal.
 
     Closure under + and negation is checked on every pair of members;
     closure under multiplication only by the ring's additive generators,
     on both sides, which decides it for every element by biadditivity.
     """
-    ids = np.asarray(sorted(subset.members if isinstance(subset, ElementSet) else set(subset)),
-                     dtype=np.int64)
+    ids = element_ids(subset, ring.order)
     mask = np.zeros(ring.order, dtype=bool)
     mask[ids] = True
     return bool(ids.size) and _is_ideal_mask(ring, mask)
@@ -286,18 +286,18 @@ class LiftReport:
     failure: Optional[int] = None
 
 
-def idempotents_lift_mod(ring: FiniteRing, ideal: ElementSet | Iterable[int]) -> LiftReport:
+def idempotents_lift_mod(ring: FiniteRing, ideal: Iterable[int]) -> LiftReport:
     """Whether every x with x^2 - x in I lifts to an idempotent e, e - x in I.
 
     ``witnesses[x]`` is the least such e: the least idempotent of the
     coset x + I.  On failure ``failure`` is the least x without a lift
     and ``witnesses`` holds the x below it.
     """
-    ids = sorted(ideal.members if isinstance(ideal, ElementSet) else set(ideal))
-    if not is_two_sided_ideal(ring, ids):
-        raise IdealError(f"subset {ids} is not a two-sided ideal of {ring.name}")
     imask = np.zeros(ring.order, dtype=bool)
-    imask[ids] = True
+    imask[element_ids(ideal, ring.order)] = True
+    if not (imask.any() and _is_ideal_mask(ring, imask)):
+        raise IdealError(
+            f"subset {np.flatnonzero(imask).tolist()} is not a two-sided ideal of {ring.name}")
     return _lift_mod_mask(ring, imask)
 
 

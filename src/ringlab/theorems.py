@@ -39,6 +39,7 @@ from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
 from .errors import LatticeLimitError, SpecError
 from .invariants import (
     get_cache,
+    ideal_generated,
     idempotents_lift_mod,
     is_two_sided_ideal,
     jacobson_radical,
@@ -481,23 +482,21 @@ def _check_cor2_7(ctx: SuiteContext) -> TheoremReport:
 
 def _radical_subideals(ctx: SuiteContext, ring: FiniteRing) -> list[tuple[str, list[int]]]:
     """Deterministic sample of two-sided ideals inside the radical."""
-    jac = jacobson_radical(ring).sorted_ids()
+    jac = jacobson_radical(ring).tolist()
     out = [("0", [])]
     if len(jac) > 1:
         out.append(("J", jac))
     if ring.order <= ctx.oracle_order_limit:
-        from .invariants import ideal_generated
-
         seen = {frozenset({ring.zero}), frozenset(jac)}
         for j in jac:
             if j == ring.zero:
                 continue
-            ideal = ideal_generated(ring, [j])
-            key = frozenset(ideal.members)
+            ideal = ideal_generated(ring, [j]).tolist()
+            key = frozenset(ideal)
             if key in seen:
                 continue
             seen.add(key)
-            out.append((f"<{ring.label_of(j)}>", ideal.sorted_ids()))
+            out.append((f"<{ring.label_of(j)}>", ideal))
     return out
 
 
@@ -1057,8 +1056,7 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
                 problems.append("augmentation misses the identity")
             if len(np.unique(eps)) != base.order:
                 problems.append("augmentation is not surjective")
-            kernel = set(int(i) for i in np.flatnonzero(eps == base.zero))
-            if kernel != ring.meta["aug_kernel"]:
+            if not np.array_equal(np.flatnonzero(eps == base.zero), ring.meta["aug_kernel"]):
                 problems.append("augmentation kernel differs from the ideal <1-g>")
         rep.require(entry.name, not problems, problems)
     return rep

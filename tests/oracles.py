@@ -45,7 +45,6 @@ from typing import Optional
 
 import numpy as np
 
-from ringlab import ElementSet
 from ringlab.construct import (
     _Assembly,
     _assemble_ring,
@@ -266,8 +265,22 @@ def naive_axioms(ring) -> bool:
     return True
 
 
-def scalar_ideal_generated(ring, generators) -> ElementSet:
-    """The worklist closure: least two-sided ideal containing ``generators``."""
+def element_order(group, a) -> int:
+    """The least k >= 1 with a^k the identity, by repeated multiplication."""
+    k, x = 1, a
+    while x != group.identity:
+        x = group.mul(x, a)
+        k += 1
+    return k
+
+
+def reference_is_two_group(group) -> bool:
+    """Whether every element's order is a power of two: the definition."""
+    return all(k & (k - 1) == 0 for k in (element_order(group, a) for a in range(group.order)))
+
+
+def scalar_ideal_generated(ring, generators) -> np.ndarray:
+    """The worklist closure: sorted ids of the least two-sided ideal containing ``generators``."""
     n = ring.order
     mask = np.zeros(n, dtype=bool)
     mask[ring.zero] = True
@@ -288,7 +301,7 @@ def scalar_ideal_generated(ring, generators) -> ElementSet:
         for c in candidates:
             if not mask[c]:
                 queue.append(c)
-    return ElementSet.from_mask(ring, mask)
+    return np.flatnonzero(mask)
 
 
 def scalar_idempotents_lift_mod(ring, ideal) -> LiftReport:
@@ -461,7 +474,7 @@ def reference_quotient(base, generators):
     least element; returns the quotient's add and mul tables and the
     projection from base ids, all as int64 arrays.
     """
-    ideal_ids = np.asarray(scalar_ideal_generated(base, generators).sorted_ids())
+    ideal_ids = scalar_ideal_generated(base, generators)
     reps = np.array([int(base.add_table[x, ideal_ids].min()) for x in range(base.order)])
     rep_ids = np.unique(reps)
     lookup = np.full(base.order, -1, dtype=np.int64)

@@ -82,7 +82,7 @@ def test_criterion_1_example_reproduction(t2z2):
     start = time.perf_counter()
     witness = t2z2.id_of("(1 1;0 0)")
     ok = ok and witness is not None
-    ok = ok and witness not in ucn0(t2z2).members
+    ok = ok and witness not in set(ucn0(t2z2).tolist())
     ok = ok and classify(t2z2).is_USC
     ucn_elapsed = time.perf_counter() - start
 
@@ -119,7 +119,7 @@ def test_criterion_3_oracle_equivalence(suite_ctx):
         meet = set(range(ring.order))
         for m in maximal_members(one_sided_ideals(ring, "left"), ring.order):
             meet &= m
-        if meet != set(jacobson_radical(ring).members):
+        if meet != set(jacobson_radical(ring).tolist()):
             ok = False
     _announce(3, "oracle equivalence", ok)
 
@@ -158,13 +158,13 @@ def test_criterion_4_diagram_and_mutations(suite_ctx):
 
 
 def test_criterion_5_spot_checks(z4, z6, t2z2, m2z2):
-    ok = idempotents(z6).sorted_ids() == [0, 1, 3, 4]
-    ok = ok and units(z4).sorted_ids() == [1, 3]
+    ok = idempotents(z6).tolist() == [0, 1, 3, 4]
+    ok = ok and units(z4).tolist() == [1, 3]
     strictly_upper = {"(0 0;0 0)", "(0 1;0 0)"}
-    ok = ok and set(jacobson_radical(t2z2).labels()) == strictly_upper
+    ok = ok and {t2z2.label_of(i) for i in jacobson_radical(t2z2)} == strictly_upper
     a = m2z2.id_of("(1 1;1 0)")
     b = m2z2.id_of("(0 1;1 1)")
-    unit_set = units(m2z2).members
+    unit_set = set(units(m2z2).tolist())
     ok = ok and a in unit_set and b in unit_set
     ok = ok and m2z2.add(a, b) == m2z2.one
     _announce(5, "known-value spot checks", ok)

@@ -87,7 +87,7 @@ def test_element_summary(z6):
     profiles = classify_element_summary(rg)
     from ringlab import units
 
-    unit_ids = set(units(rg).members)
+    unit_ids = set(units(rg).tolist())
     assert any(
         p.element in unit_ids and len(p.strongly_clean_decomps) >= 2
         for p in profiles
@@ -121,7 +121,7 @@ def test_quasi_duo_closed_form_matches_lattice(small_catalog):
         assert classify(opposite_ring(ring)).is_quasi_duo_right == c.is_quasi_duo_left, ring.name
         if not c.is_quasi_duo_left:
             # The witness is a non-commuting pair of R/J.
-            quotient = quotient_ring(ring, jacobson_radical(ring).sorted_ids())
+            quotient = quotient_ring(ring, jacobson_radical(ring).tolist())
             a, b = (quotient.id_of(x) for x in c.witnesses["is_quasi_duo_left"]["quotient_pair"])
             assert quotient.mul(a, b) != quotient.mul(b, a), ring.name
 

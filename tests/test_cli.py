@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ringlab import SuiteContext, classify, element_profile, zn
+from ringlab import RinglabError, SuiteContext, build, classify, element_profile, validate_spec, zn
 from ringlab.cli import main, make_parser
 
 T2Z2 = {"triangular": {"n": 2, "base": {"zn": 2}}}
@@ -183,6 +183,39 @@ def test_oversized_ring_is_refused_with_its_order_and_table_bytes(spec_file, cap
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "32768" in lines[0] and "4294967296" in lines[0]
+
+
+_V2 = [[0, 1], [1, 0]]
+_ACT2 = [[0, 0], [0, 1]]
+
+#: Specs the schema accepts whose tables or element ids do not fit their rings.
+_MALFORMED_SPECS = {
+    "table-ragged-add": {"table": {"add": [[0, 1], [1]], "mul": [[0, 0], [0, 1]]}},
+    "ideal_extension-ragged-m-add": {"ideal_extension": {
+        "base": {"zn": 2}, "m": {"add": [[0, 1], [1]]},
+        "left_action": _ACT2, "right_action": _ACT2}},
+    "formal_triangular-ragged-left-action": {"formal_triangular": {
+        "a": {"zn": 2}, "b": {"zn": 2}, "m": {"add": _V2},
+        "left_action": [[0, 0], [0]], "right_action": _ACT2}},
+    "group_ring-ragged-table": {"group_ring": {
+        "base": {"zn": 2}, "group": {"table": {"mul": [[0, 1], [1]]}}}},
+    "group-identity-5": {"group_ring": {
+        "base": {"zn": 2}, "group": {"table": {"mul": _V2, "identity": 5}}}},
+    "quotient-generator-4": {"quotient": {"base": {"zn": 4}, "generators": [4]}},
+    "corner-idempotent-9": {"corner": {"base": {"zn": 4}, "idempotent": 9}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_SPECS))
+def test_malformed_spec_is_refused_with_exit_2(spec_file, capsys, name):
+    spec = _MALFORMED_SPECS[name]
+    validate_spec(spec)
+    with pytest.raises(RinglabError):
+        build(spec)
+    code, out, err = run(capsys, "build", "--spec", spec_file(spec))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 @pytest.mark.parametrize("command", ["classify", "element", "verify"])

@@ -89,7 +89,7 @@ def test_quotient_examples(z4, z6, t2z2):
     assert q.order == 2
     assert reference_check_isomorphic(q, zn(2)).found
     assert quotient_ring(z6, [3]).order == 3
-    jac = jacobson_radical(t2z2).sorted_ids()
+    jac = jacobson_radical(t2z2).tolist()
     qt = quotient_ring(t2z2, jac)
     assert qt.order == 4
     assert reference_check_isomorphic(qt, product_ring([zn(2), zn(2)])).found
@@ -128,8 +128,8 @@ def test_group_ring_augmentation(z2, z4):
     eps = rg.meta["augmentation"]
     assert int(eps[one_plus_g]) == 0  # 1 + 1 = 0 in Z2
     kernel = rg.meta["aug_kernel"]
-    assert isinstance(kernel, frozenset) and len(kernel) == 4
-    assert kernel == {int(i) for i in np.flatnonzero(eps == z2.zero)}
+    assert kernel.dtype == np.int64 and len(kernel) == 4
+    assert np.array_equal(kernel, np.flatnonzero(eps == z2.zero))
     assert group_ring(z2, cyclic(2)).order == 4
     assert group_ring(z4, cyclic(2)).order == 16
 
@@ -633,7 +633,7 @@ def _principal_ideal_generators(ring):
     """One generator per distinct principal two-sided ideal."""
     seen, gens = set(), []
     for x in ring.elements():
-        members = ideal_generated(ring, [x]).members
+        members = frozenset(ideal_generated(ring, [x]).tolist())
         if members not in seen:
             seen.add(members)
             gens.append([x])
@@ -643,7 +643,7 @@ def _principal_ideal_generators(ring):
 @pytest.mark.parametrize("spec", _SMALL_SPEC_LIST, ids=str)
 def test_quotient_matches_the_row_loop(spec):
     ring = build(spec)
-    for gens in [jacobson_radical(ring).sorted_ids()] + _principal_ideal_generators(ring):
+    for gens in [jacobson_radical(ring).tolist()] + _principal_ideal_generators(ring):
         q = quotient_ring(ring, gens)
         q_add, q_mul, proj = reference_quotient(ring, gens)
         assert np.array_equal(q.add_table, q_add), (spec, gens)
@@ -657,7 +657,7 @@ def test_quotient_allocates_one_table_beyond_its_own():
     ring = matrix_ring(2, gf(2, 3))
     tracemalloc.start()
     try:
-        q = quotient_ring(ring, jacobson_radical(ring).sorted_ids())
+        q = quotient_ring(ring, jacobson_radical(ring).tolist())
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -780,10 +780,10 @@ def test_ideal_extension_hypotheses_match_the_scalar_loops():
         ring = build(spec)
         if ring.order > 16 or not (ring.mul_table == ring.mul_table.T).all():
             continue
-        radical = set(jacobson_radical(ring).sorted_ids())
+        radical = set(jacobson_radical(ring).tolist())
         for _ in range(3):
             gens = rng.choice(ring.order, size=rng.integers(1, 3)).tolist()
-            ids = ideal_generated(ring, gens).sorted_ids()
+            ids = ideal_generated(ring, gens).tolist()
             m, lam, rho = _ideal_tables(ring, ids)
             ie, ref = ideal_extension(ring, m, lam, rho), reference_ideal_extension(ring, m, lam, rho)
             _assert_same_extension(ie, ref)

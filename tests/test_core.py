@@ -6,10 +6,16 @@ import pytest
 import ringlab
 from ringlab import (
     RingConstructionError,
+    corner_ring,
+    ideal_generated,
+    idempotents_lift_mod,
+    quotient_ring,
+    subring_generated,
     table_ring,
     validate_axioms,
     zn,
 )
+from ringlab.invariants import is_two_sided_ideal
 from ringlab.core import FiniteRing, additive_generators
 from oracles import naive_axioms, naive_units
 
@@ -110,15 +116,17 @@ def test_labels_roundtrip(t2z2):
         assert t2z2.id_of(t2z2.label_of(a)) == a
 
 
-def test_elementset_mask_roundtrip(z4):
-    from ringlab import ElementSet
-
-    s = ElementSet(z4, frozenset({1, 3}))
-    assert s.mask().tolist() == [False, True, False, True]
-    assert ElementSet.from_mask(z4, s.mask()) == s
-    assert len(s) == 2 and list(s) == [1, 3]
-    with pytest.raises(ValueError):
-        ElementSet(z4, frozenset({9}))
+@pytest.mark.parametrize("call", [
+    ideal_generated, subring_generated, is_two_sided_ideal, idempotents_lift_mod,
+    quotient_ring, lambda ring, ids: corner_ring(ring, ids[0]),
+], ids=["ideal_generated", "subring_generated", "is_two_sided_ideal", "idempotents_lift_mod",
+        "quotient_ring", "corner_ring"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_out_of_range_ids_are_refused(z4, call, bad):
+    # -1 is not read as element 3, nor 4 as an index error.
+    with pytest.raises(RingConstructionError, match=rf"^element ids must lie in 0\.\.3, got \[{bad}\]$"):
+        call(z4, [bad])
+    assert ideal_generated(z4, [2]).tolist() == [0, 2]
 
 
 class _Tables:
@@ -308,7 +316,6 @@ _PUBLIC_NAMES = [
     "DEFAULT_THRESHOLD",
     "Decomposition",
     "ElementProfile",
-    "ElementSet",
     "EndomorphismError",
     "FiniteRing",
     "Group",

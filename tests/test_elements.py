@@ -78,7 +78,7 @@ def test_unit_always_has_zero_decomposition(small_catalog):
 
     for entry in small_catalog:
         ring = entry.ring
-        for u in units(ring).sorted_ids():
+        for u in units(ring).tolist():
             decomps = strongly_clean_decompositions(ring, u)
             assert any(
                 d.idempotent == ring.zero and d.unit == u for d in decomps

@@ -1,6 +1,7 @@
 import pytest
 
 from ringlab import Group, RingConstructionError, cyclic, dihedral, group_from_spec, klein_four, quaternion8, symmetric3
+from oracles import element_order, reference_is_two_group
 
 
 @pytest.mark.parametrize("group,order,two_group", [
@@ -58,7 +59,16 @@ def test_group_from_spec_roundtrip():
 
 
 def test_element_orders_power_of_two_definition():
-    # D4 has order 8 but is checked element by element, not by |G|.
     d4 = dihedral(4)
-    orders = {d4.element_order(a) for a in range(8)}
+    orders = {element_order(d4, a) for a in range(8)}
     assert orders == {1, 2, 4}
+
+
+_NAMED_GROUPS = ([cyclic(n) for n in range(1, 13)] + [dihedral(n) for n in range(1, 7)]
+                 + [klein_four(), symmetric3(), quaternion8()])
+
+
+@pytest.mark.parametrize("group", _NAMED_GROUPS, ids=lambda g: g.name)
+def test_two_group_closed_form_matches_element_orders(group):
+    # Cauchy and Lagrange: every element order is a power of two iff |G| is.
+    assert group.is_two_group == reference_is_two_group(group)
