@@ -293,11 +293,12 @@ def idempotents_lift_mod(ring: FiniteRing, ideal: Iterable[int]) -> LiftReport:
     coset x + I.  On failure ``failure`` is the least x without a lift
     and ``witnesses`` holds the x below it.
     """
-    imask = np.zeros(ring.order, dtype=bool)
-    imask[element_ids(ideal, ring.order)] = True
-    if not (imask.any() and _is_ideal_mask(ring, imask)):
+    ids = element_ids(ideal, ring.order)
+    if not is_two_sided_ideal(ring, ids):
         raise IdealError(
-            f"subset {np.flatnonzero(imask).tolist()} is not a two-sided ideal of {ring.name}")
+            f"subset {np.unique(ids).tolist()} is not a two-sided ideal of {ring.name}")
+    imask = np.zeros(ring.order, dtype=bool)
+    imask[ids] = True
     return _lift_mod_mask(ring, imask)
 
 
