@@ -22,10 +22,10 @@ from typing import Optional
 from .catalog import default_catalog, load_catalog_file
 from .classify import classify, classify_element_summary
 from .construct import build, validate_spec
-from .core import DEFAULT_THRESHOLD, validate_axioms
+from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
 from .elements import element_profile
 from .errors import RinglabError, SpecError, UnknownElementError
-from .invariants import jacobson_radical, units
+from .invariants import DEFAULT_IDEAL_COUNT_LIMIT, jacobson_radical, units
 from .theorems import CHECKS, SuiteContext, run_suite, suite_to_json
 
 def _default_threshold() -> int:
@@ -61,6 +61,11 @@ def _load_spec(path: str) -> dict:
     return doc
 
 
+def _ring_of(args) -> FiniteRing:
+    """The ring that the ``--spec`` file builds, within ``--threshold``."""
+    return build(_load_spec(args.spec), threshold=args.threshold, validate=False)
+
+
 def _emit(payload: dict, as_json: bool, text_lines: list[str]):
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -70,8 +75,7 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]):
 
 
 def cmd_build(args) -> int:
-    spec = _load_spec(args.spec)
-    ring = build(spec, threshold=args.threshold, validate=False)
+    ring = _ring_of(args)
     report = validate_axioms(ring)
     payload = {
         "name": ring.name,
@@ -99,8 +103,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    spec = _load_spec(args.spec)
-    ring = build(spec, threshold=args.threshold, validate=False)
+    ring = _ring_of(args)
     cls = classify(ring)
     payload = {
         "name": ring.name,
@@ -130,8 +133,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_element(args) -> int:
-    spec = _load_spec(args.spec)
-    ring = build(spec, threshold=args.threshold, validate=False)
+    ring = _ring_of(args)
     label = args.element.strip()
     elt = ring.id_of(label)
     if elt is None and label.lstrip("-").isdigit():
@@ -269,7 +271,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; does not affect output or scheduling",
     )
     p_verify.add_argument(
-        "--lattice-limit", type=int, default=100_000,
+        "--lattice-limit", type=int, default=DEFAULT_IDEAL_COUNT_LIMIT,
         help="member bound on the one-sided ideal lattices behind the radical, "
              "quasi-duo and semi-potence oracles of crosschecks",
     )
@@ -291,9 +293,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RinglabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -552,7 +552,8 @@ def corner_ring(
 ) -> FiniteRing:
     """The unital ring e*R*e with identity e.
 
-    The embedding back into the base is ``ring.meta['embedding']``.
+    The embedding back into the base is ``ring.meta['embedding']``; the
+    corner keeps no reference to the base.
     """
     e = int(element_ids([e], base.order)[0])
     if base.mul(e, e) != e:
@@ -561,20 +562,18 @@ def corner_ring(
     ids = np.unique(base.mul_table[base.mul_table[e], e])
     ring = _restrict_to_subset(base, ids, e, spec=spec, name=spec_name(spec))
     ring.meta["embedding"] = np.asarray(sorted(int(i) for i in ids))
-    ring.meta["base_ring"] = base
-    ring.meta["idempotent"] = e
     return ring
 
 
 def subring_generated(base: FiniteRing, generators: Iterable[int]) -> FiniteRing:
     """Smallest unital subring containing the generators.
 
-    The embedding into the base is ``ring.meta['embedding']``.
+    The embedding into the base is ``ring.meta['embedding']``; the
+    subring keeps no reference to the base.
     """
     ids = _subring_closure(base, generators)
     ring = _restrict_to_subset(base, ids, base.one, name=f"sub({base.name})")
     ring.meta["embedding"] = ids
-    ring.meta["base_ring"] = base
     return ring
 
 
@@ -610,8 +609,10 @@ def group_ring(
 
     meta carries the augmentation map (``'augmentation'``: RG id ->
     base id), its kernel (``'aug_kernel'``, the sorted int64 ids of the
-    ideal generated by the elements 1 - g), and the base embedding
-    r -> r*1_G.
+    ideal generated by the elements 1 - g), the base embedding
+    r -> r*1_G (``'base_embedding'``) and the group (``'group'``).  The
+    base ring itself is not kept: a caller that needs it builds it from
+    ``spec``.
     """
     g = group.order
     order = base.order ** g
@@ -673,7 +674,6 @@ def group_ring(
         gens.append(ring.sub(gid, hid))
     ring.meta["aug_kernel"] = ideal_generated(ring, gens)
     ring.meta["group"] = group
-    ring.meta["base_ring"] = base
     return ring
 
 
@@ -856,7 +856,6 @@ def ideal_extension(
     # m is quasi-regular iff m + n + mn = 0 for some n: one row per m.
     quasi = bool((m_add[m_add, m_mul] == m_zero).any(axis=1).all())
     ring.meta["hypotheses"] = {"idempotents_central_on_m": central, "m_quasi_regular": quasi}
-    ring.meta["base_ring"] = base
     return ring
 
 
@@ -929,6 +928,7 @@ def trivial_morita(
     trivial extension of the product ring by M + N.  Each bimodule is
     validated once, as ``m-*`` and ``n-*`` laws; the componentwise action
     of A x B on M + N needs no second check.  M + N has ids m*|N| + n.
+    The context keeps no reference to A or B.
     """
     m_axis, _ = _axis_of_module(m["add"])
     n_axis, _ = _axis_of_module(n["add"])
@@ -961,9 +961,7 @@ def trivial_morita(
             "n_right": rho_n.tolist(),
         }
     }
-    ring = _module_extension(p, v_axis, lam, rho, None, v_labels, spec, threshold)
-    ring.meta["factors"] = (a, b)
-    return ring
+    return _module_extension(p, v_axis, lam, rho, None, v_labels, spec, threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ DEFAULT_THRESHOLD = 16384
 #: Full cubic axiom validation runs up to this order; above it, sampling.
 DEFAULT_AXIOM_LIMIT = 512
 
+#: Triples that the sampled mode of :func:`validate_axioms` checks.
 _SAMPLE_TRIPLES = 512
 _SEED = 0x51AB
 
@@ -71,8 +72,8 @@ class FiniteRing:
     immutable after construction and safe to share across threads.
     ``spec`` records the construction tree that produced the ring
     (``None`` for raw table rings), ``name`` defaults to ``ring<order>``,
-    and ``meta`` carries construction byproducts such as projection or
-    embedding maps.
+    and ``meta`` carries construction byproducts: maps such as a
+    projection or an embedding, and flags.  No ring holds another ring.
     """
 
     def __init__(
@@ -333,12 +334,7 @@ def additive_associativity_witness(add: np.ndarray, gens: np.ndarray) -> Optiona
     return None
 
 
-def validate_axioms(
-    ring: FiniteRing,
-    limit: int = DEFAULT_AXIOM_LIMIT,
-    *,
-    samples: int = _SAMPLE_TRIPLES,
-) -> ValidationReport:
+def validate_axioms(ring: FiniteRing, limit: int = DEFAULT_AXIOM_LIMIT) -> ValidationReport:
     """Check the ring axioms exactly, or by seeded sampling when big.
 
     Quadratic laws (closure, additive commutativity/inverses, the two
@@ -350,8 +346,8 @@ def validate_axioms(
     generators (a map additive on generators is additive everywhere),
     and multiplicative associativity on generator triples (both sides
     are trilinear).  A failure carries a real violating triple.  Above
-    the limit a fixed-seed sample of ``samples`` triples is checked
-    instead ("sampled" mode).
+    the limit a fixed-seed sample of ``_SAMPLE_TRIPLES`` triples is
+    checked instead ("sampled" mode).
     """
     n = ring.order
     mode = "full" if n <= limit else "sampled"
@@ -424,7 +420,7 @@ def validate_axioms(
 
     # Sampled cubic laws with a fixed seed: deterministic across runs.
     rng = np.random.default_rng(_SEED + n)
-    count = min(samples, n * n * n)
+    count = min(_SAMPLE_TRIPLES, n * n * n)
     a = rng.integers(0, n, size=count)
     b = rng.integers(0, n, size=count)
     c = rng.integers(0, n, size=count)
@@ -449,15 +445,14 @@ def table_ring(
     *,
     name: Optional[str] = None,
     spec: Optional[dict] = None,
-    validate: bool = True,
-    limit: int = DEFAULT_AXIOM_LIMIT,
 ) -> FiniteRing:
     """Build a validated ring from raw square add/mul tables.
 
     The additive zero and the two-sided multiplicative identity are
     located automatically; ``neg`` is derived from the add table.
     Raises :class:`RingConstructionError` on dimension mismatch,
-    non-group addition, a missing identity, or any axiom failure.
+    non-group addition, a missing identity, or any axiom failure, as
+    :func:`validate_axioms` decides it at its default limit.
     """
     n = len(add_table)
     if n == 0:
@@ -478,11 +473,8 @@ def table_ring(
         raise RingConstructionError("missing multiplicative identity")
 
     ring = FiniteRing(add, mul, zero, one, labels=labels, spec=spec, name=name)
-    if validate:
-        report = validate_axioms(ring, limit=limit)
-        if not report.ok:
-            raise RingConstructionError(
-                f"axiom {report.axiom} fails at {report.witness}"
-            )
+    report = validate_axioms(ring)
+    if not report.ok:
+        raise RingConstructionError(f"axiom {report.axiom} fails at {report.witness}")
     return ring
 

@@ -25,8 +25,6 @@ class Group:
         identity: int,
         labels: Optional[Sequence[str]] = None,
         name: str = "G",
-        *,
-        validate: bool = True,
     ):
         n = len(table)
         self.table = as_table(table, (n, n), n, RingConstructionError("group table malformed"))
@@ -34,8 +32,7 @@ class Group:
         self.identity = int(element_ids([identity], n)[0])
         self.labels = list(labels) if labels else [str(i) for i in range(self.order)]
         self.name = name
-        if validate:
-            self._validate()
+        self._validate()
         self.inverse = _derive_neg(self.table, self.identity, "group element")
 
     def mul(self, a: int, b: int) -> int:

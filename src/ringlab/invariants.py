@@ -330,19 +330,19 @@ def one_sided_ideals(
     ring: FiniteRing,
     side: str = "left",
     count_limit: int = DEFAULT_IDEAL_COUNT_LIMIT,
-    order_limit: int = DEFAULT_IDEAL_ORDER_LIMIT,
 ) -> list[frozenset[int]]:
     """All left (or right) ideals via join closure of cyclic ones.
 
-    Raises :class:`SizeOverflowError` above ``order_limit`` and
-    :class:`LatticeLimitError` when the lattice would exceed
-    ``count_limit``; bounds are reported, never silently truncated.
+    Raises :class:`SizeOverflowError` above order
+    ``DEFAULT_IDEAL_ORDER_LIMIT`` and :class:`LatticeLimitError` when
+    the lattice would exceed ``count_limit``; bounds are reported,
+    never silently truncated.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     n = ring.order
-    if n > order_limit:
-        raise SizeOverflowError(n, order_limit)
+    if n > DEFAULT_IDEAL_ORDER_LIMIT:
+        raise SizeOverflowError(n, DEFAULT_IDEAL_ORDER_LIMIT)
     add = ring.add_table
     # Row a of this table is Ra (left) or aR (right).
     mul = ring.mul_table.T if side == "left" else ring.mul_table

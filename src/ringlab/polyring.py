@@ -25,7 +25,7 @@ from .construct import trunc_poly
 from .core import FiniteRing
 from .errors import RingConstructionError
 from .invariants import get_cache
-from .elements import decomposition_counts
+from .elements import clean_decompositions, decomposition_counts
 
 _VALIDATION_DEGREE = 4
 
@@ -34,15 +34,16 @@ _VALIDATION_DEGREE = 4
 class PolyRingView:
     """Finite description of base[x] for a commutative finite base.
 
-    ``admissible_constants[e]`` lists the constant terms c with c - e a
-    unit of the base; ``nilpotent_tail`` is the coefficient set allowed
-    above degree zero in units (and hence in clean differences).
+    ``clean_counts[c]`` counts the idempotents e of the base with c - e
+    a unit: the clean decompositions of the constant c, checked against
+    base[x]/(x^4) by :func:`poly_view`.  ``nilpotent_mask`` marks the
+    coefficients allowed above degree zero in units (and hence in clean
+    differences).
     """
 
     base: FiniteRing
-    admissible_constants: dict[int, tuple[int, ...]]
-    nilpotent_tail: tuple[int, ...]
-    validated_degree: int
+    clean_counts: np.ndarray
+    nilpotent_mask: np.ndarray
 
 
 def poly_view(base: FiniteRing) -> PolyRingView:
@@ -52,19 +53,10 @@ def poly_view(base: FiniteRing) -> PolyRingView:
         raise RingConstructionError(
             f"polynomial analysis requires a commutative base, got {base.name}"
         )
-    _validate_characterizations(base)
-    unit_mask = cache.unit_mask
-    neg = base.neg_table
-    admissible = {}
-    for e in np.flatnonzero(cache.idempotent_mask):
-        e = int(e)
-        shifted = base.add_table[:, int(neg[e])]
-        admissible[e] = tuple(int(c) for c in np.flatnonzero(unit_mask[shifted]))
-    tail = tuple(int(t) for t in np.flatnonzero(cache.nilpotent_mask))
-    return PolyRingView(base, admissible, tail, _VALIDATION_DEGREE - 1)
+    return PolyRingView(base, _validate_characterizations(base), cache.nilpotent_mask)
 
 
-def _validate_characterizations(base: FiniteRing):
+def _validate_characterizations(base: FiniteRing) -> np.ndarray:
     """Check the unit/idempotent descriptions against a truncation.
 
     In base[x]/(x^4) the variable is nilpotent, so the truncation has
@@ -72,6 +64,8 @@ def _validate_characterizations(base: FiniteRing):
     restricted to the sub-claims that survive truncation: idempotents
     are exactly the constant idempotents, and a polynomial whose higher
     coefficients are all nilpotent is a unit iff its constant term is.
+    Returns the base's clean decomposition counts, which the truncation
+    has been checked to share.
     """
     trunc = trunc_poly(base, _VALIDATION_DEGREE)
     tcache = get_cache(trunc)
@@ -116,6 +110,7 @@ def _validate_characterizations(base: FiniteRing):
             f"constant {base.label_of(c)} has {base_counts[c]} decompositions "
             f"in {base.name} but {trunc_counts[c]} in {trunc.name}"
         )
+    return base_counts
 
 
 def poly_is_clean(view: PolyRingView) -> bool:
@@ -125,9 +120,7 @@ def poly_is_clean(view: PolyRingView) -> bool:
     every constant term to be clean; over a nonzero base the constant
     one is never nilpotent, so the polynomial x itself fails.
     """
-    clean_constants = {c for consts in view.admissible_constants.values() for c in consts}
-    n = view.base.order
-    return len(view.nilpotent_tail) == n and len(clean_constants) == n
+    return bool(view.nilpotent_mask.all() and (view.clean_counts > 0).all())
 
 
 def poly_is_cusc(view: PolyRingView) -> tuple[bool, dict | None]:
@@ -138,15 +131,11 @@ def poly_is_cusc(view: PolyRingView) -> tuple[bool, dict | None]:
     commutativity is automatic), so the answer reduces to: every clean
     constant admits exactly one idempotent.
     """
-    counts: dict[int, list[int]] = {}
-    for e, consts in view.admissible_constants.items():
-        for c in consts:
-            counts.setdefault(c, []).append(e)
-    for c in sorted(counts):
-        if len(counts[c]) > 1:
-            base = view.base
-            return False, {
-                "constant": base.label_of(c),
-                "idempotents": [base.label_of(e) for e in sorted(counts[c])],
-            }
-    return True, None
+    multiple = np.flatnonzero(view.clean_counts > 1)
+    if not multiple.size:
+        return True, None
+    base, c = view.base, int(multiple[0])
+    return False, {
+        "constant": base.label_of(c),
+        "idempotents": [base.label_of(d.idempotent) for d in clean_decompositions(base, c)],
+    }

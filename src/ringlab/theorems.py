@@ -38,6 +38,8 @@ from .construct import (
 from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
 from .errors import LatticeLimitError, SpecError
 from .invariants import (
+    DEFAULT_IDEAL_COUNT_LIMIT,
+    DEFAULT_IDEAL_ORDER_LIMIT,
     get_cache,
     ideal_generated,
     idempotents_lift_mod,
@@ -98,17 +100,20 @@ class TheoremReport:
 class SuiteContext:
     """Catalog plus the derived rings shared by all checks, by spec.
 
-    Classifications and radical quotients are memoized on each ring
-    handle, not here.  ``usc_reading`` names the one uniqueness reading,
-    exactly one decomposition, for the report's ``settings``.
+    Checks read a ring's parts (base, corner rings, factors) here by
+    child spec, since no ring holds another.  Classifications and
+    radical quotients are memoized on each ring handle, not here.
+    ``usc_reading`` names the one uniqueness reading, exactly one
+    decomposition, for the report's ``settings``.
 
     ``threshold`` is the largest order any build of the suite may have.
     ``quasi_duo_order_limit`` and ``quasi_duo_count_limit`` bound the
     one lattice per side that ``crosschecks`` builds for its radical,
-    quasi-duo and semi-potence oracles.  ``oracle_order_limit`` gates
-    regularity by search, ``lemma2.8`` and ``prop2.4``'s generated
-    subrings, whose closures are that check's cost;
-    ``derived_order_limit`` caps fresh triangular builds.  Of the limits
+    quasi-duo and semi-potence oracles, at :func:`one_sided_ideals`' own
+    defaults.  ``oracle_order_limit`` gates regularity by search,
+    ``lemma2.8`` and ``prop2.4``'s generated subrings, whose closures
+    are that check's cost; ``derived_order_limit`` caps fresh
+    triangular builds.  Of the limits
     only ``quasi_duo_count_limit`` (``--lattice-limit``) is set per run.
     ``iso_order_limit`` bounds nothing: the suite answers its isomorphism
     questions by closed forms.  It stays, with its ``settings`` key,
@@ -121,14 +126,14 @@ class SuiteContext:
     derived_order_limit = 1024
     iso_order_limit = 64
     oracle_order_limit = 64
-    quasi_duo_order_limit = 256
+    quasi_duo_order_limit = DEFAULT_IDEAL_ORDER_LIMIT
 
     def __init__(
         self,
         entries: Optional[list[CatalogEntry]] = None,
         *,
         threshold: int = DEFAULT_THRESHOLD,
-        quasi_duo_count_limit: int = 100_000,
+        quasi_duo_count_limit: int = DEFAULT_IDEAL_COUNT_LIMIT,
         jobs: int = 1,
     ):
         self.entries = entries if entries is not None else default_catalog(threshold)
@@ -172,6 +177,20 @@ class SuiteContext:
 
 def _spec_key(spec: dict) -> str:
     return json.dumps(spec, sort_keys=True)
+
+
+def _of_kind(ctx: SuiteContext, rep: TheoremReport, *kinds: str) -> list[tuple]:
+    """``(entry, kind, args)`` for each catalog entry whose spec is ``{kind: args}``.
+
+    The checks of a spec kind read the entry's parts as
+    ``ctx.derived(child spec)``.  With no such entry, ``rep`` gets the
+    single ``(none)`` not-applicable row.
+    """
+    out = [(entry, kind, entry.spec[kind]) for entry in ctx.entries
+           if isinstance(entry.spec, dict) for kind in kinds if kind in entry.spec]
+    if not out:
+        rep.add("(none)", NA)
+    return out
 
 
 def _is_trivial(ring: FiniteRing) -> bool:
@@ -564,33 +583,18 @@ def _check_cor2_14(ctx: SuiteContext) -> TheoremReport:
         "UUSC transfer: truncated (skew) polynomials, trivial extensions, "
         "formal triangular and triangular matrix rings",
     )
-    for entry in ctx.entries:
-        spec = entry.spec
-        if not isinstance(spec, dict):
-            continue
-        kind = next(iter(spec))
-        ring = entry.ring
-        c = classify(ring)
-        if kind in ("trunc_poly", "skew_trunc_poly"):
-            base = ctx.derived(spec[kind]["base"])
-            bc = classify(base)
-            rep.require(entry.name, c.is_UUSC == bc.is_UUSC,
-                        {"ring": c.is_UUSC, "base": bc.is_UUSC})
-        elif kind == "trivial_extension":
-            base = ctx.derived(spec[kind])
-            bc = classify(base)
-            rep.require(entry.name, c.is_UUSC == bc.is_UUSC,
-                        {"ring": c.is_UUSC, "base": bc.is_UUSC})
-        elif kind == "formal_triangular":
-            a = classify(ctx.derived(spec[kind]["a"]))
-            b = classify(ctx.derived(spec[kind]["b"]))
+    for entry, kind, args in _of_kind(ctx, rep, "trunc_poly", "skew_trunc_poly",
+                                      "trivial_extension", "formal_triangular", "triangular"):
+        c = classify(entry.ring)
+        if kind == "formal_triangular":
+            a = classify(ctx.derived(args["a"]))
+            b = classify(ctx.derived(args["b"]))
             rep.require(entry.name, c.is_UUSC == (a.is_UUSC and b.is_UUSC),
                         {"ring": c.is_UUSC, "a": a.is_UUSC, "b": b.is_UUSC})
-        elif kind == "triangular":
-            base = ctx.derived(spec[kind]["base"])
-            bc = classify(base)
-            rep.require(entry.name, c.is_UUSC == bc.is_UUSC,
-                        {"ring": c.is_UUSC, "base": bc.is_UUSC})
+            continue
+        bc = classify(ctx.derived(args if kind == "trivial_extension" else args["base"]))
+        rep.require(entry.name, c.is_UUSC == bc.is_UUSC,
+                    {"ring": c.is_UUSC, "base": bc.is_UUSC})
     return rep
 
 
@@ -598,17 +602,12 @@ def _check_morita(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport(
         "morita", "trivial Morita contexts are UUSC iff both corner rings are"
     )
-    for entry in ctx.entries:
-        spec = entry.spec
-        if not (isinstance(spec, dict) and "trivial_morita" in spec):
-            continue
+    for entry, _, args in _of_kind(ctx, rep, "trivial_morita"):
         c = classify(entry.ring)
-        a = classify(ctx.derived(spec["trivial_morita"]["a"]))
-        b = classify(ctx.derived(spec["trivial_morita"]["b"]))
+        a = classify(ctx.derived(args["a"]))
+        b = classify(ctx.derived(args["b"]))
         rep.require(entry.name, c.is_UUSC == (a.is_UUSC and b.is_UUSC),
                     {"ring": c.is_UUSC, "a": a.is_UUSC, "b": b.is_UUSC})
-    if not rep.rows:
-        rep.add("(none)", NA)
     return rep
 
 
@@ -617,13 +616,9 @@ def _check_tav(ctx: SuiteContext) -> TheoremReport:
         "tav",
         "trivial extension CUSC implies base CUSC; converse under central action",
     )
-    for entry in ctx.entries:
-        spec = entry.spec
-        if not (isinstance(spec, dict) and "trivial_extension" in spec):
-            continue
+    for entry, _, base_spec in _of_kind(ctx, rep, "trivial_extension"):
         c = classify(entry.ring)
-        base = ctx.derived(spec["trivial_extension"])
-        bc = classify(base)
+        bc = classify(ctx.derived(base_spec))
         if c.is_CUSC and not bc.is_CUSC:
             rep.add(entry.name, FAIL, "T(A,A) CUSC but A is not")
             continue
@@ -633,8 +628,6 @@ def _check_tav(ctx: SuiteContext) -> TheoremReport:
             rep.add(entry.name, FAIL, "A CUSC abelian but T(A,A) is not")
             continue
         rep.add(entry.name, PASS, {"ring": c.is_CUSC, "base": bc.is_CUSC})
-    if not rep.rows:
-        rep.add("(none)", NA)
     return rep
 
 
@@ -642,20 +635,14 @@ def _check_prop2_18(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport(
         "prop2.18", "an UUSC (CUSC) ideal extension has an UUSC (CUSC) base"
     )
-    for entry in ctx.entries:
-        spec = entry.spec
-        if not (isinstance(spec, dict) and "ideal_extension" in spec):
-            continue
+    for entry, _, args in _of_kind(ctx, rep, "ideal_extension"):
         c = classify(entry.ring)
-        base = ctx.derived(spec["ideal_extension"]["base"])
-        bc = classify(base)
+        bc = classify(ctx.derived(args["base"]))
         ok = (not c.is_UUSC or bc.is_UUSC) and (not c.is_CUSC or bc.is_CUSC)
         rep.require(entry.name, ok, {
             "extension": {"is_UUSC": c.is_UUSC, "is_CUSC": c.is_CUSC},
             "base": {"is_UUSC": bc.is_UUSC, "is_CUSC": bc.is_CUSC},
         })
-    if not rep.rows:
-        rep.add("(none)", NA)
     return rep
 
 
@@ -665,23 +652,18 @@ def _check_prop2_19(ctx: SuiteContext) -> TheoremReport:
         "base UUSC (CUSC) + central idempotent action + quasi-regular module "
         "forces the ideal extension UUSC (CUSC)",
     )
-    for entry in ctx.entries:
-        spec = entry.spec
-        if not (isinstance(spec, dict) and "ideal_extension" in spec):
-            continue
+    for entry, _, args in _of_kind(ctx, rep, "ideal_extension"):
         hyp = entry.ring.meta.get("hypotheses", {})
         if not (hyp.get("idempotents_central_on_m") and hyp.get("m_quasi_regular")):
             rep.add(entry.name, NA, {"hypotheses": hyp})
             continue
         c = classify(entry.ring)
-        bc = classify(ctx.derived(spec["ideal_extension"]["base"]))
+        bc = classify(ctx.derived(args["base"]))
         ok = (not bc.is_UUSC or c.is_UUSC) and (not bc.is_CUSC or c.is_CUSC)
         rep.require(entry.name, ok, {
             "base": {"is_UUSC": bc.is_UUSC, "is_CUSC": bc.is_CUSC},
             "extension": {"is_UUSC": c.is_UUSC, "is_CUSC": c.is_CUSC},
         })
-    if not rep.rows:
-        rep.add("(none)", NA)
     return rep
 
 
@@ -906,24 +888,20 @@ def _check_lemma4_1(ctx: SuiteContext) -> TheoremReport:
         "lemma4.1",
         "group rings whose idempotents all lie in the base: CUSC/UUSC transfer",
     )
-    for entry in ctx.entries:
+    for entry, _, args in _of_kind(ctx, rep, "group_ring"):
         ring = entry.ring
-        if not (isinstance(entry.spec, dict) and "group_ring" in entry.spec):
-            continue
         embed = set(int(x) for x in ring.meta["base_embedding"])
         idem = set(int(x) for x in np.flatnonzero(get_cache(ring).idempotent_mask))
         if not idem <= embed:
             rep.add(entry.name, NA, "idempotents outside the base")
             continue
         c = classify(ring)
-        bc = classify(ring.meta["base_ring"])
+        bc = classify(ctx.derived(args["base"]))
         ok = c.is_CUSC == bc.is_CUSC and c.is_UUSC == bc.is_UUSC
         rep.require(entry.name, ok, {
             "group_ring": {"is_CUSC": c.is_CUSC, "is_UUSC": c.is_UUSC},
             "base": {"is_CUSC": bc.is_CUSC, "is_UUSC": bc.is_UUSC},
         })
-    if not rep.rows:
-        rep.add("(none)", NA)
     return rep
 
 
@@ -931,19 +909,13 @@ def _check_prop4_4(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport(
         "prop4.4", "2-groups over semi-potent UUSC bases give UUSC group rings"
     )
-    for entry in ctx.entries:
-        ring = entry.ring
-        if not (isinstance(entry.spec, dict) and "group_ring" in entry.spec):
-            continue
-        group = ring.meta["group"]
-        bc = classify(ring.meta["base_ring"])
-        if not (group.is_two_group and bc.is_UUSC and bc.is_semi_potent):
+    for entry, _, args in _of_kind(ctx, rep, "group_ring"):
+        bc = classify(ctx.derived(args["base"]))
+        if not (entry.ring.meta["group"].is_two_group and bc.is_UUSC and bc.is_semi_potent):
             rep.add(entry.name, NA, "hypotheses unmet")
             continue
-        c = classify(ring)
+        c = classify(entry.ring)
         rep.require(entry.name, c.is_UUSC, {"is_UUSC": c.is_UUSC})
-    if not rep.rows:
-        rep.add("(none)", NA)
     return rep
 
 
@@ -953,17 +925,13 @@ def _check_thm4_3(ctx: SuiteContext) -> TheoremReport:
         "potent base, locally finite group: the group ring is CUSC/UUSC iff "
         "the base is and the group is a 2-group",
     )
-    for entry in ctx.entries:
-        ring = entry.ring
-        if not (isinstance(entry.spec, dict) and "group_ring" in entry.spec):
-            continue
-        group = ring.meta["group"]
-        bc = classify(ring.meta["base_ring"])
+    for entry, _, args in _of_kind(ctx, rep, "group_ring"):
+        bc = classify(ctx.derived(args["base"]))
         if not bc.is_potent:
             rep.add(entry.name, NA, "base not potent")
             continue
-        c = classify(ring)
-        two = group.is_two_group
+        c = classify(entry.ring)
+        two = entry.ring.meta["group"].is_two_group
         ok = (
             c.is_CUSC == (bc.is_CUSC and two)
             and c.is_UUSC == (bc.is_UUSC and two)
@@ -973,8 +941,6 @@ def _check_thm4_3(ctx: SuiteContext) -> TheoremReport:
             "base": {"is_CUSC": bc.is_CUSC, "is_UUSC": bc.is_UUSC},
             "two_group": two,
         })
-    if not rep.rows:
-        rep.add("(none)", NA)
     return rep
 
 
@@ -1004,9 +970,8 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
             # One lattice per side feeds three oracles: J as the meet of
             # the maximal left ideals, quasi-duo and semi-potence.
             try:
-                lattices = {side: one_sided_ideals(
-                    ring, side, ctx.quasi_duo_count_limit, ctx.quasi_duo_order_limit,
-                ) for side in ("left", "right")}
+                lattices = {side: one_sided_ideals(ring, side, ctx.quasi_duo_count_limit)
+                            for side in ("left", "right")}
             except LatticeLimitError as exc:
                 rep.add(entry.name, SKIP, str(exc))
                 continue
@@ -1047,7 +1012,7 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
             problems.append("units do not match the radical-quotient preimage")
         if isinstance(entry.spec, dict) and "group_ring" in entry.spec:
             eps = ring.meta["augmentation"]
-            base = ring.meta["base_ring"]
+            base = ctx.derived(entry.spec["group_ring"]["base"])
             lhs = eps[ring.mul_table]
             rhs = base.mul_table[eps[:, None], eps[None, :]]
             if not (lhs == rhs).all():

@@ -608,11 +608,9 @@ def reference_trivial_morita(a, b, m, m_left, m_right, n, n_left, n_right):
         return [amul[da[0], db[0]], vadd[lam[da[0], db[1]], rho[da[1], db[0]]]]
 
     p_labels = p.labels
-    ring = _assemble_ring(assembly, mul_digits, [p.one, v_axis.zero],
+    return _assemble_ring(assembly, mul_digits, [p.one, v_axis.zero],
                           lambda d: f"({p_labels[d[0]]},{v_labels[d[1]]})",
                           spec, spec_name(spec), DEFAULT_THRESHOLD)
-    ring.meta["factors"] = (a, b)
-    return ring
 
 
 def scalar_m_quasi_regular(m_add, m_mul, m_zero) -> bool:
@@ -659,7 +657,6 @@ def reference_ideal_extension(base, m_tables, left_action, right_action):
         "idempotents_central_on_m": central,
         "m_quasi_regular": scalar_m_quasi_regular(m_add, m_mul, m_zero),
     }
-    ring.meta["base_ring"] = base
     return ring
 
 

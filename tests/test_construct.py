@@ -1,6 +1,8 @@
+import gc
 import json
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -747,6 +749,30 @@ def test_catalog_morita_context_matches_the_loops():
     ref = reference_trivial_morita(*args)
     _assert_same_ring(build(spec), ref)
     _assert_same_extension(trivial_morita(*args), ref)
+
+
+# Z6 acts on M = Z2 through Z6 -> Z2: r.m = m.r = rm mod 2.
+_Z2_OVER_Z6 = ({"add": [[0, 1], [1, 0]]},
+               [[0, r % 2] for r in range(6)], [[0] * 6, [r % 2 for r in range(6)]])
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda base: corner_ring(base, 3), id="corner"),
+    pytest.param(lambda base: subring_generated(base, [3]), id="subring"),
+    pytest.param(lambda base: group_ring(base, cyclic(2)), id="group_ring"),
+    pytest.param(lambda base: ideal_extension(base, *_Z2_OVER_Z6), id="ideal_extension"),
+    pytest.param(lambda base: trivial_morita(base, base, *_Z2_OVER_Z6, *_Z2_OVER_Z6),
+                 id="trivial_morita"),
+])
+def test_derived_ring_does_not_keep_its_base_alive(make):
+    # meta holds maps and flags only: a derived ring outlives its base.
+    base = zn(6)
+    ring = make(base)
+    ref = weakref.ref(base)
+    del base
+    gc.collect()
+    assert ref() is None
+    assert ring.order > 1
 
 
 def test_catalog_ideal_extensions_match_their_own_assembly():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab import (
+    FiniteRing,
     IdealError,
     LatticeLimitError,
     SizeOverflowError,
@@ -17,7 +18,6 @@ from ringlab import (
     jacobson_radical,
     matrix_ring,
     nilpotents,
-    table_ring,
     triangular_ring,
     ucn0,
     units,
@@ -70,7 +70,7 @@ def test_unit_guard_rejects_a_one_sided_inverse(z4):
     # but 3*2 = 2 is no ring, and the unit kernel must say so.
     mul = np.array(z4.mul_table)
     mul[2, 3] = 1
-    broken = table_ring(np.array(z4.add_table), mul, validate=False)
+    broken = FiniteRing(z4.add_table, mul, 0, 1)
     with pytest.raises(AssertionError, match=r"2\*3=1 but 3\*2!=1"):
         get_cache(broken).unit_mask
 
@@ -81,7 +81,7 @@ def test_unit_guard_rejects_a_one_sided_hit_after_a_two_sided_one():
     z5 = zn(5)
     mul = np.array(z5.mul_table)
     mul[2, 4] = 1
-    broken = table_ring(np.array(z5.add_table), mul, validate=False)
+    broken = FiniteRing(z5.add_table, mul, 0, 1)
     with pytest.raises(AssertionError, match=r"2\*4=1 but 4\*2!=1"):
         get_cache(broken).unit_mask
 
@@ -91,7 +91,7 @@ def test_unit_guard_rejects_two_two_sided_inverses():
     z5 = zn(5)
     mul = np.array(z5.mul_table)
     mul[2, 4] = mul[4, 2] = 1
-    broken = table_ring(np.array(z5.add_table), mul, validate=False)
+    broken = FiniteRing(z5.add_table, mul, 0, 1)
     with pytest.raises(AssertionError, match="two inverses of 2"):
         get_cache(broken).unit_mask
 

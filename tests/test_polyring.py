@@ -1,9 +1,11 @@
 import importlib
 
+import numpy as np
 import pytest
 
 from ringlab import (
     RingConstructionError,
+    decomposition_counts,
     gf,
     poly_is_clean,
     poly_is_cusc,
@@ -14,14 +16,19 @@ from ringlab import (
 
 
 def _clean_constants(view):
-    return tuple(sorted({c for consts in view.admissible_constants.values() for c in consts}))
+    return tuple(np.flatnonzero(view.clean_counts > 0).tolist())
+
+
+def _nilpotent_tail(view):
+    return tuple(np.flatnonzero(view.nilpotent_mask).tolist())
 
 
 def test_z2_clean_set_is_constants(z2):
     view = poly_view(z2)
     assert _clean_constants(view) == (0, 1)
-    assert view.nilpotent_tail == (0,)
-    assert view.admissible_constants == {0: (1,), 1: (0,)}
+    assert _nilpotent_tail(view) == (0,)
+    # One idempotent per constant: 0 = 1 + 1 and 1 = 0 + 1.
+    assert view.clean_counts.tolist() == [1, 1]
 
 
 def test_z2_flagship(z2):
@@ -40,7 +47,7 @@ def test_z3_fails_on_constant_two(z3):
 
 def test_z4_view(z4):
     view = poly_view(z4)
-    assert view.nilpotent_tail == (0, 2)
+    assert _nilpotent_tail(view) == (0, 2)
     # All four constants are clean (Z4 is a clean ring) ...
     assert _clean_constants(view) == (0, 1, 2, 3)
     # ... and each admits exactly one idempotent.
@@ -72,9 +79,11 @@ def test_noncommutative_base_rejected():
 ])
 def test_bounded_degree_validation_passes(base_builder):
     # poly_view raises AssertionError if the classical unit/idempotent
-    # characterizations disagree with brute force in base[x]/(x^4).
-    view = poly_view(base_builder())
-    assert view.validated_degree == 3
+    # characterizations disagree with brute force in base[x]/(x^4); the
+    # view keeps the base's clean counts that the truncation confirmed.
+    base = base_builder()
+    view = poly_view(base)
+    assert view.clean_counts.tolist() == decomposition_counts(base)[0].tolist()
 
 
 @pytest.mark.parametrize("base_builder", [

@@ -217,6 +217,17 @@ def test_crosschecks_builds_one_lattice_per_ring_and_side(suite_ctx, monkeypatch
     assert Counter(calls) == Counter((n, side) for n in small for side in ("left", "right"))
 
 
+_SPEC_KIND_CHECKS = ("cor2.14", "morita", "tav", "prop2.18", "prop2.19",
+                     "lemma4.1", "prop4.4", "thm4.3")
+
+
+@pytest.mark.parametrize("check_id", _SPEC_KIND_CHECKS)
+def test_spec_kind_check_without_instances_reports_none(check_id):
+    ctx = SuiteContext([CatalogEntry("Z2", {"zn": 2}, zn(2))])
+    rows = [r.to_json() for r in run_suite(ctx, [check_id])[0].rows]
+    assert rows == [{"ring": "(none)", "verdict": "not-applicable"}]
+
+
 def test_radical_oracle_reaches_order_256():
     # Z2Q8 is local, J its augmentation ideal: a zero J must be caught.
     spec = dict(DEFAULT_SPECS)["Z2Q8"]
