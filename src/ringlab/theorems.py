@@ -586,15 +586,10 @@ def _check_cor2_14(ctx: SuiteContext) -> TheoremReport:
     for entry, kind, args in _of_kind(ctx, rep, "trunc_poly", "skew_trunc_poly",
                                       "trivial_extension", "formal_triangular", "triangular"):
         c = classify(entry.ring)
-        if kind == "formal_triangular":
-            a = classify(ctx.derived(args["a"]))
-            b = classify(ctx.derived(args["b"]))
-            rep.require(entry.name, c.is_UUSC == (a.is_UUSC and b.is_UUSC),
-                        {"ring": c.is_UUSC, "a": a.is_UUSC, "b": b.is_UUSC})
-            continue
-        bc = classify(ctx.derived(args if kind == "trivial_extension" else args["base"]))
-        rep.require(entry.name, c.is_UUSC == bc.is_UUSC,
-                    {"ring": c.is_UUSC, "base": bc.is_UUSC})
+        parts = [classify(ctx.derived(s)).is_UUSC for s in _FAMILIES[kind].children(args)]
+        names = ("a", "b") if kind == "formal_triangular" else ("base",)
+        rep.require(entry.name, c.is_UUSC == all(parts),
+                    {"ring": c.is_UUSC, **dict(zip(names, parts))})
     return rep
 
 
