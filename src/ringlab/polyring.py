@@ -30,7 +30,7 @@ from .elements import clean_decompositions, decomposition_counts
 _VALIDATION_DEGREE = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyRingView:
     """Finite description of base[x] for a commutative finite base.
 
