@@ -36,7 +36,9 @@ Each spec kind is one row of ``_FAMILIES``: its child specs, its order
 from the child orders, its display name from the child names, and its
 constructor call.  :func:`build`, the oversize pre-check and
 :func:`spec_name` are walks over that table, so a new family is one row
-there plus its entry in ``ringspec.schema.json``.
+there plus its entry in ``ringspec.schema.json``.  A group ring reads its
+group spec through the kind table of :mod:`ringlab.groups`, so its order
+and name come from the spec and its group is built once.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .errors import (
     RingConstructionError,
     SpecError,
 )
-from .groups import Group, group_from_spec
+from .groups import Group, group_from_spec, group_name, group_order
 from .invariants import get_cache, ideal_generated
 
 _BUILD_VALIDATE_LIMIT = 256
@@ -366,25 +368,33 @@ def gf(p: int, k: int, *, threshold: int = DEFAULT_THRESHOLD, spec: Optional[dic
                    for shifted, c, b in zip(acc[1:] + [0], carry, db)]
         return acc
 
+    powers = _powers("w", k)
     return _assemble_ring(assembly, mul_digits, [0] * (k - 1) + [1],
-                          lambda digits: _poly_label(digits[::-1], "w", zp),
+                          lambda digits: _sum_label(digits[::-1], powers, zp),
                           spec, spec_name(spec), threshold)
 
 
-def _poly_label(coeffs: Sequence[int], var: str, base: FiniteRing) -> str:
-    """``c0+c1*var+...`` in ``base``'s labels, coefficients from degree 0."""
+def _powers(var: str, n: int) -> list:
+    """The symbols of 1, var, ..., var^(n-1) for :func:`_sum_label`."""
+    return [None, var] + [f"{var}^{deg}" for deg in range(2, n)]
+
+
+def _sum_label(coeffs: Sequence[int], symbols: Sequence[Optional[str]], base: FiniteRing) -> str:
+    """``c0+c1*s1+...`` in ``base``'s labels; the symbol None marks the constant term.
+
+    Zero terms are skipped and a unit coefficient shows only its symbol.
+    """
     labels = base.labels
     terms = []
-    for deg, c in enumerate(coeffs):
+    for c, sym in zip(coeffs, symbols):
         if c == base.zero:
             continue
-        power = "" if deg == 0 else (var if deg == 1 else f"{var}^{deg}")
-        if deg == 0:
+        if sym is None:
             terms.append(labels[c])
         elif c == base.one:
-            terms.append(power)
+            terms.append(sym)
         else:
-            terms.append(f"{labels[c]}*{power}")
+            terms.append(f"{labels[c]}*{sym}")
     return "+".join(terms) if terms else labels[base.zero]
 
 
@@ -559,10 +569,15 @@ def corner_ring(
     if base.mul(e, e) != e:
         raise RingConstructionError(f"element {e} is not idempotent in {base.name}")
     spec = spec or {"corner": {"base": base.spec, "idempotent": e}}
-    ids = np.unique(base.mul_table[base.mul_table[e], e])
+    ids = _corner_subset(base, e).astype(np.int64)
     ring = _restrict_to_subset(base, ids, e, spec=spec, name=spec_name(spec))
-    ring.meta["embedding"] = np.asarray(sorted(int(i) for i in ids))
+    ring.meta["embedding"] = ids
     return ring
+
+
+def _corner_subset(ring: FiniteRing, e: int) -> np.ndarray:
+    """The sorted ids of e*R*e."""
+    return np.unique(ring.mul_table[ring.mul_table[e], e])
 
 
 def subring_generated(base: FiniteRing, generators: Iterable[int]) -> FiniteRing:
@@ -612,7 +627,8 @@ def group_ring(
     ideal generated by the elements 1 - g), the base embedding
     r -> r*1_G (``'base_embedding'``) and the group (``'group'``).  The
     base ring itself is not kept: a caller that needs it builds it from
-    ``spec``.
+    ``spec``.  The default spec holds ``group.spec``, so building it
+    gives the same ring, labels included.
     """
     g = group.order
     order = base.order ** g
@@ -631,72 +647,25 @@ def group_ring(
 
     one_digits = [base.zero] * g
     one_digits[group.identity] = base.one
-    base_labels = base.labels
-    glabels = group.labels
-
-    def label_fn(digits):
-        terms = []
-        for pos, c in enumerate(digits):
-            if c == base.zero:
-                continue
-            coeff = base_labels[c]
-            sym = glabels[pos]
-            if pos == group.identity:
-                terms.append(coeff)
-            elif c == base.one:
-                terms.append(sym)
-            else:
-                terms.append(f"{coeff}*{sym}")
-        return "+".join(terms) if terms else base_labels[base.zero]
-
-    spec = spec or {"group_ring": {"base": base.spec, "group": _group_spec_of(group)}}
-    ring = _assemble_ring(assembly, mul_digits, one_digits, label_fn,
+    symbols = [None if h == group.identity else label for h, label in enumerate(group.labels)]
+    spec = spec or {"group_ring": {"base": base.spec, "group": group.spec}}
+    ring = _assemble_ring(assembly, mul_digits, one_digits,
+                          lambda digits: _sum_label(digits, symbols, base),
                           spec, spec_name(spec), threshold)
 
     eps = None
     for digits in assembly.grid(0, len(assembly.open_axes)):
         eps = digits if eps is None else aadd[eps, digits]
     ring.meta["augmentation"] = np.broadcast_to(eps, assembly.shape).reshape(order)
-    embed = np.zeros(base.order, dtype=np.int64)
-    for r in range(base.order):
-        digits = [base.zero] * g
-        digits[group.identity] = r
-        embed[r] = assembly.encode_one(digits)
-    ring.meta["base_embedding"] = embed
-    gens = []
-    for h in range(group.order):
-        digits = [base.zero] * g
-        digits[group.identity] = base.one
-        gid = assembly.encode_one(digits)
-        digits2 = [base.zero] * g
-        digits2[h] = base.one
-        hid = assembly.encode_one(digits2)
-        gens.append(ring.sub(gid, hid))
-    ring.meta["aug_kernel"] = ideal_generated(ring, gens)
+    # The element with digit d on axis h alone is 0 + w_h * (d - 0_R).
+    weights = np.asarray(assembly.weights, dtype=np.int64)
+    ring.meta["base_embedding"] = (
+        ring.zero + weights[group.identity] * (np.arange(base.order) - base.zero))
+    group_ids = ring.zero + weights * (base.one - base.zero)
+    ring.meta["aug_kernel"] = ideal_generated(
+        ring, ring.add_table[ring.one, ring.neg_table[group_ids]])
     ring.meta["group"] = group
     return ring
-
-
-def _group_spec_of(group: Group):
-    name = group.name
-    if name.startswith("C") and name[1:].isdigit():
-        return {"cyclic": int(name[1:])}
-    if name == "V4":
-        return "klein_four"
-    if name == "S3":
-        return "symmetric3"
-    if name == "Q8":
-        return "quaternion8"
-    if name.startswith("D") and name[1:].isdigit():
-        return {"dihedral": int(name[1:])}
-    return {
-        "table": {
-            "mul": group.table.tolist(),
-            "identity": group.identity,
-            "labels": group.labels,
-            "name": group.name,
-        }
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1026,8 +995,9 @@ def skew_trunc_poly(
     if spec is None:
         alpha_spec = alpha if isinstance(alpha, (str, dict)) else {"map": alpha_vec.tolist()}
         spec = {"skew_trunc_poly": {"base": base.spec, "alpha": alpha_spec, "n": n}}
+    powers = _powers("x", n)
     return _assemble_ring(assembly, mul_digits, one_digits,
-                          lambda digits: _poly_label(digits, "x", base),
+                          lambda digits: _sum_label(digits, powers, base),
                           spec, spec_name(spec), threshold)
 
 
@@ -1124,21 +1094,6 @@ def _power_order(cells: Callable[[int], int]) -> Callable[..., Optional[int]]:
     return order
 
 
-def _group_name(gspec) -> str:
-    if isinstance(gspec, str):
-        return {"klein_four": "V4", "symmetric3": "S3", "quaternion8": "Q8"}.get(
-            gspec, gspec
-        )
-    if isinstance(gspec, dict):
-        if "cyclic" in gspec:
-            return f"C{gspec['cyclic']}"
-        if "dihedral" in gspec:
-            return f"D{gspec['dihedral']}"
-        if "table" in gspec:
-            return "G"
-    return "G"
-
-
 #: Every spec kind of ``ringspec.schema.json``, with the fields of
 #: :class:`_Family` in order.  A new family is one row here plus its
 #: schema entry.
@@ -1166,8 +1121,8 @@ _FAMILIES: dict[str, _Family] = {
         lambda a: [a["base"]], None, lambda a, base: f"corner({base})",
         lambda a, spec, t, base: corner_ring(base, int(a["idempotent"]), spec=spec)),
     "group_ring": _Family(
-        lambda a: [a["base"]], lambda a, base: base ** group_from_spec(a["group"]).order,
-        lambda a, base: f"{base}[{_group_name(a['group'])}]",
+        lambda a: [a["base"]], lambda a, base: base ** group_order(a["group"]),
+        lambda a, base: f"{base}[{group_name(a['group'])}]",
         lambda a, spec, t, base: group_ring(
             base, group_from_spec(a["group"]), threshold=t, spec=spec)),
     "trivial_extension": _Family(

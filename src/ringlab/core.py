@@ -450,9 +450,10 @@ def table_ring(
 
     The additive zero and the two-sided multiplicative identity are
     located automatically; ``neg`` is derived from the add table.
-    Raises :class:`RingConstructionError` on dimension mismatch,
-    non-group addition, a missing identity, or any axiom failure, as
-    :func:`validate_axioms` decides it at its default limit.
+    Raises :class:`RingConstructionError` on dimension mismatch, a label
+    count other than the order, non-group addition, a missing identity,
+    or any axiom failure, as :func:`validate_axioms` decides it at its
+    default limit.
     """
     n = len(add_table)
     if n == 0:
@@ -461,6 +462,8 @@ def table_ring(
         f"add table must be {n} rows of {n} ids below {n}"))
     mul = as_table(mul_table, (n, n), n, RingConstructionError(
         f"table dimension mismatch: mul must be {n} rows of {n} ids below {n}, as add is"))
+    if labels is not None and len(labels) != n:
+        raise RingConstructionError(f"table has {n} elements but {len(labels)} labels")
     zero = identity_row(add)
     if zero is None:
         raise RingConstructionError("addition has no zero row (not a group)")

@@ -1,14 +1,17 @@
-"""Finite groups as validated multiplication tables.
+"""Finite groups as validated multiplication tables, and the group-spec codec.
 
 Groups feed the group-ring constructor.  Named families cover the
 catalog's needs; arbitrary groups can be supplied as raw tables and are
 validated exhaustively either way.
+Each group-spec kind is one row of ``_KINDS``, which gives its order,
+name and group from its arguments.  ``Group.spec`` rebuilds a group: a
+named family records its own spec, any other group its table.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,10 +33,14 @@ class Group:
         self.table = as_table(table, (n, n), n, RingConstructionError("group table malformed"))
         self.order = n
         self.identity = int(element_ids([identity], n)[0])
-        self.labels = list(labels) if labels else [str(i) for i in range(self.order)]
+        if labels is not None and len(labels) != n:
+            raise RingConstructionError(f"group has {n} elements but {len(labels)} labels")
+        self.labels = [str(i) for i in range(n)] if labels is None else list(labels)
         self.name = name
         self._validate()
         self.inverse = _derive_neg(self.table, self.identity, "group element")
+        self.spec = {"table": {"mul": self.table.tolist(), "identity": self.identity,
+                               "labels": self.labels, "name": name}}
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -66,41 +73,44 @@ class Group:
         return f"<Group {self.name} order={self.order}>"
 
 
-def cyclic(n: int) -> Group:
+def _positive(n, what: str) -> int:
+    n = int(n)
     if n < 1:
-        raise SpecError(f"cyclic group order must be positive, got {n}")
+        raise SpecError(f"{what} must be positive, got {n}")
+    return n
+
+
+def _named(spec, table, identity: int, labels: Sequence[str]) -> Group:
+    """A named family's group: named by the kind table, recording ``spec``."""
+    group = Group(table, identity, labels, name=group_name(spec))
+    group.spec = spec
+    return group
+
+
+def cyclic(n: int) -> Group:
+    n = _positive(n, "cyclic group order")
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     labels = ["1"] + ["g" if i == 1 else f"g^{i}" for i in range(1, n)]
-    return Group(table, 0, labels, name=f"C{n}")
+    return _named({"cyclic": n}, table, 0, labels)
 
 
 def klein_four() -> Group:
     table = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-    return Group(table, 0, ["1", "a", "b", "ab"], name="V4")
+    return _named("klein_four", table, 0, ["1", "a", "b", "ab"])
 
 
 def dihedral(n: int) -> Group:
     """Symmetries of the regular n-gon, order 2n; ids (flip, rotation)."""
-    if n < 1:
-        raise SpecError(f"dihedral parameter must be positive, got {n}")
-    order = 2 * n
-
-    def enc(k, i):
-        return k * n + i
-
-    table = np.zeros((order, order), dtype=np.int64)
-    for k1 in (0, 1):
-        for i1 in range(n):
-            for k2 in (0, 1):
-                for i2 in range(n):
-                    i = (i1 * (-1 if k2 else 1) + i2) % n
-                    table[enc(k1, i1), enc(k2, i2)] = enc(k1 ^ k2, i)
+    n = _positive(n, "dihedral parameter")
+    # (k1, i1)(k2, i2) = (k1 ^ k2, (-1)^k2 * i1 + i2) on ids k * n + i.
+    k, i = np.divmod(np.arange(2 * n), n)
+    table = (k[:, None] ^ k) * n + (i[:, None] * (1 - 2 * k) + i) % n
     labels = []
     for k in (0, 1):
         for i in range(n):
             rot = "1" if i == 0 else ("r" if i == 1 else f"r^{i}")
             labels.append(rot if k == 0 else ("s" if i == 0 else f"s{rot}"))
-    return Group(table, 0, labels, name=f"D{n}")
+    return _named({"dihedral": n}, table, 0, labels)
 
 
 def symmetric3() -> Group:
@@ -113,7 +123,7 @@ def symmetric3() -> Group:
             comp = tuple(p[q[k]] for k in range(3))
             table[i, j] = index[comp]
     labels = [_cycle_label(p) for p in perms]
-    return Group(table, index[(0, 1, 2)], labels, name="S3")
+    return _named("symmetric3", table, index[(0, 1, 2)], labels)
 
 
 def _cycle_label(perm: tuple) -> str:
@@ -152,31 +162,60 @@ def quaternion8() -> Group:
             s, x = basis[(x1, x2)]
             table[a, b] = enc(s1 * s2 * s, x)
     labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return Group(table, 0, labels, name="Q8")
+    return _named("quaternion8", table, 0, labels)
+
+
+# ---------------------------------------------------------------------------
+# the group-spec codec: one row per kind
+
+
+class _Kind(NamedTuple):
+    """A group-spec kind, spelled ``{kind: args}`` or, if ``bare``, by its name alone."""
+
+    bare: bool
+    order: Callable[[object], int]
+    name: Callable[[object], str]
+    make: Callable[[object], Group]
+
+
+#: Every group-spec kind of ``ringspec.schema.json`` (its ``groupspec``).
+_KINDS: dict[str, _Kind] = {
+    "cyclic": _Kind(False, lambda n: _positive(n, "cyclic group order"), lambda n: f"C{n}", cyclic),
+    "dihedral": _Kind(False, lambda n: 2 * _positive(n, "dihedral parameter"),
+                      lambda n: f"D{n}", dihedral),
+    "klein_four": _Kind(True, lambda _: 4, lambda _: "V4", lambda _: klein_four()),
+    "symmetric3": _Kind(True, lambda _: 6, lambda _: "S3", lambda _: symmetric3()),
+    "quaternion8": _Kind(True, lambda _: 8, lambda _: "Q8", lambda _: quaternion8()),
+    "table": _Kind(False, lambda a: len(a["mul"]), lambda a: a.get("name", "G"),
+                   lambda a: Group(a["mul"], a.get("identity", 0), a.get("labels"),
+                                   name=a.get("name", "G"))),
+}
+
+
+def _kind_of(gspec) -> tuple[_Kind, object]:
+    """The table row of a group spec, and the spec's arguments."""
+    node = {gspec: None} if isinstance(gspec, str) else gspec
+    if isinstance(node, dict) and len(node) == 1:
+        (kind, args), = node.items()
+        row = _KINDS.get(kind)
+        if row is not None and row.bare == (args is None):
+            return row, args
+    raise SpecError(f"unrecognized group spec {gspec!r}")
 
 
 def group_from_spec(gspec) -> Group:
     """Build a group from its JSON spec node."""
-    if isinstance(gspec, str):
-        named = {
-            "klein_four": klein_four,
-            "symmetric3": symmetric3,
-            "quaternion8": quaternion8,
-        }
-        if gspec not in named:
-            raise SpecError(f"unknown group family {gspec!r}")
-        return named[gspec]()
-    if isinstance(gspec, dict) and len(gspec) == 1:
-        kind, args = next(iter(gspec.items()))
-        if kind == "cyclic":
-            return cyclic(int(args))
-        if kind == "dihedral":
-            return dihedral(int(args))
-        if kind == "table":
-            return Group(
-                args["mul"],
-                args.get("identity", 0),
-                args.get("labels"),
-                name=args.get("name", "G"),
-            )
-    raise SpecError(f"unrecognized group spec {gspec!r}")
+    row, args = _kind_of(gspec)
+    return row.make(args)
+
+
+def group_order(gspec) -> int:
+    """The order of the group ``gspec`` builds, read without building it."""
+    row, args = _kind_of(gspec)
+    return row.order(args)
+
+
+def group_name(gspec) -> str:
+    """The display name of the group ``gspec`` builds, read without building it."""
+    row, args = _kind_of(gspec)
+    return row.name(args)

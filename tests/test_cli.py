@@ -201,6 +201,10 @@ _MALFORMED_SPECS = {
         "base": {"zn": 2}, "group": {"table": {"mul": [[0, 1], [1]]}}}},
     "group-identity-5": {"group_ring": {
         "base": {"zn": 2}, "group": {"table": {"mul": _V2, "identity": 5}}}},
+    "group-labels-1": {"group_ring": {
+        "base": {"zn": 2}, "group": {"table": {"mul": [[0, 1], [1, 0]], "labels": ["e"]}}}},
+    "table-labels-1": {"table": {
+        "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "labels": ["0"]}},
     "quotient-generator-4": {"quotient": {"base": {"zn": 4}, "generators": [4]}},
     "corner-idempotent-9": {"corner": {"base": {"zn": 4}, "idempotent": 9}},
 }

@@ -14,6 +14,7 @@ from ringlab.core import FiniteRing, _derive_neg, dtype_for
 from ringlab import (
     BimoduleError,
     EndomorphismError,
+    Group,
     RingConstructionError,
     SizeOverflowError,
     SpecError,
@@ -21,6 +22,7 @@ from ringlab import (
     construct,
     corner_ring,
     cyclic,
+    dihedral,
     formal_triangular,
     gf,
     group_ring,
@@ -28,12 +30,15 @@ from ringlab import (
     idempotents,
     ideal_generated,
     jacobson_radical,
+    klein_four,
     matrix_ring,
     opposite_ring,
     product_ring,
+    quaternion8,
     quotient_ring,
     skew_trunc_poly,
     subring_generated,
+    symmetric3,
     table_ring,
     triangular_ring,
     trivial_extension,
@@ -464,9 +469,40 @@ def test_every_family_builds_one_ring_class(suite_ctx):
 
 def test_group_rings_name_their_group():
     table_c2 = {"table": {"mul": [[0, 1], [1, 0]], "identity": 0, "labels": ["e", "g"]}}
+    named_c2 = {"table": {"mul": [[0, 1], [1, 0]], "name": "H"}}
     names = [build({"group_ring": {"base": Z2, "group": group}}).name
-             for group in ("klein_four", "quaternion8", {"dihedral": 3}, table_c2)]
-    assert names == ["Z2[V4]", "Z2[Q8]", "Z2[D3]", "Z2[G]"]
+             for group in ("klein_four", "quaternion8", {"dihedral": 3}, table_c2, named_c2)]
+    assert names == ["Z2[V4]", "Z2[Q8]", "Z2[D3]", "Z2[G]", "Z2[H]"]
+
+
+#: C3 on ids (g, e, g^2): a table group whose identity is not id 0.
+_RELABELLED_C3 = Group([[2, 0, 1], [0, 1, 2], [1, 2, 0]], 1, labels=["g", "e", "g2"], name="H")
+
+
+@pytest.mark.parametrize("group", [
+    cyclic(1), cyclic(4), dihedral(3), klein_four(), symmetric3(), quaternion8(),
+    Group([[1, 0], [0, 1]], 1, labels=["a", "e"], name="C2"), _RELABELLED_C3,
+], ids=lambda g: g.name)
+def test_group_ring_spec_rebuilds_it(group):
+    base = zn(3) if group.order <= 3 else zn(2)
+    ring = group_ring(base, group)
+    rebuilt = build(ring.spec)
+    assert (rebuilt.name, rebuilt.labels) == (ring.name, ring.labels)
+    for table in ("add_table", "mul_table", "neg_table"):
+        assert np.array_equal(getattr(rebuilt, table), getattr(ring, table)), table
+    # r*1_G is labelled by r alone, and the kernel of the augmentation is <1 - g>.
+    assert [ring.labels[x] for x in ring.meta["base_embedding"]] == base.labels
+    assert np.array_equal(ring.meta["aug_kernel"],
+                          np.flatnonzero(ring.meta["augmentation"] == base.zero))
+
+
+def test_group_ring_build_validates_its_group_once(monkeypatch):
+    calls = []
+    validate = Group._validate
+    monkeypatch.setattr(Group, "_validate", lambda group: calls.append(group.name) or validate(group))
+    build({"group_ring": {"base": Z2, "group": "quaternion8"}})
+    build({"group_ring": {"base": Z2, "group": {"table": {"mul": [[0, 1], [1, 0]]}}}})
+    assert calls == ["Q8", "G"]
 
 
 def test_every_constructor_output_validates(small_catalog):

@@ -1,6 +1,12 @@
+import itertools
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from ringlab import Group, RingConstructionError, cyclic, dihedral, group_from_spec, klein_four, quaternion8, symmetric3
+from ringlab import construct, groups
 from oracles import element_order, reference_is_two_group
 
 
@@ -47,6 +53,32 @@ def test_invalid_table_rejected():
         Group([[0, 1], [1, 1]], 0)  # row 1 repeats: not a permutation
     with pytest.raises(RingConstructionError):
         Group([[1, 0], [0, 1]], 0)  # 0 is not an identity
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dihedral_table_follows_its_product_rule(n):
+    d = dihedral(n)
+    for k1, i1, k2, i2 in itertools.product((0, 1), range(n), (0, 1), range(n)):
+        assert d.mul(k1 * n + i1, k2 * n + i2) == (k1 ^ k2) * n + ((-1) ** k2 * i1 + i2) % n
+
+
+def test_label_count_must_match_order():
+    assert Group([[0, 1], [1, 0]], 0, labels=np.array(["e", "g"])).labels == ["e", "g"]
+    with pytest.raises(RingConstructionError, match="2 elements but 1 labels"):
+        Group([[0, 1], [1, 0]], 0, labels=["e"])
+
+
+def test_schema_codec_and_docs_list_the_same_group_kinds():
+    alternatives = construct.load_schema()["$defs"]["groupspec"]["oneOf"]
+    bare = sorted(kind for alt in alternatives for kind in alt.get("enum", []))
+    keyed = sorted(kind for alt in alternatives for kind in alt.get("required", []))
+    doc = (Path(__file__).parents[1] / "docs" / "ringspec_schema.md").read_text()
+    section = doc.split("## Group specs", 1)[1].split("\n## ", 1)[0]
+    assert sorted(re.findall(r'`"(\w+)"`', section)) == bare
+    assert sorted(re.findall(r'`\{"(\w+)":', section)) == keyed
+    assert sorted(k for k, row in groups._KINDS.items() if row.bare) == bare
+    assert sorted(k for k, row in groups._KINDS.items() if not row.bare) == keyed
+    assert len(bare) + len(keyed) == 6
 
 
 def test_group_from_spec_roundtrip():

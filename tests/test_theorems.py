@@ -23,10 +23,9 @@ from ringlab.catalog import DEFAULT_SPECS, CatalogEntry
 from ringlab.classify import radical_quotient
 from ringlab.errors import SpecError
 from ringlab.invariants import get_cache
-from ringlab.construct import _subring_closure
+from ringlab.construct import _corner_subset, _subring_closure
 from ringlab.theorems import (
     _check_thm3_10,
-    _corner_subset,
     _corner_two_good_witness,
     _is_m2_f2_corner,
     _nonzero_idempotents,
