@@ -3,6 +3,7 @@
 Groups feed the group-ring constructor.  Named families cover the
 catalog's needs; arbitrary groups can be supplied as raw tables and are
 validated exhaustively either way.
+
 Each group-spec kind is one row of ``_KINDS``, which gives its order,
 name and group from its arguments.  ``Group.spec`` rebuilds a group: a
 named family records its own spec, any other group its table.
