@@ -10,10 +10,9 @@ radical quotients of a few members.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .construct import build
+from .construct import build, read_json
 from .core import DEFAULT_THRESHOLD, FiniteRing
 from .errors import SpecError
 from .invariants import jacobson_radical
@@ -180,6 +179,4 @@ def catalog_from_manifest(doc, threshold: int = DEFAULT_THRESHOLD) -> list[Catal
 
 
 def load_catalog_file(path, threshold: int = DEFAULT_THRESHOLD) -> list[CatalogEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return catalog_from_manifest(doc, threshold=threshold)
+    return catalog_from_manifest(read_json(path, "catalog manifest"), threshold=threshold)

@@ -21,12 +21,12 @@ from typing import Optional
 
 from .catalog import default_catalog, load_catalog_file
 from .classify import classify, classify_element_summary
-from .construct import build, validate_spec
+from .construct import build, read_json
 from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
 from .elements import element_profile
 from .errors import RinglabError, SpecError, UnknownElementError
-from .invariants import DEFAULT_IDEAL_COUNT_LIMIT, jacobson_radical, units
-from .theorems import CHECKS, SuiteContext, run_suite, suite_to_json
+from .invariants import jacobson_radical, units
+from .theorems import SuiteContext, run_suite, select_checks, suite_to_json
 
 def _default_threshold() -> int:
     env = os.environ.get("RINGLAB_THRESHOLD")
@@ -49,21 +49,9 @@ def _add_common(parser: argparse.ArgumentParser, spec_required: bool = False):
     )
 
 
-def _load_spec(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise SpecError(f"spec file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"spec file is not valid JSON: {exc}")
-    validate_spec(doc)
-    return doc
-
-
 def _ring_of(args) -> FiniteRing:
     """The ring that the ``--spec`` file builds, within ``--threshold``."""
-    return build(_load_spec(args.spec), threshold=args.threshold, validate=False)
+    return build(read_json(args.spec, "spec file"), threshold=args.threshold)
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]):
@@ -190,19 +178,8 @@ def _load_entries(args):
 
 
 def cmd_verify(args) -> int:
-    check_ids: Optional[list[str]] = None
-    if args.theorem:
-        check_ids = [t.strip() for t in args.theorem.split(",") if t.strip()]
-        unknown = [t for t in check_ids if t not in CHECKS]
-        if unknown:
-            raise SpecError(f"unknown theorem ids: {', '.join(sorted(unknown))}")
-    entries = _load_entries(args)
-    ctx = SuiteContext(
-        entries,
-        threshold=args.threshold,
-        jobs=args.jobs,
-        quasi_duo_count_limit=args.lattice_limit,
-    )
+    check_ids = None if args.theorem is None else select_checks(args.theorem.split(","))
+    ctx = SuiteContext(_load_entries(args), threshold=args.threshold, jobs=args.jobs)
     reports = run_suite(ctx, check_ids)
     payload = suite_to_json(ctx, reports)
     lines = []
@@ -269,11 +246,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1,
         help="accepted for compatibility; does not affect output or scheduling",
-    )
-    p_verify.add_argument(
-        "--lattice-limit", type=int, default=DEFAULT_IDEAL_COUNT_LIMIT,
-        help="member bound on the one-sided ideal lattices behind the radical, "
-             "quasi-duo and semi-potence oracles of crosschecks",
     )
     p_verify.set_defaults(fn=cmd_verify)
     return parser

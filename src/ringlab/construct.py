@@ -1033,6 +1033,21 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
+def read_json(path, what: str):
+    """The JSON document in the file at ``path``, ``what`` naming it in errors.
+
+    A missing, unreadable, non-UTF-8 or non-JSON file raises
+    :class:`SpecError`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SpecError(f"cannot read {what} {path}: {exc.strerror}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SpecError(f"{what} {path} is not UTF-8 JSON: {exc}")
+
+
 def validate_spec(spec) -> None:
     """Validate a spec document against the shipped JSON schema.
 

@@ -326,17 +326,13 @@ def _lift_mod_mask(ring: FiniteRing, imask: np.ndarray) -> LiftReport:
     return LiftReport(True, witnesses)
 
 
-def one_sided_ideals(
-    ring: FiniteRing,
-    side: str = "left",
-    count_limit: int = DEFAULT_IDEAL_COUNT_LIMIT,
-) -> list[frozenset[int]]:
+def one_sided_ideals(ring: FiniteRing, side: str = "left") -> list[frozenset[int]]:
     """All left (or right) ideals via join closure of cyclic ones.
 
     Raises :class:`SizeOverflowError` above order
     ``DEFAULT_IDEAL_ORDER_LIMIT`` and :class:`LatticeLimitError` when
-    the lattice would exceed ``count_limit``; bounds are reported,
-    never silently truncated.
+    the lattice would exceed ``DEFAULT_IDEAL_COUNT_LIMIT`` members;
+    bounds are reported, never silently truncated.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -350,6 +346,7 @@ def one_sided_ideals(
         {frozenset(np.unique(mul[a]).tolist()) for a in range(n)},
         key=lambda s: (len(s), sorted(s)),
     )
+    count_limit = DEFAULT_IDEAL_COUNT_LIMIT
     if len(cyclic) > count_limit:
         raise LatticeLimitError(count_limit)
     known: set[frozenset[int]] = set(cyclic)

@@ -102,7 +102,8 @@ def _validate_characterizations(base: FiniteRing) -> np.ndarray:
 
     # Constants decompose in the truncation exactly as in the base.
     base_counts = decomposition_counts(base)[0]
-    trunc_counts = decomposition_counts(trunc)[0][np.arange(n) * int(weights[0])]
+    constants = trunc.zero + int(weights[0]) * (np.arange(n) - base.zero)
+    trunc_counts = decomposition_counts(trunc)[0][constants]
     bad = np.flatnonzero(base_counts != trunc_counts)
     if bad.size:
         c = int(bad[0])

@@ -108,19 +108,18 @@ class SuiteContext:
     decomposition, for the report's ``settings``.
 
     ``threshold`` is the largest order any build of the suite may have.
-    ``quasi_duo_order_limit`` and ``quasi_duo_count_limit`` bound the
-    one lattice per side that ``crosschecks`` builds for its radical,
-    quasi-duo and semi-potence oracles, at :func:`one_sided_ideals`' own
-    defaults.  ``oracle_order_limit`` gates regularity by search,
-    ``lemma2.8`` and ``prop2.4``'s generated subrings, whose closures
-    are that check's cost; ``derived_order_limit`` caps fresh
-    triangular builds.  Of the limits
-    only ``quasi_duo_count_limit`` (``--lattice-limit``) is set per run.
-    ``iso_order_limit`` bounds nothing: the suite answers its isomorphism
-    questions by closed forms.  It stays, with its ``settings`` key,
-    because the benchmark harness copies and asserts it.
-    ``jobs`` is accepted for compatibility and changes neither output
-    nor scheduling.
+    ``quasi_duo_order_limit`` and ``quasi_duo_count_limit`` report the
+    bounds of the one lattice per side that ``crosschecks`` builds for
+    its radical, quasi-duo and semi-potence oracles, which are
+    :func:`one_sided_ideals`' constants.  ``oracle_order_limit`` gates
+    regularity by search, ``lemma2.8`` and ``prop2.4``'s generated
+    subrings, whose closures are that check's cost;
+    ``derived_order_limit`` caps fresh triangular builds.  No limit is
+    set per run.  ``iso_order_limit`` bounds nothing: the suite answers
+    its isomorphism questions by closed forms.  It stays, with its
+    ``settings`` key, because the benchmark harness copies and asserts
+    it.  ``jobs`` is accepted for compatibility and changes neither
+    output nor scheduling.
     """
 
     usc_reading = "exact-one"
@@ -128,18 +127,17 @@ class SuiteContext:
     iso_order_limit = 64
     oracle_order_limit = 64
     quasi_duo_order_limit = DEFAULT_IDEAL_ORDER_LIMIT
+    quasi_duo_count_limit = DEFAULT_IDEAL_COUNT_LIMIT
 
     def __init__(
         self,
         entries: Optional[list[CatalogEntry]] = None,
         *,
         threshold: int = DEFAULT_THRESHOLD,
-        quasi_duo_count_limit: int = DEFAULT_IDEAL_COUNT_LIMIT,
         jobs: int = 1,
     ):
         self.entries = entries if entries is not None else default_catalog(threshold)
         self.threshold = threshold
-        self.quasi_duo_count_limit = quasi_duo_count_limit
         self.jobs = max(1, jobs)
         self._rings: dict[str, FiniteRing] = {}
         for entry in self.entries:
@@ -169,11 +167,6 @@ class SuiteContext:
         if order > self.derived_order_limit:
             return None
         return self.derived(spec)
-
-    def precompute(self):
-        """Classify all catalog rings, in catalog order."""
-        for entry in self.entries:
-            classify(entry.ring)
 
 
 def _spec_key(spec: dict) -> str:
@@ -421,21 +414,19 @@ def _check_prop2_5(ctx: SuiteContext) -> TheoremReport:
                 {"is_CUSC": f.is_CUSC, "is_UUSC": f.is_UUSC} for f in factor_classes
             ],
         })
-    if not instances:
-        rep.add("(none)", NA)
     return rep
 
 
 def _subdirect_instances(ctx: SuiteContext):
-    """Generated subrings of products that surject onto every factor."""
+    """Prime subrings (generated by 1) of products that surject onto every factor."""
     out = []
-    for name, spec, gens in (
-        ("diag(Z2xZ2)", {"product": [{"zn": 2}, {"zn": 2}]}, []),
-        ("Z4 in Z2xZ4", {"product": [{"zn": 2}, {"zn": 4}]}, []),
-        ("diag(Z2xZ2xZ2)", {"product": [{"zn": 2}, {"zn": 2}, {"zn": 2}]}, []),
+    for name, spec in (
+        ("diag(Z2xZ2)", {"product": [{"zn": 2}, {"zn": 2}]}),
+        ("Z4 in Z2xZ4", {"product": [{"zn": 2}, {"zn": 4}]}),
+        ("diag(Z2xZ2xZ2)", {"product": [{"zn": 2}, {"zn": 2}, {"zn": 2}]}),
     ):
         product = ctx.derived(spec)
-        sub = subring_generated(product, gens)
+        sub = subring_generated(product, [])
         out.append((name, spec, product, sub))
     return out
 
@@ -960,8 +951,7 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
             # One lattice per side feeds three oracles: J as the meet of
             # the maximal left ideals, quasi-duo and semi-potence.
             try:
-                lattices = {side: one_sided_ideals(ring, side, ctx.quasi_duo_count_limit)
-                            for side in ("left", "right")}
+                lattices = {side: one_sided_ideals(ring, side) for side in ("left", "right")}
             except LatticeLimitError as exc:
                 rep.add(entry.name, SKIP, str(exc))
                 continue
@@ -1078,18 +1068,27 @@ CHECKS: dict[str, tuple[str, Callable[[SuiteContext], TheoremReport]]] = {
 }
 
 
+def select_checks(check_ids: list[str]) -> list[str]:
+    """The registered ids among ``check_ids``, in registry order.
+
+    Ids are stripped and blank ones dropped, so a ``--theorem`` value
+    split on commas can be passed as is.  An unknown id or an empty
+    selection raises :class:`SpecError`.
+    """
+    wanted = {c.strip() for c in check_ids} - {""}
+    unknown = wanted - CHECKS.keys()
+    if unknown:
+        raise SpecError(f"unknown theorem ids: {', '.join(sorted(unknown))}")
+    if not wanted:
+        raise SpecError("no theorem ids selected")
+    return [c for c in CHECKS if c in wanted]
+
+
 def run_suite(
     ctx: SuiteContext, check_ids: Optional[list[str]] = None
 ) -> list[TheoremReport]:
     """Run the selected checks (all by default) in registry order."""
-    if check_ids is None:
-        selected = list(CHECKS)
-    else:
-        unknown = [c for c in check_ids if c not in CHECKS]
-        if unknown:
-            raise SpecError(f"unknown check ids: {', '.join(sorted(unknown))}")
-        selected = [c for c in CHECKS if c in set(check_ids)]
-    ctx.precompute()
+    selected = list(CHECKS) if check_ids is None else select_checks(check_ids)
     return [CHECKS[cid][1](ctx) for cid in selected]
 
 

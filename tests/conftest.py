@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ringlab import SuiteContext, gf, matrix_ring, triangular_ring, zn
+from ringlab import SuiteContext, classify, gf, matrix_ring, triangular_ring, zn
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,8 @@ def m2z2():
 def suite_ctx():
     """Shared catalog + classification cache for the whole test run."""
     ctx = SuiteContext(jobs=2)
-    ctx.precompute()
+    for entry in ctx.entries:
+        classify(entry.ring)
     return ctx
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ringlab import RinglabError, SuiteContext, build, classify, element_profile, validate_spec, zn
+from ringlab import invariants
 from ringlab.cli import main, make_parser
 
 T2Z2 = {"triangular": {"n": 2, "base": {"zn": 2}}}
@@ -141,6 +142,39 @@ def test_verify_unknown_theorem_exits_2(capsys):
     assert "unknown theorem" in err
 
 
+def _utf16_spec(tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"zn": 2}).encode("utf-16-le"))
+    return str(path)
+
+
+def _truncated_manifest(tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([{"name": "Z2", "spec": {"zn": 2}}])[:-3])
+    return str(path)
+
+
+#: Unreadable or non-JSON input files and empty check selections, each
+#: as the argv it makes from a scratch directory.
+_BAD_INPUTS = {
+    "spec-is-a-directory": lambda tmp: ["classify", "--spec", str(tmp)],
+    "spec-is-not-utf8": lambda tmp: ["classify", "--spec", _utf16_spec(tmp)],
+    "missing-manifest": lambda tmp: ["verify", "--catalog", str(tmp / "missing.json")],
+    "manifest-is-a-directory": lambda tmp: ["verify", "--catalog", str(tmp)],
+    "truncated-manifest": lambda tmp: ["catalog", "--catalog", _truncated_manifest(tmp)],
+    "only-commas-theorem": lambda tmp: ["verify", "--theorem", ","],
+    "empty-theorem": lambda tmp: ["verify", "--theorem", ""],
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(case, capsys, tmp_path):
+    code, out, err = run(capsys, *_BAD_INPUTS[case](tmp_path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_verify_jobs_determinism_small(capsys, tmp_path):
     manifest = [
         {"name": "Z2", "spec": {"zn": 2}},
@@ -269,12 +303,14 @@ def test_readme_lists_every_cli_flag():
     assert _readme_cli_flags() == accepted
 
 
-def test_lattice_limit_flag_bounds_the_quasi_duo_oracle(spec_file, capsys, tmp_path):
+def test_lattice_limit_flag_bounds_the_quasi_duo_oracle(spec_file, capsys, tmp_path,
+                                                       monkeypatch):
     spec = {"product": [{"zn": 2}] * 4}
     manifest = tmp_path / "cat.json"
     manifest.write_text(json.dumps([{"name": "Z2^4", "spec": spec}]))
+    monkeypatch.setattr(invariants, "DEFAULT_IDEAL_COUNT_LIMIT", 5)
     code, out, _ = run(capsys, "verify", "--catalog", str(manifest), "--theorem",
-                       "crosschecks", "--lattice-limit", "5", "--json")
+                       "crosschecks", "--json")
     assert code == 0
     rows = json.loads(out)["checks"][0]["rows"]
     assert [r["verdict"] for r in rows] == ["skipped"]
@@ -284,5 +320,8 @@ def test_lattice_limit_flag_bounds_the_quasi_duo_oracle(spec_file, capsys, tmp_p
     assert code == 0
     cls = json.loads(out)["classification"]
     assert cls["is_quasi_duo_left"] is True and cls["is_quasi_duo_right"] is True
-    with pytest.raises(SystemExit):
-        main(["classify", "--spec", spec_file(spec), "--lattice-limit", "5"])
+    # The bound is a constant: no command takes a flag for it.
+    for command in (["verify"], ["classify", "--spec", spec_file(spec)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--lattice-limit", "5"])
+        assert exc.value.code == 2

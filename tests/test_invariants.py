@@ -23,6 +23,7 @@ from ringlab import (
     units,
     zn,
 )
+from ringlab import invariants
 from ringlab.invariants import (
     get_cache,
     is_two_sided_ideal,
@@ -261,11 +262,12 @@ def test_lattice_matches_the_unpruned_join_loop(suite_ctx):
                     == reference_one_sided_ideals(ring, side)), (ring.name, side)
 
 
-def test_left_ideal_bounds():
+def test_left_ideal_bounds(monkeypatch):
     with pytest.raises(SizeOverflowError):
         one_sided_ideals(triangular_ring(3, zn(4)), "left")
-    with pytest.raises(LatticeLimitError):
-        one_sided_ideals(build({"product": [{"zn": 2}] * 4}), "left", count_limit=5)
+    monkeypatch.setattr(invariants, "DEFAULT_IDEAL_COUNT_LIMIT", 5)
+    with pytest.raises(LatticeLimitError, match="ideal lattice exceeds 5 members"):
+        one_sided_ideals(build({"product": [{"zn": 2}] * 4}), "left")
 
 
 def test_right_ideals_of_triangular_differ_from_left(t2z2):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ringlab import (
+    FiniteRing,
     RingConstructionError,
     decomposition_counts,
     gf,
@@ -114,3 +115,30 @@ def test_constant_mismatch_names_the_first_constant(monkeypatch):
     monkeypatch.setattr(polyring, "decomposition_counts", one_more_in_the_truncation)
     with pytest.raises(AssertionError, match=r"^constant 0 has 1 decompositions in Z2 but 2 in "):
         poly_view(zn(2))
+
+
+def test_truncation_constants_follow_the_base_zero(monkeypatch):
+    # Z3 relabelled so that its zero is id 2: the constant c of the
+    # truncation is not the id c * weights[0], whose higher digits are
+    # id 0 = "1", but the id its label names.
+    z3 = zn(3)
+    new_id = np.array([2, 0, 1])
+    old_id = np.argsort(new_id)
+    grid = np.ix_(old_id, old_id)
+    base = FiniteRing(new_id[z3.add_table[grid]], new_id[z3.mul_table[grid]], 2, 0,
+                      labels=[z3.labels[i] for i in old_id])
+    assert poly_view(base).clean_counts.tolist() == decomposition_counts(base)[0].tolist()
+
+    polyring = importlib.import_module("ringlab.polyring")
+    counts = polyring.decomposition_counts
+
+    def one_more_at_the_constants(ring):
+        clean, strong = counts(ring)
+        if ring.order > base.order:
+            clean = clean.copy()
+            clean[[ring.id_of(label) for label in base.labels]] += 1
+        return clean, strong
+
+    monkeypatch.setattr(polyring, "decomposition_counts", one_more_at_the_constants)
+    with pytest.raises(AssertionError, match=r"^constant 1 has 1 decompositions in "):
+        poly_view(base)

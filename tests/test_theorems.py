@@ -31,6 +31,7 @@ from ringlab.theorems import (
     _nonzero_idempotents,
     _radical_quotient_is_z2,
     _subring_is_cusc_uusc,
+    select_checks,
 )
 from oracles import reference_check_isomorphic, reference_corner_two_good_witness
 from test_invariants import _SMALL_SPEC_LIST
@@ -67,8 +68,18 @@ def test_quasiduo_decided_on_every_catalog_ring(suite_ctx):
 
 
 def test_unknown_check_id_rejected(suite_ctx):
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="unknown theorem ids: thm9.99"):
         run_suite(suite_ctx, ["thm9.99"])
+
+
+@pytest.mark.parametrize("check_ids", [[], [""], [" ", ""]])
+def test_empty_check_selection_rejected(suite_ctx, check_ids):
+    with pytest.raises(SpecError, match="no theorem ids selected"):
+        run_suite(suite_ctx, check_ids)
+
+
+def test_check_selection_is_stripped_and_in_registry_order():
+    assert select_checks([" thm3.4", "prop2.1 ", "", "thm3.4"]) == ["prop2.1", "thm3.4"]
 
 
 def test_run_suite_deterministic(suite_ctx):
@@ -231,9 +242,9 @@ def test_radical_oracle_reaches_order_256():
     # Z2Q8 is local, J its augmentation ideal: a zero J must be caught.
     spec = dict(DEFAULT_SPECS)["Z2Q8"]
     ctx = SuiteContext([CatalogEntry("Z2Q8", spec, build(spec))])
-    ctx.precompute()
     ring = ctx.entries[0].ring
     assert ring.order == 256
+    classify(ring)  # before the radical below is falsified
     get_cache(ring)._memo["jacobson"] = np.arange(ring.order) == ring.zero
     [row] = run_suite(ctx, ["crosschecks"])[0].rows
     assert row.verdict == "fail"
@@ -258,9 +269,9 @@ def test_thm3_10_allocates_no_corner_table():
 
     spec = dict(DEFAULT_SPECS)["T3(Z4)"]
     ctx = SuiteContext([CatalogEntry("T3(Z4)", spec, build(spec))])
-    ctx.precompute()
     ring = ctx.entries[0].ring
-    classify(radical_quotient(ring))  # memoized; not measured here
+    classify(ring)  # memoized; not measured here
+    classify(radical_quotient(ring))
     tracemalloc.start()
     try:
         [row] = _check_thm3_10(ctx).rows
