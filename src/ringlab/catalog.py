@@ -5,17 +5,18 @@ modular integers, small fields, products, triangular and full matrix
 rings, truncated (skew) polynomial rings, trivial and ideal extensions,
 group rings over 2-groups and non-2-groups (abelian and not), a formal
 triangular ring, a trivial Morita context, an opposite ring, and
-radical quotients of a few members.
+radical quotients of a few members: each ``X/J`` is X's own R/J, the
+:func:`radical_quotient` of X's ring, so it is built and classified once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classify import radical_quotient
 from .construct import build, read_json
 from .core import DEFAULT_THRESHOLD, FiniteRing
 from .errors import SpecError
-from .invariants import jacobson_radical
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,7 @@ _Z2 = {"zn": 2}
 _Z3 = {"zn": 3}
 _Z4 = {"zn": 4}
 
-#: (name, spec) pairs; quotient-by-radical entries are appended at build
-#: time with their generator ids made explicit.
+#: (name, spec) pairs; the ``X/J`` entries are appended at build time.
 DEFAULT_SPECS: tuple[tuple[str, dict], ...] = (
     ("Z2", _Z2),
     ("Z3", _Z3),
@@ -150,11 +150,8 @@ def default_catalog(threshold: int = DEFAULT_THRESHOLD) -> list[CatalogEntry]:
         entries.append(entry)
         by_name[name] = entry
     for base_name in RADICAL_QUOTIENT_OF:
-        base = by_name[base_name]
-        gens = jacobson_radical(base.ring).tolist()
-        spec = {"quotient": {"base": base.spec, "generators": gens}}
-        ring = build(spec, threshold=threshold, validate=False)
-        entries.append(CatalogEntry(f"{base_name}/J", spec, ring))
+        ring = radical_quotient(by_name[base_name].ring)
+        entries.append(CatalogEntry(f"{base_name}/J", ring.spec, ring))
     return entries
 
 
@@ -173,7 +170,10 @@ def catalog_from_manifest(doc, threshold: int = DEFAULT_THRESHOLD) -> list[Catal
         if name in seen:
             raise SpecError(f"duplicate catalog name {name!r}", f"$[{i}].name")
         seen.add(name)
-        ring = build(item["spec"], threshold=threshold)
+        try:
+            ring = build(item["spec"], threshold=threshold)
+        except SpecError as exc:
+            raise SpecError(exc.args[0], f"$[{i}].spec{(exc.path or '$')[1:]}") from exc
         entries.append(CatalogEntry(name, item["spec"], ring))
     return entries
 

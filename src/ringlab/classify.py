@@ -48,7 +48,8 @@ import numpy as np
 from .construct import _quotient_by_ideal, coset_label
 from .core import FiniteRing
 from .elements import (
-    ElementProfile, _decompositions, _profile, clean_decompositions, decomposition_counts,
+    ElementProfile, _decompositions, _profile, _two_good_pair, clean_decompositions,
+    decomposition_counts,
 )
 from .invariants import _lift_mod_mask, get_cache
 
@@ -261,14 +262,10 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
     is_semi_boolean = is_potent and RmodJ_boolean
 
     # 1 = u + (1 - u) with both units; the witness takes the least u.
-    one_minus = ring.add_table[ring.one, ring.neg_table]
-    two_good_units = np.flatnonzero(unit_mask & unit_mask[one_minus])
-    one_is_two_good = two_good_units.size > 0
+    pair = _two_good_pair(ring, unit_mask, ring.one)
+    one_is_two_good = pair is not None
     if one_is_two_good:
-        u = int(two_good_units[0])
-        witnesses["one_is_two_good"] = {
-            "units": [ring.label_of(u), ring.label_of(int(one_minus[u]))]
-        }
+        witnesses["one_is_two_good"] = {"units": [ring.label_of(v) for v in pair]}
 
     two = ring.add(ring.one, ring.one)
     two_in_J = bool(jac_mask[two])

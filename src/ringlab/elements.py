@@ -10,13 +10,16 @@ One table sweep lists every decomposition: for each requested element a
 and each idempotent e it gathers u = a - e from the addition table,
 reads whether u is a unit, and compares e*u with u*e.  The counts behind
 the ring-level classifier, the whole-ring element summary and single
-element queries all read that sweep, over all rows or over one.
+element queries all read that sweep, over all rows or over one, and so
+do subrings S of R, over the rows of S with Idem(S) and U(S), unbuilt.
+Whether x = u + v with u, v units of R or of S is one search too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import Optional
 
 import numpy as np
 
@@ -66,18 +69,24 @@ class ElementProfile:
         }
 
 
-def _sweep(ring: FiniteRing, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _sweep(ring: FiniteRing, rows, idem: Optional[np.ndarray] = None,
+           unit: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
     """The decomposition sweep over the addition-table rows ``rows``.
 
-    ``rows`` is ``slice(None)`` for every element or a list of ids.
+    ``rows`` is ``slice(None)`` for every element or a list of ids;
+    ``idem`` (the idempotent ids, Idem(R) by default) are the columns and
+    ``unit`` (a mask over R, U(R) by default) is the set u is tested in.
     Returns the idempotent ids, ``u[r, i] = a_r - e_i``, whether that u
-    is a unit, and whether e_i*u = u*e_i; columns follow idempotent id.
+    is a unit, and whether e_i*u = u*e_i.
     """
     cache = get_cache(ring)
-    idem = np.flatnonzero(cache.idempotent_mask)
+    if idem is None:
+        idem = np.flatnonzero(cache.idempotent_mask)
+    if unit is None:
+        unit = cache.unit_mask
     mul = ring.mul_table
     u = ring.add_table[rows][:, ring.neg_table[idem]]
-    is_unit = cache.unit_mask[u]
+    is_unit = unit[u]
     commutes = mul[idem[None, :], u] == mul[u, idem[None, :]]
     return idem, u, is_unit, commutes
 
@@ -126,3 +135,44 @@ def decomposition_counts(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     clean_counts = is_unit.sum(axis=1)
     strong_counts = (is_unit & commutes).sum(axis=1)
     return clean_counts.astype(np.int64), strong_counts.astype(np.int64)
+
+
+def _subring_units(ring: FiniteRing, members: np.ndarray, one: int) -> np.ndarray:
+    """U(S) as a mask over R, for the unital subring S on ``members`` with identity ``one``.
+
+    x in S is a unit of S iff x + (1 - one) is a unit of R.  For one = 1
+    this reads U(S) = U(R) & S: in a finite ring a unit's inverse is a
+    power of it.  For a corner eRe, y + 1 - e inverts x + 1 - e when y
+    inverts x in eRe, and eze inverts x in eRe when z inverts x + 1 - e.
+    """
+    mask = np.zeros(ring.order, dtype=bool)
+    shifted = ring.add_table[members, ring.sub(ring.one, one)]
+    mask[members[get_cache(ring).unit_mask[shifted]]] = True
+    return mask
+
+
+def _subring_is_cusc_uusc(ring: FiniteRing, members: np.ndarray, one: int) -> tuple[bool, bool]:
+    """CUSC and UUSC of the unital subring S on ``members`` with identity ``one``.
+
+    Builds no ring: the decomposition sweep over the rows of S, with
+    Idem(S) = Idem(R) & S as columns and U(S) from :func:`_subring_units`.
+    """
+    unit = _subring_units(ring, members, one)
+    idem = members[get_cache(ring).idempotent_mask[members]]
+    _, _, is_unit, commutes = _sweep(ring, members, idem, unit)
+    unique = (is_unit & commutes).sum(axis=1) == 1
+    return bool(unique.all()), bool(unique[unit[members]].all())
+
+
+def _two_good_pair(ring: FiniteRing, unit_mask: np.ndarray, x: int) -> Optional[tuple[int, int]]:
+    """The least u with u and x - u both in ``unit_mask``, with x - u; None if none.
+
+    ``unit_mask`` is U(R), or U(S) from :func:`_subring_units` for x in a
+    subring S, so x is two-good in that ring iff a pair is returned.
+    """
+    units = np.flatnonzero(unit_mask)
+    rest = ring.add_table[x, ring.neg_table[units]]
+    hits = np.flatnonzero(unit_mask[rest])
+    if hits.size:
+        return int(units[hits[0]]), int(rest[hits[0]])
+    return None

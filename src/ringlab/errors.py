@@ -65,11 +65,14 @@ class LatticeLimitError(RinglabError):
 
 
 class SpecError(RinglabError):
-    """A ring-spec document is malformed; ``path`` locates the offence."""
+    """Malformed input; ``path``, the offence's JSON path if any, follows ``args[0]``."""
 
-    def __init__(self, message: str, path: str = "$"):
+    def __init__(self, message: str, path: Optional[str] = None):
         self.path = path
-        super().__init__(f"{message} (at {path})")
+        super().__init__(message)
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at {self.path})" if self.path else self.args[0]
 
 
 class UnknownElementError(RinglabError):

@@ -1,8 +1,8 @@
 """Canonical element sets of a finite ring, and the ring's one memo.
 
-Idempotents, units, nilpotents, the Jacobson radical, the center, sums
-of two units, central-idempotent-plus-radical elements, ideal closure,
-idempotent lifting, and the one-sided ideal lattice.  Everything is
+Idempotents, units, nilpotents, the Jacobson radical, the center,
+central-idempotent-plus-radical elements, ideal closure, idempotent
+lifting, and the one-sided ideal lattice.  Everything is
 exact, computed from the ring's tables with no search bound.  Sets are
 kept as boolean masks and returned as sorted int64 id arrays.  Units
 take one comparison of the table with 1 and no index sweep: each row's
@@ -158,18 +158,6 @@ class InvariantCache:
             return (mul[:, gens] == mul[gens, :].T).all(axis=1)
 
         return self.memo("center", compute)
-
-    @property
-    def two_good_mask(self) -> np.ndarray:
-        def compute():
-            ring = self.ring
-            units = np.flatnonzero(self.unit_mask)
-            mask = np.zeros(ring.order, dtype=bool)
-            if units.size:
-                mask[ring.add_table[np.ix_(units, units)]] = True
-            return mask
-
-        return self.memo("two_good", compute)
 
     @property
     def ucn0_mask(self) -> np.ndarray:

@@ -11,10 +11,11 @@ Checks share a :class:`SuiteContext` that holds the catalog and the
 derived rings built by spec (triangular extensions, matrix rings,
 factors).  A ring's classification and its radical quotient live in
 the ring's own memo (see :mod:`ringlab.invariants`), so every check
-that asks for them reuses one computation per ring handle.  Subrings
-are not built: ``prop2.4`` and ``cor2.7`` read the CUSC and UUSC of
-corners and generated subrings from the parent ring's unit and
-idempotent masks.  Reports are deterministic: byte-identical across
+that asks for them reuses one computation per ring handle.  No check
+builds a subring or corner: ``prop2.4``, ``cor2.6``, ``cor2.7`` and
+``thm3.10`` read them from the parent ring's unit and idempotent masks
+through :mod:`ringlab.elements`, which answers every a = e + u and
+x = u + v question.  Reports are deterministic: byte-identical across
 runs and worker counts.
 """
 
@@ -27,16 +28,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .catalog import CatalogEntry, default_catalog
-from .classify import classify, radical_quotient
+from .classify import _least_non_regular, classify, radical_quotient
 from .construct import (
     _FAMILIES,
     _corner_subset,
     _subring_closure,
     build,
     quotient_ring,
-    subring_generated,
 )
 from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
+from .elements import _subring_is_cusc_uusc, _subring_units, _sweep, _two_good_pair
 from .errors import LatticeLimitError, SpecError
 from .invariants import (
     DEFAULT_IDEAL_COUNT_LIMIT,
@@ -202,52 +203,6 @@ def _nonzero_idempotents(ring: FiniteRing) -> list[int]:
     return [int(e) for e in idem if int(e) != ring.zero]
 
 
-def _subring_units(ring: FiniteRing, members: np.ndarray, one: int) -> np.ndarray:
-    """U(S) as a mask over R, for the unital subring S on ``members`` with identity ``one``.
-
-    x in S is a unit of S iff x + (1 - one) is a unit of R.  For one = 1
-    this reads U(S) = U(R) & S: in a finite ring a unit's inverse is a
-    power of it.  For a corner eRe, y + 1 - e inverts x + 1 - e when y
-    inverts x in eRe, and eze inverts x in eRe when z inverts x + 1 - e.
-    """
-    mask = np.zeros(ring.order, dtype=bool)
-    shifted = ring.add_table[members, ring.sub(ring.one, one)]
-    mask[members[get_cache(ring).unit_mask[shifted]]] = True
-    return mask
-
-
-def _subring_is_cusc_uusc(ring: FiniteRing, members: np.ndarray, one: int) -> tuple[bool, bool]:
-    """CUSC and UUSC of the unital subring S on ``members`` with identity ``one``.
-
-    Builds no ring: Idem(S) = Idem(R) & S, U(S) comes from
-    :func:`_subring_units`, and a in S counts the g in Idem(S) with
-    a - g in U(S) and g(a - g) = (a - g)g.  That is R's decomposition
-    sweep over the rows and idempotent columns in S.
-    """
-    unit = _subring_units(ring, members, one)
-    idem = members[get_cache(ring).idempotent_mask[members]]
-    mul = ring.mul_table
-    u = ring.add_table[members][:, ring.neg_table[idem]]
-    strong = unit[u] & (mul[idem[None, :], u] == mul[u, idem[None, :]])
-    unique = strong.sum(axis=1) == 1
-    return bool(unique.all()), bool(unique[unit[members]].all())
-
-
-def _corner_two_good_witness(ring: FiniteRing, e: int) -> Optional[tuple[int, int]]:
-    """The least unit u of eRe for which e - u is a unit of eRe too, with e - u.
-
-    The corner units come from U(R) in one pass over eRe, with no
-    product table of the corner.
-    """
-    corner_unit = _subring_units(ring, _corner_subset(ring, e), e)
-    units = np.flatnonzero(corner_unit)
-    hits = np.flatnonzero(corner_unit[ring.add_table[e, ring.neg_table[units]]])
-    if hits.size:
-        u = int(units[hits[0]])
-        return u, ring.sub(e, u)
-    return None
-
-
 def _radical_quotient_is_z2(ring: FiniteRing) -> bool:
     """R/J is Z2: every unital ring of order 2 is Z2, so iff |R| = 2|J|."""
     return ring.order == 2 * int(get_cache(ring).jacobson_mask.sum())
@@ -305,9 +260,10 @@ def _check_prop2_1(ctx: SuiteContext) -> TheoremReport:
         if not c.is_abelian:
             rep.add(entry.name, NA, "not abelian")
             continue
-        cache = get_cache(ring)
-        meet = np.flatnonzero(cache.two_good_mask & cache.idempotent_mask)
-        cond1 = set(int(i) for i in meet) == {ring.zero}
+        # 0 = 1 + (-1) is always two-good; no other idempotent may be.
+        unit_mask = get_cache(ring).unit_mask
+        cond1 = all(_two_good_pair(ring, unit_mask, e) is None
+                    for e in _nonzero_idempotents(ring))
         values = (cond1, c.is_UUSC, c.is_UUC, c.is_CUC, c.is_CUSC)
         rep.require(entry.name, len(set(values)) == 1,
                     {"conditions": list(values)})
@@ -417,40 +373,33 @@ def _check_prop2_5(ctx: SuiteContext) -> TheoremReport:
     return rep
 
 
-def _subdirect_instances(ctx: SuiteContext):
-    """Prime subrings (generated by 1) of products that surject onto every factor."""
-    out = []
+def _check_cor2_6(ctx: SuiteContext) -> TheoremReport:
+    rep = TheoremReport("cor2.6", "subdirect products of CUSC/UUSC rings are CUSC/UUSC")
+    # Prime subrings (generated by 1) of products, read from the
+    # product's masks: each must surject onto every factor.
     for name, spec in (
         ("diag(Z2xZ2)", {"product": [{"zn": 2}, {"zn": 2}]}),
         ("Z4 in Z2xZ4", {"product": [{"zn": 2}, {"zn": 4}]}),
         ("diag(Z2xZ2xZ2)", {"product": [{"zn": 2}, {"zn": 2}, {"zn": 2}]}),
     ):
         product = ctx.derived(spec)
-        sub = subring_generated(product, [])
-        out.append((name, spec, product, sub))
-    return out
-
-
-def _check_cor2_6(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport("cor2.6", "subdirect products of CUSC/UUSC rings are CUSC/UUSC")
-    for name, spec, product, sub in _subdirect_instances(ctx):
+        members = _subring_closure(product, [])
         weights = product.meta["axis_weights"]
         sizes = product.meta["axis_sizes"]
-        embedding = sub.meta["embedding"]
         surjective = all(
-            len({(int(i) // w) % s for i in embedding}) == s
+            len({(int(i) // w) % s for i in members}) == s
             for w, s in zip(weights, sizes)
         )
         if not surjective:
             rep.add(name, FAIL, "instance is not subdirect")
             continue
         factors = [classify(ctx.derived(s)) for s in spec["product"]]
-        sc = classify(sub)
+        cusc, uusc = _subring_is_cusc_uusc(product, members, product.one)
         ok = True
-        detail = {"subring_order": sub.order}
-        if all(f.is_CUSC for f in factors) and not sc.is_CUSC:
+        detail = {"subring_order": members.size}
+        if all(f.is_CUSC for f in factors) and not cusc:
             ok, detail = False, "CUSC not inherited by subdirect product"
-        if all(f.is_UUSC for f in factors) and not sc.is_UUSC:
+        if all(f.is_UUSC for f in factors) and not uusc:
             ok, detail = False, "UUSC not inherited by subdirect product"
         rep.require(name, ok, detail, detail)
     return rep
@@ -665,10 +614,9 @@ def _check_thm3_1(ctx: SuiteContext) -> TheoremReport:
         quot = radical_quotient(ring)
         qc = classify(quot)
         units = np.flatnonzero(cache.unit_mask)
-        idem = np.flatnonzero(cache.idempotent_mask)
-        jmask = cache.jacobson_mask
-        diffs = ring.add_table[np.ix_(units, ring.neg_table[idem])]
-        counts = jmask[diffs].sum(axis=1)
+        # The sweep with J for U: how many ways each unit is e + j.
+        _, _, in_j, _ = _sweep(ring, units, unit=cache.jacobson_mask)
+        counts = in_j.sum(axis=1)
         cond = (
             qc.is_UUSC,
             qc.is_boolean,
@@ -821,7 +769,8 @@ def _check_thm3_10(ctx: SuiteContext) -> TheoremReport:
             problems.append("identity is two-good modulo the radical")
         for scope_name, scope in (("R", ring), ("R/J", quot)):
             for e in _nonzero_idempotents(scope):
-                pair = _corner_two_good_witness(scope, e)
+                corner_units = _subring_units(scope, _corner_subset(scope, e), e)
+                pair = _two_good_pair(scope, corner_units, e)
                 if pair is not None:
                     problems.append({
                         "scope": scope_name,
@@ -943,8 +892,7 @@ def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
         jac_ids = np.flatnonzero(jac).tolist()
         if ring.order <= ctx.oracle_order_limit:
             # classify reads regularity off J = 0; search for x with axa = a.
-            mul = ring.mul_table
-            by_search = all((mul[mul[a], a] == a).any() for a in range(ring.order))
+            by_search = _least_non_regular(ring) is None
             if by_search != classify(ring).is_regular:
                 problems.append({"regular_mismatch": {"element_search": by_search}})
         if ring.order <= ctx.quasi_duo_order_limit:

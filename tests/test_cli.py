@@ -154,8 +154,9 @@ def _truncated_manifest(tmp_path):
     return str(path)
 
 
-#: Unreadable or non-JSON input files and empty check selections, each
-#: as the argv it makes from a scratch directory.
+#: Unreadable or non-JSON input files, empty check selections and a
+#: non-integer threshold, each as the argv it makes from a scratch
+#: directory; ``_BAD_ENV`` sets the environment a case needs.
 _BAD_INPUTS = {
     "spec-is-a-directory": lambda tmp: ["classify", "--spec", str(tmp)],
     "spec-is-not-utf8": lambda tmp: ["classify", "--spec", _utf16_spec(tmp)],
@@ -164,15 +165,33 @@ _BAD_INPUTS = {
     "truncated-manifest": lambda tmp: ["catalog", "--catalog", _truncated_manifest(tmp)],
     "only-commas-theorem": lambda tmp: ["verify", "--theorem", ","],
     "empty-theorem": lambda tmp: ["verify", "--theorem", ""],
+    "threshold-env-not-an-integer": lambda tmp: ["verify", "--theorem", "prop2.1"],
 }
+_BAD_ENV = {"threshold-env-not-an-integer": {"RINGLAB_THRESHOLD": "x"}}
 
 
 @pytest.mark.parametrize("case", list(_BAD_INPUTS))
-def test_bad_input_exits_2_with_one_error_line(case, capsys, tmp_path):
+def test_bad_input_exits_2_with_one_error_line(case, capsys, tmp_path, monkeypatch):
+    for key, value in _BAD_ENV.get(case, {}).items():
+        monkeypatch.setenv(key, value)
     code, out, err = run(capsys, *_BAD_INPUTS[case](tmp_path))
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    # None of these errors has a JSON path to name.
+    assert not err.rstrip().endswith("(at $)"), err
+
+
+@pytest.mark.parametrize("command", ["catalog", "verify"])
+def test_manifest_spec_error_names_its_entry(command, capsys, tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([
+        {"name": "a", "spec": {"zn": 2}},
+        {"name": "x", "spec": {"zn": "two"}},
+    ]))
+    code, out, err = run(capsys, command, "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 'two' is not of type 'integer' (at $[1].spec.zn)\n"
 
 
 def test_verify_jobs_determinism_small(capsys, tmp_path):

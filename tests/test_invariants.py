@@ -24,6 +24,7 @@ from ringlab import (
     zn,
 )
 from ringlab import invariants
+from ringlab.elements import _two_good_pair
 from ringlab.invariants import (
     get_cache,
     is_two_sided_ideal,
@@ -116,7 +117,8 @@ def test_center_examples(z6, t2z2, m2z2):
 
 
 def _two_good(ring) -> set[int]:
-    return set(np.flatnonzero(get_cache(ring).two_good_mask).tolist())
+    unit_mask = get_cache(ring).unit_mask
+    return {x for x in range(ring.order) if _two_good_pair(ring, unit_mask, x) is not None}
 
 
 def test_two_good_examples(z3, m2z2):

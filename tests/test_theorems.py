@@ -19,18 +19,17 @@ from ringlab import (
     suite_to_json,
     zn,
 )
-from ringlab.catalog import DEFAULT_SPECS, CatalogEntry
+from ringlab.catalog import DEFAULT_SPECS, RADICAL_QUOTIENT_OF, CatalogEntry
 from ringlab.classify import radical_quotient
+from ringlab.elements import _subring_is_cusc_uusc, _subring_units, _two_good_pair
 from ringlab.errors import SpecError
 from ringlab.invariants import get_cache
 from ringlab.construct import _corner_subset, _subring_closure
 from ringlab.theorems import (
     _check_thm3_10,
-    _corner_two_good_witness,
     _is_m2_f2_corner,
     _nonzero_idempotents,
     _radical_quotient_is_z2,
-    _subring_is_cusc_uusc,
     select_checks,
 )
 from oracles import reference_check_isomorphic, reference_corner_two_good_witness
@@ -258,7 +257,7 @@ def test_corner_units_from_the_unit_group_match_the_table_search(suite_ctx):
     found = []
     for ring in rings:
         for e in _nonzero_idempotents(ring):
-            pair = _corner_two_good_witness(ring, e)
+            pair = _two_good_pair(ring, _subring_units(ring, _corner_subset(ring, e), e), e)
             assert pair == reference_corner_two_good_witness(ring, e), (ring.name, e)
             found.append(pair is not None)
     assert True in found and False in found
@@ -332,6 +331,19 @@ def _count_subset_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(construct, "_restrict_to_subset", counted)
     return calls
+
+
+def test_suite_builds_no_subring_or_corner(suite_ctx, monkeypatch):
+    calls = _count_subset_builds(monkeypatch)
+    reports = run_suite(suite_ctx)
+    assert calls == []
+    assert all(r.aggregate == "pass" for r in reports)
+
+
+def test_radical_quotient_entries_are_their_bases_own(suite_ctx):
+    rings = {e.name: e.ring for e in suite_ctx.entries}
+    for name in RADICAL_QUOTIENT_OF:
+        assert rings[f"{name}/J"] is radical_quotient(rings[name]), name
 
 
 def test_thm3_10_builds_no_corner_ring(suite_ctx, monkeypatch):
