@@ -228,15 +228,14 @@ def test_classify_memo_serves_a_repeated_call(monkeypatch):
     {"triangular": {"n": 2, "base": {"zn": 4}}},
 ])
 def test_classify_builds_no_ring(monkeypatch, spec):
-    # Local, R/J boolean and quasi-duo are read modulo J, and 1 = u + (1 - u)
-    # is found without the two-good mask.
+    # Local, R/J boolean and quasi-duo are read modulo J.
     def refuse(*args, **kwargs):
         raise AssertionError("classify built R/J")
 
     monkeypatch.setattr(classify_module, "_quotient_by_ideal", refuse)
     ring = build(spec)
     classify(ring)
-    assert not {"radical_quotient", "two_good"} & set(get_cache(ring)._memo)
+    assert "radical_quotient" not in get_cache(ring)._memo
 
 
 #: sha256 over one ``json.dumps(classify(ring).to_json(), sort_keys=True)``

@@ -27,7 +27,6 @@ from ringlab import (
     gf,
     group_ring,
     ideal_extension,
-    idempotents,
     ideal_generated,
     jacobson_radical,
     klein_four,
@@ -44,7 +43,6 @@ from ringlab import (
     trivial_extension,
     trivial_morita,
     trunc_poly,
-    units,
     validate_axioms,
     validate_spec,
     zn,

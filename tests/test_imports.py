@@ -1,9 +1,10 @@
-"""Every module-level import of the package is used.
+"""Every module-level import of the package and of its tests is used.
 
 A stdlib-only lint: a name bound by a top-level ``import`` or
-``from ... import`` in ``src/ringlab/*.py`` must be read somewhere in
-that module.  ``__init__.py`` is exempt, since its imports are the
-package's re-exports, and so is ``from __future__ import ...``.
+``from ... import`` in ``src/ringlab/*.py`` or ``tests/*.py`` must be
+read somewhere in that module.  The package's ``__init__.py`` is
+exempt, since its imports are the package's re-exports, and so is
+``from __future__ import ...``.
 """
 
 import ast
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringlab"
-_MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+_ROOT = Path(__file__).resolve().parents[1]
+_MODULES = sorted(p for p in (_ROOT / "src" / "ringlab").glob("*.py") if p.name != "__init__.py")
+_TESTS = sorted((_ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -34,6 +36,6 @@ def test_the_lint_sees_an_unused_import():
     assert _unused_imports(source) == ["json (line 1)", "path (line 2)"]
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", _MODULES + _TESTS, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name

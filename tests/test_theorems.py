@@ -449,3 +449,83 @@ def test_thm3_10_finds_matrix_corners(monkeypatch):
         corners = [p for p in row.detail if isinstance(p, dict) and "matrix_corner" in p]
         assert {p["matrix_corner"] for p in corners} == {"M2(F2)"}, row.detail
         assert {p["scope"] for p in corners} == {"R", "R/J"}, row.detail
+
+
+#: (classification flipped to false, field, lemma2.8 direction it breaks).
+_LEMMA2_8_DIRECTIONS = (
+    ("R", "is_UUSC", "R/I UUSC => R UUSC"),
+    ("R/J", "is_UUSC", "R UUSC abelian lifting => R/I UUSC"),
+    ("R", "is_CUSC", "R/I CUSC, R abelian => R CUSC"),
+    ("R/J", "is_CUSC", "R CUSC abelian lifting => R/I CUSC"),
+)
+
+
+@pytest.mark.parametrize("flipped, field, direction", _LEMMA2_8_DIRECTIONS,
+                         ids=[f"{f}-{p}" for f, p, _ in _LEMMA2_8_DIRECTIONS])
+def test_lemma2_8_reports_each_direction(monkeypatch, flipped, field, direction):
+    # Z4's ideals inside J are 0 and J.  R/0 is R itself, so a flip on
+    # R is seen against R/J = Z2, and a flip on R/J against R.
+    z4 = build({"zn": 4})
+    target = z4 if flipped == "R" else radical_quotient(z4)
+    theorems = importlib.import_module("ringlab.theorems")
+    real = theorems.classify
+    assert all(getattr(real(r), field) and real(r).is_abelian for r in (z4, target))
+    monkeypatch.setattr(
+        theorems, "classify",
+        lambda ring: dataclasses.replace(real(ring), **{field: False}) if ring is target else real(ring))
+    [row] = run_suite(SuiteContext([CatalogEntry("Z4", {"zn": 4}, z4)]), ["lemma2.8"])[0].rows
+    assert (row.ring, row.verdict) == ("Z4", "fail")
+    assert row.detail == {"ideal": "J", "direction": direction}
+
+
+def test_lemma2_8_asks_no_lifting_question(suite_ctx, monkeypatch):
+    theorems = importlib.import_module("ringlab.theorems")
+    real = theorems.idempotents_lift_mod
+    calls = []
+
+    def counted(ring, ideal):
+        calls.append(ring.name)
+        return real(ring, ideal)
+
+    monkeypatch.setattr(theorems, "idempotents_lift_mod", counted)
+    assert run_suite(suite_ctx, ["lemma2.8"])[0].aggregate == "pass"
+    assert calls == []
+    # crosschecks keeps its own lifting row, one call per catalog ring.
+    run_suite(suite_ctx, ["crosschecks"])
+    assert len(calls) == len(suite_ctx.entries)
+
+
+def test_triangular_route_keeps_to_the_budget(monkeypatch):
+    ctx = SuiteContext()
+    construct = importlib.import_module("ringlab.construct")
+    real = construct._build
+    built = Counter()
+    orders = {}
+
+    def counted(spec, threshold):
+        ring = real(spec, threshold)
+        if "triangular" in spec:
+            key = json.dumps(spec, sort_keys=True)
+            built[key] += 1
+            orders[key] = ring.order
+        return ring
+
+    monkeypatch.setattr(construct, "_build", counted)
+    reports = {r.check_id: r for r in run_suite(ctx)}
+    assert built and set(built.values()) == {1}, built
+    assert max(orders.values()) <= ctx.derived_order_limit, orders
+    entries = {e.name: e for e in ctx.entries}
+    asked = {row.ring.rsplit(":T", 1)[0] for cid in ("example2.3", "thm3.11")
+             for row in reports[cid].rows if ":T" in row.ring}
+    before = dict(built)
+    route = {label: c for name in sorted(asked) for _, label, c in ctx.triangulars(entries[name])}
+    assert built == before, "the route built a ring again"
+    # The catalog's T3(Z4), order 4096, is reused above the budget.
+    t3z4 = entries["T3(Z4)"].ring
+    assert t3z4.order > ctx.derived_order_limit
+    assert route["Z4:T3"] is classify(t3z4)
+    for cid, count in (("example2.3", 22), ("thm3.11", 26)):
+        rows = [row for row in reports[cid].rows if ":T" in row.ring]
+        skipped = {row.ring for row in rows if row.verdict == "skipped"}
+        assert skipped == {row.ring for row in rows if route[row.ring] is None}, cid
+        assert len(skipped) == count, cid
