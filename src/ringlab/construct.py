@@ -8,12 +8,20 @@ opposite rings.
 
 Composite rings, and GF(p^k) as k coordinates over Z_p, are assembled
 from mixed-radix element coordinates: the additive structure is always
-componentwise, so only the multiplication formula varies per family.  ``_assemble_ring`` evaluates each family's
-digit formula on an open digit grid in the style of ``np.ix_``, one
-dimension per axis of size > 1 and side, so a gather touches only the
-digits it depends on (4^6 cells for entry (0,2) of T3(Z4), not 4096^2);
-axes of size 1 take no dimension.  Only the final mixed-radix encode,
-in ``dtype_for(order)``, writes all order^2 cells.  Constructors build
+componentwise, so only the multiplication formula varies per family.
+``_assemble_ring`` evaluates each family's digit formula on an open
+digit grid in the style of ``np.ix_``, one dimension per axis of
+size > 1 and side, so a gather touches only the digits it depends on
+(4^6 cells for entry (0,2) of T3(Z4), not 4096^2); axes of size 1 take
+no dimension.  A table that one axis reads at its own digits (every add
+table and neg, and each factor's mul table in a direct product) enters
+the grid as a reshaped view, with no gather.  The mixed-radix encode
+writes each order^2 table once, in ``dtype_for(order)``: the weighted
+digits of the leading and of the trailing half of the axes are summed
+on each half's own span and the two half-sums are added into the
+table, so numpy's inner loop runs over whole trailing blocks; a half
+whose digits already span the whole grid (a gf or group-ring product)
+is added into the table in place.  Constructors build
 dense tables of at most ``threshold`` elements (default 16384; quotients,
 corners and opposite rings never outgrow their base) and refuse a larger
 ring with :class:`SizeOverflowError`, naming the order and the bytes of
@@ -83,17 +91,23 @@ _BUILD_VALIDATE_LIMIT = 256
 
 
 class _Axis:
-    """One coordinate of a composite element: an additive group."""
+    """One coordinate of a composite element: an additive group.
 
-    def __init__(self, size: int, add: np.ndarray, neg: np.ndarray, zero: int):
+    ``mul`` is the coordinate's own product when it is a ring whose
+    product acts componentwise (a factor of a direct product), else None.
+    """
+
+    def __init__(self, size: int, add: np.ndarray, neg: np.ndarray, zero: int,
+                 mul: Optional[np.ndarray] = None):
         self.size = size
         self.add = add
         self.neg = neg
         self.zero = zero
+        self.mul = mul
 
     @classmethod
     def of_ring(cls, ring: FiniteRing) -> "_Axis":
-        return cls(ring.order, ring.add_table, ring.neg_table, ring.zero)
+        return cls(ring.order, ring.add_table, ring.neg_table, ring.zero, ring.mul_table)
 
 
 def _axis_of_module(add_table) -> tuple["_Axis", int]:
@@ -161,29 +175,66 @@ class _Assembly:
             digits[p] = np.arange(self.sizes[p]).reshape(shape)
         return digits
 
+    def views(self, tables: Sequence[np.ndarray], sides: int) -> list:
+        """Each axis's table at its own digits on ``sides`` sides of the grid.
+
+        For the digits of :meth:`grid` this is ``table[x, y]`` (or
+        ``table[x]`` for one side), but as a reshaped view with no
+        gather: the table of open axis q spans dimension ``side * k + q``
+        of each side.  A size-1 axis gives its 0-d entry at digit 0.
+        """
+        k = len(self.open_axes)
+        out = [t[(0,) * sides] for t in tables]
+        for q, p in enumerate(self.open_axes):
+            shape = [1] * (sides * k)
+            shape[q::k] = [self.sizes[p]] * sides
+            out[p] = tables[p].reshape(shape)
+        return out
+
     def encode(self, digits: Sequence, shape: tuple, dtype: np.dtype) -> np.ndarray:
         """Ids of ``shape`` from per-axis digits that broadcast to it.
 
-        Weighted digits are summed on the grid dimensions they span for
-        as long as that stays below the full size; only then is the
-        partial sum added into the result in place.
+        The open axes split into a leading and a trailing half.  A half
+        whose digits span less than the whole grid is summed, weighted, on
+        its own span; the table is then written once as the sum of the
+        two half-sums, so numpy's inner loop runs over a whole trailing
+        block.  A half that spans the whole grid (each digit of a gf or
+        group-ring product does) is added into the table in place, one
+        weighted digit at a time.  The spans are read from the digits'
+        shapes before anything is computed.
         """
-        acc = np.zeros(shape, dtype=dtype)
-        part = None
-        for p in self.open_axes:
-            digit = np.asarray(digits[p])
-            if part is not None and np.broadcast(part, digit).size == acc.size:
-                acc += part
-                part = None
-            weight = dtype.type(self.weights[p])
-            if part is None:
-                part = digit.astype(dtype)
-                part *= weight
+        out = np.empty(shape, dtype=dtype)
+        mid = len(self.open_axes) // 2
+        sums, in_place = [], []
+        for half in (self.open_axes[:mid], self.open_axes[mid:]):
+            if not half:
+                continue
+            span = np.broadcast_shapes(*(np.shape(digits[p]) for p in half))
+            if math.prod(span) < out.size:
+                total = None
+                for p in half:
+                    term = self._term(digits[p], p, dtype)
+                    total = term if total is None else np.add(
+                        total, term, dtype=dtype, casting="unsafe")
+                sums.append(total)
             else:
-                part = part + digit.astype(dtype) * weight
-        if part is not None:
-            acc += part
-        return acc
+                in_place += half
+        if len(sums) == 2:
+            np.add(*sums, out=out, dtype=dtype, casting="unsafe")
+        elif sums:
+            np.copyto(out, sums[0], casting="unsafe")
+        else:
+            out.fill(0)
+        for p in in_place:
+            np.add(out, self._term(digits[p], p, dtype), out=out, dtype=dtype, casting="unsafe")
+        return out
+
+    def _term(self, digit, p: int, dtype: np.dtype):
+        """Digit ``p`` times its weight in ``dtype``; weight 1 leaves the digit as it is."""
+        weight = self.weights[p]
+        if weight == 1:
+            return digit
+        return np.multiply(digit, dtype.type(weight), dtype=dtype, casting="unsafe")
 
     def encode_one(self, digits: Sequence[int]) -> int:
         return sum(w * int(d) for w, d in zip(self.weights, digits))
@@ -191,27 +242,31 @@ class _Assembly:
 
 def _assemble_ring(
     assembly: _Assembly,
-    mul_digits: Callable[[list, list], list],
+    mul_digits: Optional[Callable[[list, list], list]],
     one_digits: Sequence[int],
     label_fn: Callable[[Sequence[int]], str],
     spec: Optional[dict],
     name: Optional[str],
     threshold: int,
+    labels: Optional[list] = None,
 ) -> FiniteRing:
     """Build a ring from coordinates and a product formula.
 
     ``mul_digits(da, db)`` maps the digits of a and b, one entry per
-    axis, to the digits of ab; the per-axis add tables give a + b.  Both
-    are evaluated on an open digit grid: with k open axes (size > 1),
-    row axis q varies along dimension q and column axis q along
-    dimension k + q, so each gather touches only the digits its entry
-    depends on.  Size-1 axes enter as the 0-d digit 0, so degenerate
-    rings such as M6(Z1) need no dimensions at all.  Only the
-    mixed-radix encode writes all cells, as broadcast in-place adds in
-    ``dtype_for(order)``; neg is encoded from the per-axis negs on one
-    side of the grid.  ``label_fn`` gets the digits as a sequence of
-    ints; labels follow mixed-radix order.  Orders above ``threshold``
-    are refused before any table is allocated.
+    axis, to the digits of ab; None means the componentwise product of
+    the axes' own ``mul`` tables.  The per-axis add tables give a + b.
+    Both are evaluated on an open digit grid: with k open axes (size
+    > 1), row axis q varies along dimension q and column axis q along
+    dimension k + q, so each gather in ``mul_digits`` touches only the
+    digits its entry depends on, and a per-axis table (every add table,
+    a componentwise mul table, each neg) enters as a reshaped view with
+    no gather at all (:meth:`_Assembly.views`).  Size-1 axes enter as the
+    0-d digit 0, so degenerate rings such as M6(Z1) need no dimensions.
+    Each table is written once, in ``dtype_for(order)``, by
+    :meth:`_Assembly.encode`.  ``label_fn`` gets the digits as a
+    sequence of ints; labels follow mixed-radix order, and a family that
+    composes that list faster passes it as ``labels``.  Orders above
+    ``threshold`` are refused before any table is allocated.
     """
     n = assembly.order
     check_order(n, threshold)
@@ -219,16 +274,17 @@ def _assemble_ring(
     zero = assembly.encode_one([ax.zero for ax in assembly.axes])
     one = assembly.encode_one(one_digits)
     k = len(assembly.open_axes)
-    rows, cols = assembly.grid(0, 2 * k), assembly.grid(k, 2 * k)
     shape = assembly.shape * 2
     add_tab = assembly.encode(
-        [ax.add[x, y] for ax, x, y in zip(assembly.axes, rows, cols)], shape, dt
-    ).reshape(n, n)
-    mul_tab = assembly.encode(mul_digits(rows, cols), shape, dt).reshape(n, n)
+        assembly.views([ax.add for ax in assembly.axes], 2), shape, dt).reshape(n, n)
+    mul_tab = assembly.encode(
+        assembly.views([ax.mul for ax in assembly.axes], 2) if mul_digits is None
+        else mul_digits(assembly.grid(0, 2 * k), assembly.grid(k, 2 * k)),
+        shape, dt).reshape(n, n)
     neg = assembly.encode(
-        [ax.neg[x] for ax, x in zip(assembly.axes, assembly.grid(0, k))], assembly.shape, dt
-    ).reshape(n)
-    labels = [label_fn(d) for d in itertools.product(*map(range, assembly.sizes))]
+        assembly.views([ax.neg for ax in assembly.axes], 1), assembly.shape, dt).reshape(n)
+    if labels is None:
+        labels = [label_fn(d) for d in itertools.product(*map(range, assembly.sizes))]
     ring = FiniteRing(add_tab, mul_tab, zero, one, labels=labels, spec=spec, name=name, neg=neg)
     _validate_built(ring)
     ring.meta["axis_sizes"] = tuple(assembly.sizes)
@@ -408,23 +464,21 @@ def product_ring(
     threshold: int = DEFAULT_THRESHOLD,
     spec: Optional[dict] = None,
 ) -> FiniteRing:
-    """Direct product with componentwise operations."""
+    """Direct product with componentwise operations.
+
+    Each factor is one axis that carries its own mul table.
+    """
     if not factors:
         raise SpecError("product requires at least one factor")
     spec = spec or {"product": [f.spec for f in factors]}
     assembly = _Assembly([_Axis.of_ring(f) for f in factors])
-    muls = [f.mul_table for f in factors]
-
-    def mul_digits(da, db):
-        return [m[d1, d2] for m, d1, d2 in zip(muls, da, db)]
-
     labels = [f.labels for f in factors]
 
     def label_fn(digits):
         return "(" + ",".join(lbl[d] for lbl, d in zip(labels, digits)) + ")"
 
     return _assemble_ring(
-        assembly, mul_digits, [f.one for f in factors], label_fn,
+        assembly, None, [f.one for f in factors], label_fn,
         spec, spec_name(spec), threshold,
     )
 
@@ -470,6 +524,7 @@ def _matrix_ring(
     entries = [(i, j) for i in range(n) for j in range(n) if present(i, j)]
     pos = {e: c for c, e in enumerate(entries)}
     assembly = _Assembly([_Axis.of_ring(base)] * len(entries))
+    check_order(assembly.order, threshold)  # before the labels are composed
     amul, aadd = base.mul_table, base.add_table
 
     def mul_digits(da, db):
@@ -496,8 +551,15 @@ def _matrix_ring(
             rows.append(" ".join(cells))
         return "(" + ";".join(rows) + ")"
 
+    # The same labels in bulk: each row's strings in the mixed-radix order
+    # of its own entries, joined over every choice of rows.
+    row_strings = [
+        [" ".join(cells) for cells in itertools.product(
+            *(base_labels if (i, j) in pos else [zero_label] for j in range(n)))]
+        for i in range(n)]
+    labels = ["(" + ";".join(rows) + ")" for rows in itertools.product(*row_strings)]
     return _assemble_ring(assembly, mul_digits, one_digits, label_fn,
-                          spec, spec_name(spec), threshold)
+                          spec, spec_name(spec), threshold, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -162,19 +162,25 @@ def _read_only(table, dtype: np.dtype) -> np.ndarray:
 # are checked here before any kernel indexes with them.
 
 
-def as_table(table, shape: tuple, bound: int, error: Exception) -> np.ndarray:
-    """``table`` as an int64 array of ``shape`` with entries in ``0..bound-1``.
+def as_table(table, shape: tuple, bound: int, error: Exception,
+             dtype: np.dtype = np.dtype(np.int64)) -> np.ndarray:
+    """``table`` as a new ``dtype`` array of ``shape`` with entries in ``0..bound-1``.
 
-    Raises ``error`` when ``table`` is malformed: ragged, of another
-    shape, or holding an entry outside that range.
+    An integer array is range-checked in its own dtype and copied once,
+    into ``dtype``; any other input is read as int64 first.  Raises
+    ``error`` when ``table`` is malformed: ragged, of another shape,
+    holding an entry outside that range, or a Python int too large for
+    int64.
     """
     try:
-        out = np.asarray(table, dtype=np.int64)
-    except (TypeError, ValueError):
+        out = np.asarray(table)
+        if out.dtype.kind not in "iu":
+            out = np.asarray(table, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
         raise error from None
     if out.shape != shape or (out.size and (out.min() < 0 or out.max() >= bound)):
         raise error
-    return out
+    return out.astype(dtype)
 
 
 def element_ids(ids: Iterable[int], order: int) -> np.ndarray:
@@ -458,10 +464,11 @@ def table_ring(
     n = len(add_table)
     if n == 0:
         raise RingConstructionError("empty tables")
+    dt = dtype_for(n)
     add = as_table(add_table, (n, n), n, RingConstructionError(
-        f"add table must be {n} rows of {n} ids below {n}"))
+        f"add table must be {n} rows of {n} ids below {n}"), dt)
     mul = as_table(mul_table, (n, n), n, RingConstructionError(
-        f"table dimension mismatch: mul must be {n} rows of {n} ids below {n}, as add is"))
+        f"table dimension mismatch: mul must be {n} rows of {n} ids below {n}, as add is"), dt)
     if labels is not None and len(labels) != n:
         raise RingConstructionError(f"table has {n} elements but {len(labels)} labels")
     zero = identity_row(add)

@@ -436,7 +436,9 @@ def reference_assembly(assembly, mul_digits, one_digits, label_fn):
 
     Every element's digits are decoded into full-length vectors X;
     tables are evaluated on (n, 1) x (1, n) grids of them, labels read
-    back through numpy scalars, and neg derived from the add table.
+    back through numpy scalars, and neg derived from the add table.  A
+    ``mul_digits`` of None (a direct product) gathers each axis's own
+    ``mul`` table on the same grids, as the sums are.
     The ring is returned unvalidated, with ``meta['axis_sizes']``.
     """
     n = assembly.order
@@ -461,7 +463,8 @@ def reference_assembly(assembly, mul_digits, one_digits, label_fn):
     da = [x[:, None] for x in X]
     db = [x[None, :] for x in X]
     add_tab = encode([ax.add[d1, d2] for ax, d1, d2 in zip(axes, da, db)])
-    mul_tab = encode(mul_digits(da, db))
+    mul_tab = encode(mul_digits(da, db) if mul_digits is not None
+                     else [ax.mul[d1, d2] for ax, d1, d2 in zip(axes, da, db)])
     ring = FiniteRing(add_tab, mul_tab, zero, one, labels=[labels_for(i) for i in range(n)])
     ring.meta["axis_sizes"] = tuple(sizes)
     return ring

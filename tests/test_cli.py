@@ -256,6 +256,7 @@ _MALFORMED_SPECS = {
         "base": {"zn": 2}, "group": {"table": {"mul": _V2, "identity": 5}}}},
     "group-labels-1": {"group_ring": {
         "base": {"zn": 2}, "group": {"table": {"mul": [[0, 1], [1, 0]], "labels": ["e"]}}}},
+    "table-entry-2**70": {"table": {"add": [[0, 2 ** 70], [1, 0]], "mul": [[0, 0], [0, 1]]}},
     "table-labels-1": {"table": {
         "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "labels": ["0"]}},
     "quotient-generator-4": {"quotient": {"base": {"zn": 4}, "generators": [4]}},

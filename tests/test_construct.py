@@ -611,14 +611,19 @@ def _assert_same_ring(ring, ref):
 def reference_checked(monkeypatch):
     """Compare every ``_assemble_ring`` call with the reference route.
 
+    Labels a family composes in bulk are checked against its
+    ``label_fn`` per element.
+
     Returns the list of the names of the rings compared so far, inner
     builds included.
     """
     checked = []
     grid_route = construct._assemble_ring
 
-    def both_routes(assembly, mul_digits, one_digits, label_fn, spec, name, threshold):
-        ring = grid_route(assembly, mul_digits, one_digits, label_fn, spec, name, threshold)
+    def both_routes(assembly, mul_digits, one_digits, label_fn, spec, name, threshold,
+                    labels=None):
+        ring = grid_route(assembly, mul_digits, one_digits, label_fn, spec, name, threshold,
+                          labels)
         ref = reference_assembly(assembly, mul_digits, one_digits, label_fn)
         _assert_same_ring(ring, ref)
         checked.append(ring.name)
@@ -635,7 +640,17 @@ def test_grid_assembly_matches_reference_on_catalog(reference_checked):
     assert assembled <= set(reference_checked)
 
 
-@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST, ids=str)
+#: Products whose open axes split unevenly in ``_Assembly.encode``: an
+#: assembled factor (an open axis of 64 elements), a size-1 factor
+#: beside the one open axis, and five open axes (halves of 2 and 3).
+_SPLIT_SPECS = [
+    {"product": [Z2, {"triangular": {"n": 2, "base": Z4}}]},
+    {"product": [{"zn": 1}, {"zn": 5}]},
+    {"product": [Z2, {"zn": 3}, Z4, {"zn": 5}, {"zn": 7}]},
+]
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST + _SPLIT_SPECS, ids=str)
 def test_grid_assembly_matches_reference_on_small_specs(reference_checked, spec):
     build(spec)
 
@@ -722,6 +737,34 @@ def test_size_one_axes_take_no_grid_dimension(threshold):
     for ring in (m6, z1c40):
         assert ring.zero == ring.one == 0
         assert ring.add_table[0].tolist() == ring.mul_table[0].tolist() == [0]
+
+
+#: Bounds on the tracemalloc peak of ``build(spec)``, children included,
+#: over the bytes of its two tables, one spec per family at order 1024.
+#: gf and the group ring hold every product digit at full size in their
+#: digit formulas; the others stay near their own tables.
+_BUILD_PEAK_BOUNDS = [
+    ({"gf": {"p": 2, "k": 10}}, 4.44),
+    ({"group_ring": {"base": Z2, "group": {"cyclic": 10}}}, 4.06),
+    ({"trivial_extension": {"zn": 32}}, 1.35),
+    ({"triangular": {"n": 4, "base": Z2}}, 1.10),
+    ({"product": [{"zn": 16}, {"triangular": {"n": 2, "base": Z4}}]}, 1.09),
+]
+
+
+@pytest.mark.parametrize("spec, bound", _BUILD_PEAK_BOUNDS,
+                         ids=[construct.spec_name(s) for s, _ in _BUILD_PEAK_BOUNDS])
+def test_build_peak_is_a_bounded_multiple_of_its_tables(spec, bound):
+    build(Z2)  # the schema and the validator are loaded outside the trace
+    tracemalloc.start()
+    try:
+        ring = build(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ring.order == 1024
+    ratio = peak / (ring.add_table.nbytes + ring.mul_table.nbytes)
+    assert ratio <= bound, ratio
 
 
 def test_t3z4_build_allocates_at_most_two_tables_beyond_its_own():

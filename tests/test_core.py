@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -75,6 +76,25 @@ def test_dimension_mismatch():
     add, mul = zn_tables(3)
     with pytest.raises(RingConstructionError, match="mismatch"):
         table_ring(add, [row[:2] for row in mul[:2]])
+
+
+def test_table_ring_from_narrow_arrays_copies_each_table_once():
+    # Both tables are range-checked in their own uint16 and copied once;
+    # int64 copies of the two would peak near 5x the tables kept.
+    n = 1024
+    idx = np.arange(n)
+    add = ((idx[:, None] + idx) % n).astype(np.uint16)
+    mul = ((idx[:, None] * idx) % n).astype(np.uint16)
+    tracemalloc.start()
+    try:
+        ring = table_ring(add, mul)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ring.add_table.dtype == np.uint16
+    assert np.array_equal(ring.mul_table, mul) and add.flags.writeable
+    ratio = peak / (ring.add_table.nbytes + ring.mul_table.nbytes)
+    assert ratio <= 1.4, ratio
 
 
 def test_f4_from_raw_tables_every_nonzero_invertible():
