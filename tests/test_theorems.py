@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 from collections import Counter
@@ -20,7 +21,7 @@ from ringlab import (
     zn,
 )
 from ringlab.catalog import DEFAULT_SPECS, RADICAL_QUOTIENT_OF, CatalogEntry
-from ringlab.classify import radical_quotient
+from ringlab.classify import CLASSIFICATION_FIELDS, radical_quotient
 from ringlab.elements import _subring_is_cusc_uusc, _subring_units, _two_good_pair
 from ringlab.errors import SpecError
 from ringlab.invariants import get_cache
@@ -529,3 +530,53 @@ def test_triangular_route_keeps_to_the_budget(monkeypatch):
         skipped = {row.ring for row in rows if row.verdict == "skipped"}
         assert skipped == {row.ring for row in rows if route[row.ring] is None}, cid
         assert len(skipped) == count, cid
+
+
+#: The checks that read only classifications (and flags of the ring's
+#: ``meta``) of a catalog ring and of its parts.
+_STATEMENT_IDS = ("prop2.5", "cor2.14", "morita", "tav", "prop2.18", "prop2.19", "quasiduo",
+                  "cor3.2", "prop3.3", "thm3.4", "cor3.5", "cor3.6", "cor3.8", "thm3.9",
+                  "lemma4.1", "prop4.4", "thm4.3")
+
+#: An ideal extension of Z2 by the rng Z2, whose 1 is not quasi-regular.
+_NOT_QUASI_REGULAR_IE = {"ideal_extension": {
+    "base": {"zn": 2}, "m": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]},
+    "left_action": [[0, 0], [0, 1]], "right_action": [[0, 0], [0, 1]]}}
+
+#: sha256 over every row of the classification-only checks, with
+#: classification fields negated so that their fail rows are reached.
+STATEMENT_ROWS_SHA256 = "01693d1b9f3013f23d94f9abde2b5e7d952e6b0dd295d9088f6c4240285b8d35"
+
+
+def test_statement_rows_are_pinned_under_negated_classifications(suite_ctx, monkeypatch):
+    theorems = importlib.import_module("ringlab.theorems")
+    real = theorems.classify
+    digest = hashlib.sha256()
+    fails = Counter()
+    seen = set()
+
+    def run(case, ctx, negate=lambda ring: ()):
+        def negated(ring):
+            c = real(ring)
+            return dataclasses.replace(c, **{f: not getattr(c, f) for f in negate(ring)})
+        monkeypatch.setattr(theorems, "classify", negated)
+        reports = [r.to_json() for r in run_suite(ctx, list(_STATEMENT_IDS))]
+        digest.update(json.dumps([case, reports], sort_keys=True).encode())
+        rows = [(r["id"], row) for r in reports for row in r["rows"]]
+        fails.update(cid for cid, row in rows if row["verdict"] == "fail")
+        seen.update((cid, row["verdict"], json.dumps(row.get("detail"), sort_keys=True))
+                    for cid, row in rows if cid in ("tav", "prop2.19"))
+
+    for field in CLASSIFICATION_FIELDS:
+        run(field, suite_ctx, lambda ring: (field,))
+    for entry in suite_ctx.entries:
+        run(entry.name, suite_ctx,
+            lambda ring: CLASSIFICATION_FIELDS if ring is entry.ring else ())
+    for name, spec in (("Z2", {"zn": 2}), ("IE(Z2)", _NOT_QUASI_REGULAR_IE)):
+        run(name, SuiteContext([CatalogEntry(name, spec, build(spec))]))
+    assert set(fails) == set(_STATEMENT_IDS), fails
+    assert {("tav", "fail", '"T(A,A) CUSC but A is not"'),
+            ("tav", "fail", '"A CUSC abelian but T(A,A) is not"'),
+            ("prop2.19", "not-applicable", '{"hypotheses": {"idempotents_central_on_m": true, '
+                                           '"m_quasi_regular": false}}')} <= seen
+    assert digest.hexdigest() == STATEMENT_ROWS_SHA256
