@@ -7,22 +7,25 @@ witness), ``not-applicable`` (hypotheses unmet), or ``skipped`` (size
 bounds).  An aggregate failure anywhere signals an implementation bug,
 never new mathematics: every statement checked here is established.
 
-Checks share a :class:`SuiteContext` that holds the catalog and the
-derived rings built by spec (triangular extensions, matrix rings,
-factors).  A ring's classification and its radical quotient live in
-the ring's own memo (see :mod:`ringlab.invariants`), so every check
-that asks for them reuses one computation per ring handle.  No check
+Seventeen checks read only classifications (of a ring, of the rings it
+is built from and of R/J) and flags of the ring's ``meta``.  Each is one
+:class:`Statement` row of :data:`STATEMENTS`, run by one evaluator;
+``cor3.8`` adds a witness row to its statement's.  The other checks stay
+functions, because they read masks, sweeps or ideal lattices; no check
 builds a subring or corner: ``prop2.4``, ``cor2.6``, ``cor2.7`` and
-``thm3.10`` read them from the parent ring's unit and idempotent masks
-through :mod:`ringlab.elements`, which answers every a = e + u and
-x = u + v question.  Reports are deterministic: byte-identical across
-runs and worker counts.
-"""
+``thm3.10`` read them from the parent's unit and idempotent masks
+through :mod:`ringlab.elements`.
 
+Checks share a :class:`SuiteContext` holding the catalog and the rings
+derived by spec.  A ring's classification and its R/J live in the ring's
+own memo (:mod:`ringlab.invariants`), computed once per ring handle.
+Reports are byte-identical across runs and worker counts.
+"""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,6 +66,7 @@ class RingVerdict:
     ring: str
     verdict: str
     detail: Optional[object] = None
+    facts: Optional[object] = None  # a Statement row's fail detail, on a pass too; not in JSON
 
     def to_json(self) -> dict:
         out = {"ring": self.ring, "verdict": self.verdict}
@@ -81,8 +85,8 @@ class TheoremReport:
     def aggregate(self) -> str:
         return FAIL if any(r.verdict == FAIL for r in self.rows) else PASS
 
-    def add(self, ring: str, verdict: str, detail=None):
-        self.rows.append(RingVerdict(ring, verdict, detail))
+    def add(self, ring: str, verdict: str, detail=None, facts=None):
+        self.rows.append(RingVerdict(ring, verdict, detail, facts))
 
     def require(self, ring: str, condition: bool, detail_on_fail=None, detail_on_pass=None):
         if condition:
@@ -177,20 +181,6 @@ def _spec_key(spec: dict) -> str:
     return json.dumps(spec, sort_keys=True)
 
 
-def _of_kind(ctx: SuiteContext, rep: TheoremReport, *kinds: str) -> list[tuple]:
-    """``(entry, kind, args)`` for each catalog entry whose spec is ``{kind: args}``.
-
-    The checks of a spec kind read the entry's parts as
-    ``ctx.derived(child spec)``.  With no such entry, ``rep`` gets the
-    single ``(none)`` not-applicable row.
-    """
-    out = [(entry, kind, entry.spec[kind]) for entry in ctx.entries
-           if isinstance(entry.spec, dict) for kind in kinds if kind in entry.spec]
-    if not out:
-        rep.add("(none)", NA)
-    return out
-
-
 def _is_trivial(ring: FiniteRing) -> bool:
     return ring.order == 1
 
@@ -231,7 +221,199 @@ def _is_m2_f2_corner(ring: FiniteRing, e: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# statements read off classifications
+
+
+class Reading:
+    """What a statement reads of one ring, each part on first use.
+
+    ``ring`` is R's classification; ``parts`` are those of the rings R is
+    built from, by child spec (``_FAMILIES[kind].children``), and
+    ``base`` is the first; ``quotient`` is R/J's.  ``hypotheses``,
+    ``two_group`` and ``idempotents_in_base`` are flags of R's ``meta``.
+    """
+
+    def __init__(self, ctx: SuiteContext, ring: FiniteRing, spec: dict):
+        self._ctx, self._ring, self._spec = ctx, ring, spec
+        self.hypotheses = ring.meta.get("hypotheses", {})
+        self.two_group = "group" in ring.meta and ring.meta["group"].is_two_group
+
+    @cached_property
+    def ring(self) -> Classification:
+        return classify(self._ring)
+
+    @cached_property
+    def parts(self) -> list[Classification]:
+        [(kind, args)] = self._spec.items()
+        return [classify(self._ctx.derived(s)) for s in _FAMILIES[kind].children(args)]
+
+    @property
+    def base(self) -> Classification:
+        return self.parts[0]
+
+    @cached_property
+    def quotient(self) -> Classification:
+        return classify(radical_quotient(self._ring))
+
+    @property
+    def idempotents_in_base(self) -> bool:
+        idem = np.flatnonzero(get_cache(self._ring).idempotent_mask)
+        return bool(np.isin(idem, self._ring.meta["base_embedding"]).all())
+
+
+@dataclass(frozen=True)
+class Statement:
+    """A check that reads only a :class:`Reading` of each ring; calling it runs it.
+
+    It reads the catalog entries of its spec ``kinds`` (every entry if
+    none; ``(none)`` is the one row when no entry has them), then the
+    fresh rings ``extra``.  A ring whose ``premise`` is false is
+    ``not-applicable`` with ``reason`` (a string, or a function of the
+    reading); else ``conclusion`` decides it, with ``detail`` on a fail
+    and ``passed`` (if given) on a pass.  Both keep ``detail`` as ``facts``.
+    """
+
+    check_id: str
+    title: str
+    conclusion: Callable[[Reading], bool]
+    detail: Callable[[Reading], object]
+    kinds: tuple[str, ...] = ()
+    premise: Optional[Callable[[Reading], bool]] = None
+    reason: object = None
+    passed: Optional[Callable[[Reading], object]] = None
+    extra: tuple[tuple[str, dict], ...] = ()
+
+    def __call__(self, ctx: SuiteContext) -> TheoremReport:
+        rep = TheoremReport(self.check_id, self.title)
+        rings = [(e.name, e.spec, e.ring) for e in ctx.entries if not self.kinds
+                 or isinstance(e.spec, dict) and not e.spec.keys().isdisjoint(self.kinds)]
+        rings += [(name, spec, ctx.derived(spec)) for name, spec in self.extra]
+        if self.kinds and not rings:
+            rep.add("(none)", NA)
+        for name, spec, ring in rings:
+            r = Reading(ctx, ring, spec)
+            if self.premise and not self.premise(r):
+                rep.add(name, NA, self.reason(r) if callable(self.reason) else self.reason)
+                continue
+            ok, facts = self.conclusion(r), self.detail(r)
+            rep.add(name, PASS if ok else FAIL, self.passed and self.passed(r) if ok else facts,
+                    facts)
+        return rep
+
+
+def _fields(c: Classification, *names: str) -> dict:
+    """``names`` of ``c`` by name; CUSC and UUSC, which most statements compare, by default."""
+    return {name: getattr(c, name) for name in names or ("is_CUSC", "is_UUSC")}
+
+
+def _like_parts(*names: str) -> Callable[[Reading], bool]:
+    """R has each of ``names`` iff every part has it."""
+    return lambda r: all(getattr(r.ring, n) == all(getattr(p, n) for p in r.parts) for n in names)
+
+
+def _uusc_of_parts(r: Reading) -> dict:
+    names = ("a", "b") if len(r.parts) == 2 else ("base",)
+    return {"ring": r.ring.is_UUSC, **{n: p.is_UUSC for n, p in zip(names, r.parts)}}
+
+
+def _passes_to(src: Classification, dst: Classification, *names: str) -> bool:
+    """Each of ``names`` (UUSC and CUSC by default) that ``src`` has, ``dst`` has too."""
+    return all(getattr(dst, n) or not getattr(src, n) for n in names or ("is_UUSC", "is_CUSC"))
+
+
+_COR3_5_LEGS = ("is_clean", "is_potent", "is_USC", "is_strongly_clean")
+
+#: The statements by check id.  ``cor3.8`` adds its T2(Z2) witness row
+#: after its statement's rows.
+STATEMENTS: dict[str, Statement] = {s.check_id: s for s in (
+    Statement("prop2.5", "products are CUSC/UUSC iff every factor is",
+              kinds=("product",), extra=(("Z2xZ3", {"product": [{"zn": 2}, {"zn": 3}]}),),
+              conclusion=_like_parts("is_CUSC", "is_UUSC"),
+              detail=lambda r: {"product": _fields(r.ring),
+                                "factors": [_fields(f) for f in r.parts]}),
+    Statement("cor2.14", "UUSC transfer: truncated (skew) polynomials, trivial extensions, "
+              "formal triangular and triangular matrix rings",
+              kinds=("trunc_poly", "skew_trunc_poly", "trivial_extension", "formal_triangular",
+                     "triangular"),
+              conclusion=_like_parts("is_UUSC"), detail=_uusc_of_parts),
+    Statement("morita", "trivial Morita contexts are UUSC iff both corner rings are",
+              kinds=("trivial_morita",), conclusion=_like_parts("is_UUSC"), detail=_uusc_of_parts),
+    Statement("tav", "trivial extension CUSC implies base CUSC; converse under central action",
+              kinds=("trivial_extension",),
+              # The action centrality hypothesis (ex = xe on V = A) is the
+              # abelian condition on the base.
+              conclusion=lambda r: (_passes_to(r.ring, r.base, "is_CUSC") and (
+                  not r.base.is_abelian or _passes_to(r.base, r.ring, "is_CUSC"))),
+              detail=lambda r: ("T(A,A) CUSC but A is not" if r.ring.is_CUSC and not r.base.is_CUSC
+                                else "A CUSC abelian but T(A,A) is not"),
+              passed=lambda r: {"ring": r.ring.is_CUSC, "base": r.base.is_CUSC}),
+    Statement("prop2.18", "an UUSC (CUSC) ideal extension has an UUSC (CUSC) base",
+              kinds=("ideal_extension",), conclusion=lambda r: _passes_to(r.ring, r.base),
+              detail=lambda r: {"extension": _fields(r.ring), "base": _fields(r.base)}),
+    Statement("prop2.19", "base UUSC (CUSC) + central idempotent action + quasi-regular module "
+              "forces the ideal extension UUSC (CUSC)",
+              kinds=("ideal_extension",),
+              premise=lambda r: (r.hypotheses.get("idempotents_central_on_m")
+                                 and r.hypotheses.get("m_quasi_regular")),
+              reason=lambda r: {"hypotheses": r.hypotheses},
+              conclusion=lambda r: _passes_to(r.base, r.ring),
+              detail=lambda r: {"base": _fields(r.base), "extension": _fields(r.ring)}),
+    Statement("quasiduo", "potent UUSC rings are left and right quasi-duo",
+              premise=lambda r: r.ring.is_potent and r.ring.is_UUSC, reason="not potent UUSC",
+              conclusion=lambda r: r.ring.is_quasi_duo_left and r.ring.is_quasi_duo_right,
+              detail=lambda r: {"left": r.ring.is_quasi_duo_left,
+                                "right": r.ring.is_quasi_duo_right}),
+    Statement("cor3.2", "regular rings: UUSC iff boolean",
+              premise=lambda r: r.ring.is_regular, reason="not regular",
+              conclusion=lambda r: r.ring.is_UUSC == r.ring.is_boolean,
+              detail=lambda r: _fields(r.ring, "is_UUSC", "is_boolean")),
+    Statement("prop3.3", "USC iff clean and CUSC",
+              conclusion=lambda r: r.ring.is_USC == (r.ring.is_clean and r.ring.is_CUSC),
+              detail=lambda r: _fields(r.ring, "is_USC", "is_clean", "is_CUSC")),
+    Statement("thm3.4", "USC iff CUSC and potent",
+              conclusion=lambda r: r.ring.is_USC == (r.ring.is_CUSC and r.ring.is_potent),
+              detail=lambda r: _fields(r.ring, "is_USC", "is_CUSC", "is_potent")),
+    Statement("cor3.5", "CUSC rings: clean, potent, USC, strongly clean agree "
+              "(the exchange condition coincides with clean on finite rings)",
+              premise=lambda r: r.ring.is_CUSC, reason="not CUSC",
+              conclusion=lambda r: len({getattr(r.ring, n) for n in _COR3_5_LEGS}) == 1,
+              detail=lambda r: {"legs": [getattr(r.ring, n) for n in _COR3_5_LEGS]}),
+    Statement("cor3.6", "semi-boolean iff potent with UUSC radical quotient",
+              conclusion=lambda r: (r.ring.is_semi_boolean
+                                    == (r.ring.is_potent and r.quotient.is_UUSC)),
+              detail=lambda r: {**_fields(r.ring, "is_semi_boolean", "is_potent"),
+                                "quotient_is_UUSC": r.quotient.is_UUSC}),
+    Statement("cor3.8", "rings equal to central-idempotent-plus-radical are USC; "
+              "T2(Z2) separates the converse",
+              premise=lambda r: r.ring.R_equals_ucn0, reason="R != ucn0(R)",
+              conclusion=lambda r: r.ring.is_USC, detail=lambda r: _fields(r.ring, "is_USC")),
+    Statement("thm3.9", "semi-potent CUSC/UUSC rings contain 2 in the radical",
+              premise=lambda r: (r.ring.is_CUSC or r.ring.is_UUSC) and r.ring.is_semi_potent,
+              reason="hypotheses unmet",
+              conclusion=lambda r: r.ring.two_in_J, detail=lambda r: _fields(r.ring, "two_in_J")),
+    Statement("lemma4.1", "group rings whose idempotents all lie in the base: CUSC/UUSC transfer",
+              kinds=("group_ring",),
+              premise=lambda r: r.idempotents_in_base, reason="idempotents outside the base",
+              conclusion=_like_parts("is_CUSC", "is_UUSC"),
+              detail=lambda r: {"group_ring": _fields(r.ring), "base": _fields(r.base)}),
+    Statement("prop4.4", "2-groups over semi-potent UUSC bases give UUSC group rings",
+              kinds=("group_ring",),
+              premise=lambda r: r.two_group and r.base.is_UUSC and r.base.is_semi_potent,
+              reason="hypotheses unmet",
+              conclusion=lambda r: r.ring.is_UUSC, detail=lambda r: _fields(r.ring, "is_UUSC")),
+    Statement("thm4.3", "potent base, locally finite group: the group ring is CUSC/UUSC iff "
+              "the base is and the group is a 2-group",
+              kinds=("group_ring",),
+              premise=lambda r: r.base.is_potent, reason="base not potent",
+              conclusion=lambda r: (r.ring.is_CUSC == (r.base.is_CUSC and r.two_group)
+                                    and r.ring.is_UUSC == (r.base.is_UUSC and r.two_group)),
+              detail=lambda r: {"group_ring": _fields(r.ring), "base": _fields(r.base),
+                                "two_group": r.two_group}),
+)}
+
+
+# ---------------------------------------------------------------------------
+# checks that stay functions
 
 
 def _check_example1_4(ctx: SuiteContext) -> TheoremReport:
@@ -348,28 +530,6 @@ def _check_prop2_4(ctx: SuiteContext) -> TheoremReport:
                 break
         rep.require(entry.name, bad is None, bad,
                     {"subrings_checked": len(subrings)})
-    return rep
-
-
-def _check_prop2_5(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport("prop2.5", "products are CUSC/UUSC iff every factor is")
-    instances = [(e.name, e.spec, e.ring) for e in ctx.entries
-                 if isinstance(e.spec, dict) and "product" in e.spec]
-    fresh = {"product": [{"zn": 2}, {"zn": 3}]}
-    instances.append(("Z2xZ3", fresh, ctx.derived(fresh)))
-    for name, spec, ring in instances:
-        c = classify(ring)
-        factor_classes = [classify(ctx.derived(s)) for s in spec["product"]]
-        ok = (
-            c.is_CUSC == all(f.is_CUSC for f in factor_classes)
-            and c.is_UUSC == all(f.is_UUSC for f in factor_classes)
-        )
-        rep.require(name, ok, {
-            "product": {"is_CUSC": c.is_CUSC, "is_UUSC": c.is_UUSC},
-            "factors": [
-                {"is_CUSC": f.is_CUSC, "is_UUSC": f.is_UUSC} for f in factor_classes
-            ],
-        })
     return rep
 
 
@@ -511,91 +671,6 @@ def _check_prop2_2(ctx: SuiteContext) -> TheoremReport:
     return rep
 
 
-def _check_cor2_14(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "cor2.14",
-        "UUSC transfer: truncated (skew) polynomials, trivial extensions, "
-        "formal triangular and triangular matrix rings",
-    )
-    for entry, kind, args in _of_kind(ctx, rep, "trunc_poly", "skew_trunc_poly",
-                                      "trivial_extension", "formal_triangular", "triangular"):
-        c = classify(entry.ring)
-        parts = [classify(ctx.derived(s)).is_UUSC for s in _FAMILIES[kind].children(args)]
-        names = ("a", "b") if kind == "formal_triangular" else ("base",)
-        rep.require(entry.name, c.is_UUSC == all(parts),
-                    {"ring": c.is_UUSC, **dict(zip(names, parts))})
-    return rep
-
-
-def _check_morita(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "morita", "trivial Morita contexts are UUSC iff both corner rings are"
-    )
-    for entry, _, args in _of_kind(ctx, rep, "trivial_morita"):
-        c = classify(entry.ring)
-        a = classify(ctx.derived(args["a"]))
-        b = classify(ctx.derived(args["b"]))
-        rep.require(entry.name, c.is_UUSC == (a.is_UUSC and b.is_UUSC),
-                    {"ring": c.is_UUSC, "a": a.is_UUSC, "b": b.is_UUSC})
-    return rep
-
-
-def _check_tav(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "tav",
-        "trivial extension CUSC implies base CUSC; converse under central action",
-    )
-    for entry, _, base_spec in _of_kind(ctx, rep, "trivial_extension"):
-        c = classify(entry.ring)
-        bc = classify(ctx.derived(base_spec))
-        if c.is_CUSC and not bc.is_CUSC:
-            rep.add(entry.name, FAIL, "T(A,A) CUSC but A is not")
-            continue
-        # The action centrality hypothesis (ex = xe on V = A) is the
-        # abelian condition on the base.
-        if bc.is_CUSC and bc.is_abelian and not c.is_CUSC:
-            rep.add(entry.name, FAIL, "A CUSC abelian but T(A,A) is not")
-            continue
-        rep.add(entry.name, PASS, {"ring": c.is_CUSC, "base": bc.is_CUSC})
-    return rep
-
-
-def _check_prop2_18(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "prop2.18", "an UUSC (CUSC) ideal extension has an UUSC (CUSC) base"
-    )
-    for entry, _, args in _of_kind(ctx, rep, "ideal_extension"):
-        c = classify(entry.ring)
-        bc = classify(ctx.derived(args["base"]))
-        ok = (not c.is_UUSC or bc.is_UUSC) and (not c.is_CUSC or bc.is_CUSC)
-        rep.require(entry.name, ok, {
-            "extension": {"is_UUSC": c.is_UUSC, "is_CUSC": c.is_CUSC},
-            "base": {"is_UUSC": bc.is_UUSC, "is_CUSC": bc.is_CUSC},
-        })
-    return rep
-
-
-def _check_prop2_19(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "prop2.19",
-        "base UUSC (CUSC) + central idempotent action + quasi-regular module "
-        "forces the ideal extension UUSC (CUSC)",
-    )
-    for entry, _, args in _of_kind(ctx, rep, "ideal_extension"):
-        hyp = entry.ring.meta.get("hypotheses", {})
-        if not (hyp.get("idempotents_central_on_m") and hyp.get("m_quasi_regular")):
-            rep.add(entry.name, NA, {"hypotheses": hyp})
-            continue
-        c = classify(entry.ring)
-        bc = classify(ctx.derived(args["base"]))
-        ok = (not bc.is_UUSC or c.is_UUSC) and (not bc.is_CUSC or c.is_CUSC)
-        rep.require(entry.name, ok, {
-            "base": {"is_UUSC": bc.is_UUSC, "is_CUSC": bc.is_CUSC},
-            "extension": {"is_UUSC": c.is_UUSC, "is_CUSC": c.is_CUSC},
-        })
-    return rep
-
-
 def _check_thm3_1(ctx: SuiteContext) -> TheoremReport:
     rep = TheoremReport(
         "thm3.1",
@@ -627,92 +702,8 @@ def _check_thm3_1(ctx: SuiteContext) -> TheoremReport:
     return rep
 
 
-def _check_quasiduo(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport("quasiduo", "potent UUSC rings are left and right quasi-duo")
-    for entry in ctx.entries:
-        c = classify(entry.ring)
-        if not (c.is_potent and c.is_UUSC):
-            rep.add(entry.name, NA, "not potent UUSC")
-            continue
-        rep.require(entry.name, c.is_quasi_duo_left and c.is_quasi_duo_right, {
-            "left": c.is_quasi_duo_left, "right": c.is_quasi_duo_right,
-        })
-    return rep
-
-
-def _check_cor3_2(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport("cor3.2", "regular rings: UUSC iff boolean")
-    for entry in ctx.entries:
-        c = classify(entry.ring)
-        if not c.is_regular:
-            rep.add(entry.name, NA, "not regular")
-            continue
-        rep.require(entry.name, c.is_UUSC == c.is_boolean,
-                    {"is_UUSC": c.is_UUSC, "is_boolean": c.is_boolean})
-    return rep
-
-
-def _check_prop3_3(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport("prop3.3", "USC iff clean and CUSC")
-    for entry in ctx.entries:
-        c = classify(entry.ring)
-        rep.require(entry.name, c.is_USC == (c.is_clean and c.is_CUSC), {
-            "is_USC": c.is_USC, "is_clean": c.is_clean, "is_CUSC": c.is_CUSC,
-        })
-    return rep
-
-
-def _check_thm3_4(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport("thm3.4", "USC iff CUSC and potent")
-    for entry in ctx.entries:
-        c = classify(entry.ring)
-        rep.require(entry.name, c.is_USC == (c.is_CUSC and c.is_potent), {
-            "is_USC": c.is_USC, "is_CUSC": c.is_CUSC, "is_potent": c.is_potent,
-        })
-    return rep
-
-
-def _check_cor3_5(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "cor3.5",
-        "CUSC rings: clean, potent, USC, strongly clean agree "
-        "(the exchange condition coincides with clean on finite rings)",
-    )
-    for entry in ctx.entries:
-        c = classify(entry.ring)
-        if not c.is_CUSC:
-            rep.add(entry.name, NA, "not CUSC")
-            continue
-        legs = (c.is_clean, c.is_potent, c.is_USC, c.is_strongly_clean)
-        rep.require(entry.name, len(set(legs)) == 1, {"legs": list(legs)})
-    return rep
-
-
-def _check_cor3_6(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport("cor3.6", "semi-boolean iff potent with UUSC radical quotient")
-    for entry in ctx.entries:
-        c = classify(entry.ring)
-        qc = classify(radical_quotient(entry.ring))
-        rep.require(
-            entry.name,
-            c.is_semi_boolean == (c.is_potent and qc.is_UUSC),
-            {"is_semi_boolean": c.is_semi_boolean, "is_potent": c.is_potent,
-             "quotient_is_UUSC": qc.is_UUSC},
-        )
-    return rep
-
-
 def _check_cor3_8(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "cor3.8",
-        "rings equal to central-idempotent-plus-radical are USC; T2(Z2) separates the converse",
-    )
-    for entry in ctx.entries:
-        c = classify(entry.ring)
-        if not c.R_equals_ucn0:
-            rep.add(entry.name, NA, "R != ucn0(R)")
-            continue
-        rep.require(entry.name, c.is_USC, {"is_USC": c.is_USC})
+    rep = STATEMENTS["cor3.8"](ctx)
     t2 = ctx.derived({"triangular": {"n": 2, "base": {"zn": 2}}})
     c = classify(t2)
     cache = get_cache(t2)
@@ -732,17 +723,6 @@ def _check_cor3_8(ctx: SuiteContext) -> TheoremReport:
          "witness_valid": witness_ok},
         {"witness": "(1 1;0 0) = (1 0;0 0) + (0 1;0 0), first summand non-central"},
     )
-    return rep
-
-
-def _check_thm3_9(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport("thm3.9", "semi-potent CUSC/UUSC rings contain 2 in the radical")
-    for entry in ctx.entries:
-        c = classify(entry.ring)
-        if not ((c.is_CUSC or c.is_UUSC) and c.is_semi_potent):
-            rep.add(entry.name, NA, "hypotheses unmet")
-            continue
-        rep.require(entry.name, c.two_in_J, {"two_in_J": c.two_in_J})
     return rep
 
 
@@ -806,66 +786,6 @@ def _check_thm3_11(ctx: SuiteContext) -> TheoremReport:
                 continue
             rep.require(label, tc.is_CUSC == c.is_CUSC,
                         {"base_CUSC": c.is_CUSC, "triangular_CUSC": tc.is_CUSC})
-    return rep
-
-
-def _check_lemma4_1(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "lemma4.1",
-        "group rings whose idempotents all lie in the base: CUSC/UUSC transfer",
-    )
-    for entry, _, args in _of_kind(ctx, rep, "group_ring"):
-        ring = entry.ring
-        idem = np.flatnonzero(get_cache(ring).idempotent_mask)
-        if not np.isin(idem, ring.meta["base_embedding"]).all():
-            rep.add(entry.name, NA, "idempotents outside the base")
-            continue
-        c = classify(ring)
-        bc = classify(ctx.derived(args["base"]))
-        ok = c.is_CUSC == bc.is_CUSC and c.is_UUSC == bc.is_UUSC
-        rep.require(entry.name, ok, {
-            "group_ring": {"is_CUSC": c.is_CUSC, "is_UUSC": c.is_UUSC},
-            "base": {"is_CUSC": bc.is_CUSC, "is_UUSC": bc.is_UUSC},
-        })
-    return rep
-
-
-def _check_prop4_4(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "prop4.4", "2-groups over semi-potent UUSC bases give UUSC group rings"
-    )
-    for entry, _, args in _of_kind(ctx, rep, "group_ring"):
-        bc = classify(ctx.derived(args["base"]))
-        if not (entry.ring.meta["group"].is_two_group and bc.is_UUSC and bc.is_semi_potent):
-            rep.add(entry.name, NA, "hypotheses unmet")
-            continue
-        c = classify(entry.ring)
-        rep.require(entry.name, c.is_UUSC, {"is_UUSC": c.is_UUSC})
-    return rep
-
-
-def _check_thm4_3(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "thm4.3",
-        "potent base, locally finite group: the group ring is CUSC/UUSC iff "
-        "the base is and the group is a 2-group",
-    )
-    for entry, _, args in _of_kind(ctx, rep, "group_ring"):
-        bc = classify(ctx.derived(args["base"]))
-        if not bc.is_potent:
-            rep.add(entry.name, NA, "base not potent")
-            continue
-        c = classify(entry.ring)
-        two = entry.ring.meta["group"].is_two_group
-        ok = (
-            c.is_CUSC == (bc.is_CUSC and two)
-            and c.is_UUSC == (bc.is_UUSC and two)
-        )
-        rep.require(entry.name, ok, {
-            "group_ring": {"is_CUSC": c.is_CUSC, "is_UUSC": c.is_UUSC},
-            "base": {"is_CUSC": bc.is_CUSC, "is_UUSC": bc.is_UUSC},
-            "two_group": two,
-        })
     return rep
 
 
@@ -980,30 +900,30 @@ CHECKS: dict[str, tuple[str, Callable[[SuiteContext], TheoremReport]]] = {
     "prop2.1": ("abelian equivalences", _check_prop2_1),
     "example2.3": ("trivial-idempotent criterion; triangular USC", _check_example2_3),
     "prop2.4": ("subring inheritance", _check_prop2_4),
-    "prop2.5": ("finite products", _check_prop2_5),
+    "prop2.5": ("finite products", STATEMENTS["prop2.5"]),
     "cor2.6": ("subdirect products", _check_cor2_6),
     "cor2.7": ("Peirce decomposition", _check_cor2_7),
     "lemma2.8": ("radical subideal transfer", _check_lemma2_8),
     "prop2.2": ("local characterizations", _check_prop2_2),
-    "cor2.14": ("extension corollaries", _check_cor2_14),
-    "morita": ("trivial Morita contexts", _check_morita),
-    "tav": ("trivial extension CUSC transfer", _check_tav),
-    "prop2.18": ("ideal extension necessity", _check_prop2_18),
-    "prop2.19": ("ideal extension sufficiency", _check_prop2_19),
+    "cor2.14": ("extension corollaries", STATEMENTS["cor2.14"]),
+    "morita": ("trivial Morita contexts", STATEMENTS["morita"]),
+    "tav": ("trivial extension CUSC transfer", STATEMENTS["tav"]),
+    "prop2.18": ("ideal extension necessity", STATEMENTS["prop2.18"]),
+    "prop2.19": ("ideal extension sufficiency", STATEMENTS["prop2.19"]),
     "thm3.1": ("semi-potent six equivalences", _check_thm3_1),
-    "quasiduo": ("quasi-duo corollary", _check_quasiduo),
-    "cor3.2": ("regular rings", _check_cor3_2),
-    "prop3.3": ("USC = clean + CUSC", _check_prop3_3),
-    "thm3.4": ("USC = CUSC + potent", _check_thm3_4),
-    "cor3.5": ("CUSC equivalences", _check_cor3_5),
-    "cor3.6": ("semi-boolean criterion", _check_cor3_6),
+    "quasiduo": ("quasi-duo corollary", STATEMENTS["quasiduo"]),
+    "cor3.2": ("regular rings", STATEMENTS["cor3.2"]),
+    "prop3.3": ("USC = clean + CUSC", STATEMENTS["prop3.3"]),
+    "thm3.4": ("USC = CUSC + potent", STATEMENTS["thm3.4"]),
+    "cor3.5": ("CUSC equivalences", STATEMENTS["cor3.5"]),
+    "cor3.6": ("semi-boolean criterion", STATEMENTS["cor3.6"]),
     "cor3.8": ("central-idempotent translates", _check_cor3_8),
-    "thm3.9": ("2 in the radical", _check_thm3_9),
+    "thm3.9": ("2 in the radical", STATEMENTS["thm3.9"]),
     "thm3.10": ("two-good obstructions", _check_thm3_10),
     "thm3.11": ("triangular CUSC criterion", _check_thm3_11),
-    "lemma4.1": ("group rings with base idempotents", _check_lemma4_1),
-    "prop4.4": ("2-group group rings", _check_prop4_4),
-    "thm4.3": ("group ring criterion", _check_thm4_3),
+    "lemma4.1": ("group rings with base idempotents", STATEMENTS["lemma4.1"]),
+    "prop4.4": ("2-group group rings", STATEMENTS["prop4.4"]),
+    "thm4.3": ("group ring criterion", STATEMENTS["thm4.3"]),
     "crosschecks": ("dual-route verification", _check_crosschecks),
     "explore": ("observational sweeps", _check_explore),
 }
