@@ -332,17 +332,31 @@ def _restrict_to_subset(
 # base rings
 
 
+#: Cells of one block of rows of ``zn``'s int64 products.
+_ZN_BLOCK_CELLS = 1 << 16
+
+
 def zn(n: int, *, threshold: int = DEFAULT_THRESHOLD, spec: Optional[dict] = None) -> FiniteRing:
-    """The ring of integers modulo n."""
+    """The ring of integers modulo n.
+
+    The add table is built in ``dtype_for(2n)``, which holds every a + b,
+    and the mul table a block of rows at a time in ``dtype_for(n)``, so no
+    order^2 table is held in int64.
+    """
     if n < 1:
         raise SpecError(f"zn parameter must be positive, got {n}")
     check_order(n, threshold)
     spec = spec or {"zn": n}
-    idx = np.arange(n, dtype=np.int64)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    idx = np.arange(n, dtype=dtype_for(2 * n))
+    add = idx[:, None] + idx[None, :]
+    np.remainder(add, n, out=add)
+    wide = np.arange(n, dtype=np.int64)
+    mul = np.empty((n, n), dtype=dtype_for(n))
+    step = max(1, _ZN_BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        mul[start:start + step] = wide[start:start + step, None] * wide % n
     ring = FiniteRing(add, mul, 0, 1 % n, labels=[str(i) for i in range(n)],
-                      spec=spec, name=spec_name(spec), neg=(-idx) % n)
+                      spec=spec, name=spec_name(spec), neg=(-wide) % n)
     _validate_built(ring)
     return ring
 

@@ -21,6 +21,7 @@ derived by spec.  A ring's classification and its R/J live in the ring's
 own memo (:mod:`ringlab.invariants`), computed once per ring handle.
 Reports are byte-identical across runs and worker counts.
 """
+
 from __future__ import annotations
 
 import json
@@ -230,13 +231,16 @@ class Reading:
     ``ring`` is R's classification; ``parts`` are those of the rings R is
     built from, by child spec (``_FAMILIES[kind].children``), and
     ``base`` is the first; ``quotient`` is R/J's.  ``hypotheses``,
-    ``two_group`` and ``idempotents_in_base`` are flags of R's ``meta``.
+    ``two_group`` and ``idempotents_in_base`` are flags of R's ``meta``,
+    which ideal extensions and group rings keep.
     """
 
     def __init__(self, ctx: SuiteContext, ring: FiniteRing, spec: dict):
-        self._ctx, self._ring, self._spec = ctx, ring, spec
-        self.hypotheses = ring.meta.get("hypotheses", {})
-        self.two_group = "group" in ring.meta and ring.meta["group"].is_two_group
+        self._ctx, self._ring, self._spec, meta = ctx, ring, spec, ring.meta
+        self.hypotheses = meta.get("hypotheses", {})
+        self.two_group = "group" in meta and meta["group"].is_two_group
+        self.idempotents_in_base = "base_embedding" in meta and bool(np.isin(
+            np.flatnonzero(get_cache(ring).idempotent_mask), meta["base_embedding"]).all())
 
     @cached_property
     def ring(self) -> Classification:
@@ -254,11 +258,6 @@ class Reading:
     @cached_property
     def quotient(self) -> Classification:
         return classify(radical_quotient(self._ring))
-
-    @property
-    def idempotents_in_base(self) -> bool:
-        idem = np.flatnonzero(get_cache(self._ring).idempotent_mask)
-        return bool(np.isin(idem, self._ring.meta["base_embedding"]).all())
 
 
 @dataclass(frozen=True)
@@ -296,8 +295,8 @@ class Statement:
                 rep.add(name, NA, self.reason(r) if callable(self.reason) else self.reason)
                 continue
             ok, facts = self.conclusion(r), self.detail(r)
-            rep.add(name, PASS if ok else FAIL, self.passed and self.passed(r) if ok else facts,
-                    facts)
+            detail = (self.passed and self.passed(r)) if ok else facts
+            rep.add(name, PASS if ok else FAIL, detail, facts)
         return rep
 
 

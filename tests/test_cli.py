@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from ringlab import RinglabError, SuiteContext, build, classify, element_profile, validate_spec, zn
+from ringlab import (
+    CHECKS, RinglabError, SuiteContext, build, classify, element_profile, validate_spec, zn,
+)
 from ringlab import invariants
 from ringlab.cli import main, make_parser
 
@@ -321,6 +323,12 @@ def test_readme_lists_every_cli_flag():
         for command, sub in subparsers.choices.items()
     }
     assert _readme_cli_flags() == accepted
+
+
+def test_readme_lists_every_check_id_in_registry_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Check ids for `--theorem`:", 1)[1].split("```", 2)[1]
+    assert block.split() == list(CHECKS)
 
 
 def test_lattice_limit_flag_bounds_the_quasi_duo_oracle(spec_file, capsys, tmp_path,

@@ -744,6 +744,7 @@ def test_size_one_axes_take_no_grid_dimension(threshold):
 #: gf and the group ring hold every product digit at full size in their
 #: digit formulas; the others stay near their own tables.
 _BUILD_PEAK_BOUNDS = [
+    ({"zn": 1024}, 1.5),
     ({"gf": {"p": 2, "k": 10}}, 4.44),
     ({"group_ring": {"base": Z2, "group": {"cyclic": 10}}}, 4.06),
     ({"trivial_extension": {"zn": 32}}, 1.35),

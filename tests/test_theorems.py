@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from ringlab.errors import SpecError
 from ringlab.invariants import get_cache
 from ringlab.construct import _corner_subset, _subring_closure
 from ringlab.theorems import (
+    STATEMENTS,
     _check_thm3_10,
     _is_m2_f2_corner,
     _nonzero_idempotents,
@@ -191,21 +195,20 @@ def _boolean_leaves(detail, path=()):
             yield from _boolean_leaves(value, path + (i,))
 
 
-#: Distinct tuples of boolean leaves in each check's pass-row details on
-#: the default catalog.  Most checks' pass rows carry no boolean leaf and
-#: count one empty corner; a catalog change that loses a corner lowers a count.
-PASS_CORNERS = {cid: 1 for cid in CHECKS} | {"example1.4": 2, "explore": 4}
+#: Distinct tuples of boolean leaves in each check's pass rows on the
+#: default catalog: a statement row's ``facts``, another row's detail.
+#: A catalog change that loses a corner lowers a count.
+PASS_CORNERS = ({cid: 1 for cid in CHECKS} | {"example1.4": 2, "explore": 4, "cor2.14": 3}
+                | dict.fromkeys(("prop2.5", "cor3.2", "prop3.3", "thm3.4", "cor3.6", "thm4.3"), 2))
 
 
 def test_pass_rows_keep_their_truth_table_corners(suite_ctx):
-    doc = suite_to_json(suite_ctx, run_suite(suite_ctx))
-    corners = {
-        check["id"]: len({
-            tuple(_boolean_leaves(row.get("detail")))
-            for row in check["rows"] if row["verdict"] == "pass"
-        })
-        for check in doc["checks"]
-    }
+    corners = {}
+    for rep in run_suite(suite_ctx):
+        passed = [row for row in rep.rows if row.verdict == "pass"]
+        read = ([row.facts for row in passed if row.facts is not None]
+                if rep.check_id in STATEMENTS else [row.detail for row in passed])
+        corners[rep.check_id] = len({tuple(_boolean_leaves(d)) for d in read})
     assert corners == PASS_CORNERS
 
 
@@ -532,19 +535,15 @@ def test_triangular_route_keeps_to_the_budget(monkeypatch):
         assert len(skipped) == count, cid
 
 
-#: The checks that read only classifications (and flags of the ring's
-#: ``meta``) of a catalog ring and of its parts.
-_STATEMENT_IDS = ("prop2.5", "cor2.14", "morita", "tav", "prop2.18", "prop2.19", "quasiduo",
-                  "cor3.2", "prop3.3", "thm3.4", "cor3.5", "cor3.6", "cor3.8", "thm3.9",
-                  "lemma4.1", "prop4.4", "thm4.3")
-
 #: An ideal extension of Z2 by the rng Z2, whose 1 is not quasi-regular.
 _NOT_QUASI_REGULAR_IE = {"ideal_extension": {
     "base": {"zn": 2}, "m": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]},
     "left_action": [[0, 0], [0, 1]], "right_action": [[0, 0], [0, 1]]}}
 
-#: sha256 over every row of the classification-only checks, with
-#: classification fields negated so that their fail rows are reached.
+#: sha256 over every row of the statement checks, with classification
+#: fields negated so that their fail rows are reached: each field on
+#: every ring, then every field on one catalog ring at a time, then one-ring
+#: catalogs for the ``(none)`` rows and ``prop2.19``'s hypotheses.
 STATEMENT_ROWS_SHA256 = "01693d1b9f3013f23d94f9abde2b5e7d952e6b0dd295d9088f6c4240285b8d35"
 
 
@@ -552,15 +551,14 @@ def test_statement_rows_are_pinned_under_negated_classifications(suite_ctx, monk
     theorems = importlib.import_module("ringlab.theorems")
     real = theorems.classify
     digest = hashlib.sha256()
-    fails = Counter()
-    seen = set()
+    fails, seen = set(), set()
 
     def run(case, ctx, negate=lambda ring: ()):
         def negated(ring):
             c = real(ring)
             return dataclasses.replace(c, **{f: not getattr(c, f) for f in negate(ring)})
         monkeypatch.setattr(theorems, "classify", negated)
-        reports = [r.to_json() for r in run_suite(ctx, list(_STATEMENT_IDS))]
+        reports = [r.to_json() for r in run_suite(ctx, list(STATEMENTS))]
         digest.update(json.dumps([case, reports], sort_keys=True).encode())
         rows = [(r["id"], row) for r in reports for row in r["rows"]]
         fails.update(cid for cid, row in rows if row["verdict"] == "fail")
@@ -574,9 +572,76 @@ def test_statement_rows_are_pinned_under_negated_classifications(suite_ctx, monk
             lambda ring: CLASSIFICATION_FIELDS if ring is entry.ring else ())
     for name, spec in (("Z2", {"zn": 2}), ("IE(Z2)", _NOT_QUASI_REGULAR_IE)):
         run(name, SuiteContext([CatalogEntry(name, spec, build(spec))]))
-    assert set(fails) == set(_STATEMENT_IDS), fails
+    assert fails == set(STATEMENTS), fails
     assert {("tav", "fail", '"T(A,A) CUSC but A is not"'),
             ("tav", "fail", '"A CUSC abelian but T(A,A) is not"'),
             ("prop2.19", "not-applicable", '{"hypotheses": {"idempotents_central_on_m": true, '
                                            '"m_quasi_regular": false}}')} <= seen
     assert digest.hexdigest() == STATEMENT_ROWS_SHA256
+
+
+#: What every finite ring satisfies, whatever the kernels return: it is
+#: strongly clean, so clean, and CUSC = USC, CUC = UC; potent and
+#: semi-potent; and left quasi-duo iff right quasi-duo (iff R/J is
+#: commutative).
+_ALWAYS_TRUE = {"is_clean", "is_strongly_clean", "is_potent", "is_semi_potent"}
+_SAME_AS = {"is_CUSC": "is_USC", "is_CUC": "is_UC", "is_quasi_duo_right": "is_quasi_duo_left"}
+
+
+class _Free:
+    """Stands in for a classification, or for a ring's ``meta`` flags:
+    each field is a free input, looked up by path in ``values`` (False
+    when unset) and recorded in ``read``, except for the identities."""
+
+    def __init__(self, values, read, path):
+        self._values, self._read, self._path = values, read, path
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if name in _ALWAYS_TRUE:
+            return True
+        key = self._path + (_SAME_AS.get(name, name),)
+        self._read.append(key)
+        return self._values.get(key, False)
+
+    get = __getattr__  # ``hypotheses`` is read as a mapping
+
+
+class _StandInReading:
+    """A ``theorems.Reading`` of a ring with two parts, made of free inputs."""
+
+    def __init__(self, values, read):
+        self.ring, self.quotient, self._meta = (_Free(values, read, (p,))
+                                                for p in ("R", "R/J", "meta"))
+        self.parts = [_Free(values, read, (f"part{i}",)) for i in range(2)]
+        self.base, self.hypotheses = self.parts[0], self._meta
+
+    two_group = property(lambda self: self._meta.two_group)
+    idempotents_in_base = property(lambda self: self._meta.idempotents_in_base)
+
+
+def _can_fail(statement) -> bool:
+    """Whether some values of the inputs ``statement`` reads meet its
+    premise and break its conclusion.  The inputs are found by reading:
+    enumerate those known so far until no new one is read."""
+    inputs = []
+    while True:
+        read, fails = [], False
+        for bits in itertools.product((False, True), repeat=len(inputs)):
+            r = _StandInReading(dict(zip(inputs, bits)), read)
+            if (statement.premise is None or statement.premise(r)) and not statement.conclusion(r):
+                fails = True
+        new = [key for key in dict.fromkeys(read) if key not in inputs]
+        if not new:
+            return fails
+        inputs += new
+
+
+def test_statements_that_cannot_fail_are_the_ones_readme_lists():
+    cannot_fail = [cid for cid, statement in STATEMENTS.items() if not _can_fail(statement)]
+    assert cannot_fail == ["prop3.3", "thm3.4", "cor3.5"]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("the checks below decide nothing", 1)[1]
+    section = section.split("Parts of other checks", 1)[0]
+    assert re.findall(r"^- `([^`]+)`", section, re.M) == cannot_fail
