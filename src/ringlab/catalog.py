@@ -145,7 +145,7 @@ def default_catalog(threshold: int = DEFAULT_THRESHOLD) -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
     by_name: dict[str, CatalogEntry] = {}
     for name, spec in DEFAULT_SPECS:
-        ring = build(spec, threshold=threshold, validate=False)
+        ring = build(spec, threshold=threshold)
         entry = CatalogEntry(name, spec, ring)
         entries.append(entry)
         by_name[name] = entry

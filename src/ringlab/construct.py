@@ -40,13 +40,13 @@ context, T(A x B, M + N), are all base + M with (r,m)(s,n) =
 (rs, rn + ms + mn) and share ``_module_extension``; each bimodule is
 validated once by ``_validate_bimodule``.
 
-Each spec kind is one row of ``_FAMILIES``: its child specs, its order
-from the child orders, its display name from the child names, and its
-constructor call.  :func:`build`, the oversize pre-check and
-:func:`spec_name` are walks over that table, so a new family is one row
-there plus its entry in ``ringspec.schema.json``.  A group ring reads its
-group spec through the kind table of :mod:`ringlab.groups`, so its order
-and name come from the spec and its group is built once.
+Each spec kind is one row of ``_FAMILIES``: the shape of its arguments,
+its order from the child orders, its display name from the child names,
+and its constructor call.  :func:`validate_spec` checks every node's shape
+and reads its order in one walk, which :func:`build` always runs first, so
+a new family is one row there (``ringspec.schema.json`` documents the
+grammar, and a test keeps it in step).  A group ring reads its group spec
+through the kind table of :mod:`ringlab.groups`, shapes included.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from importlib import resources
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -80,7 +79,7 @@ from .errors import (
     RingConstructionError,
     SpecError,
 )
-from .groups import Group, group_from_spec, group_name, group_order
+from .groups import _KINDS as _GROUP_KINDS, Group, group_from_spec, group_name, group_order
 from .invariants import get_cache, ideal_generated
 
 _BUILD_VALIDATE_LIMIT = 256
@@ -1104,11 +1103,6 @@ def opposite_ring(base: FiniteRing, *, spec: Optional[dict] = None) -> FiniteRin
 # spec codec
 
 
-def load_schema() -> dict:
-    text = resources.files("ringlab.data").joinpath("ringspec.schema.json").read_text()
-    return json.loads(text)
-
-
 def read_json(path, what: str):
     """The JSON document in the file at ``path``, ``what`` naming it in errors.
 
@@ -1124,30 +1118,10 @@ def read_json(path, what: str):
         raise SpecError(f"{what} {path} is not UTF-8 JSON: {exc}")
 
 
-def validate_spec(spec) -> None:
-    """Validate a spec document against the shipped JSON schema.
-
-    Raises :class:`SpecError` carrying the JSON path of the offence.
-    """
-    import jsonschema
-
-    validator = jsonschema.Draft202012Validator(load_schema())
-    errors = sorted(validator.iter_errors(spec), key=lambda e: len(e.absolute_path))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise SpecError(best.message, best.json_path)
-
-
-def build(
-    spec: dict,
-    *,
-    threshold: int = DEFAULT_THRESHOLD,
-    validate: bool = True,
-) -> FiniteRing:
-    """Build a ring from its declarative construction tree."""
-    if validate:
-        validate_spec(spec)
-    _refuse_oversized(spec, threshold)
+def build(spec: dict, *, threshold: int = DEFAULT_THRESHOLD) -> FiniteRing:
+    """Build a ring from its construction tree, checked by :func:`validate_spec` first."""
+    for order in filter(None, validate_spec(spec)):  # None: an order that needs a built ring
+        check_order(order, threshold)
     return _build(spec, threshold)
 
 
@@ -1156,144 +1130,199 @@ def build(
 
 
 class _Family(NamedTuple):
-    """One spec kind, as :func:`_build`, :func:`_refuse_oversized` and :func:`spec_name` read it.
+    """One spec kind, as :func:`validate_spec`, :func:`_build` and :func:`spec_name` read it.
 
-    ``children(args)`` gives the child specs, built in that order before
-    the node.  ``order(args, *child_orders)`` gives the node's order, or
-    None for arguments its constructor refuses anyway; the field itself
-    is None where the order depends on a built ring.
+    ``args`` is the shape of the kind's arguments (:func:`_check_shape`);
+    the child specs, built in that order before the node, sit at its
+    top-level ``"spec"`` slots.  ``order(args, *child_orders)`` gives the
+    node's order, or None for arguments its constructor refuses anyway;
+    the field itself is None where the order depends on a built ring.
     ``name(args, *child_names)`` gives the display name and
     ``make(args, spec, threshold, *child_rings)`` builds the node.
     """
 
-    children: Callable[..., list]
+    args: object
     order: Optional[Callable[..., Optional[int]]]
     name: Callable[..., str]
     make: Callable[..., FiniteRing]
 
 
-def _gf_order(args) -> Optional[int]:
-    p, k = int(args["p"]), int(args["k"])
-    return p ** k if _is_prime(p) and k >= 1 else None
+class _Kinds(dict):
+    """A union shape: ``{kind: args}`` with args of shape ``self[kind]``, or a bare kind name."""
 
 
-def _power_order(cells: Callable[[int], int]) -> Callable[..., Optional[int]]:
-    """Order base^cells(n) of a family with cells(n) base coordinates."""
-    def order(args, base: int) -> Optional[int]:
-        n = int(args["n"])
-        return base ** cells(n) if n >= 1 else None
-    return order
+_N_BASE = {"n": "pos", "base": "spec"}
+_MODULE = {"add": "table", "mul?": "table", "labels?": ["str"]}
+_GROUP = _Kinds({kind: row.args for kind, row in _GROUP_KINDS.items()})
 
-
-#: Every spec kind of ``ringspec.schema.json``, with the fields of
-#: :class:`_Family` in order.  A new family is one row here plus its
-#: schema entry.
+#: Every spec kind, with the fields of :class:`_Family` in order.  A new
+#: family is one row here.
 _FAMILIES: dict[str, _Family] = {
     "zn": _Family(
-        lambda a: [], int, lambda a: f"Z{a}",
-        lambda a, spec, t: zn(int(a), threshold=t, spec=spec)),
+        "pos", lambda a: a, lambda a: f"Z{a}",
+        lambda a, spec, t: zn(a, threshold=t, spec=spec)),
     "gf": _Family(
-        lambda a: [], _gf_order, lambda a: f"F{a['p'] ** a['k']}",
-        lambda a, spec, t: gf(int(a["p"]), int(a["k"]), threshold=t, spec=spec)),
+        {"p": "pos", "k": "pos"}, lambda a: a["p"] ** a["k"] if _is_prime(a["p"]) else None,
+        lambda a: f"F{a['p'] ** a['k']}",
+        lambda a, spec, t: gf(a["p"], a["k"], threshold=t, spec=spec)),
     "product": _Family(
-        list, lambda a, *orders: math.prod(orders), lambda a, *names: "x".join(names),
+        ["spec"], lambda a, *orders: math.prod(orders), lambda a, *names: "x".join(names),
         lambda a, spec, t, *factors: product_ring(factors, threshold=t, spec=spec)),
     "matrix": _Family(
-        lambda a: [a["base"]], _power_order(lambda n: n * n), lambda a, base: f"M{a['n']}({base})",
-        lambda a, spec, t, base: matrix_ring(int(a["n"]), base, threshold=t, spec=spec)),
+        _N_BASE, lambda a, base: base ** a["n"] ** 2, lambda a, base: f"M{a['n']}({base})",
+        lambda a, spec, t, base: matrix_ring(a["n"], base, threshold=t, spec=spec)),
     "triangular": _Family(
-        lambda a: [a["base"]], _power_order(lambda n: n * (n + 1) // 2),
+        _N_BASE, lambda a, base: base ** (a["n"] * (a["n"] + 1) // 2),
         lambda a, base: f"T{a['n']}({base})",
-        lambda a, spec, t, base: triangular_ring(int(a["n"]), base, threshold=t, spec=spec)),
+        lambda a, spec, t, base: triangular_ring(a["n"], base, threshold=t, spec=spec)),
     "quotient": _Family(
-        lambda a: [a["base"]], None, lambda a, base: f"{base}/I",
+        {"base": "spec", "generators": ["id"]}, None, lambda a, base: f"{base}/I",
         lambda a, spec, t, base: quotient_ring(base, a["generators"], spec=spec)),
     "corner": _Family(
-        lambda a: [a["base"]], None, lambda a, base: f"corner({base})",
-        lambda a, spec, t, base: corner_ring(base, int(a["idempotent"]), spec=spec)),
+        {"base": "spec", "idempotent": "id"}, None, lambda a, base: f"corner({base})",
+        lambda a, spec, t, base: corner_ring(base, a["idempotent"], spec=spec)),
     "group_ring": _Family(
-        lambda a: [a["base"]], lambda a, base: base ** group_order(a["group"]),
+        {"base": "spec", "group": _GROUP}, lambda a, base: base ** group_order(a["group"]),
         lambda a, base: f"{base}[{group_name(a['group'])}]",
         lambda a, spec, t, base: group_ring(
             base, group_from_spec(a["group"]), threshold=t, spec=spec)),
     "trivial_extension": _Family(
-        lambda a: [a], lambda a, base: base * base, lambda a, base: f"TE({base})",
+        "spec", lambda a, base: base * base, lambda a, base: f"TE({base})",
         lambda a, spec, t, base: trivial_extension(base, threshold=t, spec=spec)),
     "ideal_extension": _Family(
-        lambda a: [a["base"]], lambda a, base: base * len(a["m"]["add"]),
-        lambda a, base: f"IE({base})",
+        {"base": "spec", "m": _MODULE, "left_action": "table", "right_action": "table"},
+        lambda a, base: base * len(a["m"]["add"]), lambda a, base: f"IE({base})",
         lambda a, spec, t, base: ideal_extension(
             base, a["m"], a["left_action"], a["right_action"], threshold=t, spec=spec)),
     "formal_triangular": _Family(
-        lambda a: [a["a"], a["b"]], lambda a, ra, rb: ra * len(a["m"]["add"]) * rb,
+        {"a": "spec", "b": "spec", "m": _MODULE, "left_action": "table", "right_action": "table"},
+        lambda a, ra, rb: ra * len(a["m"]["add"]) * rb,
         lambda a, ra, rb: f"FT({ra},{rb})",
         lambda a, spec, t, ra, rb: formal_triangular(
             ra, rb, a["m"], a["left_action"], a["right_action"], threshold=t, spec=spec)),
     "trivial_morita": _Family(
-        lambda a: [a["a"], a["b"]],
+        {"a": "spec", "b": "spec", "m": _MODULE, "m_left": "table", "m_right": "table",
+         "n": _MODULE, "n_left": "table", "n_right": "table"},
         lambda a, ra, rb: ra * rb * len(a["m"]["add"]) * len(a["n"]["add"]),
         lambda a, ra, rb: f"MC({ra},{rb})",
         lambda a, spec, t, ra, rb: trivial_morita(
             ra, rb, a["m"], a["m_left"], a["m_right"], a["n"], a["n_left"], a["n_right"],
             threshold=t, spec=spec)),
     "trunc_poly": _Family(
-        lambda a: [a["base"]], _power_order(lambda n: n), lambda a, base: f"{base}[x]/x^{a['n']}",
-        lambda a, spec, t, base: trunc_poly(base, int(a["n"]), threshold=t, spec=spec)),
+        _N_BASE, lambda a, base: base ** a["n"], lambda a, base: f"{base}[x]/x^{a['n']}",
+        lambda a, spec, t, base: trunc_poly(base, a["n"], threshold=t, spec=spec)),
     "skew_trunc_poly": _Family(
-        lambda a: [a["base"]], _power_order(lambda n: n),
-        lambda a, base: f"{base}[x;a]/x^{a['n']}",
+        {"base": "spec", "alpha": _Kinds(identity=None, frobenius="pos", map=["id"]), "n": "pos"},
+        lambda a, base: base ** a["n"], lambda a, base: f"{base}[x;a]/x^{a['n']}",
         lambda a, spec, t, base: skew_trunc_poly(
-            base, a["alpha"], int(a["n"]), threshold=t, spec=spec)),
+            base, a["alpha"], a["n"], threshold=t, spec=spec)),
     "opposite": _Family(
-        lambda a: [a], lambda a, base: base, lambda a, base: f"op({base})",
+        "spec", lambda a, base: base, lambda a, base: f"op({base})",
         lambda a, spec, t, base: opposite_ring(base, spec=spec)),
     "table": _Family(
-        lambda a: [], lambda a: len(a["add"]), lambda a: "table",
+        {"add": "table", "mul": "table", "labels?": ["str"]}, lambda a: len(a["add"]),
+        lambda a: "table",
         lambda a, spec, t: table_ring(
             a["add"], a["mul"], a.get("labels"), spec=spec, name=spec_name(spec))),
 }
+_SPEC = _Kinds({kind: row.args for kind, row in _FAMILIES.items()})
 
 
-def _family_of(spec) -> tuple[_Family, object]:
-    """The table row of a spec node, and the node's arguments."""
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise SpecError(f"spec node must be a single-key object, got {spec!r}")
+def _expect(value, kind: type, path: str) -> None:
+    """Refuse ``value`` unless it is a ``kind``; a boolean is never an integer."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        name = {dict: "object", list: "array", str: "string", int: "integer"}[kind]
+        raise SpecError(f"{value!r} is not of type {name!r}", path)
+
+
+def _check_shape(value, shape, path: str, children: list) -> None:
+    """Refuse ``value``, at JSON path ``path``, unless it has ``shape``.
+
+    Shapes: ``"spec"``, a child spec, appended to ``children`` with its
+    path; ``"pos"`` and ``"id"``, an integer (never a boolean or a float)
+    >= 1 or >= 0; ``"str"``; ``"table"``, a list of lists of ids; ``[s]``,
+    a list of ``s``, not empty for ``["spec"]``; a :class:`_Kinds` union;
+    ``{key: s}``, an object with these keys, those ending in ``?`` optional.
+    """
+    if isinstance(shape, _Kinds):
+        if isinstance(value, str) and shape.get(value, "") is None:
+            return
+        if not (isinstance(value, dict) and len(value) == 1 and shape.get(next(iter(value)))):
+            raise SpecError(f"{value!r} is not valid under any of the given schemas", path)
+        (kind, args), = value.items()
+        _check_shape(args, shape[kind], f"{path}.{kind}", children)
+    elif isinstance(shape, dict):
+        _expect(value, dict, path)
+        keys = {key.rstrip("?"): item for key, item in shape.items()}
+        for key in value:
+            if key not in keys:
+                raise SpecError(f"Additional properties are not allowed ({key!r} was unexpected)", path)
+        for key, item in keys.items():
+            if key in value:
+                _check_shape(value[key], item, f"{path}.{key}", children)
+            elif key + "?" not in shape:
+                raise SpecError(f"{key!r} is a required property", path)
+    elif isinstance(shape, list):
+        _expect(value, list, path)
+        if not value and shape == ["spec"]:
+            raise SpecError("[] should be non-empty", path)
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{path}[{i}]", children)
+    elif shape == "spec":
+        children.append((value, path))
+    elif shape == "table":
+        _expect(value, list, path)
+        for i, row in enumerate(value):
+            # Cells are typed and bounded in C; np.asarray would read True as 1.
+            _expect(row, list, f"{path}[{i}]")
+            if not {*map(type, row)} <= {int} or min(row, default=0) < 0:
+                _check_shape(row, ["id"], f"{path}[{i}]", children)  # names the bad cell
+    else:
+        _expect(value, str if shape == "str" else int, path)
+        if shape != "str" and value < (least := int(shape == "pos")):
+            raise SpecError(f"{value!r} is less than the minimum of {least}", path)
+
+
+def validate_spec(spec) -> list[Optional[int]]:
+    """Check ``spec`` against the argument shapes of the family table.
+
+    Raises :class:`SpecError` at the JSON path of the first offence, and
+    returns the order of every node in build order: None where it depends
+    on a built ring (a quotient or a corner) and at every node above one.
+    """
+    orders: list = []
+
+    def walk(node, path: str) -> Optional[int]:
+        slots: list = []
+        _check_shape(node, _SPEC, path, slots)
+        (kind, args), = node.items()
+        family, child_orders = _FAMILIES[kind], [walk(*slot) for slot in slots]
+        orders.append(None if family.order is None or None in child_orders
+                      else family.order(args, *child_orders))
+        return orders[-1]
+
+    walk(spec, "$")
+    return orders
+
+
+def _node(spec: dict) -> tuple[_Family, object, list]:
+    """The row, the arguments and the child specs of a well-formed spec node."""
     (kind, args), = spec.items()
-    if kind not in _FAMILIES:
-        raise SpecError(f"unknown construction kind {kind!r}")
-    return _FAMILIES[kind], args
+    family = _FAMILIES[kind]
+    shape = family.args
+    if isinstance(shape, dict):
+        return family, args, [args[key] for key, item in shape.items() if item == "spec"]
+    return family, args, [args] if shape == "spec" else list(args) if shape == ["spec"] else []
 
 
 def _build(spec: dict, threshold: int) -> FiniteRing:
-    family, args = _family_of(spec)
-    children = [_build(child, threshold) for child in family.children(args)]
-    return family.make(args, spec, threshold, *children)
-
-
-def _refuse_oversized(spec, threshold: int) -> Optional[int]:
-    """The order ``spec`` builds, refused above ``threshold`` before any build.
-
-    Walks the tree in :func:`_build`'s order and calls :func:`check_order`
-    at every node whose order follows from its arguments, so the error is
-    the one that node's constructor would raise.  Nodes without such an
-    order, nodes above them and malformed nodes give None and are left
-    to their constructors.
-    """
-    try:
-        family, args = _family_of(spec)
-        orders = [_refuse_oversized(child, threshold) for child in family.children(args)]
-        order = None if family.order is None or None in orders else family.order(args, *orders)
-    except (SpecError, KeyError, TypeError, ValueError):
-        return None
-    if order is not None:
-        check_order(order, threshold)
-    return order
+    family, args, children = _node(spec)
+    return family.make(args, spec, threshold, *(_build(child, threshold) for child in children))
 
 
 def spec_name(spec: Optional[dict]) -> str:
     """Short display name derived from a construction tree; "ring" without one."""
-    try:
-        family, args = _family_of(spec)
-    except SpecError:
+    if spec is None:
         return "ring"
-    return family.name(args, *map(spec_name, family.children(args)))
+    family, args, children = _node(spec)
+    return family.name(args, *map(spec_name, children))

@@ -4,9 +4,9 @@ Groups feed the group-ring constructor.  Named families cover the
 catalog's needs; arbitrary groups can be supplied as raw tables and are
 validated exhaustively either way.
 
-Each group-spec kind is one row of ``_KINDS``, which gives its order,
-name and group from its arguments.  ``Group.spec`` rebuilds a group: a
-named family records its own spec, any other group its table.
+Each group-spec kind is one row of ``_KINDS``: its argument shape, and
+its order, name and group.  ``Group.spec`` rebuilds a group: a named
+family records its own spec, any other group its table.
 """
 
 from __future__ import annotations
@@ -171,23 +171,23 @@ def quaternion8() -> Group:
 
 
 class _Kind(NamedTuple):
-    """A group-spec kind, spelled ``{kind: args}`` or, if ``bare``, by its name alone."""
+    """A group-spec kind: its argument shape (None for a bare name), order, name and group."""
 
-    bare: bool
+    args: object
     order: Callable[[object], int]
     name: Callable[[object], str]
     make: Callable[[object], Group]
 
 
-#: Every group-spec kind of ``ringspec.schema.json`` (its ``groupspec``).
+#: Every group-spec kind; :func:`ringlab.construct.validate_spec` checks its ``args`` shape.
 _KINDS: dict[str, _Kind] = {
-    "cyclic": _Kind(False, lambda n: _positive(n, "cyclic group order"), lambda n: f"C{n}", cyclic),
-    "dihedral": _Kind(False, lambda n: 2 * _positive(n, "dihedral parameter"),
-                      lambda n: f"D{n}", dihedral),
-    "klein_four": _Kind(True, lambda _: 4, lambda _: "V4", lambda _: klein_four()),
-    "symmetric3": _Kind(True, lambda _: 6, lambda _: "S3", lambda _: symmetric3()),
-    "quaternion8": _Kind(True, lambda _: 8, lambda _: "Q8", lambda _: quaternion8()),
-    "table": _Kind(False, lambda a: len(a["mul"]), lambda a: a.get("name", "G"),
+    "cyclic": _Kind("pos", lambda n: n, lambda n: f"C{n}", cyclic),
+    "dihedral": _Kind("pos", lambda n: 2 * n, lambda n: f"D{n}", dihedral),
+    "klein_four": _Kind(None, lambda _: 4, lambda _: "V4", lambda _: klein_four()),
+    "symmetric3": _Kind(None, lambda _: 6, lambda _: "S3", lambda _: symmetric3()),
+    "quaternion8": _Kind(None, lambda _: 8, lambda _: "Q8", lambda _: quaternion8()),
+    "table": _Kind({"mul": "table", "identity?": "id", "labels?": ["str"], "name?": "str"},
+                   lambda a: len(a["mul"]), lambda a: a.get("name", "G"),
                    lambda a: Group(a["mul"], a.get("identity", 0), a.get("labels"),
                                    name=a.get("name", "G"))),
 }
@@ -199,7 +199,7 @@ def _kind_of(gspec) -> tuple[_Kind, object]:
     if isinstance(node, dict) and len(node) == 1:
         (kind, args), = node.items()
         row = _KINDS.get(kind)
-        if row is not None and row.bare == (args is None):
+        if row is not None and (row.args is None) == isinstance(gspec, str) == (args is None):
             return row, args
     raise SpecError(f"unrecognized group spec {gspec!r}")
 

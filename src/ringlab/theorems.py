@@ -36,6 +36,7 @@ from .classify import Classification, _least_non_regular, classify, radical_quot
 from .construct import (
     _FAMILIES,
     _corner_subset,
+    _node,
     _subring_closure,
     build,
     quotient_ring,
@@ -156,7 +157,7 @@ class SuiteContext:
         key = _spec_key(spec)
         ring = self._rings.get(key)
         if ring is None:
-            ring = build(spec, threshold=self.threshold, validate=False)
+            ring = build(spec, threshold=self.threshold)
             self._rings[key] = ring
         return ring
 
@@ -229,7 +230,7 @@ class Reading:
     """What a statement reads of one ring, each part on first use.
 
     ``ring`` is R's classification; ``parts`` are those of the rings R is
-    built from, by child spec (``_FAMILIES[kind].children``), and
+    built from, by child spec (``_node``), and
     ``base`` is the first; ``quotient`` is R/J's.  ``hypotheses``,
     ``two_group`` and ``idempotents_in_base`` are flags of R's ``meta``,
     which ideal extensions and group rings keep.
@@ -248,8 +249,7 @@ class Reading:
 
     @cached_property
     def parts(self) -> list[Classification]:
-        [(kind, args)] = self._spec.items()
-        return [classify(self._ctx.derived(s)) for s in _FAMILIES[kind].children(args)]
+        return [classify(self._ctx.derived(s)) for s in _node(self._spec)[2]]
 
     @property
     def base(self) -> Classification:

@@ -338,14 +338,14 @@ def test_oversized_build_is_refused_before_allocating(monkeypatch):
 def test_orders_read_from_specs_are_the_built_orders(suite_ctx):
     specs = [e.spec for e in suite_ctx.entries] + _SMALL_SPEC_LIST + list(_FAMILY_SPECS.values())
     for spec in specs:
-        order = construct._refuse_oversized(spec, 16384)
+        order = validate_spec(spec)[-1]  # the root comes last, after its children
         assert order is None or order == build(spec).order, spec
     # Orders that depend on a built ring are left to its constructor,
     # and so are the nodes above them; the nodes below are still read.
     quotient = {"quotient": {"base": Z4, "generators": [2]}}
-    assert construct._refuse_oversized({"product": [quotient, quotient]}, 4) is None
+    assert validate_spec({"product": [quotient, quotient]}) == [4, None, 4, None, None]
     with pytest.raises(SizeOverflowError, match="order 4,"):
-        construct._refuse_oversized({"corner": {"base": Z4, "idempotent": 1}}, 3)
+        build({"corner": {"base": Z4, "idempotent": 1}}, threshold=3)
 
 
 def test_threshold_is_the_largest_order_built():
@@ -401,8 +401,12 @@ def test_provenance_spec_attached():
     assert ring.name == "T2(Z2)"
 
 
+#: The JSON Schema that documents the spec grammar of ``construct._FAMILIES``.
+_SCHEMA = Path(__file__).parents[1] / "src" / "ringlab" / "data" / "ringspec.schema.json"
+
+
 def test_schema_table_and_docs_list_the_same_kinds():
-    defs = construct.load_schema()["$defs"]
+    defs = json.loads(_SCHEMA.read_text())["$defs"]
     schema_kinds = []
     for ref in defs["ringspec"]["oneOf"]:
         (kind,) = defs[ref["$ref"].rsplit("/", 1)[1]]["required"]
@@ -756,7 +760,7 @@ _BUILD_PEAK_BOUNDS = [
 @pytest.mark.parametrize("spec, bound", _BUILD_PEAK_BOUNDS,
                          ids=[construct.spec_name(s) for s, _ in _BUILD_PEAK_BOUNDS])
 def test_build_peak_is_a_bounded_multiple_of_its_tables(spec, bound):
-    build(Z2)  # the schema and the validator are loaded outside the trace
+    build(Z2)  # one-off allocations of a first build stay outside the trace
     tracemalloc.start()
     try:
         ring = build(spec)

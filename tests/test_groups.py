@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 from pathlib import Path
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from ringlab import Group, RingConstructionError, cyclic, dihedral, group_from_spec, klein_four, quaternion8, symmetric3
-from ringlab import construct, groups
+from ringlab import groups
 from oracles import element_order, reference_is_two_group
+from test_construct import _SCHEMA
 
 
 @pytest.mark.parametrize("group,order,two_group", [
@@ -69,15 +71,15 @@ def test_label_count_must_match_order():
 
 
 def test_schema_codec_and_docs_list_the_same_group_kinds():
-    alternatives = construct.load_schema()["$defs"]["groupspec"]["oneOf"]
+    alternatives = json.loads(_SCHEMA.read_text())["$defs"]["groupspec"]["oneOf"]
     bare = sorted(kind for alt in alternatives for kind in alt.get("enum", []))
     keyed = sorted(kind for alt in alternatives for kind in alt.get("required", []))
     doc = (Path(__file__).parents[1] / "docs" / "ringspec_schema.md").read_text()
     section = doc.split("## Group specs", 1)[1].split("\n## ", 1)[0]
     assert sorted(re.findall(r'`"(\w+)"`', section)) == bare
     assert sorted(re.findall(r'`\{"(\w+)":', section)) == keyed
-    assert sorted(k for k, row in groups._KINDS.items() if row.bare) == bare
-    assert sorted(k for k, row in groups._KINDS.items() if not row.bare) == keyed
+    assert sorted(k for k, row in groups._KINDS.items() if row.args is None) == bare
+    assert sorted(k for k, row in groups._KINDS.items() if row.args is not None) == keyed
     assert len(bare) + len(keyed) == 6
 
 
