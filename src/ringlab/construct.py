@@ -42,9 +42,10 @@ validated once by ``_validate_bimodule``.
 
 Each spec kind is one row of ``_FAMILIES``: the shape of its arguments,
 its order from the child orders, its display name from the child names,
-and its constructor call.  :func:`validate_spec` checks every node's shape
-and reads its order in one walk, which :func:`build` always runs first, so
-a new family is one row there (``ringspec.schema.json`` documents the
+and its constructor call.  One walk, ``_walk``, checks every node's shape
+and, for :func:`build`, refuses its order above the threshold as soon as
+it is read; :func:`validate_spec` runs it without orders.  So a new
+family is one row there (``ringspec.schema.json`` documents the
 grammar, and a test keeps it in step).  A group ring reads its group spec
 through the kind table of :mod:`ringlab.groups`, shapes included.
 """
@@ -1119,9 +1120,8 @@ def read_json(path, what: str):
 
 
 def build(spec: dict, *, threshold: int = DEFAULT_THRESHOLD) -> FiniteRing:
-    """Build a ring from its construction tree, checked by :func:`validate_spec` first."""
-    for order in filter(None, validate_spec(spec)):  # None: an order that needs a built ring
-        check_order(order, threshold)
+    """Build a ring from its construction tree, checked by :func:`_walk` first."""
+    _walk(spec, threshold)
     return _build(spec, threshold)
 
 
@@ -1130,15 +1130,14 @@ def build(spec: dict, *, threshold: int = DEFAULT_THRESHOLD) -> FiniteRing:
 
 
 class _Family(NamedTuple):
-    """One spec kind, as :func:`validate_spec`, :func:`_build` and :func:`spec_name` read it.
+    """One spec kind, as :func:`_walk`, :func:`_build` and :func:`spec_name` read it.
 
-    ``args`` is the shape of the kind's arguments (:func:`_check_shape`);
-    the child specs, built in that order before the node, sit at its
-    top-level ``"spec"`` slots.  ``order(args, *child_orders)`` gives the
-    node's order, or None for arguments its constructor refuses anyway;
-    the field itself is None where the order depends on a built ring.
-    ``name(args, *child_names)`` gives the display name and
-    ``make(args, spec, threshold, *child_rings)`` builds the node.
+    ``args`` is the shape of the kind's arguments (:func:`_check_shape`),
+    whose top-level ``"spec"`` slots hold the child specs, built first in
+    that order.  ``order(args, *child_orders)`` gives the order, None for
+    arguments the constructor refuses anyway; the field is None where the
+    order depends on a built ring.  ``name(args, *child_names)`` gives the
+    display name and ``make(args, spec, threshold, *child_rings)`` the ring.
     """
 
     args: object
@@ -1235,14 +1234,13 @@ def _expect(value, kind: type, path: str) -> None:
         raise SpecError(f"{value!r} is not of type {name!r}", path)
 
 
-def _check_shape(value, shape, path: str, children: list) -> None:
+def _check_shape(value, shape, path: str) -> None:
     """Refuse ``value``, at JSON path ``path``, unless it has ``shape``.
 
-    Shapes: ``"spec"``, a child spec, appended to ``children`` with its
-    path; ``"pos"`` and ``"id"``, an integer (never a boolean or a float)
-    >= 1 or >= 0; ``"str"``; ``"table"``, a list of lists of ids; ``[s]``,
-    a list of ``s``, not empty for ``["spec"]``; a :class:`_Kinds` union;
-    ``{key: s}``, an object with these keys, those ending in ``?`` optional.
+    Shapes: ``"spec"``, a child spec, left to :func:`_walk`; ``"pos"`` and ``"id"``,
+    an integer (never a boolean or a float) >= 1 or >= 0; ``"str"``; ``"table"``, a
+    list of lists of ids; ``[s]``, a list of ``s``, not empty for ``["spec"]``; a
+    :class:`_Kinds` union; ``{key: s}``, an object with these keys, ``key?`` optional.
     """
     if isinstance(shape, _Kinds):
         if isinstance(value, str) and shape.get(value, "") is None:
@@ -1250,7 +1248,7 @@ def _check_shape(value, shape, path: str, children: list) -> None:
         if not (isinstance(value, dict) and len(value) == 1 and shape.get(next(iter(value)))):
             raise SpecError(f"{value!r} is not valid under any of the given schemas", path)
         (kind, args), = value.items()
-        _check_shape(args, shape[kind], f"{path}.{kind}", children)
+        _check_shape(args, shape[kind], f"{path}.{kind}")
     elif isinstance(shape, dict):
         _expect(value, dict, path)
         keys = {key.rstrip("?"): item for key, item in shape.items()}
@@ -1259,7 +1257,7 @@ def _check_shape(value, shape, path: str, children: list) -> None:
                 raise SpecError(f"Additional properties are not allowed ({key!r} was unexpected)", path)
         for key, item in keys.items():
             if key in value:
-                _check_shape(value[key], item, f"{path}.{key}", children)
+                _check_shape(value[key], item, f"{path}.{key}")
             elif key + "?" not in shape:
                 raise SpecError(f"{key!r} is a required property", path)
     elif isinstance(shape, list):
@@ -1267,62 +1265,64 @@ def _check_shape(value, shape, path: str, children: list) -> None:
         if not value and shape == ["spec"]:
             raise SpecError("[] should be non-empty", path)
         for i, item in enumerate(value):
-            _check_shape(item, shape[0], f"{path}[{i}]", children)
-    elif shape == "spec":
-        children.append((value, path))
+            _check_shape(item, shape[0], f"{path}[{i}]")
     elif shape == "table":
         _expect(value, list, path)
         for i, row in enumerate(value):
             # Cells are typed and bounded in C; np.asarray would read True as 1.
             _expect(row, list, f"{path}[{i}]")
             if not {*map(type, row)} <= {int} or min(row, default=0) < 0:
-                _check_shape(row, ["id"], f"{path}[{i}]", children)  # names the bad cell
-    else:
+                _check_shape(row, ["id"], f"{path}[{i}]")  # names the bad cell
+    elif shape != "spec":
         _expect(value, str if shape == "str" else int, path)
         if shape != "str" and value < (least := int(shape == "pos")):
             raise SpecError(f"{value!r} is less than the minimum of {least}", path)
 
 
-def validate_spec(spec) -> list[Optional[int]]:
-    """Check ``spec`` against the argument shapes of the family table.
+def validate_spec(spec) -> None:
+    """Check ``spec`` against the family table; a :class:`SpecError` names the first offence."""
+    _walk(spec, None)
 
-    Raises :class:`SpecError` at the JSON path of the first offence, and
-    returns the order of every node in build order: None where it depends
-    on a built ring (a quotient or a corner) and at every node above one.
+
+def _walk(spec, threshold: Optional[int], path: str = "$") -> Optional[int]:
+    """Check the nodes of ``spec``, at JSON path ``path``, in build order.
+
+    Given a threshold, each order read from a node's arguments and child
+    orders goes to :func:`check_order` at once, before any order above it
+    or after it is read.  Returns the order: None without a threshold, or
+    where it needs a built ring (a quotient or a corner) or a node above.
     """
-    orders: list = []
-
-    def walk(node, path: str) -> Optional[int]:
-        slots: list = []
-        _check_shape(node, _SPEC, path, slots)
-        (kind, args), = node.items()
-        family, child_orders = _FAMILIES[kind], [walk(*slot) for slot in slots]
-        orders.append(None if family.order is None or None in child_orders
-                      else family.order(args, *child_orders))
-        return orders[-1]
-
-    walk(spec, "$")
-    return orders
+    _check_shape(spec, _SPEC, path)
+    family, args, children = _node(spec)
+    orders = [_walk(child, threshold, path + at) for at, child in children]
+    if threshold is None or family.order is None or None in orders:
+        return None
+    if (order := family.order(args, *orders)) is not None:
+        check_order(order, threshold)
+    return order
 
 
-def _node(spec: dict) -> tuple[_Family, object, list]:
-    """The row, the arguments and the child specs of a well-formed spec node."""
+def _node(spec: dict) -> tuple[_Family, object, list[tuple[str, dict]]]:
+    """The row and arguments of a well-formed spec node, and its child specs with
+    their JSON paths below it: the ``"spec"`` slots, all at the top of the row's ``args``."""
     (kind, args), = spec.items()
-    family = _FAMILIES[kind]
-    shape = family.args
-    if isinstance(shape, dict):
-        return family, args, [args[key] for key, item in shape.items() if item == "spec"]
-    return family, args, [args] if shape == "spec" else list(args) if shape == ["spec"] else []
+    family, at = _FAMILIES[kind], f".{kind}"
+    if family.args == "spec":
+        return family, args, [(at, args)]
+    if family.args == ["spec"]:
+        return family, args, [(f"{at}[{i}]", child) for i, child in enumerate(args)]
+    slots = family.args.items() if isinstance(family.args, dict) else ()
+    return family, args, [(f"{at}.{key}", args[key]) for key, s in slots if s == "spec"]
 
 
 def _build(spec: dict, threshold: int) -> FiniteRing:
     family, args, children = _node(spec)
-    return family.make(args, spec, threshold, *(_build(child, threshold) for child in children))
+    return family.make(args, spec, threshold, *(_build(child, threshold) for _, child in children))
 
 
 def spec_name(spec: Optional[dict]) -> str:
-    """Short display name derived from a construction tree; "ring" without one."""
-    if spec is None:
+    """Short display name of a construction tree; "ring" for None or a node of no known kind."""
+    if not (isinstance(spec, dict) and len(spec) == 1 and next(iter(spec)) in _FAMILIES):
         return "ring"
     family, args, children = _node(spec)
-    return family.name(args, *map(spec_name, children))
+    return family.name(args, *(spec_name(child) for _, child in children))

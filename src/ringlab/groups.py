@@ -181,8 +181,9 @@ class _Kind(NamedTuple):
 
 #: Every group-spec kind; :func:`ringlab.construct.validate_spec` checks its ``args`` shape.
 _KINDS: dict[str, _Kind] = {
-    "cyclic": _Kind("pos", lambda n: n, lambda n: f"C{n}", cyclic),
-    "dihedral": _Kind("pos", lambda n: 2 * n, lambda n: f"D{n}", dihedral),
+    "cyclic": _Kind("pos", lambda n: _positive(n, "cyclic group order"), lambda n: f"C{n}", cyclic),
+    "dihedral": _Kind("pos", lambda n: 2 * _positive(n, "dihedral parameter"),
+                      lambda n: f"D{n}", dihedral),
     "klein_four": _Kind(None, lambda _: 4, lambda _: "V4", lambda _: klein_four()),
     "symmetric3": _Kind(None, lambda _: 6, lambda _: "S3", lambda _: symmetric3()),
     "quaternion8": _Kind(None, lambda _: 8, lambda _: "Q8", lambda _: quaternion8()),

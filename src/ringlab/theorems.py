@@ -249,7 +249,7 @@ class Reading:
 
     @cached_property
     def parts(self) -> list[Classification]:
-        return [classify(self._ctx.derived(s)) for s in _node(self._spec)[2]]
+        return [classify(self._ctx.derived(s)) for _, s in _node(self._spec)[2]]
 
     @property
     def base(self) -> Classification:

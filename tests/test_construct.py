@@ -338,14 +338,51 @@ def test_oversized_build_is_refused_before_allocating(monkeypatch):
 def test_orders_read_from_specs_are_the_built_orders(suite_ctx):
     specs = [e.spec for e in suite_ctx.entries] + _SMALL_SPEC_LIST + list(_FAMILY_SPECS.values())
     for spec in specs:
-        order = validate_spec(spec)[-1]  # the root comes last, after its children
+        order = construct._walk(spec, core.DEFAULT_THRESHOLD)
         assert order is None or order == build(spec).order, spec
+        assert construct._walk(spec, None) is None  # validate_spec reads no order
     # Orders that depend on a built ring are left to its constructor,
     # and so are the nodes above them; the nodes below are still read.
     quotient = {"quotient": {"base": Z4, "generators": [2]}}
-    assert validate_spec({"product": [quotient, quotient]}) == [4, None, 4, None, None]
+    assert construct._walk({"product": [quotient, quotient]}, 4) is None
     with pytest.raises(SizeOverflowError, match="order 4,"):
         build({"corner": {"base": Z4, "idempotent": 1}}, threshold=3)
+    with pytest.raises(SizeOverflowError, match="order 5,"):
+        build({"product": [quotient, {"zn": 5}]}, threshold=4)
+
+
+@pytest.mark.parametrize("spec, kind", [
+    ({"matrix": {"n": 10000, "base": {"zn": 100000}}}, "matrix"),
+    ({"product": [{"zn": 100000}, {"triangular": {"n": 150000, "base": {"zn": 3}}}]},
+     "triangular"),
+], ids=["child", "sibling"])
+def test_first_oversized_node_is_refused_before_later_orders_are_read(monkeypatch, spec, kind):
+    # Read in full, these orders are 100000^(10^8) and 3^(150000*150001/2).
+    def unread(*args):
+        raise AssertionError(f"the {kind} order was read")
+
+    monkeypatch.setitem(construct._FAMILIES, kind, construct._FAMILIES[kind]._replace(order=unread))
+    with pytest.raises(SizeOverflowError, match="order 100000, above the cap 16384"):
+        build(spec)
+    validate_spec(spec)  # reads no order at all
+
+
+def test_child_specs_sit_only_at_the_top_level_of_a_row():
+    # _node reads a node's children from the top-level "spec" slots of its
+    # row, and _check_shape leaves every "spec" slot to the walk; a slot
+    # nested deeper would be neither checked nor built.
+    for kind, row in construct._FAMILIES.items():
+        shape = row.args
+        nested = [] if shape in ("spec", ["spec"]) else (
+            [s for s in shape.values() if s != "spec"] if isinstance(shape, dict) else [shape])
+        assert '"spec"' not in json.dumps(nested), kind
+
+
+def test_spec_name_reads_any_spec():
+    assert construct.spec_name({"matrix": {"n": 2, "base": Z2}}) == "M2(Z2)"
+    for spec in (None, {}, {"nope": 1}, {"zn": 2, "gf": 3}, [Z2], "zn"):
+        assert construct.spec_name(spec) == "ring"
+    assert zn(3, spec={"nope": 1}).name == "ring"
 
 
 def test_threshold_is_the_largest_order_built():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringlab import Group, RingConstructionError, cyclic, dihedral, group_from_spec, klein_four, quaternion8, symmetric3
+from ringlab import Group, RingConstructionError, SpecError, cyclic, dihedral, group_from_spec, klein_four, quaternion8, symmetric3
 from ringlab import groups
 from oracles import element_order, reference_is_two_group
 from test_construct import _SCHEMA
@@ -90,6 +90,13 @@ def test_group_from_spec_roundtrip():
     table = cyclic(3).table.tolist()
     g = group_from_spec({"table": {"mul": table, "identity": 0}})
     assert g.order == 3
+
+
+def test_group_order_refuses_a_non_positive_parameter():
+    assert groups.group_order({"dihedral": 3}) == 6
+    for gspec in ({"cyclic": 0}, {"dihedral": -1}):
+        with pytest.raises(SpecError, match="must be positive"):
+            groups.group_order(gspec)
 
 
 def test_element_orders_power_of_two_definition():
