@@ -28,12 +28,10 @@ ring with :class:`SizeOverflowError`, naming the order and the bytes of
 its tables, before allocating any of them (:func:`ringlab.core.check_order`).
 :func:`build` reads the order of every node from the spec tree first,
 so an oversized spec is refused before any of its factors is built.
-Constructor outputs are validated at build time: up to order 256 the
-cubic laws are decided for all n^3 triples from the additive generators
-(Light's test for associativity of +, bilinearity for the distributive
-laws and for associativity of the product); above it, by fixed-seed
-sampling.  Module add tables go through the same generator test for
-associativity.
+``zn`` and each assembled ring go through :func:`ringlab.core.check_axioms`
+at build time.  A quotient, corner, subring or opposite ring checks its base
+instead, whose axioms imply its own (a memo read for a built base).  Module
+add tables go through the same generator test for associativity.
 
 The trivial extension, the ideal extension and the trivial Morita
 context, T(A x B, M + N), are all base + M with (r,m)(s,n) =
@@ -66,13 +64,13 @@ from .core import (
     additive_associativity_witness,
     additive_generators,
     as_table,
+    check_axioms,
     check_law,
     check_order,
     dtype_for,
     element_ids,
     identity_row,
     table_ring,
-    validate_axioms,
 )
 from .errors import (
     BimoduleError,
@@ -82,8 +80,6 @@ from .errors import (
 )
 from .groups import _KINDS as _GROUP_KINDS, Group, group_from_spec, group_name, group_order
 from .invariants import get_cache, ideal_generated
-
-_BUILD_VALIDATE_LIMIT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +282,10 @@ def _assemble_ring(
     if labels is None:
         labels = [label_fn(d) for d in itertools.product(*map(range, assembly.sizes))]
     ring = FiniteRing(add_tab, mul_tab, zero, one, labels=labels, spec=spec, name=name, neg=neg)
-    _validate_built(ring)
+    check_axioms(ring)
     ring.meta["axis_sizes"] = tuple(assembly.sizes)
     ring.meta["axis_weights"] = tuple(assembly.weights)
     return ring
-
-
-def _validate_built(ring: FiniteRing):
-    report = validate_axioms(ring, limit=_BUILD_VALIDATE_LIMIT)
-    if not report.ok:
-        raise RingConstructionError(
-            f"constructed ring {ring.name} fails {report.axiom} at {report.witness}"
-        )
 
 
 def _restrict_to_subset(
@@ -308,7 +296,8 @@ def _restrict_to_subset(
     spec: Optional[dict] = None,
     name: Optional[str] = None,
 ) -> FiniteRing:
-    """Ring on a multiplicatively and additively closed subset."""
+    """Ring on a multiplicatively and additively closed subset; its axioms are the base's."""
+    check_axioms(base)
     ids = sorted(int(i) for i in ids)
     lookup = np.full(base.order, -1, dtype=np.int64)
     lookup[ids] = np.arange(len(ids))
@@ -322,10 +311,8 @@ def _restrict_to_subset(
     one = int(lookup[one_id])
     if labels is None:
         labels = [base.label_of(i) for i in ids]
-    ring = FiniteRing(sub_add, sub_mul, zero, one, labels=labels, spec=spec, name=name,
+    return FiniteRing(sub_add, sub_mul, zero, one, labels=labels, spec=spec, name=name,
                       neg=lookup[base.neg_table[ids]])
-    _validate_built(ring)
-    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +344,7 @@ def zn(n: int, *, threshold: int = DEFAULT_THRESHOLD, spec: Optional[dict] = Non
         mul[start:start + step] = wide[start:start + step, None] * wide % n
     ring = FiniteRing(add, mul, 0, 1 % n, labels=[str(i) for i in range(n)],
                       spec=spec, name=spec_name(spec), neg=(-wide) % n)
-    _validate_built(ring)
+    check_axioms(ring)
     return ring
 
 
@@ -605,6 +592,7 @@ def _quotient_by_ideal(
 
     ``gens`` are the sorted generators the default spec names.
     """
+    check_axioms(base)
     spec = spec or {"quotient": {"base": base.spec, "generators": gens}}
     reps = base.add_table[:, ideal_ids].min(axis=1)
     rep_ids = np.unique(reps)
@@ -620,7 +608,6 @@ def _quotient_by_ideal(
         int(proj[base.zero]), int(proj[base.one]),
         labels=labels, spec=spec, name=spec_name(spec), neg=proj[base.neg_table[rep_ids]],
     )
-    _validate_built(ring)
     ring.meta["projection"] = proj
     return ring
 
@@ -1091,13 +1078,12 @@ def trunc_poly(
 
 def opposite_ring(base: FiniteRing, *, spec: Optional[dict] = None) -> FiniteRing:
     """Same elements and addition, reversed multiplication."""
+    check_axioms(base)
     spec = spec or {"opposite": base.spec}
-    ring = FiniteRing(
+    return FiniteRing(
         base.add_table, base.mul_table.T.copy(), base.zero, base.one,
         labels=list(base.labels), spec=spec, name=spec_name(spec), neg=base.neg_table,
     )
-    _validate_built(ring)
-    return ring
 
 
 # ---------------------------------------------------------------------------

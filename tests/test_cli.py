@@ -106,6 +106,12 @@ def test_build_command(spec_file, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["validation"] == {"ok": True, "mode": "sampled", "triples_checked": 512}
+    # Up to it, in full, although the build checked T2(Z8) by sampling.
+    path = spec_file({"triangular": {"n": 2, "base": {"zn": 8}}})
+    code, out, _ = run(capsys, "build", "--spec", path, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["validation"] == {"ok": True, "mode": "full", "triples_checked": 512 ** 3}
 
 
 def test_catalog_command_with_manifest(capsys, tmp_path):

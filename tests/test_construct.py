@@ -10,6 +10,8 @@ import pytest
 
 from ringlab.catalog import DEFAULT_SPECS, default_catalog
 from ringlab import core
+from ringlab.classify import radical_quotient
+from ringlab.invariants import get_cache
 from ringlab.core import FiniteRing, _derive_neg, dtype_for
 from ringlab import (
     BimoduleError,
@@ -264,6 +266,20 @@ def test_opposite(t2z2):
     for a in t2z2.elements():
         for b in t2z2.elements():
             assert op.mul(a, b) == t2z2.mul(b, a)
+
+
+def test_derived_rings_compute_no_axiom_report(monkeypatch):
+    # Each reads its built base's report from the base's memo.
+    base = build({"triangular": {"n": 2, "base": Z4}})
+    e = int(np.flatnonzero(get_cache(base).idempotent_mask)[1])
+
+    def compute(ring, mode, cache):
+        raise AssertionError(f"the axioms of {ring.name} were checked in {mode} mode")
+
+    monkeypatch.setattr(core, "_axiom_report", compute)
+    for ring in (quotient_ring(base, [e]), opposite_ring(base), corner_ring(base, e),
+                 subring_generated(base, [e]), radical_quotient(base)):
+        assert not [key for key in get_cache(ring)._memo if key.startswith("axioms:")]
 
 
 def test_gf_construction():

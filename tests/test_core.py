@@ -10,9 +10,11 @@ from ringlab import (
     corner_ring,
     ideal_generated,
     idempotents_lift_mod,
+    opposite_ring,
     quotient_ring,
     subring_generated,
     table_ring,
+    triangular_ring,
     validate_axioms,
     zn,
 )
@@ -48,6 +50,37 @@ def test_corrupted_z4_rejected():
         "mul-associativity", "left-distributivity", "right-distributivity"
     )
     assert report.witness is not None
+
+
+@pytest.mark.parametrize("derive", [
+    lambda b: quotient_ring(b, []), opposite_ring,
+    lambda b: corner_ring(b, b.one), lambda b: subring_generated(b, []),
+], ids=["quotient", "opposite", "corner", "subring"])
+def test_a_derived_ring_checks_its_base(derive):
+    # A quotient, opposite or subring has its base's axioms, so the base
+    # is what is checked, and the error names it.
+    add, mul = zn_tables(4)
+    mul[2][2] = 1
+    broken = FiniteRing(np.array(add), np.array(mul), 0, 1, name="Z4'")
+    with pytest.raises(RingConstructionError,
+                       match=r"^Z4' fails axiom left-distributivity at \(2, 1, 1\)$"):
+        derive(broken)
+
+
+def test_one_axiom_report_per_ring_and_mode(monkeypatch):
+    computed = []
+    compute = ringlab.core._axiom_report
+    base = zn(8)
+    monkeypatch.setattr(ringlab.core, "_axiom_report",
+                        lambda ring, mode, cache: computed.append(mode) or compute(ring, mode, cache))
+    # Order 512: sampled at the build limit, in full at the default one.
+    t2 = triangular_ring(2, base)
+    assert computed == ["sampled"]
+    full = validate_axioms(t2)
+    assert (full.ok, full.mode, full.triples_checked) == (True, "full", 512 ** 3)
+    assert validate_axioms(t2, limit=1000) is full
+    assert validate_axioms(t2, limit=256) is validate_axioms(t2, limit=511)
+    assert computed == ["sampled", "full"]
 
 
 def test_order_one_ring_admitted():

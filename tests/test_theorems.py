@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ringlab import core
 from ringlab import (
     CHECKS,
     SuiteContext,
@@ -645,3 +646,20 @@ def test_statements_that_cannot_fail_are_the_ones_readme_lists():
     section = readme.split("the checks below decide nothing", 1)[1]
     section = section.split("Parts of other checks", 1)[0]
     assert re.findall(r"^- `([^`]+)`", section, re.M) == cannot_fail
+
+
+def test_a_default_run_computes_each_axiom_report_once(monkeypatch):
+    # One report per ring and mode, kept in the ring's memo; derived
+    # rings read their base's.  The list keeps every ring alive, so no
+    # two of them share an id.
+    computed = []
+    compute = core._axiom_report
+
+    def counted(ring, mode, cache):
+        computed.append((ring, mode))
+        return compute(ring, mode, cache)
+
+    monkeypatch.setattr(core, "_axiom_report", counted)
+    run_suite(SuiteContext())
+    assert computed
+    assert len({(id(ring), mode) for ring, mode in computed}) == len(computed)
