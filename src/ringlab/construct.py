@@ -70,6 +70,8 @@ from .core import (
     dtype_for,
     element_ids,
     identity_row,
+    order_power,
+    order_product,
     table_ring,
 )
 from .errors import (
@@ -1006,13 +1008,15 @@ def resolve_endomorphism(base: FiniteRing, descriptor) -> np.ndarray:
     if descriptor == "identity" or descriptor is None:
         alpha = np.arange(n, dtype=np.int64)
     elif isinstance(descriptor, dict) and "frobenius" in descriptor:
+        # a^p for every a at once, by square-and-multiply on the table.
         p = int(descriptor["frobenius"])
-        alpha = np.zeros(n, dtype=np.int64)
-        for a in range(n):
-            x = base.one
-            for _ in range(p):
-                x = base.mul(x, a)
-            alpha[a] = x
+        alpha = np.full(n, base.one, dtype=np.int64)
+        power = np.arange(n, dtype=np.int64)
+        while p > 0:
+            if p & 1:
+                alpha = base.mul_table[alpha, power].astype(np.int64)
+            power = base.mul_table[power, power]
+            p >>= 1
     elif isinstance(descriptor, dict) and "map" in descriptor:
         alpha = as_table(descriptor["map"], (n,), n, EndomorphismError("shape", (n,)))
     else:
@@ -1120,14 +1124,15 @@ class _Family(NamedTuple):
 
     ``args`` is the shape of the kind's arguments (:func:`_check_shape`),
     whose top-level ``"spec"`` slots hold the child specs, built first in
-    that order.  ``order(args, *child_orders)`` gives the order, None for
-    arguments the constructor refuses anyway; the field is None where the
-    order depends on a built ring.  ``name(args, *child_names)`` gives the
-    display name and ``make(args, spec, threshold, *child_rings)`` the ring.
+    that order.  ``order(args, *child_orders)`` gives the order, through
+    :func:`order_power` and :func:`order_product` where it can pass 2^64;
+    the field is None where the order depends on a built ring.
+    ``name(args, *child_names)`` gives the display name and
+    ``make(args, spec, threshold, *child_rings)`` the ring.
     """
 
     args: object
-    order: Optional[Callable[..., Optional[int]]]
+    order: Optional[Callable[..., int]]
     name: Callable[..., str]
     make: Callable[..., FiniteRing]
 
@@ -1147,17 +1152,18 @@ _FAMILIES: dict[str, _Family] = {
         "pos", lambda a: a, lambda a: f"Z{a}",
         lambda a, spec, t: zn(a, threshold=t, spec=spec)),
     "gf": _Family(
-        {"p": "pos", "k": "pos"}, lambda a: a["p"] ** a["k"] if _is_prime(a["p"]) else None,
+        {"p": "pos", "k": "pos"}, lambda a: order_power(a["p"], a["k"]),
         lambda a: f"F{a['p'] ** a['k']}",
         lambda a, spec, t: gf(a["p"], a["k"], threshold=t, spec=spec)),
     "product": _Family(
-        ["spec"], lambda a, *orders: math.prod(orders), lambda a, *names: "x".join(names),
+        ["spec"], lambda a, *orders: order_product(orders), lambda a, *names: "x".join(names),
         lambda a, spec, t, *factors: product_ring(factors, threshold=t, spec=spec)),
     "matrix": _Family(
-        _N_BASE, lambda a, base: base ** a["n"] ** 2, lambda a, base: f"M{a['n']}({base})",
+        _N_BASE, lambda a, base: order_power(base, a["n"] ** 2),
+        lambda a, base: f"M{a['n']}({base})",
         lambda a, spec, t, base: matrix_ring(a["n"], base, threshold=t, spec=spec)),
     "triangular": _Family(
-        _N_BASE, lambda a, base: base ** (a["n"] * (a["n"] + 1) // 2),
+        _N_BASE, lambda a, base: order_power(base, a["n"] * (a["n"] + 1) // 2),
         lambda a, base: f"T{a['n']}({base})",
         lambda a, spec, t, base: triangular_ring(a["n"], base, threshold=t, spec=spec)),
     "quotient": _Family(
@@ -1167,7 +1173,8 @@ _FAMILIES: dict[str, _Family] = {
         {"base": "spec", "idempotent": "id"}, None, lambda a, base: f"corner({base})",
         lambda a, spec, t, base: corner_ring(base, a["idempotent"], spec=spec)),
     "group_ring": _Family(
-        {"base": "spec", "group": _GROUP}, lambda a, base: base ** group_order(a["group"]),
+        {"base": "spec", "group": _GROUP},
+        lambda a, base: order_power(base, group_order(a["group"])),
         lambda a, base: f"{base}[{group_name(a['group'])}]",
         lambda a, spec, t, base: group_ring(
             base, group_from_spec(a["group"]), threshold=t, spec=spec)),
@@ -1194,11 +1201,12 @@ _FAMILIES: dict[str, _Family] = {
             ra, rb, a["m"], a["m_left"], a["m_right"], a["n"], a["n_left"], a["n_right"],
             threshold=t, spec=spec)),
     "trunc_poly": _Family(
-        _N_BASE, lambda a, base: base ** a["n"], lambda a, base: f"{base}[x]/x^{a['n']}",
+        _N_BASE, lambda a, base: order_power(base, a["n"]),
+        lambda a, base: f"{base}[x]/x^{a['n']}",
         lambda a, spec, t, base: trunc_poly(base, a["n"], threshold=t, spec=spec)),
     "skew_trunc_poly": _Family(
         {"base": "spec", "alpha": _Kinds(identity=None, frobenius="pos", map=["id"]), "n": "pos"},
-        lambda a, base: base ** a["n"], lambda a, base: f"{base}[x;a]/x^{a['n']}",
+        lambda a, base: order_power(base, a["n"]), lambda a, base: f"{base}[x;a]/x^{a['n']}",
         lambda a, spec, t, base: skew_trunc_poly(
             base, a["alpha"], a["n"], threshold=t, spec=spec)),
     "opposite": _Family(
@@ -1283,8 +1291,8 @@ def _walk(spec, threshold: Optional[int], path: str = "$") -> Optional[int]:
     orders = [_walk(child, threshold, path + at) for at, child in children]
     if threshold is None or family.order is None or None in orders:
         return None
-    if (order := family.order(args, *orders)) is not None:
-        check_order(order, threshold)
+    order = family.order(args, *orders)
+    check_order(order, threshold)
     return order
 
 

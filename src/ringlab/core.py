@@ -55,13 +55,36 @@ def dtype_for(order: int) -> np.dtype:
     return np.dtype(np.uint32)
 
 
+#: Orders read from specs are exact below 2^64; :func:`order_power` and
+#: :func:`order_product` give this value for any order from 2^64 up, and
+#: :func:`check_order` refuses it whatever the threshold.
+ORDER_CAP = 1 << 64
+
+
+def order_power(base: int, e: int) -> int:
+    """``base ** e``, or ``ORDER_CAP`` from 2^64 up, decided from ``e`` first."""
+    if base < 2:
+        return base
+    if e * (base.bit_length() - 1) >= 64:
+        return ORDER_CAP
+    return min(base ** e, ORDER_CAP)
+
+
+def order_product(orders: Iterable[int]) -> int:
+    """The product of ``orders``, or ``ORDER_CAP`` from 2^64 up."""
+    out = 1
+    for order in orders:
+        out = min(out * order, ORDER_CAP)
+    return out
+
+
 def check_order(order: int, threshold: int) -> None:
     """Refuse an order above ``threshold`` before its tables exist.
 
     The error names the order and the bytes its add and mul tables
     would take, 2 * order^2 * itemsize.
     """
-    if order > threshold:
+    if order > threshold or order >= ORDER_CAP:
         table_bytes = 2 * order * order * dtype_for(order).itemsize
         raise SizeOverflowError(order, threshold, table_bytes)
 

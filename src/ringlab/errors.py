@@ -46,9 +46,13 @@ class SizeOverflowError(RinglabError):
         self.required_order = required_order
         self.cap = cap
         self.table_bytes = table_bytes
-        message = f"construction requires order {required_order}, above the cap {cap}"
+        # Orders from 2^64 up are not read exactly (core.ORDER_CAP): name their size.
+        exact = required_order < 1 << 64
+        message = (f"construction requires order {required_order if exact else '2^64 or more'}, "
+                   f"above the cap {cap}")
         if table_bytes is not None:
-            message += f"; its add and mul tables would take {table_bytes} bytes"
+            size = f"{table_bytes} bytes" if exact else f"2^{table_bytes.bit_length() - 1} bytes or more"
+            message += f"; its add and mul tables would take {size}"
         super().__init__(message)
 
 

@@ -492,6 +492,17 @@ def reference_quotient(base, generators):
     return q_add, q_mul, proj
 
 
+def reference_frobenius(base, p):
+    """a -> a^p, each power taken as p products on the right from 1."""
+    alpha = np.zeros(base.order, dtype=np.int64)
+    for a in range(base.order):
+        x = base.one
+        for _ in range(p):
+            x = base.mul(x, a)
+        alpha[a] = x
+    return alpha
+
+
 def reference_gf(p, k):
     """GF(p^k), k >= 2, by a double loop over polynomial pairs.
 

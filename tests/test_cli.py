@@ -246,6 +246,24 @@ def test_oversized_ring_is_refused_with_its_order_and_table_bytes(spec_file, cap
     assert "32768" in lines[0] and "4294967296" in lines[0]
 
 
+#: Specs whose orders pass 2^64, refused from the exponent or the running
+#: product before the order is computed in full.
+_HUGE_SPECS = {
+    "matrix-n-120": {"matrix": {"n": 120, "base": {"zn": 2}}},
+    "group_ring-C100000": {"group_ring": {"base": {"zn": 2}, "group": {"cyclic": 100000}}},
+    "product-1100-factors": {"product": [{"zn": 16384}] * 1100},
+    "trunc_poly-n-10**8": {"trunc_poly": {"base": {"zn": 2}, "n": 10 ** 8}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_SPECS))
+def test_order_past_2_64_is_refused_by_its_size(spec_file, capsys, name):
+    code, out, err = run(capsys, "build", "--spec", spec_file(_HUGE_SPECS[name]))
+    assert (code, out) == (2, "")
+    assert err == ("error: construction requires order 2^64 or more, above the cap 16384; "
+                   "its add and mul tables would take 2^131 bytes or more\n")
+
+
 _V2 = [[0, 1], [1, 0]]
 _ACT2 = [[0, 0], [0, 1]]
 

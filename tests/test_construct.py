@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -37,6 +38,7 @@ from ringlab import (
     product_ring,
     quaternion8,
     quotient_ring,
+    resolve_endomorphism,
     skew_trunc_poly,
     subring_generated,
     symmetric3,
@@ -53,6 +55,7 @@ from oracles import (
     naive_units,
     reference_assembly,
     reference_check_isomorphic,
+    reference_frobenius,
     reference_gf,
     reference_ideal_extension,
     reference_quotient,
@@ -250,6 +253,33 @@ def test_skew_trunc_poly_frobenius(f4):
     assert validate_axioms(sk).ok
 
 
+def _endomorphism_or_error(base, descriptor):
+    try:
+        return resolve_endomorphism(base, descriptor).tolist()
+    except EndomorphismError as exc:
+        return exc.law, exc.witness
+
+
+def test_frobenius_matches_the_power_loop(suite_ctx):
+    # The same map, or the same refusal, as the map the loop computes.
+    for entry in suite_ctx.entries:
+        if entry.ring.order <= 512:
+            for p in range(1, 9):
+                expected = {"map": reference_frobenius(entry.ring, p).tolist()}
+                assert (_endomorphism_or_error(entry.ring, {"frobenius": p})
+                        == _endomorphism_or_error(entry.ring, expected)), (entry.name, p)
+
+
+def test_frobenius_takes_log_p_steps():
+    spec = {"skew_trunc_poly": {"base": {"gf": {"p": 2, "k": 2}},
+                                "alpha": {"frobenius": 10 ** 18}, "n": 2}}
+    start = time.perf_counter()
+    ring = build(spec)
+    assert time.perf_counter() - start < 1.0
+    # 10^18 = 1 mod 3, the order of F4's unit group: the identity map.
+    assert ring.mul(ring.id_of("x"), ring.id_of("w")) == ring.mul(ring.id_of("w"), ring.id_of("x"))
+
+
 def test_skew_rejects_non_endomorphism(z4, z6):
     with pytest.raises(EndomorphismError):
         skew_trunc_poly(z4, {"map": [1, 2, 3, 0]}, 2)
@@ -365,6 +395,32 @@ def test_orders_read_from_specs_are_the_built_orders(suite_ctx):
         build({"corner": {"base": Z4, "idempotent": 1}}, threshold=3)
     with pytest.raises(SizeOverflowError, match="order 5,"):
         build({"product": [quotient, {"zn": 5}]}, threshold=4)
+
+
+@pytest.mark.parametrize("spec, order", [
+    ({"trunc_poly": {"base": Z2, "n": 63}}, str(2 ** 63)),
+    ({"product": [{"zn": 16384}] * 4}, str(2 ** 56)),
+    ({"gf": {"p": 2 ** 61 - 1, "k": 1}}, str(2 ** 61 - 1)),
+    ({"trunc_poly": {"base": Z2, "n": 64}}, "2^64 or more"),
+    ({"product": [{"zn": 16384}] * 5}, "2^64 or more"),
+], ids=["2^63", "16384^4", "gf-2^61-1", "2^64", "16384^5"])
+def test_an_oversized_order_is_named_exactly_below_2_64(monkeypatch, spec, order):
+    # gf's order is read before its characteristic's trial division.
+    monkeypatch.setattr(construct, "_is_prime", None)
+    with pytest.raises(SizeOverflowError, match=rf"^construction requires order {re.escape(order)},"):
+        build(spec)
+
+
+def test_an_order_past_2_64_is_refused_without_computing_it():
+    # Read in full, this order is 2^(10^8): 1.2 s and a 127 MB peak.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflowError, match="order 2\\^64 or more"):
+            build({"trunc_poly": {"base": Z2, "n": 10 ** 8}})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 @pytest.mark.parametrize("spec, kind", [
@@ -813,7 +869,9 @@ _BUILD_PEAK_BOUNDS = [
 @pytest.mark.parametrize("spec, bound", _BUILD_PEAK_BOUNDS,
                          ids=[construct.spec_name(s) for s, _ in _BUILD_PEAK_BOUNDS])
 def test_build_peak_is_a_bounded_multiple_of_its_tables(spec, bound):
-    build(Z2)  # one-off allocations of a first build stay outside the trace
+    # One-off allocations of a first build stay outside the trace: every
+    # spec here is above the build limit, whose check samples triples.
+    build({"zn": 257})
     tracemalloc.start()
     try:
         ring = build(spec)
