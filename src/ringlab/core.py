@@ -390,6 +390,13 @@ def validate_axioms(ring: FiniteRing, limit: int = DEFAULT_AXIOM_LIMIT) -> Valid
     return cache.memo(f"axioms:{mode}", lambda: _axiom_report(ring, mode, cache))
 
 
+def check_axioms(ring: FiniteRing, limit: int = _BUILD_VALIDATE_LIMIT) -> None:
+    """Raise :class:`RingConstructionError`, naming the ring, unless its axioms hold."""
+    report = validate_axioms(ring, limit)
+    if not report.ok:
+        raise RingConstructionError(f"{ring.name} fails axiom {report.axiom} at {report.witness}")
+
+
 def _axiom_report(ring: FiniteRing, mode: str, cache) -> ValidationReport:
     n = ring.order
     add = ring.add_table
@@ -517,11 +524,3 @@ def table_ring(
     ring = FiniteRing(add, mul, zero, one, labels=labels, spec=spec, name=name)
     check_axioms(ring, DEFAULT_AXIOM_LIMIT)
     return ring
-
-
-def check_axioms(ring: FiniteRing, limit: int = _BUILD_VALIDATE_LIMIT) -> None:
-    """Raise :class:`RingConstructionError`, naming the ring, unless its axioms hold."""
-    report = validate_axioms(ring, limit)
-    if not report.ok:
-        raise RingConstructionError(f"{ring.name} fails axiom {report.axiom} at {report.witness}")
-

@@ -42,7 +42,8 @@ DEFAULT_IDEAL_COUNT_LIMIT = 100_000
 
 
 class InvariantCache:
-    """The ring's one memo: element sets and classify's results."""
+    """The ring's one memo: element sets, classify's results and the axiom
+    reports of :func:`ringlab.core.validate_axioms`, one per ring and mode."""
 
     def __init__(self, ring: FiniteRing):
         # Weak: the ring owns its cache, and a strong reference back
