@@ -397,13 +397,12 @@ def _is_prime(p: int) -> bool:
 
 def gf(p: int, k: int, *, threshold: int = DEFAULT_THRESHOLD, spec: Optional[dict] = None) -> FiniteRing:
     """The finite field with p^k elements (canonical modulus, generator w)."""
-    if not _is_prime(p):
-        raise SpecError(f"gf characteristic must be prime, got {p}")
     if k < 1:
         raise SpecError(f"gf degree must be positive, got {k}")
+    check_order(order_power(p, k), threshold)  # before p's trial division
+    if not _is_prime(p):
+        raise SpecError(f"gf characteristic must be prime, got {p}")
     spec = spec or {"gf": {"p": p, "k": k}}
-    order = p ** k
-    check_order(order, threshold)
     if k == 1:
         base = zn(p, threshold=threshold, spec=spec)
         return base

@@ -409,6 +409,9 @@ def test_an_oversized_order_is_named_exactly_below_2_64(monkeypatch, spec, order
     monkeypatch.setattr(construct, "_is_prime", None)
     with pytest.raises(SizeOverflowError, match=rf"^construction requires order {re.escape(order)},"):
         build(spec)
+    if "gf" in spec:
+        with pytest.raises(SizeOverflowError, match=rf"order {order},"):
+            gf(spec["gf"]["p"], spec["gf"]["k"])
 
 
 def test_an_order_past_2_64_is_refused_without_computing_it():
@@ -466,6 +469,8 @@ def test_threshold_is_the_largest_order_built():
         zn(5, threshold=4)
     with pytest.raises(SizeOverflowError, match="order 8, above the cap 7"):
         gf(2, 3, threshold=7)
+    with pytest.raises(SizeOverflowError, match=r"order 2\^64 or more,"):
+        gf(2, 10 ** 8)
     table = {"table": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}}
     assert build(table, threshold=2).order == 2
     with pytest.raises(SizeOverflowError, match="order 2, above the cap 1"):
