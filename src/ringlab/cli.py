@@ -124,10 +124,8 @@ def cmd_element(args) -> int:
     ring = _ring_of(args)
     label = args.element.strip()
     elt = ring.id_of(label)
-    if elt is None and label.lstrip("-").isdigit():
-        idx = int(label)
-        if 0 <= idx < ring.order:
-            elt = idx
+    if elt is None and label.isdecimal() and int(label) < ring.order:
+        elt = int(label)
     if elt is None:
         raise UnknownElementError(
             f"element label {label!r} does not resolve in {ring.name}"

@@ -67,6 +67,7 @@ from .core import (
     check_axioms,
     check_law,
     check_order,
+    closure,
     dtype_for,
     element_ids,
     identity_row,
@@ -657,20 +658,16 @@ def subring_generated(base: FiniteRing, generators: Iterable[int]) -> FiniteRing
 
 
 def _subring_closure(base: FiniteRing, generators: Iterable[int]) -> np.ndarray:
-    """Sorted ids of the smallest unital subring containing the generators."""
-    mask = np.zeros(base.order, dtype=bool)
-    mask[[base.zero, base.one]] = True
-    mask[element_ids(generators, base.order)] = True
-    size = 0
-    while True:
-        ids = np.flatnonzero(mask)
-        if ids.size == size:
-            return ids
-        size = ids.size
-        block = np.ix_(ids, ids)
-        mask[base.add_table[block]] = True
-        mask[base.mul_table[block]] = True
-        mask[base.neg_table[ids]] = True
+    """Sorted ids of the smallest unital subring containing the generators:
+    the :func:`ringlab.core.closure` of 0, 1 and the generators under +,
+    negation and products of members."""
+    add, mul, neg = base.add_table, base.mul_table, base.neg_table
+    seed = np.append(element_ids(generators, base.order), [base.zero, base.one])
+    return closure(base.order, seed,
+                   lambda new, ids: add[new[:, None], ids],
+                   lambda new, _: neg[new],
+                   lambda new, ids: mul[new[:, None], ids],
+                   lambda new, ids: mul[ids[:, None], new])
 
 
 # ---------------------------------------------------------------------------
@@ -1096,8 +1093,8 @@ def opposite_ring(base: FiniteRing, *, spec: Optional[dict] = None) -> FiniteRin
 def read_json(path, what: str):
     """The JSON document in the file at ``path``, ``what`` naming it in errors.
 
-    A missing, unreadable, non-UTF-8 or non-JSON file raises
-    :class:`SpecError`.
+    A missing, unreadable, non-UTF-8 or non-JSON file, or one nested
+    past the decoder's recursion limit, raises :class:`SpecError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -1106,6 +1103,8 @@ def read_json(path, what: str):
         raise SpecError(f"cannot read {what} {path}: {exc.strerror}")
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(f"{what} {path} is not UTF-8 JSON: {exc}")
+    except RecursionError:
+        raise SpecError(f"{what} {path} nests too deeply to decode") from None
 
 
 def build(spec: dict, *, threshold: int = DEFAULT_THRESHOLD) -> FiniteRing:
@@ -1277,17 +1276,25 @@ def validate_spec(spec) -> None:
     _walk(spec, None)
 
 
-def _walk(spec, threshold: Optional[int], path: str = "$") -> Optional[int]:
+#: Spec nodes nest at most this deep, the root at depth 1; the deepest
+#: catalog spec has 3 levels, and the build recurses once per level.
+_MAX_SPEC_DEPTH = 100
+
+
+def _walk(spec, threshold: Optional[int], path: str = "$", depth: int = 1) -> Optional[int]:
     """Check the nodes of ``spec``, at JSON path ``path``, in build order.
 
-    Given a threshold, each order read from a node's arguments and child
-    orders goes to :func:`check_order` at once, before any order above it
-    or after it is read.  Returns the order: None without a threshold, or
+    A node deeper than ``_MAX_SPEC_DEPTH`` is refused.  Given a
+    threshold, each order read from a node's arguments and child orders
+    goes to :func:`check_order` at once, before any order above it or
+    after it is read.  Returns the order: None without a threshold, or
     where it needs a built ring (a quotient or a corner) or a node above.
     """
+    if depth > _MAX_SPEC_DEPTH:
+        raise SpecError(f"spec nodes nest more than {_MAX_SPEC_DEPTH} levels deep", path)
     _check_shape(spec, _SPEC, path)
     family, args, children = _node(spec)
-    orders = [_walk(child, threshold, path + at) for at, child in children]
+    orders = [_walk(child, threshold, path + at, depth + 1) for at, child in children]
     if threshold is None or family.order is None or None in orders:
         return None
     order = family.order(args, *orders)

@@ -327,28 +327,46 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray) -> Optional[tuple]:
     return tuple(int(v) for v in np.argwhere(bad)[0])
 
 
+def closure(order: int, seed, *steps) -> np.ndarray:
+    """Sorted ids of the least set that holds ``seed`` and that each step maps into itself.
+
+    A step ``step(new, members)`` returns ids that must join the set,
+    given this round's new ids and every member so far, ``new``
+    included.  Every seed id starts out new, and each round passes on
+    only what it added, so no product of two members from earlier
+    rounds is formed again.
+    """
+    mask = np.zeros(order, dtype=bool)
+    mask[seed] = True
+    members = new = np.flatnonzero(mask)
+    while new.size:
+        hit = np.zeros(order, dtype=bool)
+        for step in steps:
+            hit[step(new, members)] = True
+        hit[members] = False
+        new = np.flatnonzero(hit)
+        mask[new] = True
+        members = np.flatnonzero(mask)
+    return members
+
+
 def additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
     """Greedy additive generators: every id is reached from ``zero``.
 
     Takes the least unreached id as the next generator, then closes the
-    reached set under ``add[reached, gens]`` until it covers every
-    element.  Each generator at least doubles the reached subgroup of a
-    group, so a group of order n needs at most log2(n) of them.
+    reached set under adding each generator.  Each generator at least
+    doubles the reached subgroup of a group, so a group of order n
+    needs at most log2(n) of them.
     """
-    n = len(add)
-    reached = np.zeros(n, dtype=bool)
-    reached[zero] = True
-    gens: list[int] = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        reached[gens[-1]] = True
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            hit = np.zeros(n, dtype=bool)
-            hit[add[frontier[:, None], gens]] = True
-            hit &= ~reached
-            reached |= hit
-            frontier = np.flatnonzero(hit)
+    n, gens = len(add), []
+    reached = np.asarray([zero])
+    while reached.size < n:
+        unreached = np.ones(n, dtype=bool)
+        unreached[reached] = False
+        gens.append(int(np.argmax(unreached)))
+        gen_ids = np.asarray(gens)
+        reached = closure(n, np.append(reached, gens[-1]),
+                          lambda new, _: add[new[:, None], gen_ids])
     return np.asarray(gens, dtype=np.int64)
 
 

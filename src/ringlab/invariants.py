@@ -14,10 +14,11 @@ Two sets avoid a sweep of the whole multiplication table:
   nilpotent columns only: J of a finite ring is nilpotent, so J is
   inside Nil.
 * The product is biadditive, so x is central iff it commutes with each
-  of the ring's k <= log2(n) additive generators, and an additive
-  subgroup is a two-sided ideal iff it is closed under multiplication
-  by those generators on both sides: J's guard, ideal tests and ideal
-  closure read k rows, not n.
+  of the ring's k <= log2(n) additive generators, and the ideal that a
+  set generates is its :func:`ringlab.core.closure` under +, negation
+  and multiplication by those generators on both sides.  A set is a
+  two-sided ideal iff it holds 0 and is the ideal it generates: J's
+  guard, ideal tests and ideal closure read k rows, not n.
 
 :class:`InvariantCache` is the one per-ring memo: these masks, and what
 :mod:`ringlab.classify` stores through :meth:`InvariantCache.memo`.  It
@@ -34,7 +35,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import FiniteRing, additive_generators, element_ids
+from .core import FiniteRing, additive_generators, closure, element_ids
 from .errors import IdealError, LatticeLimitError, SizeOverflowError
 
 DEFAULT_IDEAL_ORDER_LIMIT = 256
@@ -214,56 +215,33 @@ def ucn0(ring: FiniteRing) -> np.ndarray:
 def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> np.ndarray:
     """Sorted ids of the least two-sided ideal containing ``generators``.
 
-    Adds the products of the members with the ring's additive generators
-    on both sides, negatives and pairwise sums of the members until the
-    mask stops growing.  The fixed point is closed under + and under
-    multiplication by every element, since r*x is a sum of the g*x over
-    additive generators g.  Empty generators give {0}; a unit generator
-    gives the whole ring.
+    The :func:`ringlab.core.closure` of 0 and the generators under +,
+    negation and products with the ring's additive generators on both
+    sides.  It is closed under multiplication by every element, since
+    r*x is a sum of the g*x over additive generators g.  Empty
+    generators give {0}; a unit generator gives the whole ring.
     """
-    add, mul = ring.add_table, ring.mul_table
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     gens = get_cache(ring).additive_generators
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[ring.zero] = True
-    mask[element_ids(generators, ring.order)] = True
-    size = 0
-    while True:
-        ids = np.flatnonzero(mask)
-        if ids.size == size:
-            return ids
-        size = ids.size
-        mask[mul[np.ix_(gens, ids)]] = True
-        mask[mul[np.ix_(ids, gens)]] = True
-        mask[ring.neg_table[ids]] = True
-        mask[add[np.ix_(ids, ids)]] = True
+    seed = np.append(element_ids(generators, ring.order), ring.zero)
+    return closure(ring.order, seed,
+                   lambda new, ids: add[new[:, None], ids],
+                   lambda new, _: neg[new],
+                   lambda new, _: mul[gens[:, None], new],
+                   lambda new, _: mul[new[:, None], gens])
 
 
 def is_two_sided_ideal(ring: FiniteRing, subset: Iterable[int]) -> bool:
-    """Whether the ids ``subset`` form a two-sided ideal.
-
-    Closure under + and negation is checked on every pair of members;
-    closure under multiplication only by the ring's additive generators,
-    on both sides, which decides it for every element by biadditivity.
-    """
-    ids = element_ids(subset, ring.order)
+    """Whether the ids ``subset`` form a two-sided ideal: they hold 0
+    and are the ideal they generate (:func:`ideal_generated`)."""
     mask = np.zeros(ring.order, dtype=bool)
-    mask[ids] = True
-    return bool(ids.size) and _is_ideal_mask(ring, mask)
+    mask[element_ids(subset, ring.order)] = True
+    return _is_ideal_mask(ring, mask)
 
 
 def _is_ideal_mask(ring: FiniteRing, mask: np.ndarray) -> bool:
-    # A finite subset closed under + is a subgroup.  By biadditivity,
-    # r*j for any r is a sum of the g*j over additive generators g.
     ids = np.flatnonzero(mask)
-    gens = get_cache(ring).additive_generators
-    add, mul = ring.add_table, ring.mul_table
-    return bool(
-        mask[ring.zero]
-        and mask[add[np.ix_(ids, ids)]].all()
-        and mask[ring.neg_table[ids]].all()
-        and mask[mul[np.ix_(gens, ids)]].all()
-        and mask[mul[np.ix_(ids, gens)]].all()
-    )
+    return bool(mask[ring.zero]) and ideal_generated(ring, ids).size == ids.size
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ kernels it cross-checks.  Expected values frozen into tests were
 computed with these functions.  ``scalar_ideal_generated`` and
 ``scalar_idempotents_lift_mod`` are the scalar worklist and double loop
 that ``ideal_generated`` and ``idempotents_lift_mod`` replaced, kept as
-their reference routes; ``reference_assembly`` is the per-element
+their reference routes; ``reference_subring_closure`` and
+``reference_additive_generators`` are the whole-set fixed point and the
+scalar greedy route that ``core.closure`` serves in
+``construct._subring_closure`` and ``core.additive_generators``; ``reference_assembly`` is the per-element
 assembly that the open digit grid of ``construct._assemble_ring``
 replaced, ``reference_quotient`` the row loop that
 ``construct.quotient_ring``'s gathers replaced, and ``reference_gf``
@@ -302,6 +305,37 @@ def scalar_ideal_generated(ring, generators) -> np.ndarray:
             if not mask[c]:
                 queue.append(c)
     return np.flatnonzero(mask)
+
+
+def reference_subring_closure(ring, generators) -> np.ndarray:
+    """The plain fixed point: 0, 1 and ``generators``, grown by every
+    pairwise sum and product and every negative until nothing is new."""
+    ids = np.unique(np.r_[ring.zero, ring.one, np.asarray(generators, dtype=np.int64)])
+    while True:
+        block = np.ix_(ids, ids)
+        grown = np.unique(np.r_[ids, ring.add_table[block].ravel(),
+                                ring.mul_table[block].ravel(), ring.neg_table[ids]])
+        if grown.size == ids.size:
+            return ids
+        ids = grown
+
+
+def reference_additive_generators(ring) -> list[int]:
+    """The plain greedy route: the least unreached id becomes a generator,
+    then sums x + g over every generator g join one at a time."""
+    reached, gens = {ring.zero}, []
+    while len(reached) < ring.order:
+        gens.append(min(set(ring.elements()) - reached))
+        reached.add(gens[-1])
+        stack = sorted(reached)
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = ring.add(x, g)
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    return gens
 
 
 def scalar_idempotents_lift_mod(ring, ideal) -> LiftReport:

@@ -93,6 +93,15 @@ def test_element_unresolvable_exits_2(spec_file, capsys):
     assert "resolve" in err
 
 
+@pytest.mark.parametrize("label", ["--1", "\u00b2", "-1"])
+def test_element_label_that_is_no_index_exits_2(spec_file, capsys, label):
+    # Only a label of decimal digits is read as an index; "-1" never resolved.
+    path = spec_file({"zn": 4})
+    code, out, err = run(capsys, "element", "--spec", path, f"--element={label}")
+    assert (code, out) == (2, "")
+    assert err == f"error: element label {label!r} does not resolve in Z4\n"
+
+
 def test_build_command(spec_file, capsys):
     path = spec_file({"gf": {"p": 2, "k": 2}})
     code, out, _ = run(capsys, "build", "--spec", path, "--json")
@@ -188,6 +197,16 @@ def test_bad_input_exits_2_with_one_error_line(case, capsys, tmp_path, monkeypat
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     # None of these errors has a JSON path to name.
     assert not err.rstrip().endswith("(at $)"), err
+
+
+@pytest.mark.parametrize("levels", [500, 1500])
+def test_deeply_nested_spec_file_exits_2_with_one_error_line(capsys, tmp_path, levels):
+    # 500 levels reach the walk's depth bound; 1500 the JSON decoder's recursion limit.
+    path = tmp_path / "deep.json"
+    path.write_text('{"opposite": ' * (levels - 1) + '{"zn": 2}' + "}" * (levels - 1))
+    code, out, err = run(capsys, "build", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 @pytest.mark.parametrize("command", ["catalog", "verify"])

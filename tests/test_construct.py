@@ -59,6 +59,7 @@ from oracles import (
     reference_gf,
     reference_ideal_extension,
     reference_quotient,
+    reference_subring_closure,
     reference_trivial_extension,
     reference_trivial_morita,
     scalar_m_quasi_regular,
@@ -349,6 +350,16 @@ def test_subring_generated(z6):
     e = m2.id_of("(1 0;0 0)")
     sub2 = subring_generated(m2, [e])
     assert sub2.order == 4
+
+
+def test_subring_closure_matches_the_pairwise_fixed_point(small_catalog):
+    rings = [e.ring for e in small_catalog] + [build(spec) for spec in _SMALL_SPEC_LIST]
+    for ring in rings:
+        # Every element, and in rings of order <= 16 every pair of distinct elements.
+        pairs = [(a, b) for a in ring.elements() for b in range(a)] if ring.order <= 16 else []
+        for gens in [[a] for a in ring.elements()] + pairs:
+            got = construct._subring_closure(ring, gens)
+            assert np.array_equal(got, reference_subring_closure(ring, gens)), (ring.name, gens)
 
 
 def test_size_overflow():

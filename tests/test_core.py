@@ -20,7 +20,8 @@ from ringlab import (
 )
 from ringlab.invariants import is_two_sided_ideal
 from ringlab.core import FiniteRing, additive_generators
-from oracles import naive_axioms, naive_units
+from oracles import naive_axioms, naive_units, reference_additive_generators
+from test_invariants import _SMALL_SPEC_LIST
 
 
 def zn_tables(n):
@@ -258,6 +259,14 @@ def test_additive_generators_are_few(small_catalog):
         gens = additive_generators(ring.add_table, ring.zero)
         assert len(gens) <= max(1, (ring.order - 1).bit_length()), entry.name
     assert additive_generators(zn(8).add_table, 0).tolist() == [1]
+
+
+def test_additive_generators_match_the_greedy_reference(suite_ctx):
+    # The axiom witnesses name generators: their ids and order both count.
+    rings = [e.ring for e in suite_ctx.entries] + [ringlab.build(s) for s in _SMALL_SPEC_LIST]
+    for ring in rings:
+        got = additive_generators(ring.add_table, ring.zero).tolist()
+        assert got == reference_additive_generators(ring), ring.name
 
 
 def test_seeded_corruptions_match_naive_oracle(small_catalog):

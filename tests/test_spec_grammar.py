@@ -99,6 +99,23 @@ def test_malformed_node_is_a_spec_error_at_its_path(case):
     assert info.value.path == path
 
 
+def _nested(levels: int) -> dict:
+    """``levels`` spec nodes, one inside the next: opposites over Z2."""
+    spec = {"zn": 2}
+    for _ in range(levels - 1):
+        spec = {"opposite": spec}
+    return spec
+
+
+def test_spec_nodes_nest_at_most_100_levels():
+    assert build(_nested(100)).order == 2
+    with pytest.raises(SpecError, match="^spec nodes nest more than 100 levels deep ") as info:
+        build(_nested(101))
+    assert info.value.path == "$" + ".opposite" * 100
+    # The schema has no depth bound: the documented second divergence.
+    assert _VALIDATOR.is_valid(_nested(101))
+
+
 def test_schema_and_family_table_give_the_same_verdicts(suite_ctx, monkeypatch):
     derived = []
     through = SuiteContext.derived
