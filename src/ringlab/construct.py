@@ -9,7 +9,12 @@ opposite rings.
 Composite rings, and GF(p^k) as k coordinates over Z_p, are assembled
 from mixed-radix element coordinates: the additive structure is always
 componentwise, so only the multiplication formula varies per family.
-``_assemble_ring`` evaluates each family's digit formula on an open
+Every family but the direct product (componentwise) and gf (Horner's
+rule over the modulus) gives its product as data: a list of terms
+``(h, k, t, table)``, each adding ``table[a_h, b_k]`` into digit t of
+ab, which :func:`_bilinear` turns into the digit formula.  Each family
+composes its one label list in bulk, as tuples "(x,y)", sums "c+c*s" or
+matrix rows.  ``_assemble_ring`` evaluates the digit formula on an open
 digit grid in the style of ``np.ix_``, one dimension per axis of
 size > 1 and side, so a gather touches only the digits it depends on
 (4^6 cells for entry (0,2) of T3(Z4), not 4096^2); axes of size 1 take
@@ -35,8 +40,8 @@ add tables go through the same generator test for associativity.
 
 The trivial extension, the ideal extension and the trivial Morita
 context, T(A x B, M + N), are all base + M with (r,m)(s,n) =
-(rs, rn + ms + mn) and share ``_module_extension``; each bimodule is
-validated once by ``_validate_bimodule``.
+(rs, rn + ms + mn) and share ``_module_extension``'s terms; each
+bimodule is validated once by ``_validate_bimodule``.
 
 Each spec kind is one row of ``_FAMILIES``: the shape of its arguments,
 its order from the child orders, its display name from the child names,
@@ -141,15 +146,17 @@ class _Assembly:
 
     Axis 0 is the most significant digit.  Axes of size 1 carry only
     the digit 0; they take no dimension of the digit grid and add
-    nothing to an encoded id.
+    nothing to an encoded id.  An order above ``threshold`` is refused
+    here, before any label or table is composed.
     """
 
-    def __init__(self, axes: Sequence[_Axis]):
+    def __init__(self, axes: Sequence[_Axis], threshold: int):
         self.axes = list(axes)
         self.sizes = [ax.size for ax in self.axes]
         order = 1
         for s in self.sizes:
             order *= s
+        check_order(order, threshold)
         self.order = order
         weights = []
         w = order
@@ -239,17 +246,57 @@ class _Assembly:
         return sum(w * int(d) for w, d in zip(self.weights, digits))
 
 
+def _bilinear(terms: Sequence[tuple], adds: Sequence[np.ndarray]) -> Callable[[list, list], list]:
+    """The ``mul_digits`` of a product that is a sum of table lookups.
+
+    Digit t of ab is the sum, under ``adds[t]``, of ``table[a_h, b_k]``
+    over the terms ``(h, k, t, table)``, in the listed order.
+    """
+    def mul_digits(da, db):
+        out = [None] * len(adds)
+        for h, k, t, table in terms:
+            term = table[da[h], db[k]]
+            out[t] = term if out[t] is None else adds[t][out[t], term]
+        return out
+
+    return mul_digits
+
+
+def _tuple_labels(parts: Sequence[Sequence[str]]) -> list:
+    """Labels "(x,y,...)" in mixed-radix order, from each axis's labels."""
+    return ["(" + ",".join(cells) + ")" for cells in itertools.product(*parts)]
+
+
+def _sum_labels(base: FiniteRing, symbols: Sequence[Optional[str]]) -> list:
+    """Labels "c+c*s+..." in mixed-radix order, one axis over ``base`` per symbol.
+
+    The terms follow the axes; the symbol None marks the constant term.
+    Zero terms are skipped, a unit coefficient shows only its symbol,
+    and an element with no term is labelled as the base's zero.
+    """
+    labels, zero, one = base.labels, base.zero, base.one
+    terms = [[None if c == zero else labels[c] if sym is None else sym if c == one
+              else f"{labels[c]}*{sym}" for c in range(base.order)] for sym in symbols]
+    out = []
+    for combo in itertools.product(*terms):
+        shown = [t for t in combo if t is not None]
+        out.append("+".join(shown) if shown else labels[zero])
+    return out
+
+
+def _powers(var: str, n: int) -> list:
+    """The symbols of 1, var, ..., var^(n-1) for :func:`_sum_labels`."""
+    return [None if deg == 0 else var if deg == 1 else f"{var}^{deg}" for deg in range(n)]
+
+
 def _assemble_ring(
     assembly: _Assembly,
     mul_digits: Optional[Callable[[list, list], list]],
     one_digits: Sequence[int],
-    label_fn: Callable[[Sequence[int]], str],
+    labels: list,
     spec: Optional[dict],
-    name: Optional[str],
-    threshold: int,
-    labels: Optional[list] = None,
 ) -> FiniteRing:
-    """Build a ring from coordinates and a product formula.
+    """Build a ring from coordinates and a product formula, named from ``spec``.
 
     ``mul_digits(da, db)`` maps the digits of a and b, one entry per
     axis, to the digits of ab; None means the componentwise product of
@@ -262,13 +309,9 @@ def _assemble_ring(
     no gather at all (:meth:`_Assembly.views`).  Size-1 axes enter as the
     0-d digit 0, so degenerate rings such as M6(Z1) need no dimensions.
     Each table is written once, in ``dtype_for(order)``, by
-    :meth:`_Assembly.encode`.  ``label_fn`` gets the digits as a
-    sequence of ints; labels follow mixed-radix order, and a family that
-    composes that list faster passes it as ``labels``.  Orders above
-    ``threshold`` are refused before any table is allocated.
+    :meth:`_Assembly.encode`.  ``labels`` follow mixed-radix order.
     """
     n = assembly.order
-    check_order(n, threshold)
     dt = dtype_for(n)
     zero = assembly.encode_one([ax.zero for ax in assembly.axes])
     one = assembly.encode_one(one_digits)
@@ -282,9 +325,8 @@ def _assemble_ring(
         shape, dt).reshape(n, n)
     neg = assembly.encode(
         assembly.views([ax.neg for ax in assembly.axes], 1), assembly.shape, dt).reshape(n)
-    if labels is None:
-        labels = [label_fn(d) for d in itertools.product(*map(range, assembly.sizes))]
-    ring = FiniteRing(add_tab, mul_tab, zero, one, labels=labels, spec=spec, name=name, neg=neg)
+    ring = FiniteRing(add_tab, mul_tab, zero, one, labels=labels, spec=spec,
+                      name=spec_name(spec), neg=neg)
     check_axioms(ring)
     ring.meta["axis_sizes"] = tuple(assembly.sizes)
     ring.meta["axis_weights"] = tuple(assembly.weights)
@@ -409,7 +451,7 @@ def gf(p: int, k: int, *, threshold: int = DEFAULT_THRESHOLD, spec: Optional[dic
         return base
     modulus = _find_irreducible(p, k)
     zp = zn(p, threshold=threshold)
-    assembly = _Assembly([_Axis.of_ring(zp)] * k)
+    assembly = _Assembly([_Axis.of_ring(zp)] * k, threshold)
     # Digit q is the coefficient of w^(k-1-q), so ids are sum c_j p^j.
     # Horner's rule over a's digits: acc <- acc*w + a_q*b, with
     # w^k = -(c_0 + ... + c_{k-1} w^(k-1)) written as +(p - c_j) to keep
@@ -427,34 +469,11 @@ def gf(p: int, k: int, *, threshold: int = DEFAULT_THRESHOLD, spec: Optional[dic
                    for shifted, c, b in zip(acc[1:] + [0], carry, db)]
         return acc
 
-    powers = _powers("w", k)
-    return _assemble_ring(assembly, mul_digits, [0] * (k - 1) + [1],
-                          lambda digits: _sum_label(digits[::-1], powers, zp),
-                          spec, spec_name(spec), threshold)
-
-
-def _powers(var: str, n: int) -> list:
-    """The symbols of 1, var, ..., var^(n-1) for :func:`_sum_label`."""
-    return [None, var] + [f"{var}^{deg}" for deg in range(2, n)]
-
-
-def _sum_label(coeffs: Sequence[int], symbols: Sequence[Optional[str]], base: FiniteRing) -> str:
-    """``c0+c1*s1+...`` in ``base``'s labels; the symbol None marks the constant term.
-
-    Zero terms are skipped and a unit coefficient shows only its symbol.
-    """
-    labels = base.labels
-    terms = []
-    for c, sym in zip(coeffs, symbols):
-        if c == base.zero:
-            continue
-        if sym is None:
-            terms.append(labels[c])
-        elif c == base.one:
-            terms.append(sym)
-        else:
-            terms.append(f"{labels[c]}*{sym}")
-    return "+".join(terms) if terms else labels[base.zero]
+    # Labels list the constant first: compose them with digit q as the
+    # coefficient of w^q, then reverse the digits of every id.
+    by_degree = np.array(_sum_labels(zp, _powers("w", k)), dtype=object)
+    labels = by_degree.reshape((p,) * k).T.ravel().tolist()
+    return _assemble_ring(assembly, mul_digits, [0] * (k - 1) + [1], labels, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +493,9 @@ def product_ring(
     if not factors:
         raise SpecError("product requires at least one factor")
     spec = spec or {"product": [f.spec for f in factors]}
-    assembly = _Assembly([_Axis.of_ring(f) for f in factors])
-    labels = [f.labels for f in factors]
-
-    def label_fn(digits):
-        return "(" + ",".join(lbl[d] for lbl, d in zip(labels, digits)) + ")"
-
-    return _assemble_ring(
-        assembly, None, [f.one for f in factors], label_fn,
-        spec, spec_name(spec), threshold,
-    )
+    assembly = _Assembly([_Axis.of_ring(f) for f in factors], threshold)
+    return _assemble_ring(assembly, None, [f.one for f in factors],
+                          _tuple_labels([f.labels for f in factors]), spec)
 
 
 def matrix_ring(
@@ -526,43 +538,21 @@ def _matrix_ring(
     spec = spec or {kind: {"n": n, "base": base.spec}}
     entries = [(i, j) for i in range(n) for j in range(n) if present(i, j)]
     pos = {e: c for c, e in enumerate(entries)}
-    assembly = _Assembly([_Axis.of_ring(base)] * len(entries))
-    check_order(assembly.order, threshold)  # before the labels are composed
-    amul, aadd = base.mul_table, base.add_table
-
-    def mul_digits(da, db):
-        out = []
-        for i, j in entries:
-            acc = None
-            for k in range(n):
-                if (i, k) in pos and (k, j) in pos:
-                    term = amul[da[pos[(i, k)]], db[pos[(k, j)]]]
-                    acc = term if acc is None else aadd[acc, term]
-            out.append(acc)
-        return out
-
+    assembly = _Assembly([_Axis.of_ring(base)] * len(entries), threshold)
+    terms = [(pos[i, k], pos[k, j], pos[i, j], base.mul_table)
+             for i, j in entries for k in range(n) if (i, k) in pos and (k, j) in pos]
     one_digits = [base.one if i == j else base.zero for i, j in entries]
     base_labels = base.labels
     zero_label = base_labels[base.zero]
-
-    def label_fn(digits):
-        rows = []
-        for i in range(n):
-            cells = []
-            for j in range(n):
-                cells.append(base_labels[digits[pos[(i, j)]]] if (i, j) in pos else zero_label)
-            rows.append(" ".join(cells))
-        return "(" + ";".join(rows) + ")"
-
-    # The same labels in bulk: each row's strings in the mixed-radix order
+    # Labels "(row;row;...)": each row's strings in the mixed-radix order
     # of its own entries, joined over every choice of rows.
     row_strings = [
         [" ".join(cells) for cells in itertools.product(
             *(base_labels if (i, j) in pos else [zero_label] for j in range(n)))]
         for i in range(n)]
     labels = ["(" + ";".join(rows) + ")" for rows in itertools.product(*row_strings)]
-    return _assemble_ring(assembly, mul_digits, one_digits, label_fn,
-                          spec, spec_name(spec), threshold, labels)
+    return _assemble_ring(assembly, _bilinear(terms, [base.add_table] * len(entries)),
+                          one_digits, labels, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -660,14 +650,16 @@ def subring_generated(base: FiniteRing, generators: Iterable[int]) -> FiniteRing
 def _subring_closure(base: FiniteRing, generators: Iterable[int]) -> np.ndarray:
     """Sorted ids of the smallest unital subring containing the generators:
     the :func:`ringlab.core.closure` of 0, 1 and the generators under +,
-    negation and products of members."""
+    negation and new x member products.  Member x new products would add
+    nothing: every element of the subring is a sum of monomials in the
+    generators, and the product is associative, so each monomial is
+    formed left to right as a new factor times a member."""
     add, mul, neg = base.add_table, base.mul_table, base.neg_table
     seed = np.append(element_ids(generators, base.order), [base.zero, base.one])
     return closure(base.order, seed,
                    lambda new, ids: add[new[:, None], ids],
                    lambda new, _: neg[new],
-                   lambda new, ids: mul[new[:, None], ids],
-                   lambda new, ids: mul[ids[:, None], new])
+                   lambda new, ids: mul[new[:, None], ids])
 
 
 # ---------------------------------------------------------------------------
@@ -693,26 +685,15 @@ def group_ring(
     """
     g = group.order
     order = base.order ** g
-    assembly = _Assembly([_Axis.of_ring(base)] * g)
-    amul, aadd = base.mul_table, base.add_table
-    gtab = group.table
-
-    def mul_digits(da, db):
-        out = [None] * g
-        for h in range(g):
-            for k in range(g):
-                target = int(gtab[h, k])
-                term = amul[da[h], db[k]]
-                out[target] = term if out[target] is None else aadd[out[target], term]
-        return out
-
+    assembly = _Assembly([_Axis.of_ring(base)] * g, threshold)
+    aadd = base.add_table
+    terms = [(h, k, int(group.table[h, k]), base.mul_table) for h in range(g) for k in range(g)]
     one_digits = [base.zero] * g
     one_digits[group.identity] = base.one
     symbols = [None if h == group.identity else label for h, label in enumerate(group.labels)]
     spec = spec or {"group_ring": {"base": base.spec, "group": group.spec}}
-    ring = _assemble_ring(assembly, mul_digits, one_digits,
-                          lambda digits: _sum_label(digits, symbols, base),
-                          spec, spec_name(spec), threshold)
+    ring = _assemble_ring(assembly, _bilinear(terms, [aadd] * g), one_digits,
+                          _sum_labels(base, symbols), spec)
 
     eps = None
     for digits in assembly.grid(0, len(assembly.open_axes)):
@@ -741,22 +722,12 @@ def _module_extension(base: FiniteRing, axis: _Axis, lam: np.ndarray, rho: np.nd
     The caller validates the actions ``lam`` and ``rho``.  Element
     (r, m) has id r*|M| + m and label "(r,m)".
     """
-    assembly = _Assembly([_Axis.of_ring(base), axis])
-    amul, madd = base.mul_table, axis.add
-
-    def mul_digits(da, db):
-        second = madd[lam[da[0], db[1]], rho[da[1], db[0]]]
-        if m_mul is not None:
-            second = madd[second, m_mul[da[1], db[1]]]
-        return [amul[da[0], db[0]], second]
-
-    base_labels = base.labels
-
-    def label_fn(digits):
-        return f"({base_labels[digits[0]]},{m_labels[digits[1]]})"
-
-    return _assemble_ring(assembly, mul_digits, [base.one, axis.zero], label_fn,
-                          spec, spec_name(spec), threshold)
+    assembly = _Assembly([_Axis.of_ring(base), axis], threshold)
+    terms = [(0, 0, 0, base.mul_table), (0, 1, 1, lam), (1, 0, 1, rho)]
+    if m_mul is not None:
+        terms.append((1, 1, 1, m_mul))
+    return _assemble_ring(assembly, _bilinear(terms, [base.add_table, axis.add]),
+                          [base.one, axis.zero], _tuple_labels([base.labels, m_labels]), spec)
 
 
 def trivial_extension(
@@ -908,23 +879,9 @@ def formal_triangular(
     check_order(a.order * axis.size * b.order, threshold)
     lam, rho = _validate_bimodule(a, b, axis, left_action, right_action)
 
-    assembly = _Assembly([_Axis.of_ring(a), axis, _Axis.of_ring(b)])
-    amul, bmul = a.mul_table, b.mul_table
-    madd = axis.add
-
-    def mul_digits(da, db):
-        return [
-            amul[da[0], db[0]],
-            madd[lam[da[0], db[1]], rho[da[1], db[2]]],
-            bmul[da[2], db[2]],
-        ]
-
+    assembly = _Assembly([_Axis.of_ring(a), axis, _Axis.of_ring(b)], threshold)
+    terms = [(0, 0, 0, a.mul_table), (0, 1, 1, lam), (1, 2, 1, rho), (2, 2, 2, b.mul_table)]
     m_labels = _module_labels(m_tables, axis.size)
-    a_labels, b_labels = a.labels, b.labels
-
-    def label_fn(digits):
-        return f"({a_labels[digits[0]]},{m_labels[digits[1]]},{b_labels[digits[2]]})"
-
     spec = spec or {
         "formal_triangular": {
             "a": a.spec,
@@ -934,8 +891,9 @@ def formal_triangular(
             "right_action": rho.tolist(),
         }
     }
-    return _assemble_ring(assembly, mul_digits, [a.one, m_zero, b.one], label_fn,
-                          spec, spec_name(spec), threshold)
+    return _assemble_ring(assembly, _bilinear(terms, [a.add_table, axis.add, b.add_table]),
+                          [a.one, m_zero, b.one],
+                          _tuple_labels([a.labels, m_labels, b.labels]), spec)
 
 
 def trivial_morita(
@@ -978,7 +936,7 @@ def trivial_morita(
 
     m_labels = _module_labels(m, m_axis.size)
     n_labels = _module_labels(n, nn, "N")
-    v_labels = [f"({m_labels[i]},{n_labels[j]})" for i, j in zip(vm, vn)]
+    v_labels = _tuple_labels([m_labels, n_labels])
     spec = spec or {
         "trivial_morita": {
             "a": a.spec,
@@ -1038,30 +996,19 @@ def skew_trunc_poly(
     if n < 1:
         raise SpecError(f"truncation degree must be positive, got {n}")
     alpha_vec = resolve_endomorphism(base, alpha)
-    alpha_pows = [np.arange(base.order, dtype=np.int64)]
+    assembly = _Assembly([_Axis.of_ring(base)] * n, threshold)
+    # The coefficient of x^(i+j) sums a_i * alpha^i(b_j): a product
+    # table whose columns are permuted by alpha^i.
+    twisted = [base.mul_table]
     for _ in range(1, n):
-        alpha_pows.append(alpha_vec[alpha_pows[-1]])
-    assembly = _Assembly([_Axis.of_ring(base)] * n)
-    amul, aadd = base.mul_table, base.add_table
-
-    def mul_digits(da, db):
-        out = [None] * n
-        for i in range(n):
-            for j in range(n - i):
-                # coefficient of x^(i+j): a_i * alpha^i(b_j)
-                term = amul[da[i], alpha_pows[i][db[j]]]
-                k = i + j
-                out[k] = term if out[k] is None else aadd[out[k], term]
-        return out
-
+        twisted.append(twisted[-1][:, alpha_vec])
+    terms = [(i, j, i + j, twisted[i]) for i in range(n) for j in range(n - i)]
     one_digits = [base.one] + [base.zero] * (n - 1)
     if spec is None:
         alpha_spec = alpha if isinstance(alpha, (str, dict)) else {"map": alpha_vec.tolist()}
         spec = {"skew_trunc_poly": {"base": base.spec, "alpha": alpha_spec, "n": n}}
-    powers = _powers("x", n)
-    return _assemble_ring(assembly, mul_digits, one_digits,
-                          lambda digits: _sum_label(digits, powers, base),
-                          spec, spec_name(spec), threshold)
+    return _assemble_ring(assembly, _bilinear(terms, [base.add_table] * n), one_digits,
+                          _sum_labels(base, _powers("x", n)), spec)
 
 
 def trunc_poly(

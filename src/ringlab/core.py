@@ -97,7 +97,7 @@ class FiniteRing:
     ``neg`` is derived from the add table by an order^2 scan unless the
     caller already knows it (constructors encode it per coordinate), and
     :func:`validate_axioms` checks it either way.  Instances are
-    immutable after construction and safe to share across threads.
+    immutable after construction.
     ``spec`` records the construction tree that produced the ring
     (``None`` for raw table rings), ``name`` defaults to ``ring<order>``,
     and ``meta`` carries construction byproducts: maps such as a

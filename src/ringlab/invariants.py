@@ -17,18 +17,17 @@ Two sets avoid a sweep of the whole multiplication table:
   of the ring's k <= log2(n) additive generators, and the ideal that a
   set generates is its :func:`ringlab.core.closure` under +, negation
   and multiplication by those generators on both sides.  A set is a
-  two-sided ideal iff it holds 0 and is the ideal it generates: J's
-  guard, ideal tests and ideal closure read k rows, not n.
+  two-sided ideal iff it holds 0 and each of these steps maps it into
+  itself: J's guard, ideal tests and ideal closure read k rows, not n.
 
 :class:`InvariantCache` is the one per-ring memo: these masks, and what
 :mod:`ringlab.classify` stores through :meth:`InvariantCache.memo`.  It
-is write-once, lock-guarded, safe to share, and refers to its ring only
-weakly, so a ring is freed as soon as its last outside reference goes.
+is write-once and refers to its ring only weakly, so a ring is freed as
+soon as its last outside reference goes.
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -50,9 +49,6 @@ class InvariantCache:
         # Weak: the ring owns its cache, and a strong reference back
         # would keep every ring alive until a full garbage collection.
         self._ring = weakref.ref(ring)
-        # Reentrant: computing one invariant may nest into another
-        # (the radical consults the unit set) on the same thread.
-        self._lock = threading.RLock()
         self._memo: dict[str, object] = {}
 
     @property
@@ -63,13 +59,10 @@ class InvariantCache:
         """``compute()`` once per ring; arrays are stored read-only."""
         value = self._memo.get(key)
         if value is None:
-            with self._lock:
-                value = self._memo.get(key)
-                if value is None:
-                    value = compute()
-                    if isinstance(value, np.ndarray):
-                        value.setflags(write=False)
-                    self._memo[key] = value
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self._memo[key] = value
         return value
 
     @property
@@ -212,36 +205,41 @@ def ucn0(ring: FiniteRing) -> np.ndarray:
     return np.flatnonzero(get_cache(ring).ucn0_mask)
 
 
-def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> np.ndarray:
-    """Sorted ids of the least two-sided ideal containing ``generators``.
-
-    The :func:`ringlab.core.closure` of 0 and the generators under +,
+def _ideal_steps(ring: FiniteRing) -> tuple:
+    """The :func:`ringlab.core.closure` steps of a two-sided ideal: +,
     negation and products with the ring's additive generators on both
-    sides.  It is closed under multiplication by every element, since
-    r*x is a sum of the g*x over additive generators g.  Empty
-    generators give {0}; a unit generator gives the whole ring.
-    """
+    sides.  A set they map into itself is closed under multiplication
+    by every element, since r*x is a sum of the g*x over additive
+    generators g."""
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     gens = get_cache(ring).additive_generators
+    return (lambda new, ids: add[new[:, None], ids],
+            lambda new, _: neg[new],
+            lambda new, _: mul[gens[:, None], new],
+            lambda new, _: mul[new[:, None], gens])
+
+
+def ideal_generated(ring: FiniteRing, generators: Iterable[int]) -> np.ndarray:
+    """Sorted ids of the least two-sided ideal containing ``generators``:
+    the closure of 0 and the generators under :func:`_ideal_steps`.
+    Empty generators give {0}; a unit generator gives the whole ring."""
     seed = np.append(element_ids(generators, ring.order), ring.zero)
-    return closure(ring.order, seed,
-                   lambda new, ids: add[new[:, None], ids],
-                   lambda new, _: neg[new],
-                   lambda new, _: mul[gens[:, None], new],
-                   lambda new, _: mul[new[:, None], gens])
+    return closure(ring.order, seed, *_ideal_steps(ring))
 
 
 def is_two_sided_ideal(ring: FiniteRing, subset: Iterable[int]) -> bool:
-    """Whether the ids ``subset`` form a two-sided ideal: they hold 0
-    and are the ideal they generate (:func:`ideal_generated`)."""
+    """Whether the ids ``subset`` form a two-sided ideal."""
     mask = np.zeros(ring.order, dtype=bool)
     mask[element_ids(subset, ring.order)] = True
     return _is_ideal_mask(ring, mask)
 
 
 def _is_ideal_mask(ring: FiniteRing, mask: np.ndarray) -> bool:
+    """S holds 0 and each of :func:`_ideal_steps` maps S x S into S.  The
+    steps are additive in each argument, so one application decides
+    what the closure would: a set that passes is its own closure."""
     ids = np.flatnonzero(mask)
-    return bool(mask[ring.zero]) and ideal_generated(ring, ids).size == ids.size
+    return bool(mask[ring.zero]) and all(mask[step(ids, ids)].all() for step in _ideal_steps(ring))
 
 
 @dataclass(frozen=True)

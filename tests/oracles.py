@@ -11,7 +11,14 @@ their reference routes; ``reference_subring_closure`` and
 scalar greedy route that ``core.closure`` serves in
 ``construct._subring_closure`` and ``core.additive_generators``; ``reference_assembly`` is the per-element
 assembly that the open digit grid of ``construct._assemble_ring``
-replaced, ``reference_quotient`` the row loop that
+replaced, and it takes its labels from ``reference_labels``, which
+composes each assembled family's labels one id at a time in the tuple,
+sum and matrix-row formats that the bulk composers replaced.
+``reference_mul_table`` forms each assembled family's product one pair
+of ids at a time, in plain loops over the child rings' tables (the
+matrix product, the group convolution, the skew product, the R + M and
+formal triangular formulas), independently of the term lists that
+``construct._bilinear`` reads.  ``reference_quotient`` is the row loop that
 ``construct.quotient_ring``'s gathers replaced, and ``reference_gf``
 the per-cell double loop that building GF(p^k) on the digit grid
 replaced.  ``full_center`` and
@@ -57,12 +64,14 @@ from ringlab.construct import (
     _module_labels,
     _validate_left_action,
     _validate_right_action,
+    build,
     product_ring,
     spec_name,
 )
 from ringlab.core import DEFAULT_THRESHOLD, FiniteRing, dtype_for
 from ringlab.errors import BimoduleError, SizeOverflowError
 from ringlab.elements import Decomposition
+from ringlab.groups import group_from_spec
 from ringlab.invariants import LiftReport, get_cache, one_sided_ideals
 
 
@@ -465,15 +474,15 @@ def diagram_implications(c) -> list[tuple[str, bool]]:
     ]
 
 
-def reference_assembly(assembly, mul_digits, one_digits, label_fn):
-    """The per-element route for ``construct._assemble_ring``'s arguments.
+def reference_assembly(assembly, mul_digits, one_digits, labels):
+    """The per-element route for ``construct._assemble_ring``'s tables.
 
     Every element's digits are decoded into full-length vectors X;
-    tables are evaluated on (n, 1) x (1, n) grids of them, labels read
-    back through numpy scalars, and neg derived from the add table.  A
-    ``mul_digits`` of None (a direct product) gathers each axis's own
-    ``mul`` table on the same grids, as the sums are.
-    The ring is returned unvalidated, with ``meta['axis_sizes']``.
+    tables are evaluated on (n, 1) x (1, n) grids of them, and neg is
+    derived from the add table.  A ``mul_digits`` of None (a direct
+    product) gathers each axis's own ``mul`` table on the same grids,
+    as the sums are.  The ring is returned unvalidated, with ``labels``
+    and ``meta['axis_sizes']``.
     """
     n = assembly.order
     dt = dtype_for(n)
@@ -490,18 +499,254 @@ def reference_assembly(assembly, mul_digits, one_digits, label_fn):
     one = sum(w * int(d) for w, d in zip(weights, one_digits))
     all_ids = np.arange(n)
     X = [np.asarray((all_ids // w) % s) for w, s in zip(weights, sizes)]
-
-    def labels_for(i):
-        return label_fn([int(x[i]) for x in X])
-
     da = [x[:, None] for x in X]
     db = [x[None, :] for x in X]
     add_tab = encode([ax.add[d1, d2] for ax, d1, d2 in zip(axes, da, db)])
     mul_tab = encode(mul_digits(da, db) if mul_digits is not None
                      else [ax.mul[d1, d2] for ax, d1, d2 in zip(axes, da, db)])
-    ring = FiniteRing(add_tab, mul_tab, zero, one, labels=[labels_for(i) for i in range(n)])
+    ring = FiniteRing(add_tab, mul_tab, zero, one, labels=labels)
     ring.meta["axis_sizes"] = tuple(sizes)
     return ring
+
+
+def _digits(i, sizes) -> list[int]:
+    """The mixed-radix digits of id ``i`` over axes of ``sizes``, axis 0 most significant."""
+    digits = []
+    for size in reversed(sizes):
+        i, d = divmod(i, size)
+        digits.append(d)
+    return digits[::-1]
+
+
+def tuple_label(parts, digits) -> str:
+    """"(x,y,...)": each digit read in its own axis's labels."""
+    return "(" + ",".join(labels[d] for labels, d in zip(parts, digits)) + ")"
+
+
+def sum_label(base, coeffs, symbols) -> str:
+    """"c0+c1*s1+..." in ``base``'s labels; the symbol None marks the constant term.
+
+    Zero terms are skipped and a unit coefficient shows only its symbol.
+    """
+    terms = []
+    for c, sym in zip(coeffs, symbols):
+        if c == base.zero:
+            continue
+        if sym is None:
+            terms.append(base.labels[c])
+        elif c == base.one:
+            terms.append(sym)
+        else:
+            terms.append(f"{base.labels[c]}*{sym}")
+    return "+".join(terms) if terms else base.labels[base.zero]
+
+
+def matrix_label(base, n, present, digits) -> str:
+    """"(r;r;...)": row i lists its n cells, the digits filling the
+    ``present`` cells in row-major order and the base's zero the rest."""
+    cells = iter(digits)
+    zero = base.labels[base.zero]
+    rows = []
+    for i in range(n):
+        rows.append(" ".join(base.labels[next(cells)] if present(i, j) else zero
+                             for j in range(n)))
+    return "(" + ";".join(rows) + ")"
+
+
+def _symbols(var, n) -> list:
+    """None (the constant term), var, var^2, ..., var^(n-1)."""
+    return [None if deg == 0 else var if deg == 1 else f"{var}^{deg}" for deg in range(n)]
+
+
+def _module_label_list(m, n) -> list:
+    return list(m["labels"]) if "labels" in m else [str(i) for i in range(n)]
+
+
+def _present(kind):
+    return (lambda i, j: True) if kind == "matrix" else (lambda i, j: i <= j)
+
+
+def _tuples(parts) -> list[str]:
+    sizes = [len(p) for p in parts]
+    return [tuple_label(parts, _digits(i, sizes)) for i in range(int(np.prod(sizes)))]
+
+
+def reference_labels(spec) -> Optional[list[str]]:
+    """The labels of the ring that ``spec`` assembles, composed one id at a time.
+
+    The tuple format "(x,y,...)" serves direct products, the R + M
+    families, formal triangular rings and the Morita context's M + N;
+    the sum format "c+c*s+..." serves gf (constant first, while digit
+    q of an id is the coefficient of w^(k-1-q)), group rings and
+    (skew) truncated polynomials; matrix and triangular rings list
+    their rows.  Child rings are built from the spec.  None for a kind
+    that is not assembled.
+    """
+    (kind, args), = spec.items()
+    if kind == "gf":
+        p, k = args["p"], args["k"]
+        if k == 1:
+            return None
+        zp = build({"zn": p})
+        return [sum_label(zp, _digits(i, [p] * k)[::-1], _symbols("w", k)) for i in range(p ** k)]
+    if kind in ("matrix", "triangular"):
+        base, n, present = build(args["base"]), args["n"], _present(kind)
+        cells = [base.order] * sum(present(i, j) for i in range(n) for j in range(n))
+        return [matrix_label(base, n, present, _digits(i, cells))
+                for i in range(base.order ** len(cells))]
+    if kind in ("group_ring", "trunc_poly", "skew_trunc_poly"):
+        base = build(args["base"])
+        if kind == "group_ring":
+            group = group_from_spec(args["group"])
+            symbols = [None if h == group.identity else label
+                       for h, label in enumerate(group.labels)]
+        else:
+            symbols = _symbols("x", args["n"])
+        coeffs = [base.order] * len(symbols)
+        return [sum_label(base, _digits(i, coeffs), symbols)
+                for i in range(base.order ** len(symbols))]
+    if kind == "product":
+        return _tuples([build(s).labels for s in args])
+    if kind == "trivial_extension":
+        return _tuples([build(args).labels] * 2)
+    if kind == "ideal_extension":
+        base = build(args["base"])
+        return _tuples([base.labels, _module_label_list(args["m"], len(args["m"]["add"]))])
+    if kind == "formal_triangular":
+        m_labels = _module_label_list(args["m"], len(args["m"]["add"]))
+        return _tuples([build(args["a"]).labels, m_labels, build(args["b"]).labels])
+    if kind == "trivial_morita":
+        m, n = args["m"], args["n"]
+        v_labels = _tuples([_module_label_list(m, len(m["add"])),
+                            _module_label_list(n, len(n["add"]))])
+        return _tuples([reference_labels({"product": [args["a"], args["b"]]}), v_labels])
+    return None
+
+
+def reference_mul_table(spec) -> Optional[np.ndarray]:
+    """The product table of the ring that ``spec`` assembles, one pair of ids at a time.
+
+    Each pair's digits are decoded and multiplied in plain loops over
+    the child rings' tables by the family's own formula: componentwise
+    for a direct product; the full n x n matrix product over the base,
+    zero outside the triangle for a triangular ring; the group
+    convolution; the skew product a_i * alpha^i(b_j); (rs, rn + ms + mn)
+    for the trivial and ideal extensions; (aa', am' + mb', bb') for a
+    formal triangular ring; and for the Morita context
+    (a, b, m, n)(a', b', m', n') = (aa', bb', am' + mb', bn' + na').
+    gf has :func:`reference_gf`; other kinds give None.
+    """
+    (kind, args), = spec.items()
+
+    def tables(ring):
+        return ring.add_table.tolist(), ring.mul_table.tolist(), ring.zero
+
+    if kind == "product":
+        factors = [build(s) for s in args]
+        muls = [f.mul_table.tolist() for f in factors]
+        sizes = [f.order for f in factors]
+
+        def mul(x, y):
+            return [t[a][b] for t, a, b in zip(muls, x, y)]
+    elif kind in ("matrix", "triangular"):
+        base, n, present = build(args["base"]), args["n"], _present(kind)
+        add, amul, zero = tables(base)
+        entries = [(i, j) for i in range(n) for j in range(n) if present(i, j)]
+        sizes = [base.order] * len(entries)
+
+        def full(x):
+            matrix = [[zero] * n for _ in range(n)]
+            for (i, j), d in zip(entries, x):
+                matrix[i][j] = d
+            return matrix
+
+        def mul(x, y):
+            a, b = full(x), full(y)
+            c = [[zero] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        c[i][j] = add[c[i][j]][amul[a[i][k]][b[k][j]]]
+            assert all(c[i][j] == zero for i in range(n) for j in range(n)
+                       if not present(i, j))
+            return [c[i][j] for i, j in entries]
+    elif kind == "group_ring":
+        base, group = build(args["base"]), group_from_spec(args["group"])
+        add, amul, zero = tables(base)
+        g, gtab = group.order, group.table.tolist()
+        sizes = [base.order] * g
+
+        def mul(x, y):
+            out = [zero] * g
+            for h in range(g):
+                for k in range(g):
+                    out[gtab[h][k]] = add[out[gtab[h][k]]][amul[x[h]][y[k]]]
+            return out
+    elif kind in ("trunc_poly", "skew_trunc_poly"):
+        base, n = build(args["base"]), args["n"]
+        add, amul, zero = tables(base)
+        alpha = args.get("alpha", "identity")
+        if alpha == "identity":
+            alpha = list(range(base.order))
+        elif "frobenius" in alpha:
+            alpha = reference_frobenius(base, alpha["frobenius"]).tolist()
+        else:
+            alpha = list(alpha["map"])
+        sizes = [base.order] * n
+
+        def mul(x, y):
+            out = [zero] * n
+            for i in range(n):
+                for j in range(n - i):
+                    b = y[j]
+                    for _ in range(i):
+                        b = alpha[b]
+                    out[i + j] = add[out[i + j]][amul[x[i]][b]]
+            return out
+    elif kind in ("trivial_extension", "ideal_extension"):
+        base = build(args if kind == "trivial_extension" else args["base"])
+        add, amul, _ = tables(base)
+        if kind == "trivial_extension":
+            madd, lam, rho, m_mul = add, amul, amul, None
+        else:
+            madd, lam, rho = args["m"]["add"], args["left_action"], args["right_action"]
+            m_mul = args["m"].get("mul")
+        sizes = [base.order, len(madd)]
+
+        def mul(x, y):
+            (r, m), (s, n) = x, y
+            second = madd[lam[r][n]][rho[m][s]]
+            if m_mul is not None:
+                second = madd[second][m_mul[m][n]]
+            return [amul[r][s], second]
+    elif kind == "formal_triangular":
+        a, b = build(args["a"]), build(args["b"])
+        amul, bmul = a.mul_table.tolist(), b.mul_table.tolist()
+        madd, lam, rho = args["m"]["add"], args["left_action"], args["right_action"]
+        sizes = [a.order, len(madd), b.order]
+
+        def mul(x, y):
+            return [amul[x[0]][y[0]], madd[lam[x[0]][y[1]]][rho[x[1]][y[2]]], bmul[x[2]][y[2]]]
+    elif kind == "trivial_morita":
+        a, b = build(args["a"]), build(args["b"])
+        amul, bmul = a.mul_table.tolist(), b.mul_table.tolist()
+        madd, naddt = args["m"]["add"], args["n"]["add"]
+        sizes_p, sizes_v = [a.order, b.order], [len(madd), len(naddt)]
+        sizes = [a.order * b.order, len(madd) * len(naddt)]
+
+        def mul(x, y):
+            (ra, rb), (rm, rn) = _digits(x[0], sizes_p), _digits(x[1], sizes_v)
+            (sa, sb), (sm, sn) = _digits(y[0], sizes_p), _digits(y[1], sizes_v)
+            m = madd[args["m_left"][ra][sm]][args["m_right"][rm][sb]]
+            n = naddt[args["n_left"][rb][sn]][args["n_right"][rn][sa]]
+            return [amul[ra][sa] * b.order + bmul[rb][sb], m * len(naddt) + n]
+    else:
+        return None
+    order = int(np.prod(sizes))
+    digits = [_digits(i, sizes) for i in range(order)]
+    weights = [int(np.prod(sizes[q + 1:])) for q in range(len(sizes))]
+    return np.array([[sum(w * d for w, d in zip(weights, mul(x, y))) for y in digits]
+                     for x in digits], dtype=np.int64)
 
 
 def reference_quotient(base, generators):
@@ -585,16 +830,15 @@ def reference_gf(p, k):
 def reference_trivial_extension(base):
     """TE(base) through its own (ab, ay + xb) formula, the route before the shared assembly."""
     spec = {"trivial_extension": base.spec}
-    assembly = _Assembly([_Axis.of_ring(base), _Axis.of_ring(base)])
+    assembly = _Assembly([_Axis.of_ring(base), _Axis.of_ring(base)], DEFAULT_THRESHOLD)
     amul, aadd = base.mul_table, base.add_table
 
     def mul_digits(da, db):
         return [amul[da[0], db[0]], aadd[amul[da[0], db[1]], amul[da[1], db[0]]]]
 
-    labels = base.labels
-    return _assemble_ring(assembly, mul_digits, [base.one, base.zero],
-                          lambda d: f"({labels[d[0]]},{labels[d[1]]})",
-                          spec, spec_name(spec), DEFAULT_THRESHOLD)
+    labels = [tuple_label([base.labels] * 2, _digits(i, assembly.sizes))
+              for i in range(assembly.order)]
+    return _assemble_ring(assembly, mul_digits, [base.one, base.zero], labels, spec)
 
 
 def _reference_bimodule_compat(lam, rho, nr, nm):
@@ -649,16 +893,15 @@ def reference_trivial_morita(a, b, m, m_left, m_right, n, n_left, n_right):
         "n": {"add": np.asarray(n["add"]).tolist(), "labels": n_labels},
         "n_left": lam_n.tolist(), "n_right": rho_n.tolist(),
     }}
-    assembly = _Assembly([_Axis.of_ring(p), v_axis])
+    assembly = _Assembly([_Axis.of_ring(p), v_axis], DEFAULT_THRESHOLD)
     amul, vadd = p.mul_table, v_axis.add
 
     def mul_digits(da, db):
         return [amul[da[0], db[0]], vadd[lam[da[0], db[1]], rho[da[1], db[0]]]]
 
-    p_labels = p.labels
-    return _assemble_ring(assembly, mul_digits, [p.one, v_axis.zero],
-                          lambda d: f"({p_labels[d[0]]},{v_labels[d[1]]})",
-                          spec, spec_name(spec), DEFAULT_THRESHOLD)
+    labels = [tuple_label([p.labels, v_labels], _digits(i, assembly.sizes))
+              for i in range(assembly.order)]
+    return _assemble_ring(assembly, mul_digits, [p.one, v_axis.zero], labels, spec)
 
 
 def scalar_m_quasi_regular(m_add, m_mul, m_zero) -> bool:
@@ -688,17 +931,16 @@ def reference_ideal_extension(base, m_tables, left_action, right_action):
         "m": {"add": m_add.tolist(), "mul": m_mul.tolist(), "labels": m_labels},
         "left_action": lam.tolist(), "right_action": rho.tolist(),
     }}
-    assembly = _Assembly([_Axis.of_ring(base), axis])
+    assembly = _Assembly([_Axis.of_ring(base), axis], DEFAULT_THRESHOLD)
     amul = base.mul_table
 
     def mul_digits(da, db):
         second = m_add[m_add[lam[da[0], db[1]], rho[da[1], db[0]]], m_mul[da[1], db[1]]]
         return [amul[da[0], db[0]], second]
 
-    b_labels = base.labels
-    ring = _assemble_ring(assembly, mul_digits, [base.one, m_zero],
-                          lambda d: f"({b_labels[d[0]]},{m_labels[d[1]]})",
-                          spec, spec_name(spec), DEFAULT_THRESHOLD)
+    labels = [tuple_label([base.labels, m_labels], _digits(i, assembly.sizes))
+              for i in range(assembly.order)]
+    ring = _assemble_ring(assembly, mul_digits, [base.one, m_zero], labels, spec)
     idem = [e for e in range(base.order) if base.mul(e, e) == e]
     central = all(lam[e, m] == rho[m, e] for e in idem for m in range(nm))
     ring.meta["hypotheses"] = {

@@ -58,6 +58,8 @@ from oracles import (
     reference_frobenius,
     reference_gf,
     reference_ideal_extension,
+    reference_labels,
+    reference_mul_table,
     reference_quotient,
     reference_subring_closure,
     reference_trivial_extension,
@@ -740,8 +742,10 @@ def _assert_same_ring(ring, ref):
 def reference_checked(monkeypatch):
     """Compare every ``_assemble_ring`` call with the reference route.
 
-    Labels a family composes in bulk are checked against its
-    ``label_fn`` per element.
+    The labels a family composes in bulk are checked against the ones
+    :func:`oracles.reference_labels` composes per element from the spec,
+    and up to order 256 the product table against the family's formula
+    written out pair by pair (:func:`oracles.reference_mul_table`).
 
     Returns the list of the names of the rings compared so far, inner
     builds included.
@@ -749,12 +753,12 @@ def reference_checked(monkeypatch):
     checked = []
     grid_route = construct._assemble_ring
 
-    def both_routes(assembly, mul_digits, one_digits, label_fn, spec, name, threshold,
-                    labels=None):
-        ring = grid_route(assembly, mul_digits, one_digits, label_fn, spec, name, threshold,
-                          labels)
-        ref = reference_assembly(assembly, mul_digits, one_digits, label_fn)
+    def both_routes(assembly, mul_digits, one_digits, labels, spec):
+        ring = grid_route(assembly, mul_digits, one_digits, labels, spec)
+        ref = reference_assembly(assembly, mul_digits, one_digits, reference_labels(spec))
         _assert_same_ring(ring, ref)
+        product = reference_mul_table(spec) if ring.order <= 256 else None
+        assert product is None or np.array_equal(ring.mul_table, product), ring.name
         checked.append(ring.name)
         return ring
 
@@ -779,7 +783,15 @@ _SPLIT_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST + _SPLIT_SPECS, ids=str)
+#: F9 has coefficients other than 0 and 1, and F4[x;frob]/x^3 reads
+#: alpha^2 = 1, not alpha, at x^2.
+_MORE_ASSEMBLED_SPECS = [
+    {"gf": {"p": 3, "k": 2}},
+    {"skew_trunc_poly": {"base": {"gf": {"p": 2, "k": 2}}, "alpha": {"frobenius": 2}, "n": 3}},
+]
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST + _SPLIT_SPECS + _MORE_ASSEMBLED_SPECS, ids=str)
 def test_grid_assembly_matches_reference_on_small_specs(reference_checked, spec):
     build(spec)
 
