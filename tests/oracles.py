@@ -602,8 +602,8 @@ def reference_labels(spec) -> Optional[list[str]]:
                        for h, label in enumerate(group.labels)]
         else:
             symbols = _symbols("x", args["n"])
-        coeffs = [base.order] * len(symbols)
-        return [sum_label(base, _digits(i, coeffs), symbols)
+        sizes = [base.order] * len(symbols)
+        return [sum_label(base, _digits(i, sizes), symbols)
                 for i in range(base.order ** len(symbols))]
     if kind == "product":
         return _tuples([build(s).labels for s in args])
