@@ -51,6 +51,19 @@ it is read; :func:`validate_spec` runs it without orders.  So a new
 family is one row there (``ringspec.schema.json`` documents the
 grammar, and a test keeps it in step).  A group ring reads its group spec
 through the kind table of :mod:`ringlab.groups`, shapes included.
+
+After the walk, :func:`build` gives equal specs one live ring.  Each
+node, the root and every child, is looked up by its canonical JSON
+(:func:`spec_key`) before it is built, and registered by weak reference
+after: a factor or base that some caller still holds is not built again,
+and a ring that no caller holds is freed as before.  A node with a
+``"table"`` argument below it (a ``table`` spec, the modules and actions
+of the bimodule families, a group given by its table) is neither looked
+up nor registered.  Constructors called directly never register.  A
+ring's tables, labels, name and ``meta`` are a function of its spec, and
+its memo a function of its tables, so a shared ring cannot be told from a
+rebuilt one, unless a kernel is patched: code that patches one must
+start from an empty registry (``_LIVE.clear()``).
 """
 
 from __future__ import annotations
@@ -58,6 +71,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -1055,7 +1069,11 @@ def read_json(path, what: str):
 
 
 def build(spec: dict, *, threshold: int = DEFAULT_THRESHOLD) -> FiniteRing:
-    """Build a ring from its construction tree, checked by :func:`_walk` first."""
+    """Build a ring from its construction tree, checked by :func:`_walk` first.
+
+    A node whose equal spec has a live ring is not built again: that ring
+    is returned as it is (:func:`_build`).
+    """
     _walk(spec, threshold)
     return _build(spec, threshold)
 
@@ -1262,9 +1280,50 @@ def _node(spec: dict) -> tuple[_Family, object, list[tuple[str, dict]]]:
     return family, args, [(f"{at}.{key}", args[key]) for key, s in slots if s == "spec"]
 
 
+#: The live rings :func:`build` made, by :func:`spec_key`.  The references
+#: are weak: an entry lasts as long as some caller holds its ring.
+_LIVE: weakref.WeakValueDictionary[str, FiniteRing] = weakref.WeakValueDictionary()
+
+
+def spec_key(spec: dict) -> str:
+    """The canonical JSON of a spec node: equal specs give one key."""
+    return json.dumps(spec, sort_keys=True)
+
+
+def _bears_table(value, shape=_SPEC) -> bool:
+    """Whether ``value``, of ``shape``, or a child spec below it, has a ``"table"`` argument.
+
+    Only shapes are read: the walk stops at the first table, before its cells.
+    """
+    if shape == "spec":
+        shape = _SPEC
+    if isinstance(shape, _Kinds):
+        if isinstance(value, str):
+            return False
+        (kind, args), = value.items()
+        return _bears_table(args, shape[kind])
+    if isinstance(shape, dict):
+        return any(_bears_table(value[key.rstrip("?")], item)
+                   for key, item in shape.items() if key.rstrip("?") in value)
+    if isinstance(shape, list):
+        return any(_bears_table(item, shape[0]) for item in value)
+    return shape == "table"
+
+
 def _build(spec: dict, threshold: int) -> FiniteRing:
-    family, args, children = _node(spec)
-    return family.make(args, spec, threshold, *(_build(child, threshold) for _, child in children))
+    """The ring of a walked spec: the live ring of an equal spec, if there is one.
+
+    A node with a table below it is neither looked up nor registered,
+    so no table cell is serialized for a key.
+    """
+    key = None if _bears_table(spec) else spec_key(spec)
+    ring = None if key is None else _LIVE.get(key)
+    if ring is None:
+        family, args, children = _node(spec)
+        ring = family.make(args, spec, threshold, *(_build(child, threshold) for _, child in children))
+        if key is not None:
+            _LIVE[key] = ring
+    return ring
 
 
 def spec_name(spec: Optional[dict]) -> str:

@@ -102,6 +102,9 @@ class FiniteRing:
     (``None`` for raw table rings), ``name`` defaults to ``ring<order>``,
     and ``meta`` carries construction byproducts: maps such as a
     projection or an embedding, and flags.  No ring holds another ring.
+    :func:`ringlab.construct.build` gives equal specs one live ring, its
+    memo included; a spec with a table argument is never shared, and code
+    that patches a kernel must start from an empty registry.
     """
 
     def __init__(

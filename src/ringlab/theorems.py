@@ -24,7 +24,6 @@ Reports are byte-identical across runs and worker counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -40,6 +39,7 @@ from .construct import (
     _subring_closure,
     build,
     quotient_ring,
+    spec_key,
 )
 from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
 from .elements import _subring_is_cusc_uusc, _subring_units, _sweep, _two_good_pair
@@ -150,11 +150,15 @@ class SuiteContext:
         self.jobs = max(1, jobs)
         self._rings: dict[str, FiniteRing] = {}
         for entry in self.entries:
-            self._rings.setdefault(_spec_key(entry.spec), entry.ring)
+            self._rings.setdefault(spec_key(entry.spec), entry.ring)
 
     def derived(self, spec: dict) -> FiniteRing:
-        """Build (or reuse) a ring by spec; caller handles size errors."""
-        key = _spec_key(spec)
+        """Build (or reuse) a ring by spec; caller handles size errors.
+
+        The dict holds its rings strongly, so their memos last the whole
+        suite; :func:`build` only shares a ring that someone still holds.
+        """
+        key = spec_key(spec)
         ring = self._rings.get(key)
         if ring is None:
             ring = build(spec, threshold=self.threshold)
@@ -173,14 +177,10 @@ class SuiteContext:
             spec = {"triangular": {"n": n, "base": entry.spec}}
             # From the base's order: a quotient base's order needs the built ring.
             order = _FAMILIES["triangular"].order(spec["triangular"], entry.ring.order)
-            permitted = _spec_key(spec) in self._rings or order <= self.derived_order_limit
+            permitted = spec_key(spec) in self._rings or order <= self.derived_order_limit
             out.append((n, f"{entry.name}:T{n}",
                         classify(self.derived(spec)) if permitted else None))
         return out
-
-
-def _spec_key(spec: dict) -> str:
-    return json.dumps(spec, sort_keys=True)
 
 
 def _is_trivial(ring: FiniteRing) -> bool:

@@ -2,7 +2,19 @@ import json
 
 import pytest
 
-from ringlab import SuiteContext, classify, gf, matrix_ring, triangular_ring, zn
+from ringlab import SuiteContext, classify, construct, gf, matrix_ring, triangular_ring, zn
+
+
+@pytest.fixture(autouse=True)
+def _fresh_build_registry():
+    """Start every test with no live ring registered by ``build``.
+
+    ``build`` returns the live ring of an equal spec, memo included.
+    Without this, a test that patches a kernel, or counts builds or
+    axiom reports, could be handed a ring that a session fixture such as
+    ``suite_ctx`` still holds, built and memoized before the test began.
+    """
+    construct._LIVE.clear()
 
 
 @pytest.fixture(scope="session")

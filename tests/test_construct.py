@@ -923,6 +923,100 @@ def test_t3z4_build_allocates_at_most_two_tables_beyond_its_own():
 
 
 # ---------------------------------------------------------------------------
+# build shares the live ring of an equal spec
+
+_T2Z8 = {"triangular": {"n": 2, "base": {"zn": 8}}}
+_T3Z4 = {"triangular": {"n": 3, "base": Z4}}
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``construct.<name>``, as the family table makes them."""
+    calls = []
+    inner = getattr(construct, name)
+    monkeypatch.setattr(construct, name, lambda *a, **k: calls.append(a) or inner(*a, **k))
+    return calls
+
+
+def test_build_returns_the_live_ring_of_an_equal_spec(monkeypatch):
+    ring = build(_T2Z8)
+    assert build(json.loads(json.dumps(_T2Z8))) is ring
+    # A factor that is alive is not built again.
+    calls = _count_calls(monkeypatch, "triangular_ring")
+    product = build({"product": [Z2, _T2Z8]})
+    assert calls == []
+    assert build({"product": [Z2, _T2Z8]}) is product
+
+
+def test_the_registry_keeps_no_ring_alive(monkeypatch):
+    calls = _count_calls(monkeypatch, "triangular_ring")
+    gc.disable()
+    try:
+        ring = build(_T2Z8)
+        ref = weakref.ref(ring)
+        del ring
+        assert ref() is None
+        assert construct.spec_key(_T2Z8) not in construct._LIVE
+        again = build(_T2Z8)
+    finally:
+        gc.enable()
+    assert len(calls) == 2
+    assert construct._LIVE[construct.spec_key(_T2Z8)] is again
+
+
+def test_a_live_ring_is_not_returned_above_the_threshold():
+    t3z4 = build(_T3Z4)
+    with pytest.raises(SizeOverflowError, match="order 4096,"):
+        build(_T3Z4, threshold=1024)
+    with pytest.raises(SizeOverflowError, match="order 4096,"):
+        build({"product": [Z2, _T3Z4]}, threshold=1024)
+    assert build(_T3Z4) is t3z4
+
+
+@pytest.mark.parametrize("spec", [
+    _MORE_KIND_SPECS["table"],
+    _FAMILY_SPECS["ideal_extension"],
+    _FAMILY_SPECS["formal_triangular"],
+    _FAMILY_SPECS["trivial_morita"],
+    {"product": [Z2, _MORE_KIND_SPECS["table"]]},
+    {"group_ring": {"base": Z2, "group": {"table": {"mul": [[0, 1], [1, 0]]}}}},
+], ids=["table", "ideal_extension", "formal_triangular", "trivial_morita", "over_table",
+        "table_group"])
+def test_a_spec_with_a_table_is_never_shared(monkeypatch, spec):
+    keyed = []
+    inner = construct.spec_key
+    monkeypatch.setattr(construct, "spec_key", lambda s: keyed.append(s) or inner(s))
+    ring = build(spec)
+    assert build(spec) is not ring
+    # Only child specs with no table below them are keyed: no table cell is serialized.
+    assert spec not in keyed
+    assert not any(construct._bears_table(s) for s in keyed), keyed
+
+
+def test_a_failed_build_leaves_no_entry():
+    spec = {"corner": {"base": Z4, "idempotent": 2}}
+    for _ in range(2):
+        with pytest.raises(RingConstructionError, match="not idempotent"):
+            build(spec)
+    assert construct.spec_key(spec) not in construct._LIVE
+
+
+def test_a_product_over_a_live_factor_allocates_near_its_own_tables():
+    # Z2 x T2(Z8), order 1024, with its factor held: only the product's
+    # tables are written, not a second T2(Z8).
+    build({"zn": 257})
+    factor = build(_T2Z8)
+    tracemalloc.start()
+    try:
+        ring = build({"product": [Z2, _T2Z8]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factor.order == 512 and ring.order == 1024
+    ratio = peak / (ring.add_table.nbytes + ring.mul_table.nbytes)
+    assert ratio <= 1.10, ratio
+
+
+# ---------------------------------------------------------------------------
 # the R + M families against their routes before the shared assembly
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringlab import core
+from ringlab import construct, core
 from ringlab import (
     CHECKS,
     SuiteContext,
@@ -39,6 +39,7 @@ from ringlab.theorems import (
     select_checks,
 )
 from oracles import reference_check_isomorphic, reference_corner_two_good_witness
+from test_acceptance import VERIFY_JSON_SHA256
 from test_invariants import _SMALL_SPEC_LIST
 
 
@@ -92,6 +93,23 @@ def test_run_suite_deterministic(suite_ctx):
     a = json.dumps(suite_to_json(suite_ctx, run_suite(suite_ctx, ids)), sort_keys=True)
     b = json.dumps(suite_to_json(suite_ctx, run_suite(suite_ctx, ids)), sort_keys=True)
     assert a == b
+
+
+def _verify_json(ctx: SuiteContext) -> str:
+    """``verify --json``'s output for ``ctx``, as the CLI prints it."""
+    return json.dumps(suite_to_json(ctx, run_suite(ctx)), indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_json_is_the_same_over_a_second_catalog_of_live_rings():
+    # While the first suite holds its rings, the second catalog and its
+    # derived rings are the same rings, memos filled by the first run.
+    first = SuiteContext()
+    text = _verify_json(first)
+    second = SuiteContext()
+    for a, b in zip(first.entries, second.entries):
+        assert (a.ring is b.ring) != construct._bears_table(a.spec), a.name
+    assert _verify_json(second) == text
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
 def test_failure_path_reports_witness():
