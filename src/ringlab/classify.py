@@ -48,10 +48,10 @@ import numpy as np
 from .construct import _quotient_by_ideal, coset_label
 from .core import FiniteRing
 from .elements import (
-    ElementProfile, _decompositions, _profile, _two_good_pair, clean_decompositions,
+    ElementProfile, _all_decompositions, _profile, _two_good_pair, clean_decompositions,
     decomposition_counts,
 )
-from .invariants import _lift_mod_mask, get_cache
+from .invariants import _SCAN_CELLS, _lift_mod_mask, _row_blocks, get_cache
 
 @dataclass(frozen=True)
 class Classification:
@@ -107,10 +107,6 @@ def _quantify(counts: np.ndarray, over: np.ndarray) -> tuple[bool, Optional[int]
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
-#: Cells of the multiplication table one step of the regular scan reads.
-_SCAN_CELLS = 1 << 20
-
-
 def _least_non_regular(ring: FiniteRing) -> Optional[int]:
     """The least a with axa != a for every x, or None if the ring is regular.
 
@@ -118,9 +114,9 @@ def _least_non_regular(ring: FiniteRing) -> Optional[int]:
     first block that holds such an a.
     """
     n, mul = ring.order, ring.mul_table
-    step = max(1, _SCAN_CELLS // n)
-    for start in range(0, n, step):
-        block = np.arange(start, min(start + step, n))
+    # This module's _SCAN_CELLS, so that the block size can be set here alone.
+    for rows in _row_blocks(n, n, _SCAN_CELLS):
+        block = np.arange(rows.start, rows.stop)
         regular = (mul[mul[block], block[:, None]] == block[:, None]).any(axis=1)
         if not regular.all():
             return int(block[np.argmin(regular)])
@@ -307,8 +303,8 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
 def classify_element_summary(ring: FiniteRing) -> list[ElementProfile]:
     """One profile per element, consistent with classify's quantifiers.
 
-    Every row is read from one decomposition sweep, not queried element
-    by element.
+    Every element is read from one pair sweep, not queried element by
+    element.
     """
-    return [_profile(a, clean) for a, clean in enumerate(_decompositions(ring, slice(None)))]
+    return [_profile(a, clean) for a, clean in enumerate(_all_decompositions(ring))]
 

@@ -3,9 +3,9 @@
 Every ring in this package is a :class:`FiniteRing`, the one ring
 class: an immutable value whose elements are the integers
 ``0..order-1`` and whose arithmetic is answered from its full numpy
-Cayley tables.  Deciding the paper's classes sweeps every element's
-decompositions over every idempotent, so every command that reads
-elements reads the whole multiplication table anyway.  Constructors
+Cayley tables.  Deciding the paper's classes reads every row of the
+multiplication table once, for the units, so every command that reads
+elements reads the whole table anyway.  Constructors
 therefore build dense tables up to ``threshold`` elements and refuse
 larger rings before allocating them (:func:`check_order`).
 
@@ -98,8 +98,9 @@ class FiniteRing:
     caller already knows it (constructors encode it per coordinate), and
     :func:`validate_axioms` checks it either way.  Instances are
     immutable after construction.
-    ``spec`` records the construction tree that produced the ring
-    (``None`` for raw table rings), ``name`` defaults to ``ring<order>``,
+    ``spec`` records the construction tree that produced the ring; a ring
+    given none, such as a raw table ring, records a ``table`` spec of its
+    own tables and labels on first read.  ``name`` defaults to ``ring<order>``,
     and ``meta`` carries construction byproducts: maps such as a
     projection or an embedding, and flags.  No ring holds another ring.
     :func:`ringlab.construct.build` gives equal specs one live ring, its
@@ -126,7 +127,7 @@ class FiniteRing:
         self.order = order
         self.zero = int(zero)
         self.one = int(one)
-        self.spec = spec
+        self._spec = spec
         self.name = name or f"ring{order}"
         self._labels = list(labels) if labels is not None else None
         self._label_index: Optional[dict] = None
@@ -154,6 +155,13 @@ class FiniteRing:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @property
+    def spec(self) -> dict:
+        if self._spec is None:
+            self._spec = {"table": {"add": self.add_table.tolist(),
+                                    "mul": self.mul_table.tolist(), "labels": list(self.labels)}}
+        return self._spec
 
     # -- labels ----------------------------------------------------------
 

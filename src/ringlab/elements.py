@@ -6,12 +6,13 @@ count decompositions: "uniquely X" means exactly one X decomposition.
 "At most one" would read the same on every finite ring, since every
 element of a finite ring is strongly clean.
 
-One table sweep lists every decomposition: for each requested element a
-and each idempotent e it gathers u = a - e from the addition table,
-reads whether u is a unit, and compares e*u with u*e.  The counts behind
-the ring-level classifier, the whole-ring element summary and single
-element queries all read that sweep, over all rows or over one, and so
-do subrings S of R, over the rows of S with Idem(S) and U(S), unbuilt.
+The counts behind the ring-level classifier and the whole-ring element
+summary read one pair sweep over Idem x U: each pair (e, u) is the
+decomposition a = e + u, read from the addition table, and whether
+e*u = u*e is tested on those pairs only.  So does a subring S of R,
+with Idem(S) and U(S), unbuilt.  A query for one element a, and each
+witness of the classifier, reads the row sweep of a instead: for each
+idempotent e it gathers u = a - e and reads whether u is a unit.
 Whether x = u + v with u, v units of R or of S is one search too.
 """
 
@@ -69,34 +70,38 @@ class ElementProfile:
         }
 
 
-def _sweep(ring: FiniteRing, rows, idem: Optional[np.ndarray] = None,
-           unit: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
-    """The decomposition sweep over the addition-table rows ``rows``.
+def _pair_sweep(ring: FiniteRing, idem: Optional[np.ndarray] = None,
+                unit: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
+    """Every decomposition a = e + u with e in ``idem`` and u in ``unit``, once.
 
-    ``rows`` is ``slice(None)`` for every element or a list of ids;
-    ``idem`` (the idempotent ids, Idem(R) by default) are the columns and
-    ``unit`` (a mask over R, U(R) by default) is the set u is tested in.
-    Returns the idempotent ids, ``u[r, i] = a_r - e_i``, whether that u
-    is a unit, and whether e_i*u = u*e_i.
+    ``idem`` are idempotent ids, Idem(R) by default, and ``unit`` a mask
+    over R, U(R) by default.  Returns the idempotent ids, the unit ids,
+    ``a[i, j] = e_i + u_j`` and whether e_i*u_j = u_j*e_i: |Idem|*|U|
+    cells, where the row sweep over every element reads order*|Idem|.
     """
     cache = get_cache(ring)
     if idem is None:
         idem = np.flatnonzero(cache.idempotent_mask)
-    if unit is None:
-        unit = cache.unit_mask
+    units = np.flatnonzero(cache.unit_mask if unit is None else unit)
     mul = ring.mul_table
-    u = ring.add_table[rows][:, ring.neg_table[idem]]
-    is_unit = unit[u]
-    commutes = mul[idem[None, :], u] == mul[u, idem[None, :]]
-    return idem, u, is_unit, commutes
+    a = ring.add_table[np.ix_(idem, units)]
+    commutes = mul[np.ix_(idem, units)] == mul[np.ix_(units, idem)].T
+    return idem, units, a, commutes
 
 
-def _decompositions(ring: FiniteRing, rows) -> list[list[Decomposition]]:
-    """Every clean decomposition of each element of ``rows``, by idempotent id."""
-    idem, u, is_unit, commutes = _sweep(ring, rows)
-    r, i = np.nonzero(is_unit)
-    flat = map(Decomposition, idem[i].tolist(), u[r, i].tolist(), commutes[r, i].tolist())
-    return [list(islice(flat, k)) for k in is_unit.sum(axis=1).tolist()]
+def _all_decompositions(ring: FiniteRing) -> list[list[Decomposition]]:
+    """:func:`clean_decompositions` of every element, from the pair sweep.
+
+    A stable sort by element keeps each element's pairs in the sweep's
+    order, which is by idempotent id.
+    """
+    idem, units, a, commutes = _pair_sweep(ring)
+    by_element = np.argsort(a, axis=None, kind="stable")
+    i, j = np.divmod(by_element, units.size)
+    flat = map(Decomposition, idem[i].tolist(), units[j].tolist(),
+               commutes.ravel()[by_element].tolist())
+    counts = np.bincount(a.ravel(), minlength=ring.order)
+    return [list(islice(flat, k)) for k in counts.tolist()]
 
 
 def _profile(a: int, clean: list[Decomposition]) -> ElementProfile:
@@ -113,8 +118,18 @@ def _profile(a: int, clean: list[Decomposition]) -> ElementProfile:
 
 
 def clean_decompositions(ring: FiniteRing, a: int) -> list[Decomposition]:
-    """All pairs (e, u) with e idempotent, u = a - e a unit, by idempotent id."""
-    return _decompositions(ring, [a])[0]
+    """All pairs (e, u) with e idempotent, u = a - e a unit, by idempotent id.
+
+    The row sweep of a: u = a - e for each idempotent e, read from row a
+    of the addition table; e*u and u*e are compared on the units only.
+    """
+    cache = get_cache(ring)
+    idem = np.flatnonzero(cache.idempotent_mask)
+    u = ring.add_table[a, ring.neg_table[idem]]
+    hit = cache.unit_mask[u]
+    idem, u = idem[hit], u[hit]
+    commutes = ring.mul_table[idem, u] == ring.mul_table[u, idem]
+    return list(map(Decomposition, idem.tolist(), u.tolist(), commutes.tolist()))
 
 
 def strongly_clean_decompositions(ring: FiniteRing, a: int) -> list[Decomposition]:
@@ -129,12 +144,11 @@ def element_profile(ring: FiniteRing, a: int) -> ElementProfile:
 def decomposition_counts(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     """(clean, strongly clean) decomposition counts per element.
 
-    Sums of the same sweep that lists the decompositions, over every row.
+    Counted from the pair sweep: each pair is one decomposition.
     """
-    _, _, is_unit, commutes = _sweep(ring, slice(None))
-    clean_counts = is_unit.sum(axis=1)
-    strong_counts = (is_unit & commutes).sum(axis=1)
-    return clean_counts.astype(np.int64), strong_counts.astype(np.int64)
+    _, _, a, commutes = _pair_sweep(ring)
+    n = ring.order
+    return np.bincount(a.ravel(), minlength=n), np.bincount(a[commutes], minlength=n)
 
 
 def _subring_units(ring: FiniteRing, members: np.ndarray, one: int) -> np.ndarray:
@@ -154,13 +168,13 @@ def _subring_units(ring: FiniteRing, members: np.ndarray, one: int) -> np.ndarra
 def _subring_is_cusc_uusc(ring: FiniteRing, members: np.ndarray, one: int) -> tuple[bool, bool]:
     """CUSC and UUSC of the unital subring S on ``members`` with identity ``one``.
 
-    Builds no ring: the decomposition sweep over the rows of S, with
-    Idem(S) = Idem(R) & S as columns and U(S) from :func:`_subring_units`.
+    Builds no ring: the pair sweep over Idem(S) = Idem(R) & S and U(S)
+    from :func:`_subring_units`, whose sums e + u all lie in S.
     """
     unit = _subring_units(ring, members, one)
     idem = members[get_cache(ring).idempotent_mask[members]]
-    _, _, is_unit, commutes = _sweep(ring, members, idem, unit)
-    unique = (is_unit & commutes).sum(axis=1) == 1
+    _, _, a, commutes = _pair_sweep(ring, idem, unit)
+    unique = np.bincount(a[commutes], minlength=ring.order)[members] == 1
     return bool(unique.all()), bool(unique[unit[members]].all())
 
 

@@ -5,14 +5,18 @@ central-idempotent-plus-radical elements, ideal closure, idempotent
 lifting, and the one-sided ideal lattice.  Everything is
 exact, computed from the ring's tables with no search bound.  Sets are
 kept as boolean masks and returned as sorted int64 id arrays.  Units
-take one comparison of the table with 1 and no index sweep: each row's
-first hit is its candidate inverse, and a guard that every hit is its
-row's only one and is two-sided (true in every finite ring) follows.
-Two sets avoid a sweep of the whole multiplication table:
+are read in blocks of rows of the multiplication table, each compared
+with 1, with no order^2 temporary: each row's first hit is its
+candidate inverse, and a guard over the whole table that every hit is
+its row's only one and is two-sided (true in every finite ring)
+follows.  Three kernels avoid a sweep of the whole multiplication table:
 
-* J is read by quasi-regularity (1 - r*a a unit for every r) on the
-  nilpotent columns only: J of a finite ring is nilpotent, so J is
-  inside Nil.
+* J is read by right quasi-regularity (1 - a*r a unit for every r) on
+  the rows of the nilpotents only: J of a finite ring is nilpotent, so
+  J is inside Nil.
+* Idempotents lift modulo an ideal I as read off Idem + I, the
+  |Idem|*|I| sums e + i: the least idempotent of x + I is the least e
+  with x in e + I.
 * The product is biadditive, so x is central iff it commutes with each
   of the ring's k <= log2(n) additive generators, and the ideal that a
   set generates is its :func:`ringlab.core.closure` under +, negation
@@ -39,6 +43,16 @@ from .errors import IdealError, LatticeLimitError, SizeOverflowError
 
 DEFAULT_IDEAL_ORDER_LIMIT = 256
 DEFAULT_IDEAL_COUNT_LIMIT = 100_000
+
+#: Table cells one block of a row scan reads.
+_SCAN_CELLS = 1 << 20
+
+
+def _row_blocks(rows: int, width: int, cells: int = _SCAN_CELLS):
+    """Consecutive slices of ``range(rows)``, each of about ``cells`` cells of
+    rows ``width`` long (at least one row)."""
+    step = max(1, cells // width)
+    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
 class InvariantCache:
@@ -82,16 +96,19 @@ class InvariantCache:
         ring = self.ring
         n, one = ring.order, ring.one
         mul = ring.mul_table
-        hit = mul == one
-        rows = np.arange(n)
-        first = hit.argmax(axis=1)
-        mask = hit[rows, first]
-        units = rows[mask]
+        first = np.empty(n, dtype=np.intp)
+        mask = np.empty(n, dtype=bool)
+        hits = 0
+        for rows in _row_blocks(n, n):
+            hit = mul[rows] == one
+            first[rows] = hit.argmax(axis=1)
+            mask[rows] = hit.any(axis=1)
+            hits += np.count_nonzero(hit)
+        units = np.flatnonzero(mask)
         # Finite rings: one-sided inverses are two-sided, hence unique,
         # so every hit is its row's first and pairs with a hit back.
-        if not ((mul[first[units], units] == one).all()
-                and np.count_nonzero(hit) == units.size):
-            hit_rows, hit_cols = np.nonzero(hit)
+        if not ((mul[first[units], units] == one).all() and hits == units.size):
+            hit_rows, hit_cols = np.nonzero(mul == one)
             bad = np.flatnonzero(mul[hit_cols, hit_rows] != one)
             if not bad.size:
                 a = hit_rows[np.flatnonzero(np.diff(hit_rows) == 0)[0]]
@@ -127,14 +144,18 @@ class InvariantCache:
     @property
     def jacobson_mask(self) -> np.ndarray:
         def compute():
-            # Quasi-regularity: a in J iff 1 - r*a is a unit for every r,
-            # tested only on the nilpotent a, since J is inside Nil.
+            # Right quasi-regularity: a in J iff 1 - a*r is a unit for
+            # every r, tested on the rows of the nilpotent a only, since
+            # J is inside Nil.
             ring = self.ring
-            cols = np.flatnonzero(self.nilpotent_mask)
+            n = ring.order
+            nil = np.flatnonzero(self.nilpotent_mask)
             # one_minus_unit[v]: whether 1 - v is a unit.
             one_minus_unit = self.unit_mask[ring.add_table[ring.one, ring.neg_table]]
-            mask = np.zeros(ring.order, dtype=bool)
-            mask[cols[one_minus_unit[ring.mul_table[:, cols]].all(axis=0)]] = True
+            mask = np.zeros(n, dtype=bool)
+            for rows in _row_blocks(nil.size, n):
+                block = nil[rows]
+                mask[block[one_minus_unit[ring.mul_table[block]].all(axis=1)]] = True
             self._assert_two_sided_ideal(mask)
             return mask
 
@@ -270,20 +291,17 @@ def idempotents_lift_mod(ring: FiniteRing, ideal: Iterable[int]) -> LiftReport:
 def _lift_mod_mask(ring: FiniteRing, imask: np.ndarray) -> LiftReport:
     """:func:`idempotents_lift_mod` for an ideal the caller has verified."""
     n = ring.order
-    ids = np.flatnonzero(imask)
     add = ring.add_table
     idx = np.arange(n)
     need = np.flatnonzero(imask[add[ring.mul_table[idx, idx], ring.neg_table]])
-    # x and y share a coset of I iff they share its least element.
-    rep = np.full(n, -1, dtype=np.int64)
-    rep[need] = add[np.ix_(need, ids)].min(axis=1)
-    # Every idempotent is in ``need`` (e^2 - e = 0), so has a rep.
+    # lift_of[x]: the least idempotent e with x in e + I, marked on
+    # Idem + I; n where there is none.  minimum.at, since a plain
+    # assignment leaves unspecified which write wins on repeated ids.
     idem = np.flatnonzero(get_cache(ring).idempotent_mask)
-    lift_of = np.full(n, -1, dtype=np.int64)
-    reps, first = np.unique(rep[idem], return_index=True)
-    lift_of[reps] = idem[first]
-    lift = lift_of[rep[need]]
-    missing = np.flatnonzero(lift < 0)
+    lift_of = np.full(n, n, dtype=np.int64)
+    np.minimum.at(lift_of, add[np.ix_(idem, np.flatnonzero(imask))], idem[:, None])
+    lift = lift_of[need]
+    missing = np.flatnonzero(lift == n)
     stop = int(missing[0]) if missing.size else need.size
     witnesses = dict(zip(need[:stop].tolist(), lift[:stop].tolist()))
     if missing.size:

@@ -42,7 +42,7 @@ from .construct import (
     spec_key,
 )
 from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
-from .elements import _subring_is_cusc_uusc, _subring_units, _sweep, _two_good_pair
+from .elements import _pair_sweep, _subring_is_cusc_uusc, _subring_units, _two_good_pair
 from .errors import LatticeLimitError, SpecError
 from .invariants import (
     DEFAULT_IDEAL_COUNT_LIMIT,
@@ -686,9 +686,9 @@ def _check_thm3_1(ctx: SuiteContext) -> TheoremReport:
         quot = radical_quotient(ring)
         qc = classify(quot)
         units = np.flatnonzero(cache.unit_mask)
-        # The sweep with J for U: how many ways each unit is e + j.
-        _, _, in_j, _ = _sweep(ring, units, unit=cache.jacobson_mask)
-        counts = in_j.sum(axis=1)
+        # The pair sweep with J for U: how many ways each unit is e + j.
+        _, _, split, _ = _pair_sweep(ring, unit=cache.jacobson_mask)
+        counts = np.bincount(split.ravel(), minlength=ring.order)[units]
         cond = (
             qc.is_UUSC,
             qc.is_boolean,

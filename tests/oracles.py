@@ -23,10 +23,15 @@ formal triangular formulas), independently of the term lists that
 the per-cell double loop that building GF(p^k) on the digit grid
 replaced.  ``full_center`` and
 ``full_jacobson`` are the whole-table sweeps that the generator center
-and the nilpotent-column radical replaced, and ``full_units`` the
+and the radical read on the rows of the nilpotents replaced (the latter
+by left quasi-regularity on every column, so it is also a second route
+to the kernel's right quasi-regularity), and ``full_units`` the
 ``np.nonzero(mul == one)`` sweep that the unit kernel's first-hit pass
-replaced; ``naive_regular`` and ``naive_semi_potent`` are the searches
-that ``classify`` replaced by theorems (regular iff J = 0; every finite
+over blocks of rows replaced; ``reference_decomposition_counts`` is the
+order x |Idem| row sweep that the pair sweep over Idem x U replaced,
+and ``reference_lift_mod_mask`` the lift by coset minima that marking
+Idem + I replaced; ``naive_regular`` and ``naive_semi_potent`` are the
+searches that ``classify`` replaced by theorems (regular iff J = 0; every finite
 ring is semi-potent), and ``reference_maximal_one_sided_ideals`` the
 M + Ra = R search that reading maximal ideals off the lattice by
 inclusion replaced.  ``quotient_fields`` reads the R/J fields of
@@ -231,6 +236,18 @@ def reference_clean_decompositions(ring, a) -> list[Decomposition]:
     return out
 
 
+def reference_decomposition_counts(ring) -> tuple[np.ndarray, np.ndarray]:
+    """(clean, strongly clean) counts from the row sweep: for each element a
+    and each idempotent e, whether u = a - e is a unit and e*u = u*e."""
+    cache = get_cache(ring)
+    idem = np.flatnonzero(cache.idempotent_mask)
+    mul = ring.mul_table
+    u = ring.add_table[:, ring.neg_table[idem]]
+    is_unit = cache.unit_mask[u]
+    commutes = mul[idem[None, :], u] == mul[u, idem[None, :]]
+    return is_unit.sum(axis=1), (is_unit & commutes).sum(axis=1)
+
+
 def naive_ucn0(ring) -> set[int]:
     zc = naive_center(ring)
     jac = naive_jacobson(ring)
@@ -369,6 +386,31 @@ def scalar_idempotents_lift_mod(ring, ideal) -> LiftReport:
         if lifted is None:
             return LiftReport(False, witnesses, failure=x)
         witnesses[x] = lifted
+    return LiftReport(True, witnesses)
+
+
+def reference_lift_mod_mask(ring, imask) -> LiftReport:
+    """The lift by coset minima: x and y share a coset of the ideal
+    ``imask`` iff they share its least element, and each coset's least
+    idempotent lifts every x in it with x^2 - x in I."""
+    n = ring.order
+    ids = np.flatnonzero(imask)
+    add = ring.add_table
+    idx = np.arange(n)
+    need = np.flatnonzero(imask[add[ring.mul_table[idx, idx], ring.neg_table]])
+    rep = np.full(n, -1, dtype=np.int64)
+    rep[need] = add[np.ix_(need, ids)].min(axis=1)
+    # Every idempotent is in ``need`` (e^2 - e = 0), so has a rep.
+    idem = np.flatnonzero(get_cache(ring).idempotent_mask)
+    lift_of = np.full(n, -1, dtype=np.int64)
+    reps, first = np.unique(rep[idem], return_index=True)
+    lift_of[reps] = idem[first]
+    lift = lift_of[rep[need]]
+    missing = np.flatnonzero(lift < 0)
+    stop = int(missing[0]) if missing.size else need.size
+    witnesses = dict(zip(need[:stop].tolist(), lift[:stop].tolist()))
+    if missing.size:
+        return LiftReport(False, witnesses, failure=int(need[stop]))
     return LiftReport(True, witnesses)
 
 

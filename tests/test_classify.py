@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -349,6 +350,21 @@ def test_fields_match_search_routes_at_order_4096(spec):
 def test_quasi_duo_witness_is_a_non_commuting_pair_of_r_mod_j(spec):
     # Here the least y with xy != yx in R commutes with x modulo J.
     _assert_fields_match_search_routes(build(spec))
+
+
+@pytest.mark.parametrize("spec", ORDER_4096_SPECS.values(), ids=ORDER_4096_SPECS.keys())
+def test_classify_allocates_under_an_eighth_of_the_tables(spec):
+    # Every kernel reads the tables in row blocks or over pairs of small
+    # sets; none makes an order^2 temporary.
+    ring = build(spec)
+    table_bytes = ring.add_table.nbytes + ring.mul_table.nbytes
+    tracemalloc.start()
+    try:
+        classify(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table_bytes / 8, (peak, table_bytes)
 
 
 def test_guard_lifting_over_j(monkeypatch):

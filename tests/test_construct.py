@@ -608,6 +608,22 @@ def test_group_rings_name_their_group():
 _RELABELLED_C3 = Group([[2, 0, 1], [0, 1, 2], [1, 2, 0]], 1, labels=["g", "e", "g2"], name="H")
 
 
+def test_a_ring_given_no_spec_records_its_tables():
+    # A raw table ring records a table spec, so a ring built on it in
+    # Python carries a spec that build rebuilds, base and all.
+    base = table_ring([[0, 1], [1, 0]], [[0, 0], [0, 1]], ["o", "i"])
+    assert base.spec == {"table": {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]],
+                                   "labels": ["o", "i"]}}
+    for ring in (base, group_ring(base, cyclic(2)), product_ring([base, zn(2)])):
+        rebuilt = build(ring.spec)
+        assert rebuilt.labels == ring.labels, ring.name
+        for table in ("add_table", "mul_table", "neg_table"):
+            assert np.array_equal(getattr(rebuilt, table), getattr(ring, table)), ring.name
+        # Nodes with a table below them are never registered.
+        assert not [key for key in construct._LIVE
+                    if construct._bears_table(json.loads(key))], ring.name
+
+
 @pytest.mark.parametrize("group", [
     cyclic(1), cyclic(4), dihedral(3), klein_four(), symmetric3(), quaternion8(),
     Group([[1, 0], [0, 1]], 1, labels=["a", "e"], name="C2"), _RELABELLED_C3,

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ringlab import (
@@ -12,8 +13,10 @@ from ringlab import (
     element_profile,
     strongly_clean_decompositions,
 )
-from oracles import naive_decompositions, reference_clean_decompositions
-from test_invariants import _SMALL_SPEC_LIST, ORDER_4096_SPECS
+from oracles import (
+    naive_decompositions, reference_clean_decompositions, reference_decomposition_counts,
+)
+from test_invariants import _SMALL_SPEC_LIST, LARGE_SPECS, ORDER_4096_SPECS
 
 
 def as_tuples(decomps):
@@ -138,6 +141,26 @@ def test_profiles_match_reference_at_order_4096(spec):
     ring = build(spec)
     rng = random.Random(4096)
     _assert_profiles_match_reference(ring, [rng.randrange(ring.order) for _ in range(64)])
+
+
+def _assert_counts_match_the_row_sweep(ring):
+    for got, expected in zip(decomposition_counts(ring), reference_decomposition_counts(ring)):
+        assert got.dtype == np.int64 and np.array_equal(got, expected), ring.name
+
+
+def test_counts_match_the_row_sweep_on_catalog(suite_ctx):
+    for entry in suite_ctx.entries:
+        _assert_counts_match_the_row_sweep(entry.ring)
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPEC_LIST)
+def test_counts_match_the_row_sweep_on_small_specs(spec):
+    _assert_counts_match_the_row_sweep(build(spec))
+
+
+@pytest.mark.parametrize("spec", LARGE_SPECS.values(), ids=LARGE_SPECS.keys())
+def test_counts_match_the_row_sweep_at_large_orders(spec):
+    _assert_counts_match_the_row_sweep(build(spec))
 
 
 def test_enumeration_matches_naive_oracle(small_catalog):

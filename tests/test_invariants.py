@@ -44,6 +44,7 @@ from oracles import (
     naive_ucn0,
     naive_units,
     reference_is_two_sided_ideal,
+    reference_lift_mod_mask,
     reference_maximal_one_sided_ideals,
     reference_one_sided_ideals,
     scalar_ideal_generated,
@@ -147,6 +148,36 @@ def test_ideal_generated(z2):
     assert np.array_equal(delta, np.flatnonzero(eps == 0))
 
 
+def _broken_t3z4() -> tuple[FiniteRing, np.ndarray]:
+    """T3(Z4) and a writable copy of its multiplication table."""
+    ring = build(ORDER_4096_SPECS["T3(Z4)"])
+    # The rows edited below, from 257 on, lie past the unit scan's first block.
+    assert invariants._SCAN_CELLS // ring.order < 257
+    return ring, np.array(ring.mul_table)
+
+
+def test_unit_guard_rejects_a_one_sided_inverse_past_the_first_block():
+    ring, mul = _broken_t3z4()
+    unit_mask = get_cache(ring).unit_mask
+    a = int(np.flatnonzero(~unit_mask[257:])[0]) + 257
+    b = int(np.flatnonzero(mul[:, a] != ring.one)[0])
+    mul[a, b] = ring.one
+    broken = FiniteRing(ring.add_table, mul, ring.zero, ring.one, neg=ring.neg_table)
+    with pytest.raises(AssertionError, match=rf"one-sided inverse in ring4096: {a}\*{b}=1 but"):
+        get_cache(broken).unit_mask
+
+
+def test_unit_guard_rejects_two_inverses_past_the_first_block():
+    ring, mul = _broken_t3z4()
+    unit_mask = get_cache(ring).unit_mask
+    a = int(np.flatnonzero(unit_mask[257:])[0]) + 257
+    b = int(np.flatnonzero(~unit_mask[a + 1:])[0]) + a + 1
+    mul[a, b] = mul[b, a] = ring.one
+    broken = FiniteRing(ring.add_table, mul, ring.zero, ring.one, neg=ring.neg_table)
+    with pytest.raises(AssertionError, match=f"two inverses of {a} in ring4096"):
+        get_cache(broken).unit_mask
+
+
 def test_lifting(z4):
     report = idempotents_lift_mod(z4, [0, 2])
     assert report.lifts
@@ -171,7 +202,14 @@ def _assert_kernels_match_scalar_routes(ring):
     for ideal in ideals:
         report = idempotents_lift_mod(ring, ideal)
         assert report == scalar_idempotents_lift_mod(ring, ideal), (ring.name, ideal)
+        assert report == reference_lift_mod_mask(ring, _mask(ring, ideal)), (ring.name, ideal)
         assert report.lifts  # finite rings are exchange rings
+
+
+def _mask(ring, ids) -> np.ndarray:
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
 def test_ideal_and_lifting_kernels_match_scalar_routes(small_catalog):
@@ -189,6 +227,7 @@ def test_lifting_failure_branch(monkeypatch):
     monkeypatch.setattr(InvariantCache, "idempotent_mask", property(lambda self: hidden))
     report = idempotents_lift_mod(ring, [0])
     assert report == LiftReport(False, {0: 0, 1: 1}, failure=3)
+    assert report == reference_lift_mod_mask(ring, _mask(ring, [0]))
 
 
 def _maximal(ring, side="left") -> list[frozenset[int]]:
@@ -361,6 +400,23 @@ ORDER_4096_SPECS = {
     "M2(F8)": {"matrix": {"n": 2, "base": {"gf": {"p": 2, "k": 3}}}},
     "T2(TE(Z4))": {"triangular": {"n": 2, "base": {"trivial_extension": {"zn": 4}}}},
 }
+
+
+#: Z2 x T3(Z4), the order-8192 rung of the classify ladder.
+ORDER_8192_SPEC = {"product": [{"zn": 2}, ORDER_4096_SPECS["T3(Z4)"]]}
+LARGE_SPECS = {**ORDER_4096_SPECS, "Z2xT3(Z4)": ORDER_8192_SPEC}
+
+
+@pytest.mark.parametrize("spec", LARGE_SPECS.values(), ids=LARGE_SPECS.keys())
+def test_lifting_matches_coset_minima_at_large_orders(spec):
+    # J, {0} and R: failure-free, but with witnesses at every x in need.
+    ring = build(spec)
+    jac = get_cache(ring).jacobson_mask
+    for imask in (jac, _mask(ring, [ring.zero]), np.ones(ring.order, dtype=bool)):
+        report = invariants._lift_mod_mask(ring, imask)
+        assert report == reference_lift_mod_mask(ring, imask), (ring.name, imask.sum())
+        assert report.lifts and len(report.witnesses) == np.count_nonzero(
+            imask[ring.add_table[ring.mul_table.diagonal(), ring.neg_table]])
 
 
 def _assert_masks_match_full_routes(ring):
