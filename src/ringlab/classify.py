@@ -27,10 +27,12 @@ Regular, semi-potent and potent are closed forms too, since a finite
 ring is Artinian with a nilpotent J: it is semi-potent (Brauer's lemma),
 potent (idempotents lift modulo a nil ideal), and regular iff J = 0 (a
 regular Artinian ring is semisimple).  When J != 0 the regular witness,
-the least a with no x such that axa = a, comes from a scan that stops
-at the first block of rows holding one.  Lifting over J, a witness when
-J != 0, and strong cleanness of every element (finite rings are
-strongly pi-regular; Nicholson 1999) are asserted as kernel-bug guards.
+the least a with no x such that axa = a, comes from a scan of the rows
+up to the least nonzero element of J, which is never regular; it stops
+at the first block of rows holding a witness.  Lifting over J, a
+witness when J != 0, and strong cleanness of every element (finite
+rings are strongly pi-regular; Nicholson 1999) are asserted as
+kernel-bug guards.
 
 The frozen classification is kept in the ring's own memo
 (:meth:`InvariantCache.memo`), so a repeated call does no work.
@@ -107,15 +109,16 @@ def _quantify(counts: np.ndarray, over: np.ndarray) -> tuple[bool, Optional[int]
     return (False, int(bad[0])) if bad.size else (True, None)
 
 
-def _least_non_regular(ring: FiniteRing) -> Optional[int]:
-    """The least a with axa != a for every x, or None if the ring is regular.
+def _least_non_regular(ring: FiniteRing, stop: Optional[int] = None) -> Optional[int]:
+    """The least a < ``stop`` with axa != a for every x, or None if there is
+    none; with no ``stop``, None means the ring is regular.
 
-    Reads blocks of rows of the multiplication table and stops at the
-    first block that holds such an a.
+    Reads blocks of rows of the multiplication table, the rows below
+    ``stop`` only, and stops at the first block that holds such an a.
     """
     n, mul = ring.order, ring.mul_table
     # This module's _SCAN_CELLS, so that the block size can be set here alone.
-    for rows in _row_blocks(n, n, _SCAN_CELLS):
+    for rows in _row_blocks(n if stop is None else stop, n, _SCAN_CELLS):
         block = np.arange(rows.start, rows.stop)
         regular = (mul[mul[block], block[:, None]] == block[:, None]).any(axis=1)
         if not regular.all():
@@ -236,12 +239,18 @@ def _structure(ring: FiniteRing) -> tuple[dict, dict]:
         pair = {"quotient_pair": [coset_label(ring, a), coset_label(ring, b)]}
         witnesses["is_quasi_duo_left"] = witnesses["is_quasi_duo_right"] = pair
 
-    # Regular Artinian rings are semisimple: regular iff J = {0}.
+    # Regular Artinian rings are semisimple: regular iff J = {0}.  No
+    # nonzero a in J is regular (a = axa gives a(1 - xa) = 0 with 1 - xa
+    # a unit), so the scan ends at the least of them.
     is_regular = bool(jac_mask.sum() == 1)
     if not is_regular:
-        bad = _least_non_regular(ring)
+        radical = np.flatnonzero(jac_mask)
+        least_j = int(radical[radical != ring.zero][0])
+        bad = _least_non_regular(ring, least_j + 1)
         if bad is None:
-            raise AssertionError(f"{ring.name} has J != 0 but every element is regular")
+            raise AssertionError(
+                f"{ring.name} has J != 0 but every element up to "
+                f"{ring.label_of(least_j)} is regular")
         witnesses["is_regular"] = {"element": ring.label_of(bad)}
 
     # J is asserted to be an ideal when the cache computes it.  It is

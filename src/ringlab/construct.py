@@ -600,7 +600,9 @@ def _quotient_by_ideal(
     """
     check_axioms(base)
     spec = spec or {"quotient": {"base": base.spec, "generators": gens}}
-    reps = base.add_table[:, ideal_ids].min(axis=1)
+    # reps[x] = min(x + I), read down the rows of I rather than across
+    # strided columns: add is commutative (check_axioms above).
+    reps = base.add_table[ideal_ids].min(axis=0)
     rep_ids = np.unique(reps)
     m = len(rep_ids)
     lookup = np.zeros(base.order, dtype=dtype_for(m))

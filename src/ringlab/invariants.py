@@ -24,6 +24,11 @@ follows.  Three kernels avoid a sweep of the whole multiplication table:
   two-sided ideal iff it holds 0 and each of these steps maps it into
   itself: J's guard, ideal tests and ideal closure read k rows, not n.
 
+The one-sided ideal lattice is kept as boolean masks and grown in
+rounds.  Each round joins every new member with every cyclic ideal at
+once: I + Ra is I shifted by the multiples of each g*a over the
+additive generators g.  Joins are deduplicated by their packed bytes.
+
 :class:`InvariantCache` is the one per-ring memo: these masks, and what
 :mod:`ringlab.classify` stores through :meth:`InvariantCache.memo`.  It
 is write-once and refers to its ring only weakly, so a ring is freed as
@@ -46,6 +51,8 @@ DEFAULT_IDEAL_COUNT_LIMIT = 100_000
 
 #: Table cells one block of a row scan reads.
 _SCAN_CELLS = 1 << 20
+#: Mask cells one batch of lattice joins holds.
+_JOIN_CELLS = 1 << 18
 
 
 def _row_blocks(rows: int, width: int, cells: int = _SCAN_CELLS):
@@ -309,8 +316,30 @@ def _lift_mod_mask(ring: FiniteRing, imask: np.ndarray) -> LiftReport:
     return LiftReport(True, witnesses)
 
 
+def _mask_keys(masks: np.ndarray) -> np.ndarray:
+    """One bytes value per row of a boolean array: its packed bits."""
+    packed = np.packbits(masks, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _characteristic(ring: FiniteRing) -> int:
+    """The additive order of 1, which every additive order divides."""
+    add, one, x, m = ring.add_table, ring.one, ring.one, 1
+    while x != ring.zero:
+        x, m = int(add[x, one]), m + 1
+    return m
+
+
 def one_sided_ideals(ring: FiniteRing, side: str = "left") -> list[frozenset[int]]:
-    """All left (or right) ideals via join closure of cyclic ones.
+    """All left (or right) ideals: every sum of cyclic ones, found in
+    rounds that join the whole frontier with every cyclic ideal at once.
+
+    Ra (aR on the right) is spanned additively by the g*a (a*g) over
+    the ring's additive generators g, so I + Ra is I translated by the
+    multiples of each g*a in turn: S | (S + h), then S | (S + 2h), ...,
+    doubling until the multiples cover the characteristic.  Ideals are
+    boolean masks, deduplicated by their packed bytes, and become
+    frozensets once, at the end.
 
     Raises :class:`SizeOverflowError` above order
     ``DEFAULT_IDEAL_ORDER_LIMIT`` and :class:`LatticeLimitError` when
@@ -322,33 +351,48 @@ def one_sided_ideals(ring: FiniteRing, side: str = "left") -> list[frozenset[int
     n = ring.order
     if n > DEFAULT_IDEAL_ORDER_LIMIT:
         raise SizeOverflowError(n, DEFAULT_IDEAL_ORDER_LIMIT)
-    add = ring.add_table
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
     # Row a of this table is Ra (left) or aR (right).
-    mul = ring.mul_table.T if side == "left" else ring.mul_table
-    cyclic = sorted(
-        {frozenset(np.unique(mul[a]).tolist()) for a in range(n)},
-        key=lambda s: (len(s), sorted(s)),
-    )
+    table = mul.T if side == "left" else mul
+    cyclic = np.zeros((n, n), dtype=bool)
+    cyclic[np.arange(n)[:, None], table] = True
+    _, reps = np.unique(_mask_keys(cyclic), return_index=True)
     count_limit = DEFAULT_IDEAL_COUNT_LIMIT
-    if len(cyclic) > count_limit:
+    if reps.size > count_limit:
         raise LatticeLimitError(count_limit)
-    known: set[frozenset[int]] = set(cyclic)
-    queue = list(cyclic)
-    while queue:
-        current = queue.pop()
-        cur_ids = sorted(current)
-        for gen in cyclic:
-            if gen <= current:
-                continue  # the join is current itself
-            joined = frozenset(
-                int(v) for v in np.unique(add[np.ix_(cur_ids, sorted(gen))])
-            )
-            if joined not in known:
-                known.add(joined)
-                if len(known) > count_limit:
-                    raise LatticeLimitError(count_limit)
-                queue.append(joined)
-    return sorted(known, key=lambda s: (len(s), sorted(s)))
+    frontier = cyclic[reps]
+    gens = get_cache(ring).additive_generators
+    # shifts[g, j]: g*a_j on the left, a_j*g on the right.
+    shifts = mul[np.ix_(gens, reps)] if side == "left" else mul[np.ix_(reps, gens)].T
+    doublings = (_characteristic(ring) - 1).bit_length()
+    offsets = (np.arange(reps.size) * n)[:, None]
+    known = set(_mask_keys(frontier).tolist())
+    members = [frontier]
+    while frontier.size:
+        found = []
+        for rows in _row_blocks(len(frontier), reps.size * n, _JOIN_CELLS):
+            # joins[i, j*n:(j+1)*n] grows from frontier member i to member i + Ra_j.
+            joins = np.tile(frontier[rows], reps.size)
+            for h in shifts:
+                for _ in range(doublings):
+                    # (S + h)[y] = S[y - h]: block j reads row -h_j of the sum table.
+                    joins |= joins[:, (offsets + add[neg[h]]).ravel()]
+                    h = add[h, h]
+            joins = joins.reshape(-1, n)
+            keys = _mask_keys(joins)
+            _, first = np.unique(keys, return_index=True)
+            for i in first.tolist():
+                key = keys[i].tobytes()
+                if key not in known:
+                    known.add(key)
+                    if len(known) > count_limit:
+                        raise LatticeLimitError(count_limit)
+                    found.append(joins[i])
+        frontier = np.array(found, dtype=bool).reshape(-1, n)
+        members.append(frontier)
+    ideals = sorted((np.flatnonzero(m).tolist() for m in np.concatenate(members)),
+                    key=lambda ids: (len(ids), ids))
+    return [frozenset(ids) for ids in ideals]
 
 
 def maximal_members(lattice: list[frozenset[int]], order: int) -> list[frozenset[int]]:

@@ -19,7 +19,8 @@ of ids at a time, in plain loops over the child rings' tables (the
 matrix product, the group convolution, the skew product, the R + M and
 formal triangular formulas), independently of the term lists that
 ``construct._bilinear`` reads.  ``reference_quotient`` is the row loop that
-``construct.quotient_ring``'s gathers replaced, and ``reference_gf``
+``construct.quotient_ring``'s gathers replaced (given an ideal's ids, it
+skips the scalar closure, which takes seconds at order 4096), and ``reference_gf``
 the per-cell double loop that building GF(p^k) on the digit grid
 replaced.  ``full_center`` and
 ``full_jacobson`` are the whole-table sweeps that the generator center
@@ -40,8 +41,9 @@ replaced.  ``reference_corner_two_good_witness`` is the search over the
 product and sum tables of eRe that reading corner units off U(R)
 replaced, ``reference_is_two_sided_ideal`` the ideal test against every
 element that the additive-generator test replaced, and
-``reference_one_sided_ideals`` the join loop without its skip of cyclic
-ideals already inside the current one.  ``reference_trivial_extension``,
+``reference_one_sided_ideals`` the join loop, one ``np.ix_`` sum per
+member and cyclic ideal, that the batched mask rounds replaced.
+``reference_trivial_extension``,
 ``reference_ideal_extension`` and ``reference_trivial_morita`` are the
 per-family assemblies that the one R + M assembly of ``construct``
 replaced; the last keeps its Python loops over V = M + N and its second
@@ -791,14 +793,16 @@ def reference_mul_table(spec) -> Optional[np.ndarray]:
                      for x in digits], dtype=np.int64)
 
 
-def reference_quotient(base, generators):
+def reference_quotient(base, generators, ideal_ids=None):
     """R/I by a loop over coset representatives, one row at a time.
 
-    Cosets of the ideal I generated by ``generators`` are named by their
-    least element; returns the quotient's add and mul tables and the
-    projection from base ids, all as int64 arrays.
+    Cosets of the ideal I generated by ``generators`` (or of the ideal
+    ``ideal_ids``, when given) are named by their least element; returns
+    the quotient's add and mul tables and the projection from base ids,
+    all as int64 arrays.
     """
-    ideal_ids = scalar_ideal_generated(base, generators)
+    if ideal_ids is None:
+        ideal_ids = scalar_ideal_generated(base, generators)
     reps = np.array([int(base.add_table[x, ideal_ids].min()) for x in range(base.order)])
     rep_ids = np.unique(reps)
     lookup = np.full(base.order, -1, dtype=np.int64)

@@ -395,9 +395,20 @@ def test_guard_every_element_strongly_clean(monkeypatch):
 
 
 def test_guard_non_regular_witness_when_j_is_nonzero(monkeypatch):
-    monkeypatch.setattr(classify_module, "_least_non_regular", lambda ring: None)
+    monkeypatch.setattr(classify_module, "_least_non_regular", lambda ring, stop=None: None)
     with pytest.raises(AssertionError, match=r"Z4.*J != 0"):
         classify(build({"zn": 4}))
+
+
+def test_regular_witness_below_the_least_radical_element(suite_ctx):
+    # classify's scan ends at min(J \ 0), which is 63 in Z2[S3], but the
+    # least non-regular element there is 3: the rows before the bound
+    # must still be read.
+    ring = next(e.ring for e in suite_ctx.entries if e.name == "Z2S3")
+    radical = jacobson_radical(ring)
+    assert int(radical[radical != ring.zero][0]) == 63
+    assert int(np.flatnonzero(~naive_regular(ring))[0]) == 3
+    assert classify(ring).witnesses["is_regular"] == {"element": ring.label_of(3)}
 
 
 @pytest.mark.parametrize("cells", [1, 48, 1 << 20])
@@ -408,3 +419,8 @@ def test_regular_scan_finds_the_least_witness_across_blocks(monkeypatch, cells):
         regular = naive_regular(ring)
         least = None if regular.all() else int(np.flatnonzero(~regular)[0])
         assert classify_module._least_non_regular(ring) == least, ring.name
+        if least is not None:
+            # classify's bound: the rows up to the least nonzero element of J.
+            radical = jacobson_radical(ring)
+            stop = int(radical[radical != ring.zero][0]) + 1
+            assert classify_module._least_non_regular(ring, stop) == least, ring.name

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,7 +299,9 @@ def test_ideal_kernels_match_full_table_routes(suite_ctx):
 
 
 def test_lattice_matches_the_unpruned_join_loop(suite_ctx):
-    for ring in _rings_up_to_256(suite_ctx):
+    # M2(Z3) and T2(Z6): non-commutative, of characteristic 3 and 6.
+    rings = _rings_up_to_256(suite_ctx) + [matrix_ring(2, zn(3)), triangular_ring(2, zn(6))]
+    for ring in rings:
         for side in ("left", "right"):
             assert (one_sided_ideals(ring, side)
                     == reference_one_sided_ideals(ring, side)), (ring.name, side)
@@ -309,6 +313,31 @@ def test_left_ideal_bounds(monkeypatch):
     monkeypatch.setattr(invariants, "DEFAULT_IDEAL_COUNT_LIMIT", 5)
     with pytest.raises(LatticeLimitError, match="ideal lattice exceeds 5 members"):
         one_sided_ideals(build({"product": [{"zn": 2}] * 4}), "left")
+
+
+def test_lattice_limit_while_the_lattice_grows(monkeypatch):
+    # T3(Z2): 26 cyclic left ideals pass a limit of 30, its 40 left ideals do not.
+    ring = triangular_ring(3, zn(2))
+    mul = ring.mul_table
+    assert len({frozenset(mul[:, a].tolist()) for a in range(ring.order)}) == 26
+    assert len(one_sided_ideals(ring, "left")) == 40
+    monkeypatch.setattr(invariants, "DEFAULT_IDEAL_COUNT_LIMIT", 30)
+    with pytest.raises(LatticeLimitError, match="ideal lattice exceeds 30 members"):
+        one_sided_ideals(ring, "left")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_lattice_allocates_under_a_megabyte(side):
+    # Boolean masks of (frontier x cyclic ideals x order) cells, in
+    # batches: no (cyclic ideals x order^2) array.
+    ring = build({"group_ring": {"base": {"zn": 2}, "group": "quaternion8"}})
+    tracemalloc.start()
+    try:
+        one_sided_ideals(ring, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
 
 
 def test_right_ideals_of_triangular_differ_from_left(t2z2):
