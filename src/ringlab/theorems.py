@@ -7,14 +7,18 @@ witness), ``not-applicable`` (hypotheses unmet), or ``skipped`` (size
 bounds).  An aggregate failure anywhere signals an implementation bug,
 never new mathematics: every statement checked here is established.
 
-Seventeen checks read only classifications (of a ring, of the rings it
-is built from and of R/J) and flags of the ring's ``meta``.  Each is one
-:class:`Statement` row of :data:`STATEMENTS`, run by one evaluator;
-``cor3.8`` adds a witness row to its statement's.  The other checks stay
-functions, because they read masks, sweeps or ideal lattices; no check
-builds a subring or corner: ``prop2.4``, ``cor2.6``, ``cor2.7`` and
-``thm3.10`` read them from the parent's unit and idempotent masks
-through :mod:`ringlab.elements`.
+Every check has a ``check_id``, a ``title`` and a ``rows(ctx)`` that
+yields ``(ring, verdict, detail[, facts])``; calling the check turns its
+rows into its :class:`TheoremReport`.  Seventeen checks read only
+classifications (of a ring, of the rings it is built from and of R/J)
+and flags of the ring's ``meta``.  Each is one :class:`Statement` of
+:data:`STATEMENTS`; ``cor3.8`` adds a witness row to its statement's.
+The others read masks, sweeps or ideal lattices and are a :class:`Check`
+over a row function; the eight with one row per catalog entry share
+one entry loop, :func:`_each_entry`.  No check builds a subring or
+corner: ``prop2.4``, ``cor2.6``, ``cor2.7`` and ``thm3.10`` read them
+from the parent's unit and idempotent masks through
+:mod:`ringlab.elements`.
 
 Checks share a :class:`SuiteContext` holding the catalog and the rings
 derived by spec.  A ring's classification and its R/J live in the ring's
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -89,12 +93,6 @@ class TheoremReport:
 
     def add(self, ring: str, verdict: str, detail=None, facts=None):
         self.rows.append(RingVerdict(ring, verdict, detail, facts))
-
-    def require(self, ring: str, condition: bool, detail_on_fail=None, detail_on_pass=None):
-        if condition:
-            self.add(ring, PASS, detail_on_pass)
-        else:
-            self.add(ring, FAIL, detail_on_fail)
 
     def to_json(self) -> dict:
         return {
@@ -203,15 +201,14 @@ def _radical_quotient_is_z2(ring: FiniteRing) -> bool:
     return ring.order == 2 * int(get_cache(ring).jacobson_mask.sum())
 
 
-def _is_m2_f2_corner(ring: FiniteRing, e: int) -> bool:
-    """eRe is isomorphic to M2(F2), read without building eRe.
+def _is_m2_f2_corner(ring: FiniteRing, e: int, k: np.ndarray) -> bool:
+    """eRe is isomorphic to M2(F2), read from its sorted ids ``k`` without building it.
 
     J(eRe) = eJe (Lam, *A First Course in Noncommutative Rings*, Thm
     21.10), so eRe is semisimple iff eJe = 0.  By Wedderburn-Artin a
     semisimple ring of order 16 is a product of rings M_n(F_q), and the
     only non-commutative one is M2(F2).
     """
-    k = _corner_subset(ring, e)
     if k.size != 16:
         return False
     mul = ring.mul_table
@@ -260,9 +257,19 @@ class Reading:
         return classify(radical_quotient(self._ring))
 
 
+class _Rows:
+    """A check is the rows it yields: calling it collects them into its report."""
+
+    def __call__(self, ctx: SuiteContext) -> TheoremReport:
+        rep = TheoremReport(self.check_id, self.title)
+        for row in self.rows(ctx):
+            rep.add(*row)
+        return rep
+
+
 @dataclass(frozen=True)
-class Statement:
-    """A check that reads only a :class:`Reading` of each ring; calling it runs it.
+class Statement(_Rows):
+    """A check that reads only a :class:`Reading` of each ring.
 
     It reads the catalog entries of its spec ``kinds`` (every entry if
     none; ``(none)`` is the one row when no entry has them), then the
@@ -282,22 +289,20 @@ class Statement:
     passed: Optional[Callable[[Reading], object]] = None
     extra: tuple[tuple[str, dict], ...] = ()
 
-    def __call__(self, ctx: SuiteContext) -> TheoremReport:
-        rep = TheoremReport(self.check_id, self.title)
+    def rows(self, ctx: SuiteContext) -> Iterable[tuple]:
         rings = [(e.name, e.spec, e.ring) for e in ctx.entries if not self.kinds
                  or isinstance(e.spec, dict) and not e.spec.keys().isdisjoint(self.kinds)]
         rings += [(name, spec, ctx.derived(spec)) for name, spec in self.extra]
         if self.kinds and not rings:
-            rep.add("(none)", NA)
+            yield "(none)", NA, None
         for name, spec, ring in rings:
             r = Reading(ctx, ring, spec)
             if self.premise and not self.premise(r):
-                rep.add(name, NA, self.reason(r) if callable(self.reason) else self.reason)
+                yield name, NA, self.reason(r) if callable(self.reason) else self.reason
                 continue
             ok, facts = self.conclusion(r), self.detail(r)
             detail = (self.passed and self.passed(r)) if ok else facts
-            rep.add(name, PASS if ok else FAIL, detail, facts)
-        return rep
+            yield name, PASS if ok else FAIL, detail, facts
 
 
 def _fields(c: Classification, *names: str) -> dict:
@@ -412,128 +417,121 @@ STATEMENTS: dict[str, Statement] = {s.check_id: s for s in (
 
 
 # ---------------------------------------------------------------------------
-# checks that stay functions
+# checks that read masks, sweeps or ideal lattices
 
 
-def _check_example1_4(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport("example1.4", "flagship examples: Z2[x] and T2(Z2)")
-    z2 = ctx.derived({"zn": 2})
-    view = poly_view(z2)
+_Row = tuple[str, object]  # (verdict, detail) of one ring
+
+
+@dataclass(frozen=True)
+class Check(_Rows):
+    """A check whose ``rows(ctx)`` is a function of the suite."""
+
+    check_id: str
+    title: str
+    rows: Callable[[SuiteContext], Iterable[tuple]]
+
+
+def _verdict(ok: bool, on_fail, on_pass=None) -> _Row:
+    return (PASS, on_pass) if ok else (FAIL, on_fail)
+
+
+def _agree(*conditions: bool) -> _Row:
+    """Pass iff the conditions all have one value; a fail lists them."""
+    return _verdict(len(set(conditions)) == 1, {"conditions": list(conditions)})
+
+
+def _each_entry(row: Callable[[SuiteContext, CatalogEntry], _Row]):
+    """The rows of a check with one row per catalog entry, ``row(ctx, entry)``."""
+    def rows(ctx: SuiteContext) -> Iterable[tuple]:
+        for entry in ctx.entries:
+            yield entry.name, *row(ctx, entry)
+    return rows
+
+
+def _triangular_rows(ctx: SuiteContext, entry: CatalogEntry,
+                     verdict: Callable[[Classification], _Row]) -> Iterable[tuple]:
+    """A row for T2 and for T3 over ``entry``; one past the budget is skipped."""
+    for _, label, tc in ctx.triangulars(entry):
+        if tc is None:
+            yield label, SKIP, "triangular ring above derived-size budget"
+        else:
+            yield label, *verdict(tc)
+
+
+def _example1_4(ctx: SuiteContext) -> Iterable[tuple]:
+    view = poly_view(ctx.derived({"zn": 2}))
     cusc, _ = poly_is_cusc(view)
     clean = poly_is_clean(view)
-    rep.require("Z2[x]", cusc and not clean,
-                {"cusc": cusc, "clean": clean},
-                {"cusc": True, "clean": False, "note": "not USC since USC rings are clean"})
-    t2 = ctx.derived({"triangular": {"n": 2, "base": {"zn": 2}}})
-    c = classify(t2)
-    rep.require("T2(Z2)", c.is_UUC and not c.is_CUC,
-                {"is_UUC": c.is_UUC, "is_CUC": c.is_CUC})
-    rep.require("T2(Z2)", c.is_CUSC and not c.is_CUC,
-                {"is_CUSC": c.is_CUSC, "is_CUC": c.is_CUC})
-    return rep
+    yield "Z2[x]", *_verdict(cusc and not clean, {"cusc": cusc, "clean": clean},
+                             {"cusc": True, "clean": False,
+                              "note": "not USC since USC rings are clean"})
+    c = classify(ctx.derived({"triangular": {"n": 2, "base": {"zn": 2}}}))
+    yield "T2(Z2)", *_verdict(c.is_UUC and not c.is_CUC, {"is_UUC": c.is_UUC, "is_CUC": c.is_CUC})
+    yield "T2(Z2)", *_verdict(c.is_CUSC and not c.is_CUC,
+                              {"is_CUSC": c.is_CUSC, "is_CUC": c.is_CUC})
 
 
-def _check_prop2_1(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "prop2.1",
-        "abelian rings: two-good/idempotent triviality, UUSC, UUC, CUC, CUSC agree",
-    )
-    for entry in ctx.entries:
-        ring = entry.ring
-        c = classify(ring)
-        if not c.is_abelian:
-            rep.add(entry.name, NA, "not abelian")
-            continue
-        # 0 = 1 + (-1) is always two-good; no other idempotent may be.
-        unit_mask = get_cache(ring).unit_mask
-        cond1 = all(_two_good_pair(ring, unit_mask, e) is None
-                    for e in _nonzero_idempotents(ring))
-        values = (cond1, c.is_UUSC, c.is_UUC, c.is_CUC, c.is_CUSC)
-        rep.require(entry.name, len(set(values)) == 1,
-                    {"conditions": list(values)})
-    return rep
+def _prop2_1(ctx: SuiteContext, entry: CatalogEntry) -> _Row:
+    ring = entry.ring
+    c = classify(ring)
+    if not c.is_abelian:
+        return NA, "not abelian"
+    # 0 = 1 + (-1) is always two-good; no other idempotent may be.
+    unit_mask = get_cache(ring).unit_mask
+    cond1 = all(_two_good_pair(ring, unit_mask, e) is None for e in _nonzero_idempotents(ring))
+    return _agree(cond1, c.is_UUSC, c.is_UUC, c.is_CUC, c.is_CUSC)
 
 
-def _check_example2_3(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "example2.3",
-        "trivial idempotents: CUSC iff 1 not two-good; USC commutative bases give USC non-CUC triangulars",
-    )
+def _example2_3(ctx: SuiteContext) -> Iterable[tuple]:
     for entry in ctx.entries:
         ring = entry.ring
         if _is_trivial(ring):
-            rep.add(entry.name, NA, "order 1")
-            continue
-        c = classify(ring)
-        if _id_set_is_zero_one(ring):
-            agree = (c.is_CUSC == (not c.one_is_two_good) == c.is_UUSC)
-            rep.require(entry.name, agree, {
+            yield entry.name, NA, "order 1"
+        elif _id_set_is_zero_one(ring):
+            c = classify(ring)
+            yield entry.name, *_verdict(c.is_CUSC == (not c.one_is_two_good) == c.is_UUSC, {
                 "is_CUSC": c.is_CUSC,
                 "one_is_two_good": c.one_is_two_good,
                 "is_UUSC": c.is_UUSC,
             })
         else:
-            rep.add(entry.name, NA, "idempotents beyond 0 and 1")
+            yield entry.name, NA, "idempotents beyond 0 and 1"
     for entry in ctx.entries:
         c = classify(entry.ring)
-        if not (c.is_commutative and c.is_USC) or _is_trivial(entry.ring):
-            continue
-        for _, label, ct in ctx.triangulars(entry):
-            if ct is None:
-                rep.add(label, SKIP, "triangular ring above derived-size budget")
-                continue
-            rep.require(label, ct.is_USC and ct.is_CUSC and not ct.is_CUC, {
-                "is_USC": ct.is_USC, "is_CUSC": ct.is_CUSC, "is_CUC": ct.is_CUC,
-            })
-    return rep
+        if c.is_commutative and c.is_USC and not _is_trivial(entry.ring):
+            yield from _triangular_rows(ctx, entry, lambda ct: _verdict(
+                ct.is_USC and ct.is_CUSC and not ct.is_CUC,
+                {"is_USC": ct.is_USC, "is_CUSC": ct.is_CUSC, "is_CUC": ct.is_CUC}))
 
 
-def _check_prop2_4(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "prop2.4", "subrings (corners and generated subrings) inherit CUSC/UUSC"
-    )
-    for entry in ctx.entries:
-        ring = entry.ring
-        c = classify(ring)
-        if not (c.is_CUSC or c.is_UUSC):
-            rep.add(entry.name, NA, "neither CUSC nor UUSC")
-            continue
+def _prop2_4(ctx: SuiteContext, entry: CatalogEntry) -> _Row:
+    ring = entry.ring
+    c = classify(ring)
+    if not (c.is_CUSC or c.is_UUSC):
+        return NA, "neither CUSC nor UUSC"
+    # e is the identity of eRe, so distinct idempotents give distinct corners.
+    subrings = [(f"corner e={ring.label_of(e)}", _corner_subset(ring, e), e)
+                for e in _nonzero_idempotents(ring) if e != ring.one]
+    if ring.order <= ctx.oracle_order_limit:
         seen: set[frozenset] = set()
-        subrings: list[tuple[str, np.ndarray, int]] = []
-        for e in _nonzero_idempotents(ring):
-            if e == ring.one:
-                continue
-            k = _corner_subset(ring, e)
-            key = frozenset(k.tolist())
-            if key in seen:
+        for a in range(ring.order):
+            ids = _subring_closure(ring, [a])
+            key = frozenset(ids.tolist())
+            if key in seen or ids.size == ring.order:
                 continue
             seen.add(key)
-            subrings.append((f"corner e={ring.label_of(e)}", k, e))
-        if ring.order <= ctx.oracle_order_limit:
-            gen_seen: set[frozenset] = set()
-            for a in range(ring.order):
-                ids = _subring_closure(ring, [a])
-                key = frozenset(ids.tolist())
-                if key in gen_seen or ids.size == ring.order:
-                    continue
-                gen_seen.add(key)
-                subrings.append((f"subring gen {ring.label_of(a)}", ids, ring.one))
-        bad = None
-        for desc, members, one in subrings:
-            cusc, uusc = _subring_is_cusc_uusc(ring, members, one)
-            if c.is_CUSC and not cusc:
-                bad = (desc, "CUSC lost")
-                break
-            if c.is_UUSC and not uusc:
-                bad = (desc, "UUSC lost")
-                break
-        rep.require(entry.name, bad is None, bad,
-                    {"subrings_checked": len(subrings)})
-    return rep
+            subrings.append((f"subring gen {ring.label_of(a)}", ids, ring.one))
+    for desc, members, one in subrings:
+        cusc, uusc = _subring_is_cusc_uusc(ring, members, one)
+        if c.is_CUSC and not cusc:
+            return FAIL, (desc, "CUSC lost")
+        if c.is_UUSC and not uusc:
+            return FAIL, (desc, "UUSC lost")
+    return PASS, {"subrings_checked": len(subrings)}
 
 
-def _check_cor2_6(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport("cor2.6", "subdirect products of CUSC/UUSC rings are CUSC/UUSC")
+def _cor2_6(ctx: SuiteContext) -> Iterable[tuple]:
     # Prime subrings (generated by 1) of products, read from the
     # product's masks: each must surject onto every factor.
     for name, spec in (
@@ -550,7 +548,7 @@ def _check_cor2_6(ctx: SuiteContext) -> TheoremReport:
             for w, s in zip(weights, sizes)
         )
         if not surjective:
-            rep.add(name, FAIL, "instance is not subdirect")
+            yield name, FAIL, "instance is not subdirect"
             continue
         factors = [classify(ctx.derived(s)) for s in spec["product"]]
         cusc, uusc = _subring_is_cusc_uusc(product, members, product.one)
@@ -560,38 +558,27 @@ def _check_cor2_6(ctx: SuiteContext) -> TheoremReport:
             ok, detail = False, "CUSC not inherited by subdirect product"
         if all(f.is_UUSC for f in factors) and not uusc:
             ok, detail = False, "UUSC not inherited by subdirect product"
-        rep.require(name, ok, detail, detail)
-    return rep
+        yield name, PASS if ok else FAIL, detail
 
 
-def _check_cor2_7(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "cor2.7", "central idempotent e: R is CUSC/UUSC iff both Peirce corners are"
-    )
-    for entry in ctx.entries:
-        ring = entry.ring
-        cache = get_cache(ring)
-        central_idem = [
-            int(e) for e in np.flatnonzero(cache.idempotent_mask & cache.center_mask)
-            if int(e) not in (ring.zero, ring.one)
-        ]
-        if not central_idem:
-            rep.add(entry.name, NA, "no proper central idempotent")
-            continue
-        c = classify(ring)
-        bad = None
-        for e in central_idem:
-            parts = [_subring_is_cusc_uusc(ring, _corner_subset(ring, f), f)
-                     for f in (e, ring.sub(ring.one, e))]
-            if c.is_CUSC != all(cusc for cusc, _ in parts):
-                bad = {"idempotent": ring.label_of(e), "predicate": "CUSC"}
-                break
-            if c.is_UUSC != all(uusc for _, uusc in parts):
-                bad = {"idempotent": ring.label_of(e), "predicate": "UUSC"}
-                break
-        rep.require(entry.name, bad is None, bad,
-                    {"central_idempotents": len(central_idem)})
-    return rep
+def _cor2_7(ctx: SuiteContext, entry: CatalogEntry) -> _Row:
+    ring = entry.ring
+    cache = get_cache(ring)
+    central_idem = [
+        int(e) for e in np.flatnonzero(cache.idempotent_mask & cache.center_mask)
+        if int(e) not in (ring.zero, ring.one)
+    ]
+    if not central_idem:
+        return NA, "no proper central idempotent"
+    c = classify(ring)
+    for e in central_idem:
+        parts = [_subring_is_cusc_uusc(ring, _corner_subset(ring, f), f)
+                 for f in (e, ring.sub(ring.one, e))]
+        if c.is_CUSC != all(cusc for cusc, _ in parts):
+            return FAIL, {"idempotent": ring.label_of(e), "predicate": "CUSC"}
+        if c.is_UUSC != all(uusc for _, uusc in parts):
+            return FAIL, {"idempotent": ring.label_of(e), "predicate": "UUSC"}
+    return PASS, {"central_idempotents": len(central_idem)}
 
 
 def _radical_subideals(ctx: SuiteContext, ring: FiniteRing) -> list[tuple[str, list[int]]]:
@@ -614,95 +601,66 @@ def _radical_subideals(ctx: SuiteContext, ring: FiniteRing) -> list[tuple[str, l
     return out
 
 
-def _check_lemma2_8(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "lemma2.8", "ideals inside the radical: UUSC/CUSC transfer between R and R/I"
-    )
-    for entry in ctx.entries:
-        ring = entry.ring
-        c = classify(ring)
-        bad = None
-        checked = 0
-        for ideal_name, ideal_ids in _radical_subideals(ctx, ring):
-            quot = (radical_quotient(ring) if ideal_name == "J"
-                    else quotient_ring(ring, ideal_ids) if ideal_ids else ring)
-            qc = classify(quot)
-            checked += 1
-            if qc.is_UUSC and not c.is_UUSC:
-                bad = {"ideal": ideal_name, "direction": "R/I UUSC => R UUSC"}
-                break
-            # I lies in J, which is nilpotent, so idempotents lift modulo I (Lam §21).
-            if c.is_UUSC and c.is_abelian and not qc.is_UUSC:
-                bad = {"ideal": ideal_name, "direction": "R UUSC abelian lifting => R/I UUSC"}
-                break
-            if qc.is_CUSC and c.is_abelian and not c.is_CUSC:
-                bad = {"ideal": ideal_name, "direction": "R/I CUSC, R abelian => R CUSC"}
-                break
-            if c.is_CUSC and c.is_abelian and not qc.is_CUSC:
-                bad = {"ideal": ideal_name, "direction": "R CUSC abelian lifting => R/I CUSC"}
-                break
-        rep.require(entry.name, bad is None, bad, {"ideals_checked": checked})
-    return rep
-
-
-def _check_prop2_2(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "prop2.2", "local characterizations: CUSC+local, R/J = Z2, UC, USC, CUC variants agree"
-    )
-    for entry in ctx.entries:
-        ring = entry.ring
-        if _is_trivial(ring):
-            rep.add(entry.name, NA, "order 1")
-            continue
-        c = classify(ring)
-        trivial_idem = _id_set_is_zero_one(ring)
-        conditions = (
-            c.is_CUSC and c.is_local,
-            _radical_quotient_is_z2(ring),
-            c.is_UC and c.is_local,
-            c.is_UC and trivial_idem,
-            c.is_USC and c.is_local,
-            c.is_USC and trivial_idem,
-            c.is_CUC and c.is_local,
-        )
-        rep.require(entry.name, len(set(conditions)) == 1,
-                    {"conditions": list(conditions)})
-    return rep
-
-
-def _check_thm3_1(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "thm3.1",
-        "semi-potent rings: six equivalent forms of 'units are radical "
-        "translates of central idempotents'",
-    )
-    for entry in ctx.entries:
-        ring = entry.ring
-        c = classify(ring)
-        if not c.is_semi_potent:
-            rep.add(entry.name, FAIL, "finite ring reported non-semi-potent (bug)")
-            continue
-        cache = get_cache(ring)
-        quot = radical_quotient(ring)
+def _lemma2_8(ctx: SuiteContext, entry: CatalogEntry) -> _Row:
+    ring = entry.ring
+    c = classify(ring)
+    ideals = _radical_subideals(ctx, ring)
+    for ideal_name, ideal_ids in ideals:
+        quot = (radical_quotient(ring) if ideal_name == "J"
+                else quotient_ring(ring, ideal_ids) if ideal_ids else ring)
         qc = classify(quot)
-        units = np.flatnonzero(cache.unit_mask)
-        # The pair sweep with J for U: how many ways each unit is e + j.
-        _, _, split, _ = _pair_sweep(ring, unit=cache.jacobson_mask)
-        counts = np.bincount(split.ravel(), minlength=ring.order)[units]
-        cond = (
-            qc.is_UUSC,
-            qc.is_boolean,
-            c.U_equals_one_plus_J,
-            bool(cache.ucn0_mask[units].all()),
-            bool((counts == 1).all()),
-            bool((counts >= 1).all()),
-        )
-        rep.require(entry.name, len(set(cond)) == 1, {"conditions": list(cond)})
-    return rep
+        if qc.is_UUSC and not c.is_UUSC:
+            return FAIL, {"ideal": ideal_name, "direction": "R/I UUSC => R UUSC"}
+        # I lies in J, which is nilpotent, so idempotents lift modulo I (Lam §21).
+        if c.is_UUSC and c.is_abelian and not qc.is_UUSC:
+            return FAIL, {"ideal": ideal_name, "direction": "R UUSC abelian lifting => R/I UUSC"}
+        if qc.is_CUSC and c.is_abelian and not c.is_CUSC:
+            return FAIL, {"ideal": ideal_name, "direction": "R/I CUSC, R abelian => R CUSC"}
+        if c.is_CUSC and c.is_abelian and not qc.is_CUSC:
+            return FAIL, {"ideal": ideal_name, "direction": "R CUSC abelian lifting => R/I CUSC"}
+    return PASS, {"ideals_checked": len(ideals)}
 
 
-def _check_cor3_8(ctx: SuiteContext) -> TheoremReport:
-    rep = STATEMENTS["cor3.8"](ctx)
+def _prop2_2(ctx: SuiteContext, entry: CatalogEntry) -> _Row:
+    ring = entry.ring
+    if _is_trivial(ring):
+        return NA, "order 1"
+    c = classify(ring)
+    trivial_idem = _id_set_is_zero_one(ring)
+    return _agree(
+        c.is_CUSC and c.is_local,
+        _radical_quotient_is_z2(ring),
+        c.is_UC and c.is_local,
+        c.is_UC and trivial_idem,
+        c.is_USC and c.is_local,
+        c.is_USC and trivial_idem,
+        c.is_CUC and c.is_local,
+    )
+
+
+def _thm3_1(ctx: SuiteContext, entry: CatalogEntry) -> _Row:
+    ring = entry.ring
+    c = classify(ring)
+    if not c.is_semi_potent:
+        return FAIL, "finite ring reported non-semi-potent (bug)"
+    cache = get_cache(ring)
+    qc = classify(radical_quotient(ring))
+    units = np.flatnonzero(cache.unit_mask)
+    # The pair sweep with J for U: how many ways each unit is e + j.
+    _, _, split, _ = _pair_sweep(ring, unit=cache.jacobson_mask)
+    counts = np.bincount(split.ravel(), minlength=ring.order)[units]
+    return _agree(
+        qc.is_UUSC,
+        qc.is_boolean,
+        c.U_equals_one_plus_J,
+        bool(cache.ucn0_mask[units].all()),
+        bool((counts == 1).all()),
+        bool((counts >= 1).all()),
+    )
+
+
+def _cor3_8(ctx: SuiteContext) -> Iterable[tuple]:
+    yield from STATEMENTS["cor3.8"].rows(ctx)
     t2 = ctx.derived({"triangular": {"n": 2, "base": {"zn": 2}}})
     c = classify(t2)
     cache = get_cache(t2)
@@ -716,160 +674,131 @@ def _check_cor3_8(ctx: SuiteContext) -> TheoremReport:
         and t2.mul(e, e) == e
         and not cache.center_mask[e]
     )
-    rep.require(
-        "T2(Z2) converse", c.is_USC and not c.R_equals_ucn0 and witness_ok,
+    yield "T2(Z2) converse", *_verdict(
+        c.is_USC and not c.R_equals_ucn0 and witness_ok,
         {"is_USC": c.is_USC, "R_equals_ucn0": c.R_equals_ucn0,
          "witness_valid": witness_ok},
         {"witness": "(1 1;0 0) = (1 0;0 0) + (0 1;0 0), first summand non-central"},
     )
-    return rep
 
 
-def _check_thm3_10(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "thm3.10",
-        "CUSC/UUSC obstructions: no two-good identity, no corner-unit sums, "
-        "no 2x2 matrix corners, in R and in R/J",
-    )
-    for entry in ctx.entries:
-        ring = entry.ring
-        c = classify(ring)
-        if _is_trivial(ring) or not (c.is_CUSC or c.is_UUSC):
-            rep.add(entry.name, NA, "hypotheses unmet")
-            continue
-        problems = []
-        if c.one_is_two_good:
-            problems.append("identity is two-good")
-        quot = radical_quotient(ring)
-        qc = classify(quot)
-        if qc.one_is_two_good:
-            problems.append("identity is two-good modulo the radical")
-        for scope_name, scope in (("R", ring), ("R/J", quot)):
-            for e in _nonzero_idempotents(scope):
-                corner_units = _subring_units(scope, _corner_subset(scope, e), e)
-                pair = _two_good_pair(scope, corner_units, e)
-                if pair is not None:
-                    problems.append({
-                        "scope": scope_name,
-                        "idempotent": scope.label_of(e),
-                        "units": [scope.label_of(pair[0]), scope.label_of(pair[1])],
-                    })
-                if _is_m2_f2_corner(scope, e):
-                    problems.append({
-                        "scope": scope_name,
-                        "idempotent": scope.label_of(e),
-                        "matrix_corner": "M2(F2)",
-                    })
-        rep.require(entry.name, not problems, problems)
-    return rep
+def _thm3_10(ctx: SuiteContext, entry: CatalogEntry) -> _Row:
+    ring = entry.ring
+    c = classify(ring)
+    if _is_trivial(ring) or not (c.is_CUSC or c.is_UUSC):
+        return NA, "hypotheses unmet"
+    problems = []
+    if c.one_is_two_good:
+        problems.append("identity is two-good")
+    quot = radical_quotient(ring)
+    qc = classify(quot)
+    if qc.one_is_two_good:
+        problems.append("identity is two-good modulo the radical")
+    for scope_name, scope in (("R", ring), ("R/J", quot)):
+        for e in _nonzero_idempotents(scope):
+            k = _corner_subset(scope, e)
+            pair = _two_good_pair(scope, _subring_units(scope, k, e), e)
+            if pair is not None:
+                problems.append({
+                    "scope": scope_name,
+                    "idempotent": scope.label_of(e),
+                    "units": [scope.label_of(pair[0]), scope.label_of(pair[1])],
+                })
+            if _is_m2_f2_corner(scope, e, k):
+                problems.append({
+                    "scope": scope_name,
+                    "idempotent": scope.label_of(e),
+                    "matrix_corner": "M2(F2)",
+                })
+    return _verdict(not problems, problems)
 
 
-def _check_thm3_11(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "thm3.11",
-        "commutative semi-potent bases: CUSC = CUC = CUSC of every triangular ring",
-    )
+def _thm3_11(ctx: SuiteContext) -> Iterable[tuple]:
     for entry in ctx.entries:
         c = classify(entry.ring)
         if not (c.is_commutative and c.is_semi_potent):
-            rep.add(entry.name, NA, "not a commutative semi-potent base")
-            continue
-        if c.is_CUSC != c.is_CUC:
-            rep.add(entry.name, FAIL, {
-                "is_CUSC": c.is_CUSC, "is_CUC": c.is_CUC,
+            yield entry.name, NA, "not a commutative semi-potent base"
+        elif c.is_CUSC != c.is_CUC:
+            yield entry.name, FAIL, {"is_CUSC": c.is_CUSC, "is_CUC": c.is_CUC}
+        else:
+            yield from _triangular_rows(ctx, entry, lambda tc: _verdict(
+                tc.is_CUSC == c.is_CUSC,
+                {"base_CUSC": c.is_CUSC, "triangular_CUSC": tc.is_CUSC}))
+
+
+def _crosschecks(ctx: SuiteContext, entry: CatalogEntry) -> _Row:
+    ring = entry.ring
+    problems = []
+    report = validate_axioms(ring)
+    if not report.ok:
+        problems.append(f"axioms: {report.axiom} at {report.witness}")
+    cache = get_cache(ring)
+    jac = cache.jacobson_mask
+    jac_ids = np.flatnonzero(jac).tolist()
+    if ring.order <= ctx.oracle_order_limit:
+        # classify reads regularity off J = 0; search for x with axa = a.
+        by_search = _least_non_regular(ring) is None
+        if by_search != classify(ring).is_regular:
+            problems.append({"regular_mismatch": {"element_search": by_search}})
+    if ring.order <= ctx.quasi_duo_order_limit:
+        # One lattice per side feeds three oracles: J as the meet of
+        # the maximal left ideals, quasi-duo and semi-potence.
+        try:
+            lattices = {side: one_sided_ideals(ring, side) for side in ("left", "right")}
+        except LatticeLimitError as exc:
+            return SKIP, str(exc)
+        maximal = {side: maximal_members(lattice, ring.order)
+                   for side, lattice in lattices.items()}
+        meet = set(range(ring.order)).intersection(*maximal["left"])
+        if meet != set(jac_ids):
+            problems.append({
+                "radical_mismatch": {
+                    "quasi_regular": jac_ids,
+                    "maximal_meet": sorted(meet),
+                }
             })
-            continue
-        for _, label, tc in ctx.triangulars(entry):
-            if tc is None:
-                rep.add(label, SKIP, "triangular ring above derived-size budget")
-                continue
-            rep.require(label, tc.is_CUSC == c.is_CUSC,
-                        {"base_CUSC": c.is_CUSC, "triangular_CUSC": tc.is_CUSC})
-    return rep
+        # Quasi-duo by definition: every maximal one-sided ideal is
+        # two-sided.
+        c = classify(ring)
+        closed_form = {"left": c.is_quasi_duo_left, "right": c.is_quasi_duo_right}
+        by_lattice = {side: all(is_two_sided_ideal(ring, m) for m in ms)
+                      for side, ms in maximal.items()}
+        if by_lattice != closed_form:
+            problems.append({"quasi_duo_mismatch": {
+                "closed_form": closed_form, "lattice": by_lattice,
+            }})
+        # Semi-potent: a left ideal outside J holds a nonzero idempotent.
+        nz_idem = cache.idempotent_mask.copy()
+        nz_idem[ring.zero] = False
+        for ideal in lattices["left"]:
+            ids = list(ideal)
+            if not jac[ids].all() and not nz_idem[ids].any():
+                problems.append({"semi_potent_lattice": sorted(ideal)})
+                break
+    if not idempotents_lift_mod(ring, jac_ids).lifts:
+        problems.append("idempotents fail to lift modulo the radical")
+    quot = radical_quotient(ring)
+    proj = quot.meta["projection"]
+    qunits = get_cache(quot).unit_mask
+    if not (cache.unit_mask == qunits[proj]).all():
+        problems.append("units do not match the radical-quotient preimage")
+    if isinstance(entry.spec, dict) and "group_ring" in entry.spec:
+        eps = ring.meta["augmentation"]
+        base = ctx.derived(entry.spec["group_ring"]["base"])
+        lhs = eps[ring.mul_table]
+        rhs = base.mul_table[eps[:, None], eps[None, :]]
+        if not (lhs == rhs).all():
+            problems.append("augmentation is not multiplicative")
+        if int(eps[ring.one]) != base.one:
+            problems.append("augmentation misses the identity")
+        if len(np.unique(eps)) != base.order:
+            problems.append("augmentation is not surjective")
+        if not np.array_equal(np.flatnonzero(eps == base.zero), ring.meta["aug_kernel"]):
+            problems.append("augmentation kernel differs from the ideal <1-g>")
+    return _verdict(not problems, problems)
 
 
-def _check_crosschecks(ctx: SuiteContext) -> TheoremReport:
-    rep = TheoremReport(
-        "crosschecks",
-        "dual-route verification: radical vs maximal left ideals, quasi-duo vs "
-        "maximal one-sided ideals, unit lifting, augmentation kernel, lattice "
-        "semi-potence, axiom validation",
-    )
-    for entry in ctx.entries:
-        ring = entry.ring
-        problems = []
-        report = validate_axioms(ring)
-        if not report.ok:
-            problems.append(f"axioms: {report.axiom} at {report.witness}")
-        cache = get_cache(ring)
-        jac = cache.jacobson_mask
-        jac_ids = np.flatnonzero(jac).tolist()
-        if ring.order <= ctx.oracle_order_limit:
-            # classify reads regularity off J = 0; search for x with axa = a.
-            by_search = _least_non_regular(ring) is None
-            if by_search != classify(ring).is_regular:
-                problems.append({"regular_mismatch": {"element_search": by_search}})
-        if ring.order <= ctx.quasi_duo_order_limit:
-            # One lattice per side feeds three oracles: J as the meet of
-            # the maximal left ideals, quasi-duo and semi-potence.
-            try:
-                lattices = {side: one_sided_ideals(ring, side) for side in ("left", "right")}
-            except LatticeLimitError as exc:
-                rep.add(entry.name, SKIP, str(exc))
-                continue
-            maximal = {side: maximal_members(lattice, ring.order)
-                       for side, lattice in lattices.items()}
-            meet = set(range(ring.order)).intersection(*maximal["left"])
-            if meet != set(jac_ids):
-                problems.append({
-                    "radical_mismatch": {
-                        "quasi_regular": jac_ids,
-                        "maximal_meet": sorted(meet),
-                    }
-                })
-            # Quasi-duo by definition: every maximal one-sided ideal is
-            # two-sided.
-            c = classify(ring)
-            closed_form = {"left": c.is_quasi_duo_left, "right": c.is_quasi_duo_right}
-            by_lattice = {side: all(is_two_sided_ideal(ring, m) for m in ms)
-                          for side, ms in maximal.items()}
-            if by_lattice != closed_form:
-                problems.append({"quasi_duo_mismatch": {
-                    "closed_form": closed_form, "lattice": by_lattice,
-                }})
-            # Semi-potent: a left ideal outside J holds a nonzero idempotent.
-            nz_idem = cache.idempotent_mask.copy()
-            nz_idem[ring.zero] = False
-            for ideal in lattices["left"]:
-                ids = list(ideal)
-                if not jac[ids].all() and not nz_idem[ids].any():
-                    problems.append({"semi_potent_lattice": sorted(ideal)})
-                    break
-        if not idempotents_lift_mod(ring, jac_ids).lifts:
-            problems.append("idempotents fail to lift modulo the radical")
-        quot = radical_quotient(ring)
-        proj = quot.meta["projection"]
-        qunits = get_cache(quot).unit_mask
-        if not (cache.unit_mask == qunits[proj]).all():
-            problems.append("units do not match the radical-quotient preimage")
-        if isinstance(entry.spec, dict) and "group_ring" in entry.spec:
-            eps = ring.meta["augmentation"]
-            base = ctx.derived(entry.spec["group_ring"]["base"])
-            lhs = eps[ring.mul_table]
-            rhs = base.mul_table[eps[:, None], eps[None, :]]
-            if not (lhs == rhs).all():
-                problems.append("augmentation is not multiplicative")
-            if int(eps[ring.one]) != base.one:
-                problems.append("augmentation misses the identity")
-            if len(np.unique(eps)) != base.order:
-                problems.append("augmentation is not surjective")
-            if not np.array_equal(np.flatnonzero(eps == base.zero), ring.meta["aug_kernel"]):
-                problems.append("augmentation kernel differs from the ideal <1-g>")
-        rep.require(entry.name, not problems, problems)
-    return rep
-
-
-def _check_explore(ctx: SuiteContext) -> TheoremReport:
+def _explore(ctx: SuiteContext) -> Iterable[tuple]:
     """Report-only observations; never fails.
 
     Sweeps UUSC transfer to triangular rings, posed as an open question
@@ -878,7 +807,7 @@ def _check_explore(ctx: SuiteContext) -> TheoremReport:
     classifies, beside the base's.  A T_n past the budget is left out
     of the row, not reported as skipped.
     """
-    rep = TheoremReport("explore", "observational sweeps (UUSC triangulars)")
+    rows = []
     for entry in ctx.entries:
         c = classify(entry.ring)
         if not c.is_commutative:
@@ -887,44 +816,55 @@ def _check_explore(ctx: SuiteContext) -> TheoremReport:
                         for n, _, tc in ctx.triangulars(entry) if tc is not None}
         if observations:
             observations["base_is_UUSC"] = c.is_UUSC
-            rep.add(entry.name, PASS, observations)
-    if not rep.rows:
-        rep.add("(none)", PASS)
-    return rep
+            rows.append((entry.name, PASS, observations))
+    return rows or [("(none)", PASS, None)]
 
 
-#: Registry of check ids in execution order.
+#: Registry of checks in execution order: each id's title and check.
 CHECKS: dict[str, tuple[str, Callable[[SuiteContext], TheoremReport]]] = {
-    "example1.4": ("flagship examples", _check_example1_4),
-    "prop2.1": ("abelian equivalences", _check_prop2_1),
-    "example2.3": ("trivial-idempotent criterion; triangular USC", _check_example2_3),
-    "prop2.4": ("subring inheritance", _check_prop2_4),
-    "prop2.5": ("finite products", STATEMENTS["prop2.5"]),
-    "cor2.6": ("subdirect products", _check_cor2_6),
-    "cor2.7": ("Peirce decomposition", _check_cor2_7),
-    "lemma2.8": ("radical subideal transfer", _check_lemma2_8),
-    "prop2.2": ("local characterizations", _check_prop2_2),
-    "cor2.14": ("extension corollaries", STATEMENTS["cor2.14"]),
-    "morita": ("trivial Morita contexts", STATEMENTS["morita"]),
-    "tav": ("trivial extension CUSC transfer", STATEMENTS["tav"]),
-    "prop2.18": ("ideal extension necessity", STATEMENTS["prop2.18"]),
-    "prop2.19": ("ideal extension sufficiency", STATEMENTS["prop2.19"]),
-    "thm3.1": ("semi-potent six equivalences", _check_thm3_1),
-    "quasiduo": ("quasi-duo corollary", STATEMENTS["quasiduo"]),
-    "cor3.2": ("regular rings", STATEMENTS["cor3.2"]),
-    "prop3.3": ("USC = clean + CUSC", STATEMENTS["prop3.3"]),
-    "thm3.4": ("USC = CUSC + potent", STATEMENTS["thm3.4"]),
-    "cor3.5": ("CUSC equivalences", STATEMENTS["cor3.5"]),
-    "cor3.6": ("semi-boolean criterion", STATEMENTS["cor3.6"]),
-    "cor3.8": ("central-idempotent translates", _check_cor3_8),
-    "thm3.9": ("2 in the radical", STATEMENTS["thm3.9"]),
-    "thm3.10": ("two-good obstructions", _check_thm3_10),
-    "thm3.11": ("triangular CUSC criterion", _check_thm3_11),
-    "lemma4.1": ("group rings with base idempotents", STATEMENTS["lemma4.1"]),
-    "prop4.4": ("2-group group rings", STATEMENTS["prop4.4"]),
-    "thm4.3": ("group ring criterion", STATEMENTS["thm4.3"]),
-    "crosschecks": ("dual-route verification", _check_crosschecks),
-    "explore": ("observational sweeps", _check_explore),
+    c.check_id: (c.title, c) for c in (
+        Check("example1.4", "flagship examples: Z2[x] and T2(Z2)", _example1_4),
+        Check("prop2.1", "abelian rings: two-good/idempotent triviality, UUSC, UUC, CUC, "
+              "CUSC agree", _each_entry(_prop2_1)),
+        Check("example2.3", "trivial idempotents: CUSC iff 1 not two-good; USC commutative "
+              "bases give USC non-CUC triangulars", _example2_3),
+        Check("prop2.4", "subrings (corners and generated subrings) inherit CUSC/UUSC",
+              _each_entry(_prop2_4)),
+        STATEMENTS["prop2.5"],
+        Check("cor2.6", "subdirect products of CUSC/UUSC rings are CUSC/UUSC", _cor2_6),
+        Check("cor2.7", "central idempotent e: R is CUSC/UUSC iff both Peirce corners are",
+              _each_entry(_cor2_7)),
+        Check("lemma2.8", "ideals inside the radical: UUSC/CUSC transfer between R and R/I",
+              _each_entry(_lemma2_8)),
+        Check("prop2.2", "local characterizations: CUSC+local, R/J = Z2, UC, USC, CUC "
+              "variants agree", _each_entry(_prop2_2)),
+        STATEMENTS["cor2.14"],
+        STATEMENTS["morita"],
+        STATEMENTS["tav"],
+        STATEMENTS["prop2.18"],
+        STATEMENTS["prop2.19"],
+        Check("thm3.1", "semi-potent rings: six equivalent forms of 'units are radical "
+              "translates of central idempotents'", _each_entry(_thm3_1)),
+        STATEMENTS["quasiduo"],
+        STATEMENTS["cor3.2"],
+        STATEMENTS["prop3.3"],
+        STATEMENTS["thm3.4"],
+        STATEMENTS["cor3.5"],
+        STATEMENTS["cor3.6"],
+        Check("cor3.8", STATEMENTS["cor3.8"].title, _cor3_8),
+        STATEMENTS["thm3.9"],
+        Check("thm3.10", "CUSC/UUSC obstructions: no two-good identity, no corner-unit sums, "
+              "no 2x2 matrix corners, in R and in R/J", _each_entry(_thm3_10)),
+        Check("thm3.11", "commutative semi-potent bases: CUSC = CUC = CUSC of every "
+              "triangular ring", _thm3_11),
+        STATEMENTS["lemma4.1"],
+        STATEMENTS["prop4.4"],
+        STATEMENTS["thm4.3"],
+        Check("crosschecks", "dual-route verification: radical vs maximal left ideals, "
+              "quasi-duo vs maximal one-sided ideals, unit lifting, augmentation kernel, "
+              "lattice semi-potence, axiom validation", _each_entry(_crosschecks)),
+        Check("explore", "observational sweeps (UUSC triangulars)", _explore),
+    )
 }
 
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -151,6 +152,30 @@ def test_verify_single_theorem(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["all_pass"] is True
     assert [c["id"] for c in doc["checks"]] == ["thm3.4"]
+
+
+#: The zero ring and Z1 x Z2, whose rows reach the ``order 1`` branches
+#: of ``example2.3``, ``prop2.2`` and ``thm3.10``, which the default
+#: catalog never does.
+ORDER_ONE_MANIFEST = [
+    {"name": "Z1", "spec": {"zn": 1}},
+    {"name": "Z1xZ2", "spec": {"product": [{"zn": 1}, {"zn": 2}]}},
+]
+
+#: sha256 of ``verify --json --catalog`` over :data:`ORDER_ONE_MANIFEST`.
+ORDER_ONE_VERIFY_SHA256 = "cd36d773150e1c847e8a82c62546daed96ba6c63332175b1065c91055c2144f6"
+
+
+def test_verify_json_over_order_one_rings_is_pinned(capsys, tmp_path):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(ORDER_ONE_MANIFEST))
+    code, out, _ = run(capsys, "verify", "--json", "--catalog", str(path))
+    assert code == 0
+    rows = {(c["id"], r["ring"]): r for c in json.loads(out)["checks"] for r in c["rows"]}
+    for cid, detail in (("example2.3", "order 1"), ("prop2.2", "order 1"),
+                        ("thm3.10", "hypotheses unmet")):
+        assert rows[cid, "Z1"] == {"ring": "Z1", "verdict": "not-applicable", "detail": detail}
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER_ONE_VERIFY_SHA256
 
 
 def test_verify_unknown_theorem_exits_2(capsys):

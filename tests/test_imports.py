@@ -9,7 +9,9 @@ exempt, since its imports are the package's re-exports, and so is
 at the top of ``src/ringlab/*.py`` whose name starts with one
 underscore must be read, as a name or an attribute, by some other
 top-level statement of ``src/ringlab/``: a helper that only its own
-definition reads is dead code.
+definition reads is dead code.  Likewise each method or property of a
+class in ``src/ringlab/*.py``, dunders aside, must be read as an
+attribute somewhere in ``src/ringlab/`` or ``tests/``.
 """
 
 import ast
@@ -92,3 +94,29 @@ def test_every_private_name_of_the_package_is_read():
     package = _ROOT / "src" / "ringlab"
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
     assert _dead_private_names(sources) == []
+
+
+def _dead_members(package: dict[str, str], readers: list[str]) -> list[str]:
+    """``module:Class.name`` of each method or property in ``package``
+    that no source of ``package`` or ``readers`` reads as an attribute."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    read = {n.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+            for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return [f"{module}:{cls.name}.{fn.name} (line {fn.lineno})"
+            for module, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__")) and fn.name not in read]
+
+
+def test_the_lint_sees_a_dead_member():
+    package = {"a.py": "class A:\n    def __call__(self): pass\n    def used(self): pass\n"
+                       "    @property\n    def gone(self): return self.used()\n"}
+    assert _dead_members(package, []) == ["a.py:A.gone (line 5)"]
+    assert _dead_members(package, ["A().gone"]) == []
+
+
+def test_every_member_of_a_package_class_is_read():
+    package = _ROOT / "src" / "ringlab"
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert _dead_members(sources, [p.read_text(encoding="utf-8") for p in _TESTS]) == []

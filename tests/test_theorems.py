@@ -24,7 +24,7 @@ from ringlab import (
     suite_to_json,
     zn,
 )
-from ringlab.catalog import DEFAULT_SPECS, RADICAL_QUOTIENT_OF, CatalogEntry
+from ringlab.catalog import DEFAULT_SPECS, RADICAL_QUOTIENT_OF, CatalogEntry, catalog_from_manifest
 from ringlab.classify import CLASSIFICATION_FIELDS, radical_quotient
 from ringlab.elements import _subring_is_cusc_uusc, _subring_units, _two_good_pair
 from ringlab.errors import SpecError
@@ -32,7 +32,7 @@ from ringlab.invariants import get_cache
 from ringlab.construct import _corner_subset, _subring_closure
 from ringlab.theorems import (
     STATEMENTS,
-    _check_thm3_10,
+    Check,
     _is_m2_f2_corner,
     _nonzero_idempotents,
     _radical_quotient_is_z2,
@@ -40,6 +40,7 @@ from ringlab.theorems import (
 )
 from oracles import reference_check_isomorphic, reference_corner_two_good_witness
 from test_acceptance import VERIFY_JSON_SHA256
+from test_cli import ORDER_ONE_MANIFEST
 from test_invariants import _SMALL_SPEC_LIST
 
 
@@ -48,6 +49,32 @@ def test_each_check_passes_on_default_catalog(suite_ctx, check_id):
     report = run_suite(suite_ctx, [check_id])[0]
     fails = [r for r in report.rows if r.verdict == "fail"]
     assert report.aggregate == "pass", (check_id, [(f.ring, f.detail) for f in fails])
+
+
+def test_each_registry_value_is_the_title_and_the_check_of_its_report(suite_ctx):
+    # The benchmark's tracer unpacks each value as (title, check).
+    for cid, value in CHECKS.items():
+        assert isinstance(value, tuple) and len(value) == 2, cid
+        title, check = value
+        assert isinstance(title, str) and callable(check), cid
+        report = check(suite_ctx)
+        assert (report.check_id, report.title) == (cid, title)
+
+
+#: The checks with one row per catalog entry.
+_PER_ENTRY_CHECKS = ("prop2.1", "prop2.4", "cor2.7", "lemma2.8", "prop2.2", "thm3.1",
+                     "thm3.10", "crosschecks")
+
+
+@pytest.mark.parametrize("catalog", ["default", "order-one"])
+def test_per_entry_checks_give_one_row_per_entry_in_catalog_order(suite_ctx, catalog):
+    ctx = suite_ctx if catalog == "default" else SuiteContext(
+        catalog_from_manifest(ORDER_ONE_MANIFEST))
+    names = [e.name for e in ctx.entries]
+    reports = run_suite(ctx, list(_PER_ENTRY_CHECKS))
+    assert [r.check_id for r in reports] == list(_PER_ENTRY_CHECKS)
+    for report in reports:
+        assert [row.ring for row in report.rows] == names, report.check_id
 
 
 def test_prop21_marks_nonabelian_na(suite_ctx):
@@ -115,11 +142,9 @@ def test_verify_json_is_the_same_over_a_second_catalog_of_live_rings():
 def test_failure_path_reports_witness():
     # A catalog of one deliberately mislabeled ring cannot fool the
     # checks; instead, exercise the row machinery directly.
-    from ringlab.theorems import TheoremReport
-
-    rep = TheoremReport("demo", "demo")
-    rep.require("R", False, {"why": "broken"})
-    rep.require("S", True)
+    demo = Check("demo", "demo",
+                 lambda ctx: [("R", "fail", {"why": "broken"}), ("S", "pass", None)])
+    rep = demo(SuiteContext([]))
     assert rep.aggregate == "fail"
     doc = rep.to_json()
     assert doc["rows"][0] == {"ring": "R", "verdict": "fail", "detail": {"why": "broken"}}
@@ -296,7 +321,7 @@ def test_thm3_10_allocates_no_corner_table():
     classify(radical_quotient(ring))
     tracemalloc.start()
     try:
-        [row] = _check_thm3_10(ctx).rows
+        [row] = run_suite(ctx, ["thm3.10"])[0].rows
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -325,7 +350,7 @@ def test_m2_f2_corner_closed_form_matches_the_isomorphism_search(suite_ctx):
     for ring in rings:
         for e in _nonzero_idempotents(ring):
             corner = corner_ring(ring, e)
-            found = _is_m2_f2_corner(ring, e)
+            found = _is_m2_f2_corner(ring, e, _corner_subset(ring, e))
             assert found == reference_check_isomorphic(corner, m2).found, (ring.name, e)
             seen[corner.order, found] += 1
     assert seen[16, True] and seen[16, False], seen
@@ -371,7 +396,7 @@ def test_radical_quotient_entries_are_their_bases_own(suite_ctx):
 
 def test_thm3_10_builds_no_corner_ring(suite_ctx, monkeypatch):
     calls = _count_subset_builds(monkeypatch)
-    rows = _check_thm3_10(suite_ctx).rows
+    rows = run_suite(suite_ctx, ["thm3.10"])[0].rows
     assert calls == []
     assert {r.verdict for r in rows} == {"pass", "not-applicable"}
 
@@ -465,7 +490,7 @@ def test_thm3_10_finds_matrix_corners(monkeypatch):
                         lambda ring: dataclasses.replace(real(ring), is_CUSC=True))
     specs = {"M2(Z2)": _M2Z2, "Z2xM2(Z2)": _MATRIX_CORNER_SPECS[0]}
     ctx = SuiteContext([CatalogEntry(name, spec, build(spec)) for name, spec in specs.items()])
-    rows = _check_thm3_10(ctx).rows
+    rows = run_suite(ctx, ["thm3.10"])[0].rows
     assert [r.ring for r in rows] == list(specs)
     for row in rows:
         assert row.verdict == "fail"
