@@ -87,6 +87,7 @@ from .core import (
     check_law,
     check_order,
     closure,
+    distinct_ids,
     dtype_for,
     element_ids,
     identity_row,
@@ -584,7 +585,7 @@ def quotient_ring(
     Cosets are canonicalized by least element id; the projection map is
     available as ``ring.meta['projection']`` (an array over base ids).
     """
-    gens = np.unique(element_ids(generators, base.order)).tolist()
+    gens = distinct_ids(element_ids(generators, base.order), base.order).tolist()
     return _quotient_by_ideal(base, gens, ideal_generated(base, gens), spec)
 
 
@@ -603,7 +604,7 @@ def _quotient_by_ideal(
     # reps[x] = min(x + I), read down the rows of I rather than across
     # strided columns: add is commutative (check_axioms above).
     reps = base.add_table[ideal_ids].min(axis=0)
-    rep_ids = np.unique(reps)
+    rep_ids = distinct_ids(reps, base.order)
     m = len(rep_ids)
     lookup = np.zeros(base.order, dtype=dtype_for(m))
     lookup[rep_ids] = np.arange(m)
@@ -640,15 +641,17 @@ def corner_ring(
     if base.mul(e, e) != e:
         raise RingConstructionError(f"element {e} is not idempotent in {base.name}")
     spec = spec or {"corner": {"base": base.spec, "idempotent": e}}
-    ids = _corner_subset(base, e).astype(np.int64)
+    ids = _corner_subset(base, e)
     ring = _restrict_to_subset(base, ids, e, spec=spec, name=spec_name(spec))
     ring.meta["embedding"] = ids
     return ring
 
 
 def _corner_subset(ring: FiniteRing, e: int) -> np.ndarray:
-    """The sorted ids of e*R*e."""
-    return np.unique(ring.mul_table[ring.mul_table[e], e])
+    """The sorted ids of e*R*e, memoized on the ring per e."""
+    mul = ring.mul_table
+    return get_cache(ring).memo(f"corner:{int(e)}", lambda: distinct_ids(
+        mul[mul[e], e], ring.order))
 
 
 def subring_generated(base: FiniteRing, generators: Iterable[int]) -> FiniteRing:

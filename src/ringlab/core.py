@@ -235,6 +235,14 @@ def element_ids(ids: Iterable[int], order: int) -> np.ndarray:
     return out
 
 
+def distinct_ids(ids, order: int) -> np.ndarray:
+    """The sorted distinct values of ``ids``, all in ``0..order-1``, read
+    off a mask over ``0..order-1`` rather than a sort."""
+    mask = np.zeros(order, dtype=bool)
+    mask[ids] = True
+    return np.flatnonzero(mask)
+
+
 def identity_row(table: np.ndarray, two_sided: bool = False) -> Optional[int]:
     """The least e whose row of ``table`` is the identity map, or None.
 
@@ -361,23 +369,43 @@ def closure(order: int, seed, *steps) -> np.ndarray:
     return members
 
 
+def join_cyclic(add: np.ndarray, mask: np.ndarray, g: int) -> np.ndarray:
+    """The mask of H + <g>, for H the subgroup ``mask`` of the group ``add``.
+
+    Walks g, 2g, ... and marks each multiple and its coset of H, until a
+    multiple is already marked.  In a group the first kg in H ends the
+    walk, and H + <g> is the union of the k cosets H + jg, j < k; an
+    empty H gives <g>.  Each step marks an id that was unmarked, so the
+    walk ends within ``len(add)`` steps on any table, a group or not,
+    and g is always marked.
+    """
+    out = mask.copy()
+    ids = np.flatnonzero(mask)
+    x = g
+    while not out[x]:
+        out[x] = True
+        out[add[x, ids]] = True
+        x = add[x, g]
+    return out
+
+
 def additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
     """Greedy additive generators: every id is reached from ``zero``.
 
-    Takes the least unreached id as the next generator, then closes the
-    reached set under adding each generator.  Each generator at least
-    doubles the reached subgroup of a group, so a group of order n
-    needs at most log2(n) of them.
+    Takes the least unreached id g as the next generator and joins the
+    reached subgroup with <g> (:func:`join_cyclic`).  Each generator at
+    least doubles the reached subgroup of a group, so a group of order n
+    needs at most log2(n) of them.  On any table, a group or not, every
+    reached id is a sum of generators and the loop ends once every id is
+    reached, so the generators always generate: Light's test
+    (:func:`additive_associativity_witness`) may read them.
     """
-    n, gens = len(add), []
-    reached = np.asarray([zero])
-    while reached.size < n:
-        unreached = np.ones(n, dtype=bool)
-        unreached[reached] = False
-        gens.append(int(np.argmax(unreached)))
-        gen_ids = np.asarray(gens)
-        reached = closure(n, np.append(reached, gens[-1]),
-                          lambda new, _: add[new[:, None], gen_ids])
+    gens = []
+    reached = np.zeros(len(add), dtype=bool)
+    reached[zero] = True
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached = join_cyclic(add, reached, gens[-1])
     return np.asarray(gens, dtype=np.int64)
 
 

@@ -12,8 +12,11 @@ its row's only one and is two-sided (true in every finite ring)
 follows.  Three kernels avoid a sweep of the whole multiplication table:
 
 * J is read by right quasi-regularity (1 - a*r a unit for every r) on
-  the rows of the nilpotents only: J of a finite ring is nilpotent, so
-  J is inside Nil.
+  rows of nilpotents only: J of a finite ring is nilpotent, so J is
+  inside Nil.  J is an additive group, so it is grown one coset at a
+  time: a passing row adds the multiples of a to the part found, and a
+  failing row rules out the whole coset a + found.  A ring with Nil = J
+  reads about log2|J| rows.
 * Idempotents lift modulo an ideal I as read off Idem + I, the
   |Idem|*|I| sums e + i: the least idempotent of x + I is the least e
   with x in e + I.
@@ -43,7 +46,13 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import FiniteRing, additive_generators, closure, element_ids
+from .core import (
+    FiniteRing,
+    additive_generators,
+    closure,
+    element_ids,
+    join_cyclic,
+)
 from .errors import IdealError, LatticeLimitError, SizeOverflowError
 
 DEFAULT_IDEAL_ORDER_LIMIT = 256
@@ -152,19 +161,28 @@ class InvariantCache:
     def jacobson_mask(self) -> np.ndarray:
         def compute():
             # Right quasi-regularity: a in J iff 1 - a*r is a unit for
-            # every r, tested on the rows of the nilpotent a only, since
-            # J is inside Nil.
+            # every r, one row of the table.  J is an additive group
+            # inside Nil, so it is grown as one: found, a subgroup of J,
+            # joins <a> when the least undecided nilpotent a passes, and
+            # when a fails the whole coset a + found leaves, since a
+            # member a + j with j in J would put a in J.  A ring with
+            # Nil = J tests about log2|J| rows.
             ring = self.ring
-            n = ring.order
-            nil = np.flatnonzero(self.nilpotent_mask)
+            add, mul = ring.add_table, ring.mul_table
             # one_minus_unit[v]: whether 1 - v is a unit.
-            one_minus_unit = self.unit_mask[ring.add_table[ring.one, ring.neg_table]]
-            mask = np.zeros(n, dtype=bool)
-            for rows in _row_blocks(nil.size, n):
-                block = nil[rows]
-                mask[block[one_minus_unit[ring.mul_table[block]].all(axis=1)]] = True
-            self._assert_two_sided_ideal(mask)
-            return mask
+            one_minus_unit = self.unit_mask[add[ring.one, ring.neg_table]]
+            found = np.zeros(ring.order, dtype=bool)
+            undecided = self.nilpotent_mask.copy()
+            while undecided.any():
+                a = int(undecided.argmax())
+                if one_minus_unit[mul[a]].all():
+                    found = join_cyclic(add, found, a)
+                    undecided &= ~found
+                else:
+                    undecided[a] = False
+                    undecided[add[a, np.flatnonzero(found)]] = False
+            self._assert_two_sided_ideal(found)
+            return found
 
         return self.memo("jacobson", compute)
 
@@ -286,12 +304,11 @@ def idempotents_lift_mod(ring: FiniteRing, ideal: Iterable[int]) -> LiftReport:
     coset x + I.  On failure ``failure`` is the least x without a lift
     and ``witnesses`` holds the x below it.
     """
-    ids = element_ids(ideal, ring.order)
-    if not is_two_sided_ideal(ring, ids):
-        raise IdealError(
-            f"subset {np.unique(ids).tolist()} is not a two-sided ideal of {ring.name}")
     imask = np.zeros(ring.order, dtype=bool)
-    imask[ids] = True
+    imask[element_ids(ideal, ring.order)] = True
+    if not _is_ideal_mask(ring, imask):
+        raise IdealError(
+            f"subset {np.flatnonzero(imask).tolist()} is not a two-sided ideal of {ring.name}")
     return _lift_mod_mask(ring, imask)
 
 

@@ -45,7 +45,7 @@ from .construct import (
     quotient_ring,
     spec_key,
 )
-from .core import DEFAULT_THRESHOLD, FiniteRing, validate_axioms
+from .core import DEFAULT_THRESHOLD, FiniteRing, distinct_ids, validate_axioms
 from .elements import _pair_sweep, _subring_is_cusc_uusc, _subring_units, _two_good_pair
 from .errors import LatticeLimitError, SpecError
 from .invariants import (
@@ -791,7 +791,7 @@ def _crosschecks(ctx: SuiteContext, entry: CatalogEntry) -> _Row:
             problems.append("augmentation is not multiplicative")
         if int(eps[ring.one]) != base.one:
             problems.append("augmentation misses the identity")
-        if len(np.unique(eps)) != base.order:
+        if distinct_ids(eps, base.order).size != base.order:
             problems.append("augmentation is not surjective")
         if not np.array_equal(np.flatnonzero(eps == base.zero), ring.meta["aug_kernel"]):
             problems.append("augmentation kernel differs from the ideal <1-g>")

@@ -7,9 +7,10 @@ computed with these functions.  ``scalar_ideal_generated`` and
 ``scalar_idempotents_lift_mod`` are the scalar worklist and double loop
 that ``ideal_generated`` and ``idempotents_lift_mod`` replaced, kept as
 their reference routes; ``reference_subring_closure`` and
-``reference_additive_generators`` are the whole-set fixed point and the
-scalar greedy route that ``core.closure`` serves in
-``construct._subring_closure`` and ``core.additive_generators``; ``reference_assembly`` is the per-element
+``reference_additive_generators`` are the whole-set fixed point that
+``core.closure`` serves in ``construct._subring_closure`` and the
+scalar greedy route that ``core.additive_generators`` takes one cyclic
+subgroup at a time; ``reference_assembly`` is the per-element
 assembly that the open digit grid of ``construct._assemble_ring``
 replaced, and it takes its labels from ``reference_labels``, which
 composes each assembled family's labels one id at a time in the tuple,
@@ -26,7 +27,9 @@ replaced.  ``full_center`` and
 ``full_jacobson`` are the whole-table sweeps that the generator center
 and the radical read on the rows of the nilpotents replaced (the latter
 by left quasi-regularity on every column, so it is also a second route
-to the kernel's right quasi-regularity), and ``full_units`` the
+to the kernel's right quasi-regularity), ``reference_jacobson_scan``
+the test of every nilpotent's row that growing J one coset at a time
+replaced, and ``full_units`` the
 ``np.nonzero(mul == one)`` sweep that the unit kernel's first-hit pass
 over blocks of rows replaced; ``reference_decomposition_counts`` is the
 order x |Idem| row sweep that the pair sweep over Idem x U replaced,
@@ -137,6 +140,15 @@ def full_jacobson(ring, unit_mask) -> np.ndarray:
     """Quasi-regularity on every column: 1 - r*a a unit for all r."""
     one_minus = ring.add_table[ring.one][ring.neg_table[ring.mul_table]]
     return unit_mask[one_minus].all(axis=0)
+
+
+def reference_jacobson_scan(ring, unit_mask, nil_mask) -> np.ndarray:
+    """Right quasi-regularity on the row of every nilpotent, one at a time."""
+    one_minus_unit = unit_mask[ring.add_table[ring.one, ring.neg_table]]
+    mask = np.zeros(ring.order, dtype=bool)
+    for a in np.flatnonzero(nil_mask):
+        mask[a] = one_minus_unit[ring.mul_table[a]].all()
+    return mask
 
 
 def full_units(ring) -> tuple[np.ndarray, np.ndarray]:

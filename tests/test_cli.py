@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -421,3 +424,19 @@ def test_lattice_limit_flag_bounds_the_quasi_duo_oracle(spec_file, capsys, tmp_p
         with pytest.raises(SystemExit) as exc:
             main([*command, "--lattice-limit", "5"])
         assert exc.value.code == 2
+
+
+def test_verify_does_not_import_numpy_ma():
+    # A plain np.unique imports numpy.ma, 10-16 ms of a process's start.
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from ringlab.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['verify', '--json']) == 0",
+        "assert 'numpy.ma' not in sys.modules",
+    ])
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr

@@ -19,7 +19,7 @@ from ringlab import (
     zn,
 )
 from ringlab.invariants import is_two_sided_ideal
-from ringlab.core import FiniteRing, additive_generators
+from ringlab.core import FiniteRing, additive_generators, join_cyclic
 from oracles import naive_axioms, naive_units, reference_additive_generators
 from test_invariants import _SMALL_SPEC_LIST
 
@@ -267,6 +267,36 @@ def test_additive_generators_match_the_greedy_reference(suite_ctx):
     for ring in rings:
         got = additive_generators(ring.add_table, ring.zero).tolist()
         assert got == reference_additive_generators(ring), ring.name
+
+
+class _ReadBudget(np.ndarray):
+    """A table whose reads count down a budget: a walk that never ends fails."""
+
+    def __getitem__(self, key):
+        self.budget -= 1
+        assert self.budget >= 0, "the walk did not stop"
+        return np.asarray(self)[key]
+
+
+def test_multiples_walk_stops_on_a_table_that_is_no_group():
+    # Commutative, 0 an identity row and a 0 in every row, but
+    # (1+1)+2 = 0 while 1+(1+2) = 2.  The multiples of 1 run 1, 2, 3,
+    # 2, ...: the walk never comes back to 0 or to 1.
+    add = np.array([[0, 1, 2, 3, 4],
+                    [1, 2, 3, 2, 0],
+                    [2, 3, 0, 4, 1],
+                    [3, 2, 4, 0, 1],
+                    [4, 0, 1, 1, 2]])
+    assert (add == add.T).all() and (add == 0).any(axis=1).all()
+    n = len(add)
+    table = add.view(_ReadBudget)
+    # At most n steps per walk, two reads per step.
+    table.budget = 2 * n
+    zero = np.zeros(n, dtype=bool)
+    zero[0] = True
+    assert np.flatnonzero(join_cyclic(table, zero, 1)).tolist() == [0, 1, 2, 3]
+    table.budget = 2 * n * n
+    assert additive_generators(table, 0).tolist() == [1, 4]
 
 
 def test_seeded_corruptions_match_naive_oracle(small_catalog):

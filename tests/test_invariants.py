@@ -45,7 +45,9 @@ from oracles import (
     naive_two_good,
     naive_ucn0,
     naive_units,
+    reference_additive_generators,
     reference_is_two_sided_ideal,
+    reference_jacobson_scan,
     reference_lift_mod_mask,
     reference_maximal_one_sided_ideals,
     reference_one_sided_ideals,
@@ -454,6 +456,8 @@ def _assert_masks_match_full_routes(ring):
     assert (cache.unit_mask == unit_mask).all(), ring.name
     assert (cache.center_mask == full_center(ring)).all(), ring.name
     assert (cache.jacobson_mask == full_jacobson(ring, cache.unit_mask)).all(), ring.name
+    assert (cache.jacobson_mask == reference_jacobson_scan(
+        ring, cache.unit_mask, cache.nilpotent_mask)).all(), ring.name
 
 
 @pytest.mark.parametrize("spec", _SMALL_SPEC_LIST)
@@ -472,6 +476,20 @@ def test_masks_match_full_routes_on_catalog(suite_ctx):
 @pytest.mark.parametrize("spec", ORDER_4096_SPECS.values(), ids=ORDER_4096_SPECS.keys())
 def test_masks_match_full_routes_at_order_4096(spec):
     _assert_masks_match_full_routes(build(spec))
+
+
+#: The rungs of the classify ladder whose J the kernel grows longest:
+#: J is 512 elements in T3(Z4) and Z2 x T3(Z4), 0 in M2(F8).
+GROWN_SPECS = {name: LARGE_SPECS[name] for name in ("T3(Z4)", "M2(F8)", "Z2xT3(Z4)")}
+
+
+@pytest.mark.parametrize("spec", GROWN_SPECS.values(), ids=GROWN_SPECS.keys())
+def test_grown_radical_and_generators_match_the_scans(spec):
+    ring = build(spec)
+    cache = get_cache(ring)
+    scan = reference_jacobson_scan(ring, cache.unit_mask, cache.nilpotent_mask)
+    assert (cache.jacobson_mask == scan).all()
+    assert cache.additive_generators.tolist() == reference_additive_generators(ring)
 
 
 def test_ideal_guard_rejects_non_ideals(m2z2):
